@@ -7,8 +7,8 @@ Builds the GENIO libraries and the perfbench driver from source into
 .bench_build/ (Release, Ninja when available), runs one workload, checks
 that its result names exactly the metrics BENCHMARK.json lists, and
 prints the driver's output. The last stdout line is the result object.
-Extra flags (--tiny, --inject-fault, --threads T) pass through to the
-driver; the self-test uses them.
+The extra flags --tiny and --inject-fault pass through to the perfbench
+binary; the self-test uses them. Traced runs write their spans to .bench_build/traces/.
 """
 import argparse
 import json
@@ -65,11 +65,8 @@ def main():
     args, extra = parser.parse_known_args()
 
     build()
-    traces = os.path.join(BUILD_ROOT, "traces")
-    os.makedirs(traces, exist_ok=True)
     command = [BINARY, "--workload", args.workload, "--seed", str(args.seed),
-               "--seconds", str(args.seconds), "--trace", str(args.trace),
-               "--trace-dir", traces] + extra
+               "--seconds", str(args.seconds), "--trace", str(args.trace)] + extra
     try:
         proc = subprocess.run(command, stdout=subprocess.PIPE, text=True,
                               timeout=RUN_TIMEOUT_S)

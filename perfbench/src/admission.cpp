@@ -88,14 +88,16 @@ struct LabeledImage {
   Label label = Label::kClean;
 };
 
-as::ContainerImage make_image(gc::Rng& rng, int index, Label label, bool tiny) {
+// Images are full size in every run, tiny ones included, so that the gate
+// and scan-cache figures of a traced run describe real inputs.
+as::ContainerImage make_image(gc::Rng& rng, int index, Label label) {
   as::ContainerImage image("registry.genio.io/tenant-a/app-" + std::to_string(index),
                            "1." + std::to_string(index % 7) + ".0");
   as::ImageLayer layer;
-  const int files = tiny ? 2 : 8 + static_cast<int>(rng.index(17));
+  const int files = 8 + static_cast<int>(rng.index(17));
   for (int f = 0; f < files; ++f) {
     std::string content;
-    const int lines = tiny ? 10 : 40 + static_cast<int>(rng.index(81));
+    const int lines = 40 + static_cast<int>(rng.index(81));
     for (int l = 0; l < lines; ++l) {
       content += kLines[rng.index(kLines.size())];
       content += "\n";
@@ -118,7 +120,7 @@ as::ContainerImage make_image(gc::Rng& rng, int index, Label label, bool tiny) {
       break;
   }
   image.add_layer(std::move(layer));
-  const int packages = tiny ? 4 : 20 + static_cast<int>(rng.index(31));
+  const int packages = 20 + static_cast<int>(rng.index(31));
   for (int p = 0; p < packages; ++p) {
     image.add_package({"libpkg-" + std::to_string(rng.index(kPackagePool)),
                        gc::Version(static_cast<int>(rng.index(4)),
@@ -272,20 +274,21 @@ WorkloadResult run_admission(const Options& options, Tracer* tracer) {
   // A fixed amount of work, sized so that it takes about `seconds` on a
   // 4-core host: the same ops on every commit, and counts (and memory)
   // that repeat exactly for a seed. The op script is drawn from `script`,
-  // every image from its own stream.
-  const int ops = tiny ? 60 : static_cast<int>(250.0 * options.seconds);
-  const int ingest_every = tiny ? 15 : 50;
+  // every image from its own stream. A tiny run cuts only the op count
+  // and the key heights; its script has the same mix and cadence.
+  const int ops = tiny ? 160 : static_cast<int>(250.0 * options.seconds);
+  const int ingest_every = 50;
   const int rescan_window = 16;
   const int repeat_window = 64;
   const double cold_share = 0.4;
-  const int checkpoint_ops = tiny ? 40 : 400;
+  const int checkpoint_ops = tiny ? ops : 400;
   const std::size_t publish_batch = tiny ? 32 : 256;
   gc::Rng script(gc::Rng::mix(options.seed, "admission-script"));
 
   // Set-up (repeated, median reported): the publisher's key, then the
   // operator's stand-up: platform + pipeline + tenant + advisory database.
   // Keygen happens only here.
-  const std::uint8_t publisher_height = tiny ? 7 : 11;
+  const std::uint8_t publisher_height = tiny ? 8 : 11;
   std::unique_ptr<Site> site;
   std::unique_ptr<cr::SigningKey> publisher;
   std::unique_ptr<cr::SigningKey> rogue_key;  // a key the tenant never registered
@@ -318,7 +321,7 @@ WorkloadResult run_admission(const Options& options, Tracer* tracer) {
       const Label label = draw_label(rng);
       auto& key = label == Label::kSignature ? rogue : *publisher;
       if (key.signatures_remaining() <= 8) break;
-      auto image = make_image(rng, index, label, tiny);
+      auto image = make_image(rng, index, label);
       LabeledImage labeled{image.reference(), label};
       (void)platform.registry().push_signed(std::move(image), kTenant, key);
       corpus.push_back(std::move(labeled));
@@ -453,7 +456,7 @@ WorkloadResult run_admission(const Options& options, Tracer* tracer) {
   if (options.inject_fault) {
     const auto index = static_cast<int>(corpus.size());
     gc::Rng rng = gc::Rng::derive(options.seed, "image-" + std::to_string(index));
-    auto image = make_image(rng, index, Label::kClean, tiny);
+    auto image = make_image(rng, index, Label::kClean);
     const LabeledImage mislabeled{image.reference(), Label::kMalware};
     (void)platform.registry().push_signed(std::move(image), kTenant, *publisher);
     verify(pipeline.deploy(request_for(mislabeled, "injected")), mislabeled, false);

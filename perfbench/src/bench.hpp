@@ -109,8 +109,7 @@ struct Options {
   bool trace = false;
   bool tiny = false;          // self-test size
   bool inject_fault = false;  // self-test: one mislabeled input
-  int threads = 1;            // load threads, <= nproc
-  std::string trace_dir;      // where a traced run writes its Chrome JSON
+  int threads = 1;            // load threads, <= nproc (set by main)
 };
 
 /// The measured phase is split into windows (by wall time, or by op count
@@ -133,6 +132,9 @@ struct WorkloadResult {
   std::vector<std::string> errors;  // first few failure descriptions
   std::vector<double> setup_s;      // one entry per set-up repetition
   std::vector<Window> windows;
+  // Latency percentiles over all samples of the run instead of medians of
+  // per-window percentiles, for workloads with few samples per window.
+  bool pooled_latency = false;
   std::vector<Metric> layer;
   std::vector<std::pair<std::string, double>> detail;  // informational
 

@@ -1,9 +1,9 @@
 // The repository benchmark. One process runs one workload:
 //   perfbench --workload <catalog|admission|fabric|dataplane> --seed N
 //             --seconds S --trace <0|1> [--tiny] [--inject-fault]
-//             [--threads T] [--trace-dir DIR]
 // Untraced runs print the end-to-end metrics; traced runs print the
-// per-layer metrics and write the spans as Chrome trace-event JSON. The
+// per-layer metrics and write the spans as Chrome trace-event JSON to
+// traces/ next to the binary's own directory (.bench_build/traces). The
 // last stdout line is the result object; the line before it carries the
 // host/build fingerprint and informational numbers.
 #include <sys/resource.h>
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <set>
@@ -131,8 +132,7 @@ int default_threads(const std::string& workload) {
 int usage() {
   std::fprintf(stderr,
                "usage: perfbench --workload <catalog|admission|fabric|dataplane> "
-               "--seed N --seconds S --trace <0|1> [--tiny] [--inject-fault] "
-               "[--threads T] [--trace-dir DIR]\n");
+               "--seed N --seconds S --trace <0|1> [--tiny] [--inject-fault]\n");
   return 2;
 }
 
@@ -142,7 +142,6 @@ int usage() {
 int main(int argc, char** argv) {
   using namespace perfbench;
   Options options;
-  options.threads = 0;
   int trace = -1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -155,10 +154,6 @@ int main(int argc, char** argv) {
       options.seconds = std::strtod(argv[++i], nullptr);
     } else if (arg == "--trace" && has_value) {
       trace = std::atoi(argv[++i]);
-    } else if (arg == "--threads" && has_value) {
-      options.threads = std::atoi(argv[++i]);
-    } else if (arg == "--trace-dir" && has_value) {
-      options.trace_dir = argv[++i];
     } else if (arg == "--tiny") {
       options.tiny = true;
     } else if (arg == "--inject-fault") {
@@ -173,7 +168,7 @@ int main(int argc, char** argv) {
     return usage();
   }
   options.trace = trace == 1;
-  if (options.threads <= 0) options.threads = default_threads(options.workload);
+  options.threads = default_threads(options.workload);
 
 #ifndef __OPTIMIZE__
   std::fprintf(stderr, "perfbench: refusing to time an unoptimized build\n");
@@ -197,6 +192,10 @@ int main(int argc, char** argv) {
       rate.push_back(w.items / w.seconds);
       p50.push_back(percentile(w.latency_ms, 0.50));
       p90.push_back(percentile(w.latency_ms, 0.90));
+    }
+    if (result.pooled_latency) {
+      p50 = {percentile(result.all_latency_ms(), 0.50)};
+      p90 = {percentile(result.all_latency_ms(), 0.90)};
     }
     metrics = {
         {"setup_s", median(result.setup_s), "s"},
@@ -251,11 +250,14 @@ int main(int argc, char** argv) {
       first = false;
     }
     extra += "}, \"spans\": " + std::to_string(tracer.spans().size());
-    if (!options.trace_dir.empty()) {
-      const std::string path = options.trace_dir + "/trace-" + options.workload + "-seed" +
-                               std::to_string(options.seed) + ".json";
-      if (tracer.write_chrome_json(path)) extra += ", \"chrome_trace\": " + json_string(path);
-    }
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::absolute(argv[0]).parent_path().parent_path() / "traces";
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    const std::string path = (dir / ("trace-" + options.workload + "-seed" +
+                                     std::to_string(options.seed) + ".json"))
+                                 .string();
+    if (tracer.write_chrome_json(path)) extra += ", \"chrome_trace\": " + json_string(path);
   }
 
   // End-to-end metrics are never 0; layer counts may be (no drops).
