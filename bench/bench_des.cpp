@@ -31,8 +31,10 @@
 //   * calendar events/sec >= 0.7x the heap oracle (same-order constant
 //     factor — the calendar must never be the bottleneck);
 //   * carrier drain >= 100k events/sec;
-//   * modeled footprint <= 24 KB per ONU (sizeof(Onu) alone is ~17.5 KB
-//     — the inline GCM context tables); arena reuse ratio >= 0.5;
+//   * modeled footprint <= 2 KB per ONU (~0.8 KB measured: a 680-byte
+//     Onu plus its arena share; the 16.8 KB GCM context sits out of line
+//     and only ONUs with an active session key allocate one, so inlining
+//     it again fails here); arena reuse ratio >= 0.5;
 //   * with --baseline PATH, calendar_eps and carrier_eps >= 0.8x the
 //     committed numbers (the >20%-regression CI gate).
 // Each timed section warms up with ~1/10 of its timed work first, and the
@@ -534,7 +536,7 @@ int main(int argc, char** argv) {
     check(sched.calendar_vs_heap() >= 0.7,
           "calendar queue >= 0.7x heap oracle events/sec");
     check(carrier.carrier_eps >= 100'000.0, "carrier drain >= 100k events/sec");
-    check(carrier.bytes_per_onu <= 24'576.0, "modeled footprint <= 24 KB/ONU");
+    check(carrier.bytes_per_onu <= 2'048.0, "modeled footprint <= 2 KB/ONU");
     check(carrier.arena_reuse >= 0.5, "arena reuse ratio >= 0.5 at steady state");
     if (baseline_path != nullptr) {
       check(check_baseline(baseline_path, sched.calendar_eps, carrier.carrier_eps),

@@ -7,6 +7,22 @@
 
 namespace genio::crypto {
 
+/// HMAC-SHA256 under one key. The key pads are absorbed once, at
+/// construction: each mac() resumes from the saved inner and outer
+/// midstates, so it costs two compressions fewer than a one-shot HMAC.
+class HmacSha256 {
+ public:
+  /// `kernel` lets tests pin HMAC vectors on each SHA-256 kernel.
+  explicit HmacSha256(BytesView key,
+                      Sha256::Kernel kernel = Sha256::dispatched_kernel());
+
+  Digest mac(BytesView data) const;
+
+ private:
+  Sha256 inner_;  // after H(key ^ ipad)
+  Sha256 outer_;  // after H(key ^ opad)
+};
+
 /// HMAC-SHA256 over `data` with `key` (any key length).
 Digest hmac_sha256(BytesView key, BytesView data);
 Digest hmac_sha256(BytesView key, std::string_view text);

@@ -1,6 +1,14 @@
 #include "genio/crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
+
+#include "genio/crypto/cpu.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace genio::crypto {
 
@@ -21,68 +29,8 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
 
 inline std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
-}  // namespace
-
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
-
-Sha256& Sha256::update(BytesView data) {
-  total_len_ += data.size();
-  std::size_t offset = 0;
-  if (buffer_len_ > 0) {
-    const std::size_t need = 64 - buffer_len_;
-    const std::size_t take = std::min(need, data.size());
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
-    buffer_len_ += take;
-    offset += take;
-    if (buffer_len_ == 64) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
-  }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
-  }
-  if (offset < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
-    buffer_len_ = data.size() - offset;
-  }
-  return *this;
-}
-
-Sha256& Sha256::update(std::string_view text) {
-  return update(BytesView(reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
-}
-
-Digest Sha256::finish() {
-  const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(BytesView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(BytesView(&zero, 1));
-  std::array<std::uint8_t, 8> len_bytes;
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  // Bypass total_len_ accounting for the length block itself.
-  total_len_ -= buffer_len_;
-  std::memcpy(buffer_.data() + 56, len_bytes.data(), 8);
-  process_block(buffer_.data());
-  buffer_len_ = 0;
-
-  Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
-  return out;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
+// The portable kernel: FIPS 180-4 section 6.2.2, one block at a time.
+void process_block(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -96,8 +44,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -116,14 +64,154 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+void compress_scalar(std::uint32_t* state, const std::uint8_t* blocks, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) process_block(state, blocks + 64 * i);
+}
+
+#if defined(__x86_64__)
+// The SHA-NI kernel. The state lives in two registers in the order the
+// sha256rnds2 instruction wants, ABEF and CDGH; each sha256rnds2 runs two
+// rounds, and sha256msg1/msg2 extend the message schedule four words at a
+// time: W[t..t+3] = msg2(msg1(W[t-16..t-13], W[t-12..t-9]) + W[t-7..t-4],
+// W[t-4..t-1]).
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_sha_ni(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t count) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (std::size_t block = 0; block < count; ++block) {
+    const std::uint8_t* data = blocks + 64 * block;
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int j = 0; j < 16; ++j) {
+      __m128i& group = w[j & 3];  // W[4j..4j+3]; replaces W[4j-16..4j-13]
+      if (j < 4) {
+        group = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * j)), byte_swap);
+      } else {
+        const __m128i& prev1 = w[(j - 1) & 3];
+        const __m128i& prev2 = w[(j - 2) & 3];
+        const __m128i& prev3 = w[(j - 3) & 3];
+        const __m128i partial = _mm_add_epi32(_mm_sha256msg1_epu32(group, prev3),
+                                              _mm_alignr_epi8(prev1, prev2, 4));
+        group = _mm_sha256msg2_epu32(partial, prev1);
+      }
+      const __m128i wk = _mm_add_epi32(
+          group, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[4 * j])));
+      // Two rounds leave the new ABEF in `cdgh` and make the old ABEF the
+      // new CDGH; the next two rounds swap them back.
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+}  // namespace
+
+Sha256::Kernel Sha256::dispatched_kernel() {
+  // Function-local: scenarios hash at static-initialization time, before a
+  // namespace-scope selection would be guaranteed to have run.
+  static const Kernel kernel = cpu::has_sha_ni() ? Kernel::kShaNi : Kernel::kScalar;
+  return kernel;
+}
+
+bool Sha256::supports(Kernel kernel) {
+  return kernel == Kernel::kScalar || dispatched_kernel() == Kernel::kShaNi;
+}
+
+Sha256::Sha256() : Sha256(dispatched_kernel()) {}
+
+Sha256::Sha256(Kernel kernel)
+    : compress_(compress_scalar),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {
+  if (kernel == Kernel::kScalar) return;
+  if (!supports(kernel)) throw std::invalid_argument("SHA-256: this CPU has no SHA extensions");
+#if defined(__x86_64__)
+  compress_ = compress_sha_ni;
+#endif
+}
+
+Sha256& Sha256::update(BytesView data) {
+  if (data.empty()) return *this;
+  total_len_ += data.size();
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  if (buffer_len_ > 0) {
+    const std::size_t take = std::min(64 - buffer_len_, n);
+    std::memcpy(buffer_.data() + buffer_len_, p, take);
+    buffer_len_ += take;
+    p += take;
+    n -= take;
+    if (buffer_len_ < 64) return *this;
+    compress_(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  if (n >= 64) {
+    compress_(state_.data(), p, n / 64);
+    p += n / 64 * 64;
+    n %= 64;
+  }
+  if (n > 0) {
+    std::memcpy(buffer_.data(), p, n);
+    buffer_len_ = n;
+  }
+  return *this;
+}
+
+Sha256& Sha256::update(std::string_view text) {
+  return update(BytesView(reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+}
+
+Digest Sha256::finish() {
+  const std::uint64_t bit_len = total_len_ * 8;
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {  // no room for the length: it goes in one more block
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    compress_(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[static_cast<std::size_t>(56 + i)] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress_(state_.data(), buffer_.data(), 1);
+  buffer_len_ = 0;
+
+  Digest out;
+  for (int i = 0; i < 8; ++i) {
+    out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
+  }
+  return out;
 }
 
 Digest Sha256::hash(BytesView data) { return Sha256().update(data).finish(); }

@@ -1,5 +1,6 @@
 #include "genio/crypto/signature.hpp"
 
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -14,24 +15,30 @@ constexpr int kLen1 = 64;         // 256 bits / 4 bits-per-digit
 constexpr int kLen2 = 3;          // checksum digits: max 64*15=960 < 16^3
 constexpr int kLen = kLen1 + kLen2;
 
-// PRF for chain seeds: leaf-and-chain-scoped secret start values.
-Digest chain_seed(BytesView seed, std::uint32_t leaf, int chain) {
-  Bytes info;
-  info.reserve(16);
-  common::put_u32_be(info, leaf);
-  common::put_u32_be(info, static_cast<std::uint32_t>(chain));
-  return hmac_sha256(seed, info);
+void store_u32_be(std::uint8_t* out, std::uint32_t v) {
+  out[0] = static_cast<std::uint8_t>(v >> 24);
+  out[1] = static_cast<std::uint8_t>(v >> 16);
+  out[2] = static_cast<std::uint8_t>(v >> 8);
+  out[3] = static_cast<std::uint8_t>(v);
 }
 
-// One step of the WOTS chain; domain-separated by position to resist
-// multi-target shortcuts.
+// PRF for chain seeds: leaf-and-chain-scoped secret start values,
+// HMAC(seed, leaf || chain) under the key's seed.
+Digest chain_seed(const HmacSha256& prf, std::uint32_t leaf, int chain) {
+  std::array<std::uint8_t, 8> info;
+  store_u32_be(info.data(), leaf);
+  store_u32_be(info.data() + 4, static_cast<std::uint32_t>(chain));
+  return prf.mac(BytesView(info.data(), info.size()));
+}
+
+// One step of the WOTS chain, H(value || chain || step); domain-separated
+// by position to resist multi-target shortcuts.
 Digest chain_step(const Digest& value, int chain, int step) {
-  Bytes data;
-  data.reserve(40);
-  data.insert(data.end(), value.begin(), value.end());
-  common::put_u32_be(data, static_cast<std::uint32_t>(chain));
-  common::put_u32_be(data, static_cast<std::uint32_t>(step));
-  return Sha256::hash(data);
+  std::array<std::uint8_t, 40> data;
+  std::memcpy(data.data(), value.data(), value.size());
+  store_u32_be(data.data() + 32, static_cast<std::uint32_t>(chain));
+  store_u32_be(data.data() + 36, static_cast<std::uint32_t>(step));
+  return Sha256::hash(BytesView(data.data(), data.size()));
 }
 
 Digest chain_apply(Digest value, int chain, int from, int steps) {
@@ -120,6 +127,7 @@ SigningKey SigningKey::generate(BytesView seed, std::uint8_t height) {
   key.seed_.assign(seed.begin(), seed.end());
   key.height_ = height;
 
+  const HmacSha256 prf(key.seed_);
   const std::uint32_t n_leaves = 1u << height;
   std::vector<Digest> leaves;
   leaves.reserve(n_leaves);
@@ -127,7 +135,7 @@ SigningKey SigningKey::generate(BytesView seed, std::uint8_t height) {
     std::vector<Digest> tops;
     tops.reserve(kLen);
     for (int c = 0; c < kLen; ++c) {
-      tops.push_back(chain_apply(chain_seed(key.seed_, leaf, c), c, 0, kWinternitz - 1));
+      tops.push_back(chain_apply(chain_seed(prf, leaf, c), c, 0, kWinternitz - 1));
     }
     leaves.push_back(compress_pk(tops));
   }
@@ -158,12 +166,13 @@ Result<Signature> SigningKey::sign(BytesView message) {
   const std::uint32_t leaf = next_leaf_++;
   const auto digits = message_digits(message);
 
+  const HmacSha256 prf(seed_);
   Signature sig;
   sig.leaf_index = leaf;
   sig.wots_chains.reserve(kLen);
   for (int c = 0; c < kLen; ++c) {
     sig.wots_chains.push_back(
-        chain_apply(chain_seed(seed_, leaf, c), c, 0, digits[static_cast<std::size_t>(c)]));
+        chain_apply(chain_seed(prf, leaf, c), c, 0, digits[static_cast<std::size_t>(c)]));
   }
 
   std::uint32_t index = leaf;

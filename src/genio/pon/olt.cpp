@@ -156,7 +156,7 @@ void Olt::handle_data(const GemFrame& frame, GemFrame* opened,
   }
 
   GemFrame local;
-  if (record.cipher.has_value()) {
+  if (record.cipher != nullptr) {
     if (!frame.encrypted) {
       ++counters_.plaintext_after_key_drops;
       emit("pon.security.plaintext_after_key", {{"onu_id", std::to_string(frame.onu_id)}});
@@ -224,7 +224,7 @@ void Olt::on_upstream_burst(std::span<const GemFrame* const> frames) {
     const GemFrame& frame = *frames[i];
     if (!frame.fcs_valid() || !frame.encrypted) continue;
     const auto it = onus_.find(frame.onu_id);
-    if (it == onus_.end() || !it->second.cipher.has_value()) continue;
+    if (it == onus_.end() || it->second.cipher == nullptr) continue;
     targets.push_back(i);
   }
   const auto open_one = [&](std::size_t i) {
@@ -302,7 +302,7 @@ common::Status Olt::authenticate_onu(std::uint16_t onu_id, AuthTransport& transp
 
   it->second.authenticated = true;
   if (policy_.encrypt_data_path) {
-    it->second.cipher.emplace(finished->second.data_key);
+    it->second.cipher = std::make_unique<GponCipher>(finished->second.data_key);
     send_control(onu_id, ControlType::kKeyActivate, {{"serial", it->second.serial}});
   }
   emit("pon.onu.authenticated", {{"onu_id", std::to_string(onu_id)}});
@@ -331,7 +331,7 @@ common::Status Olt::send_data(std::uint16_t onu_id, std::uint16_t port, Bytes pa
   frame.port_id = port;
   frame.superframe = ++tx_superframe_;
   frame.payload = std::move(payload);
-  if (it->second.cipher.has_value()) {
+  if (it->second.cipher != nullptr) {
     it->second.cipher->encrypt(frame);
   } else {
     frame.seal_fcs();

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -110,7 +111,7 @@ class Olt : public OltDevice {
     bool ranged = false;
     bool authenticated = false;
     std::uint32_t last_superframe = 0;
-    std::optional<GponCipher> cipher;
+    std::unique_ptr<GponCipher> cipher;  // out of line, as Onu's: set on key activation
   };
 
   const std::map<std::uint16_t, OnuRecord>& onus() const { return onus_; }

@@ -103,7 +103,7 @@ void Onu::handle_control(const GemFrame& frame) {
     case ControlType::kKeyActivate:
       // Switch the data path to the session key derived in the handshake.
       if (pending_keys_.has_value()) {
-        cipher_.emplace(pending_keys_->data_key);
+        cipher_ = std::make_unique<GponCipher>(pending_keys_->data_key);
         pending_keys_.reset();
         if (logger_) logger_->info("pon.onu." + serial_, "session key activated");
       }
@@ -136,7 +136,7 @@ void Onu::handle_data(const GemFrame& frame) {
     return;
   }
 
-  if (cipher_.has_value()) {
+  if (cipher_ != nullptr) {
     if (!local.encrypted) {
       // Plaintext data after key activation: treat as forgery/downgrade.
       ++stats_.decrypt_failures;
@@ -205,7 +205,7 @@ std::size_t Onu::drain_upstream(std::size_t max_frames) {
     burst_.push_back(std::move(frame));
   }
   if (burst_.empty()) return 0;
-  if (cipher_.has_value()) {
+  if (cipher_ != nullptr) {
     cipher_->seal_burst(burst_);
   } else {
     for (GemFrame& frame : burst_) frame.seal_fcs();

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,7 +63,7 @@ class Onu : public OnuDevice, public AuthTransport {
   const std::string& serial() const { return serial_; }
   OnuState state() const { return state_; }
   std::uint16_t onu_id() const { return onu_id_; }
-  bool session_active() const { return cipher_.has_value(); }
+  bool session_active() const { return cipher_ != nullptr; }
 
   // -- medium callbacks -----------------------------------------------------
   void on_downstream(const GemFrame& frame) override;
@@ -108,7 +109,9 @@ class Onu : public OnuDevice, public AuthTransport {
 
   std::optional<AuthEndpoint> auth_;
   std::optional<SessionKeys> pending_keys_;
-  std::optional<GponCipher> cipher_;
+  // Out of line: a GponCipher carries ~16.8 KB of GCM tables, and most
+  // ONUs (every fabric ONU) never activate a session key.
+  std::unique_ptr<GponCipher> cipher_;
 
   struct QueuedFrame {
     std::uint16_t port;

@@ -44,11 +44,9 @@ struct DrillResult {
 
 // Drive deploy traffic with the supervisor in the loop, parking
 // pull-blocked requests for the registry playbook, then drain.
-DrillResult drive_supervised(ScenarioContext& ctx, core::GenioPlatform& platform,
-                             core::DeploymentPipeline& pipeline,
-                             core::SelfHealingSupervisor& shs,
-                             const TenantFleet& fleet, int storm_ticks,
-                             int drain_ticks) {
+DrillResult drive_supervised(ScenarioContext& ctx, core::DeploymentPipeline& pipeline,
+                             core::SelfHealingSupervisor& shs, const TenantFleet& fleet,
+                             int storm_ticks, int drain_ticks) {
   DrillResult result;
   for (int tick = 0; tick < storm_ticks; ++tick) {
     ctx.advance(kTick);
@@ -107,8 +105,8 @@ void run_playbook_drill(ScenarioContext& ctx, gr::FaultKind kind, int episodes) 
     (void)platform.chaos().schedule(spec);
   }
 
-  const DrillResult drill = drive_supervised(ctx, platform, pipeline, shs, fleet,
-                                             20 + 30 * episodes, 20);
+  const DrillResult drill =
+      drive_supervised(ctx, pipeline, shs, fleet, 20 + 30 * episodes, 20);
 
   ctx.check("supervisor-converges", shs.steady_state());
   ctx.check("no-open-episodes", shs.ledger().open_count() == 0);
@@ -444,8 +442,7 @@ GENIO_SCENARIO_FAMILY(supervisor_storms) {
       core::SelfHealingSupervisor shs(&platform, &pipeline);
       (void)platform.chaos().schedule_random(faults, gc::SimTime::from_seconds(1200),
                                              gc::SimTime::from_seconds(60));
-      const DrillResult drill =
-          drive_supervised(ctx, platform, pipeline, shs, fleet, 50, 20);
+      const DrillResult drill = drive_supervised(ctx, pipeline, shs, fleet, 50, 20);
       ctx.check("supervisor-converges", shs.steady_state());
       ctx.check("no-open-episodes", shs.ledger().open_count() == 0);
       ctx.check("no-gate-failed-open",

@@ -3,6 +3,8 @@
 // the hash-based signature scheme and PKI are checked for their contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "genio/common/rng.hpp"
 #include "genio/crypto/aes.hpp"
 #include "genio/crypto/crc32.hpp"
@@ -23,28 +25,134 @@ gc::Bytes from_hex(const std::string& hex) { return gc::hex_decode(hex).value();
 
 // ------------------------------------------------------------------ SHA-256
 
-TEST(Sha256, EmptyString) {
-  EXPECT_EQ(cr::digest_hex(cr::Sha256::hash(std::string_view{})),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+namespace {
+
+using Kernel = cr::Sha256::Kernel;
+
+struct HashVector {
+  const char* name;
+  std::string message;
+  const char* hex;
+};
+
+// FIPS 180-4 example messages, plus runs of 'a' at the padding boundaries:
+// 55 bytes is the longest message whose length still fits in its last
+// block, 56 and 63 push the length into an extra block, 64 and 65 fill and
+// just overflow one block. The boundary digests come from an independent
+// SHA-256 implementation.
+std::vector<HashVector> fips_vectors() {
+  return {
+      {"empty", "", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc", "abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"448-bit", "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"896-bit",
+       "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+       "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {"a*55", std::string(55, 'a'),
+       "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {"a*56", std::string(56, 'a'),
+       "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {"a*63", std::string(63, 'a'),
+       "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {"a*64", std::string(64, 'a'),
+       "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {"a*65", std::string(65, 'a'),
+       "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+  };
 }
 
-TEST(Sha256, Abc) {
-  EXPECT_EQ(cr::digest_hex(cr::Sha256::hash(std::string_view("abc"))),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+constexpr const char* kMillionAHex =
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+
+// Runs each test once per compression kernel, straight through
+// Sha256(kernel); the SHA-NI run skips on CPUs without SHA extensions.
+class Sha256Kernels : public testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (!cr::Sha256::supports(GetParam())) GTEST_SKIP() << "CPU has no SHA extensions";
+  }
+};
+
+}  // namespace
+
+TEST_P(Sha256Kernels, Fips180Vectors) {
+  for (const auto& v : fips_vectors()) {
+    EXPECT_EQ(cr::digest_hex(cr::Sha256(GetParam()).update(v.message).finish()), v.hex)
+        << v.name;
+  }
 }
 
-TEST(Sha256, TwoBlockMessage) {
-  EXPECT_EQ(cr::digest_hex(cr::Sha256::hash(std::string_view(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256, MillionA) {
-  cr::Sha256 h;
+TEST_P(Sha256Kernels, MillionA) {
   const std::string chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.update(chunk);
-  EXPECT_EQ(cr::digest_hex(h.finish()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  cr::Sha256 chunked(GetParam());
+  for (int i = 0; i < 1000; ++i) chunked.update(chunk);
+  EXPECT_EQ(cr::digest_hex(chunked.finish()), kMillionAHex);
+  // One update: all 15,625 blocks in a single multi-block compression call.
+  EXPECT_EQ(cr::digest_hex(cr::Sha256(GetParam()).update(std::string(1000000, 'a')).finish()),
+            kMillionAHex);
+}
+
+TEST_P(Sha256Kernels, HmacRfc4231Vectors) {
+  struct Case {
+    gc::Bytes key;
+    std::string data;
+    const char* hex;
+  };
+  const Case cases[] = {
+      {from_hex("0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"), "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {gc::to_bytes("Jefe"), "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {gc::Bytes(131, 0xaa), "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
+  for (const auto& c : cases) {
+    const cr::HmacSha256 keyed(c.key, GetParam());
+    // The saved midstates survive a mac(): the same key MACs twice.
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      EXPECT_EQ(cr::digest_hex(keyed.mac(gc::to_bytes(c.data))), c.hex) << c.data;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cpu, Sha256Kernels, testing::Values(Kernel::kScalar, Kernel::kShaNi),
+                         [](const testing::TestParamInfo<Kernel>& info) {
+                           return info.param == Kernel::kScalar ? "Scalar" : "ShaNi";
+                         });
+
+TEST(Sha256, DispatchPicksShaNiWhenCpuidReportsIt) {
+#if defined(__x86_64__)
+  const bool cpu_has_sha = __builtin_cpu_supports("sha") && __builtin_cpu_supports("ssse3") &&
+                           __builtin_cpu_supports("sse4.1");
+#else
+  const bool cpu_has_sha = false;
+#endif
+  EXPECT_EQ(cr::Sha256::dispatched_kernel(), cpu_has_sha ? Kernel::kShaNi : Kernel::kScalar);
+  EXPECT_EQ(cr::Sha256::supports(Kernel::kShaNi), cpu_has_sha);
+  EXPECT_TRUE(cr::Sha256::supports(Kernel::kScalar));
+  if (!cpu_has_sha) {
+    EXPECT_THROW(cr::Sha256{Kernel::kShaNi}, std::invalid_argument);
+  }
+}
+
+TEST(Sha256, DispatchedMatchesScalarOnRandomSplits) {
+  // The scalar kernel hashes each message in one update; the dispatched
+  // context gets it in random pieces (empty ones included, some longer
+  // than a block) so every buffer fill level meets every kernel entry.
+  gc::Rng rng(1201);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const gc::Bytes data = rng.bytes(len);
+    cr::Sha256 dispatched;
+    for (std::size_t offset = 0; offset < len;) {
+      const std::size_t piece = rng.index(std::min<std::size_t>(len - offset, 130) + 1);
+      dispatched.update(gc::BytesView(data.data() + offset, piece));
+      offset += piece;
+    }
+    ASSERT_EQ(dispatched.finish(), cr::Sha256(Kernel::kScalar).update(data).finish())
+        << "len=" << len;
+  }
 }
 
 TEST(Sha256, StreamingMatchesOneShot) {
@@ -56,36 +164,13 @@ TEST(Sha256, StreamingMatchesOneShot) {
   EXPECT_EQ(h.finish(), cr::Sha256::hash(data));
 }
 
-TEST(Sha256, ExactBlockBoundary) {
-  // 64-byte message exercises the padding-into-second-block path.
-  const std::string msg(64, 'x');
-  cr::Sha256 a;
-  a.update(msg);
-  EXPECT_EQ(a.finish(), cr::Sha256::hash(msg));
-}
-
 // --------------------------------------------------------------- HMAC/HKDF
 
-TEST(Hmac, Rfc4231Case1) {
-  const auto key = from_hex("0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b");
-  const auto digest = cr::hmac_sha256(key, std::string_view("Hi There"));
-  EXPECT_EQ(cr::digest_hex(digest),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-}
-
-TEST(Hmac, Rfc4231Case2) {
+TEST(Hmac, OneShotMatchesRfc4231Case2) {
   const auto digest = cr::hmac_sha256(gc::to_bytes("Jefe"),
                                       std::string_view("what do ya want for nothing?"));
   EXPECT_EQ(cr::digest_hex(digest),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
-TEST(Hmac, Rfc4231Case6LongKey) {
-  const gc::Bytes key(131, 0xaa);
-  const auto digest = cr::hmac_sha256(
-      key, std::string_view("Test Using Larger Than Block-Size Key - Hash Key First"));
-  EXPECT_EQ(cr::digest_hex(digest),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
 TEST(Hkdf, Rfc5869Case1) {
@@ -465,6 +550,17 @@ TEST(Signature, DeserializeRejectsGarbage) {
   EXPECT_FALSE(cr::Signature::deserialize(gc::to_bytes("short")).ok());
   gc::Bytes junk(5000, 0xaa);
   EXPECT_FALSE(cr::Signature::deserialize(junk).ok());
+}
+
+TEST(Signature, KnownAnswer) {
+  // Pinned bytes: a chain or PRF encoding that is wrong but consistent
+  // between sign and verify passes every test above, and fails this one.
+  auto key = cr::SigningKey::generate(gc::to_bytes("kat-seed"), 4);
+  EXPECT_EQ(cr::digest_hex(key.public_key().root),
+            "316ce3967a8cf9f632073619970c05ddd7f5ff5079be334011a4e4d2859fc112");
+  const auto sig = key.sign(std::string_view("kat-message")).value();
+  EXPECT_EQ(cr::digest_hex(cr::Sha256::hash(sig.serialize())),
+            "da5fcc9aab90fd0166462c8aba6c74af285c46b619594b4e266328ea0811f597");
 }
 
 TEST(Signature, DeterministicKeyFromSeed) {

@@ -307,7 +307,9 @@ TEST(GlobProperties, LiteralPatternsMatchOnlyThemselves) {
     const std::string s = rng.ident(1 + rng.index(20));
     EXPECT_TRUE(gc::glob_match(s, s));
     const std::string other = rng.ident(1 + rng.index(20));
-    if (other != s) EXPECT_FALSE(gc::glob_match(s, other)) << s << " vs " << other;
+    if (other != s) {
+      EXPECT_FALSE(gc::glob_match(s, other)) << s << " vs " << other;
+    }
   }
 }
 

@@ -7,6 +7,13 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 4)"
 mode="${1:-all}"
+case "${mode}:$#" in
+  all:0 | --plain-only:1 | --sanitize-only:1 | --tsan-only:1) ;;
+  *)
+    echo "usage: tools/ci.sh [--plain-only|--sanitize-only|--tsan-only]" >&2
+    exit 2
+    ;;
+esac
 
 run_suite() {
   local build_dir="$1"
