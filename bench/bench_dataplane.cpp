@@ -12,15 +12,14 @@
 //   open   AES-GCM verify+decrypt  bitwise oracle vs GcmContext::open_in_place
 //   crc    frame FCS               byte-at-a-time crc32_reference vs
 //                                  slicing-by-8 crc32
-// Round-2 arms on top of the sweep:
-//   burst    whole-burst seal/open (GponCipher::seal_burst/open_burst, the
-//            DBA-grant batch) vs the same frames pushed one encrypt()/
-//            decrypt() at a time — burst must not regress the fast path;
-//   sharded  8 links with independent key contexts sealed/opened via
-//            seal_link_bursts on the work-stealing pool; per-link leaf
-//            times feed an LPT model for 1/2/4/8 workers (CI hosts pin
-//            hardware_concurrency to 1, so scaling is modeled from
-//            measured leaves, while a real pool run checks byte identity).
+// Round-2 arm on top of the sweep:
+//   sharded  8 links with independent key contexts, one leaf task per link
+//            on the work-stealing pool (ThreadPool::parallel_for), each
+//            sealing and opening its frames one GponCipher::encrypt()/
+//            decrypt() at a time; per-link leaf times feed an LPT model
+//            for 1/2/4/8 workers (CI hosts pin hardware_concurrency to 1,
+//            so scaling is modeled from measured leaves, while a real pool
+//            run checks byte identity against a serial loop).
 // Before any timing, every corpus frame is cross-checked: fast-path
 // ciphertext, tag, and CRC must be byte-identical to the bitwise reference
 // AND to the gcm_seal free functions, opens must round-trip, and a tampered
@@ -28,7 +27,6 @@
 // Invariants (exit nonzero if any breaks):
 //   * byte identity + tamper-verdict parity across the whole corpus;
 //   * seal+open frames/sec at 1 KB payloads >= 9x the bitwise reference;
-//   * burst seal+open MB/s >= 0.85x the frame-by-frame fast path;
 //   * with --baseline PATH, per-size fast-path MB/s >= 0.8x the committed
 //     numbers (the >20%-regression CI gate).
 // Floors are enforced only on uninstrumented builds (GENIO_BENCH_SANITIZED).
@@ -52,7 +50,6 @@
 #include "genio/common/thread_pool.hpp"
 #include "genio/crypto/crc32.hpp"
 #include "genio/crypto/gcm.hpp"
-#include "genio/pon/burst.hpp"
 #include "genio/pon/frame.hpp"
 #include "genio/pon/gpon_crypto.hpp"
 
@@ -339,7 +336,7 @@ SizeResult run_size(gc::Rng& rng, const cr::AesKey& key, const cr::GcmContext& c
   return r;
 }
 
-// ------------------------------------------------------------- burst arms
+// ------------------------------------------------------------ sharded arm
 
 pon::GemFrame bench_frame(gc::Rng& rng, std::size_t payload_bytes) {
   pon::GemFrame frame;
@@ -350,69 +347,16 @@ pon::GemFrame bench_frame(gc::Rng& rng, std::size_t payload_bytes) {
   return frame;
 }
 
-struct BurstResult {
-  std::size_t frames_per_burst = 0;
-  std::size_t payload_bytes = 0;
-  double single_MBps = 0.0;  // frame-by-frame encrypt()+decrypt()
-  double burst_MBps = 0.0;   // seal_burst()+open_burst()
-  bool identity = true;
-  double ratio() const { return single_MBps <= 0.0 ? 0.0 : burst_MBps / single_MBps; }
-};
+// One link's leaf task: seal every frame in place, one encrypt() each.
+void seal_link(const pon::GponCipher& cipher, std::vector<pon::GemFrame>& frames) {
+  for (pon::GemFrame& frame : frames) cipher.encrypt(frame);
+}
 
-// Seal+open a DBA-grant-sized burst through the whole-burst API vs the same
-// frames one at a time. Both arms run in place (seal then open restores the
-// plaintext), so neither pays copy overhead the other doesn't.
-BurstResult run_burst(gc::Rng& rng, const cr::AesKey& key, bool smoke) {
-  BurstResult r;
-  r.frames_per_burst = 32;
-  r.payload_bytes = 1024;
-  const pon::GponCipher cipher(key);
-
-  std::vector<pon::GemFrame> frames;
-  for (std::size_t i = 0; i < r.frames_per_burst; ++i) {
-    frames.push_back(bench_frame(rng, r.payload_bytes));
-  }
-
-  // Identity: burst bytes == per-frame bytes, before any timing.
-  std::vector<pon::GemFrame> a = frames;
-  std::vector<pon::GemFrame> b = frames;
-  cipher.seal_burst(a);
-  for (auto& f : b) cipher.encrypt(f);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].payload != b[i].payload || a[i].fcs != b[i].fcs) {
-      std::fprintf(stderr, "IDENTITY VIOLATED: burst seal diverged frame %zu\n", i);
-      r.identity = false;
-    }
-  }
-  const auto sts = cipher.open_burst(a);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!sts[i].ok() || a[i].payload != frames[i].payload) {
-      std::fprintf(stderr, "IDENTITY VIOLATED: burst open failed frame %zu\n", i);
-      r.identity = false;
-    }
-  }
-
-  const int iters = smoke ? 40 : 400;
-  const std::size_t bytes_per_iter = r.frames_per_burst * r.payload_bytes;
-
-  std::vector<pon::GemFrame> work = frames;
-  const double t_single = timed(iters / 10 + 1, iters, [&](int) {
-    for (auto& f : work) cipher.encrypt(f);
-    for (auto& f : work) {
-      if (!cipher.decrypt(f).ok()) r.identity = false;
-    }
-  });
-  work = frames;
-  const double t_burst = timed(iters / 10 + 1, iters, [&](int) {
-    cipher.seal_burst(work);
-    const auto statuses = cipher.open_burst(work);
-    for (const auto& st : statuses) {
-      if (!st.ok()) r.identity = false;
-    }
-  });
-  r.single_MBps = static_cast<double>(bytes_per_iter) * iters / t_single / 1e6;
-  r.burst_MBps = static_cast<double>(bytes_per_iter) * iters / t_burst / 1e6;
-  return r;
+// Open every frame in place, one decrypt() each; false if any fails.
+bool open_link(const pon::GponCipher& cipher, std::vector<pon::GemFrame>& frames) {
+  bool ok = true;
+  for (pon::GemFrame& frame : frames) ok = cipher.decrypt(frame).ok() && ok;
+  return ok;
 }
 
 struct ShardedResult {
@@ -461,13 +405,9 @@ ShardedResult run_sharded(gc::Rng& rng, bool smoke) {
   std::size_t total_bytes = 0;
   for (std::size_t l = 0; l < r.links; ++l) {
     std::vector<pon::GemFrame> work = frames[l];
-    pon::LinkBurst link{&ciphers[l], &work};
     const double secs = timed(iters / 10 + 1, iters, [&](int) {
-      pon::seal_link_bursts(nullptr, std::span(&link, 1));
-      const auto res = pon::open_link_bursts(nullptr, std::span(&link, 1));
-      for (const auto& st : res[0].statuses) {
-        if (!st.ok()) r.identity = false;
-      }
+      seal_link(ciphers[l], work);
+      if (!open_link(ciphers[l], work)) r.identity = false;
     });
     r.leaf_seconds.push_back(secs / iters);
     total_bytes += frames[l].size() * r.payload_bytes;
@@ -483,15 +423,9 @@ ShardedResult run_sharded(gc::Rng& rng, bool smoke) {
   // actual multi-worker MB/s (equals the serial number on a 1-core host).
   std::vector<std::vector<pon::GemFrame>> serial_work = frames;
   std::vector<std::vector<pon::GemFrame>> pool_work = frames;
-  std::vector<pon::LinkBurst> serial_links(r.links);
-  std::vector<pon::LinkBurst> pool_links(r.links);
-  for (std::size_t l = 0; l < r.links; ++l) {
-    serial_links[l] = {&ciphers[l], &serial_work[l]};
-    pool_links[l] = {&ciphers[l], &pool_work[l]};
-  }
   gc::ThreadPool pool(std::max(2u, std::thread::hardware_concurrency()));
-  pon::seal_link_bursts(nullptr, serial_links);
-  pon::seal_link_bursts(&pool, pool_links);
+  for (std::size_t l = 0; l < r.links; ++l) seal_link(ciphers[l], serial_work[l]);
+  pool.parallel_for(r.links, [&](std::size_t l) { seal_link(ciphers[l], pool_work[l]); });
   for (std::size_t l = 0; l < r.links; ++l) {
     for (std::size_t i = 0; i < serial_work[l].size(); ++i) {
       if (serial_work[l][i].payload != pool_work[l][i].payload ||
@@ -502,20 +436,22 @@ ShardedResult run_sharded(gc::Rng& rng, bool smoke) {
       }
     }
   }
-  const auto serial_open = pon::open_link_bursts(nullptr, serial_links);
-  const auto pool_open = pon::open_link_bursts(&pool, pool_links);
+  std::vector<std::uint8_t> pool_opened(r.links, 0);  // one writer per slot
+  pool.parallel_for(r.links, [&](std::size_t l) {
+    pool_opened[l] = open_link(ciphers[l], pool_work[l]) ? 1 : 0;
+  });
   for (std::size_t l = 0; l < r.links; ++l) {
-    for (std::size_t i = 0; i < serial_open[l].statuses.size(); ++i) {
-      if (!pool_open[l].statuses[i].ok() || !serial_open[l].statuses[i].ok()) {
-        std::fprintf(stderr, "IDENTITY VIOLATED: sharded open link %zu frame %zu\n",
-                     l, i);
-        r.identity = false;
-      }
+    if (!open_link(ciphers[l], serial_work[l]) || pool_opened[l] == 0 ||
+        pool_work[l] != serial_work[l]) {
+      std::fprintf(stderr, "IDENTITY VIOLATED: sharded open link %zu\n", l);
+      r.identity = false;
     }
   }
   const double t_pool = timed(iters / 10 + 1, iters, [&](int) {
-    pon::seal_link_bursts(&pool, pool_links);
-    pon::open_link_bursts(&pool, pool_links);
+    pool.parallel_for(r.links, [&](std::size_t l) {
+      seal_link(ciphers[l], pool_work[l]);
+      (void)open_link(ciphers[l], pool_work[l]);
+    });
   });
   r.pool_MBps = static_cast<double>(total_bytes) * iters / t_pool / 1e6;
   return r;
@@ -533,7 +469,7 @@ struct BaselineSize {
 // String-scan the committed BENCH_dataplane.json for per-size fast-path
 // MB/s. The format is what write_json below emits: within each size block,
 // "fast_MBps" appears exactly three times, in seal/open/crc order; the
-// burst/sharded sections deliberately use differently named fields.
+// sharded section deliberately uses differently named fields.
 std::vector<BaselineSize> parse_baseline(const std::string& text) {
   std::vector<BaselineSize> sizes;
   std::size_t pos = 0;
@@ -598,9 +534,8 @@ bool check_baseline(const char* path, const std::vector<SizeResult>& results) {
 }
 
 void write_json(const char* path, bool smoke, unsigned hw,
-                const std::vector<SizeResult>& results, const BurstResult& burst,
-                const ShardedResult& sharded, double speedup_1k, bool identity_ok,
-                bool invariants_hold) {
+                const std::vector<SizeResult>& results, const ShardedResult& sharded,
+                double speedup_1k, bool identity_ok, bool invariants_hold) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -634,12 +569,6 @@ void write_json(const char* path, bool smoke, unsigned hw,
         r.sealopen_speedup(), i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"burst\": {\"frames_per_burst\": %zu, \"payload_bytes\": %zu, "
-               "\"single_MBps\": %.2f, \"burst_MBps\": %.2f, "
-               "\"burst_vs_single\": %.3f},\n",
-               burst.frames_per_burst, burst.payload_bytes, burst.single_MBps,
-               burst.burst_MBps, burst.ratio());
   std::fprintf(f,
                "  \"sharded\": {\"links\": %zu, \"payload_bytes\": %zu, "
                "\"pool_MBps\": %.2f, \"modeled\": [",
@@ -691,9 +620,8 @@ int main(int argc, char** argv) {
   for (const std::size_t bytes : sizes) {
     results.push_back(run_size(rng, key, ctx, bytes, smoke, identity_ok));
   }
-  const BurstResult burst = run_burst(rng, key, smoke);
   const ShardedResult sharded = run_sharded(rng, smoke);
-  identity_ok = identity_ok && burst.identity && sharded.identity;
+  identity_ok = identity_ok && sharded.identity;
 
   gc::Table table({"payload B", "seal ref f/s", "seal fast f/s", "open ref f/s",
                    "open fast f/s", "fast seal MB/s", "crc speedup",
@@ -710,9 +638,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  std::printf("burst seal+open (32 x 1 KB): %.1f MB/s vs %.1f MB/s frame-by-frame "
-              "(%.2fx)\n",
-              burst.burst_MBps, burst.single_MBps, burst.ratio());
   std::printf("sharded (8 links, pool run): %.1f MB/s; LPT-modeled:", sharded.pool_MBps);
   for (const auto& [workers, mbps] : sharded.modeled) {
     std::printf(" %dw=%.0f", workers, mbps);
@@ -739,14 +664,13 @@ int main(int argc, char** argv) {
                 "instrumentation distorts relative path costs\n");
   } else {
     check(speedup_1k >= 9.0, "seal+open >= 9x reference at 1 KB payloads");
-    check(burst.ratio() >= 0.85, "burst seal+open >= 0.85x frame-by-frame");
     if (baseline_path != nullptr) {
       check(check_baseline(baseline_path, results),
             "fast-path MB/s within 20% of committed baseline");
     }
   }
 
-  write_json(out_path, smoke, hw, results, burst, sharded, speedup_1k,
+  write_json(out_path, smoke, hw, results, sharded, speedup_1k,
              identity_ok, invariants_hold);
   return invariants_hold ? 0 : 1;
 }

@@ -1,21 +1,20 @@
-// Discrete-event core bench: the calendar-queue scheduler and the
+// Discrete-event core bench: the binary-heap event queue and the
 // carrier-scale PON fabric built on it.
 //   scheduler  raw EventQueue drain: a seeded mixed workload (near-term
-//              events, far-future overflow events, cancellations,
-//              zero-delay self-reschedules) measured as events/sec on the
-//              calendar queue and on the binary-heap oracle. The executed
-//              (timestamp, index) trace is FNV-digested on both
-//              implementations and must match byte-for-byte.
+//              events, far-future events, cancellations, zero-delay
+//              self-reschedules) measured as events/sec. The executed
+//              (timestamp, index) trace is FNV-digested and must equal the
+//              digest recorded when a calendar-queue backend still
+//              cross-checked the heap.
 //   carrier    the headline scale point: 100 OLT sites x 100 ONUs = 10k
 //              subscribers with per-ONU Poisson generators and per-site
 //              125 us DBA cycles, all events on one queue. Measures
 //              events/sec through the drain loop, delivered frames, the
 //              modeled bytes-per-ONU footprint (arena high-water + ONU
 //              objects), and the arena reuse ratio.
-//   identity   a small fabric run twice — calendar vs heap scheduler —
-//              must produce the identical delivered-payload digest and
-//              identical delivery counts (the end-to-end correctness gate
-//              for the calendar queue).
+//   identity   a 4 x 16 fabric run must reproduce the delivered-payload
+//              digest and delivery count recorded at the same point (the
+//              end-to-end order gate for the queue and the data path).
 //   sharded    8 single-OLT fabrics, each its own clock+queue (the
 //              documented sharding model). Serial leaf times feed an LPT
 //              model for 1/2/4/8 workers (CI hosts pin
@@ -23,22 +22,20 @@
 //              measured leaves); a real work-stealing pool run must
 //              reproduce the serial runs' delivery digests.
 // Invariants (exit nonzero if any breaks):
-//   * scheduler trace digest: calendar == heap;
-//   * identity arm: delivered digests and counts match across schedulers;
+//   * scheduler trace digest == the recorded digest;
+//   * identity arm: delivered digest and count == the recorded ones;
 //   * sharded arm: pool-run digests == serial-run digests;
 //   * carrier arm covers >= 100 OLTs and >= 10,000 ONUs;
 // and on uninstrumented builds (GENIO_BENCH_SANITIZED) additionally:
-//   * calendar events/sec >= 0.7x the heap oracle (same-order constant
-//     factor — the calendar must never be the bottleneck);
 //   * carrier drain >= 100k events/sec;
-//   * modeled footprint <= 2 KB per ONU (~0.8 KB measured: a 680-byte
+//   * modeled footprint <= 2 KB per ONU (~0.8 KB measured: a 656-byte
 //     Onu plus its arena share; the 16.8 KB GCM context sits out of line
 //     and only ONUs with an active session key allocate one, so inlining
 //     it again fails here); arena reuse ratio >= 0.5;
-//   * with --baseline PATH, calendar_eps and carrier_eps >= 0.8x the
+//   * with --baseline PATH, heap_eps and carrier_eps >= 0.8x the
 //     committed numbers (the >20%-regression CI gate).
 // Each timed section warms up with ~1/10 of its timed work first, and the
-// two baseline-gated numbers (calendar_eps, carrier_eps) are best-of-N
+// two baseline-gated numbers (heap_eps, carrier_eps) are best-of-N
 // (5 scheduler passes, 3 carrier segments) — host interference only ever
 // slows a run down, so the max over repeats is the jitter-stable estimator
 // the 0.8x gate compares. Writes
@@ -98,26 +95,23 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
 
 // ------------------------------------------------------------- scheduler arm
 
+// Trace digests of the scheduler workload in smoke and full mode, recorded
+// from a build where the calendar and heap backends agreed on them.
+constexpr std::uint64_t kSmokeTraceDigest = 0x75bbdd280a804ff8ull;
+constexpr std::uint64_t kFullTraceDigest = 0x1d38d61508a9e919ull;
+
 struct SchedulerResult {
-  std::uint64_t events = 0;        // executed per run
-  double calendar_eps = 0.0;
+  std::uint64_t events = 0;  // executed per run
   double heap_eps = 0.0;
-  std::uint64_t calendar_digest = 0;
-  std::uint64_t heap_digest = 0;
-  bool digest_match() const { return calendar_digest == heap_digest; }
-  double calendar_vs_heap() const {
-    return heap_eps > 0.0 ? calendar_eps / heap_eps : 0.0;
-  }
+  bool digest_match = false;
 };
 
 // One full schedule+drain pass of the mixed workload. Returns (executed
 // events, trace digest); wall time is measured by the caller.
-std::pair<std::uint64_t, std::uint64_t> drive_scheduler(gc::SchedulerImpl impl,
-                                                        std::uint64_t seed,
-                                                        int batches,
+std::pair<std::uint64_t, std::uint64_t> drive_scheduler(std::uint64_t seed, int batches,
                                                         int events_per_batch) {
   gc::SimClock clock;
-  gc::EventQueue queue(&clock, impl);
+  gc::EventQueue queue(&clock);
   gc::Rng rng(seed);
   std::uint64_t digest = 14695981039346656037ull;
   std::uint64_t executed = 0;
@@ -131,12 +125,12 @@ std::pair<std::uint64_t, std::uint64_t> drive_scheduler(gc::SchedulerImpl impl,
     for (int i = 0; i < events_per_batch; ++i) {
       const double draw = rng.uniform01();
       if (draw < 0.60) {
-        // Near-term: within ~10 ms, frequent same-bucket collisions.
+        // Near-term: within ~10 ms, frequent timestamp collisions.
         live.push_back(queue.schedule_after(
             gc::SimTime(static_cast<std::int64_t>(rng.uniform(10'000'000))),
             record));
       } else if (draw < 0.72) {
-        // Far future: seconds out, lands in the overflow heap.
+        // Far future: seconds out, far past the near-term traffic.
         live.push_back(queue.schedule_after(
             gc::SimTime::from_seconds(static_cast<double>(rng.uniform(100)) + 1.0),
             record));
@@ -165,28 +159,15 @@ SchedulerResult run_scheduler(bool smoke) {
   const int per_batch = 4000;
   const std::uint64_t seed = 0xde5;
 
-  for (const auto impl : {gc::SchedulerImpl::kCalendar, gc::SchedulerImpl::kHeap}) {
-    (void)drive_scheduler(impl, seed, batches / 8 + 1, per_batch);  // warm-up
-    double eps = 0.0;
-    std::uint64_t executed = 0;
-    std::uint64_t digest = 0;
-    for (int rep = 0; rep < 5; ++rep) {  // best-of-5: see header comment
-      const auto start = Clock::now();
-      const auto [rep_executed, rep_digest] =
-          drive_scheduler(impl, seed, batches, per_batch);
-      const double wall = seconds_since(start);
-      eps = std::max(eps, static_cast<double>(rep_executed) / wall);
-      executed = rep_executed;
-      digest = rep_digest;  // same seed: identical across reps
-    }
-    if (impl == gc::SchedulerImpl::kCalendar) {
-      r.events = executed;
-      r.calendar_eps = eps;
-      r.calendar_digest = digest;
-    } else {
-      r.heap_eps = eps;
-      r.heap_digest = digest;
-    }
+  (void)drive_scheduler(seed, batches / 8 + 1, per_batch);  // warm-up
+  for (int rep = 0; rep < 5; ++rep) {  // best-of-5: see header comment
+    const auto start = Clock::now();
+    const auto [executed, digest] = drive_scheduler(seed, batches, per_batch);
+    const double wall = seconds_since(start);
+    r.heap_eps = std::max(r.heap_eps, static_cast<double>(executed) / wall);
+    r.events = executed;
+    // Same seed: identical across reps.
+    r.digest_match = digest == (smoke ? kSmokeTraceDigest : kFullTraceDigest);
   }
   return r;
 }
@@ -256,34 +237,34 @@ CarrierResult run_carrier(bool smoke) {
 
 // -------------------------------------------------------------- identity arm
 
+// Delivered digest and frame count of the identity fabric, recorded from a
+// build where the calendar and heap backends agreed on them.
+constexpr std::uint64_t kSmokeIdentityDigest = 0x9d401b5b7afde582ull;
+constexpr std::uint64_t kSmokeIdentityFrames = 1298;
+constexpr std::uint64_t kFullIdentityDigest = 0x91c33df3b27e3a3full;
+constexpr std::uint64_t kFullIdentityFrames = 5180;
+
 struct IdentityResult {
-  std::uint64_t calendar_digest = 0;
-  std::uint64_t heap_digest = 0;
   std::uint64_t delivered_frames = 0;
+  bool digest_match = false;
   bool frames_match = false;
-  bool digest_match() const { return calendar_digest == heap_digest; }
 };
 
 IdentityResult run_identity(bool smoke) {
-  const auto run = [smoke](gc::SchedulerImpl impl) {
-    gs::FabricConfig config;
-    config.olt_count = 4;
-    config.onus_per_olt = 16;
-    config.seed = 0x1de;
-    config.scheduler = impl;
-    gs::PonFabric fabric(config);
-    (void)fabric.activate_all();
-    fabric.start_traffic();
-    (void)fabric.run_for(gc::SimTime::from_millis(smoke ? 100 : 400));
-    return std::pair{fabric.delivered_digest(), fabric.stats().delivered_frames};
-  };
-  const auto cal = run(gc::SchedulerImpl::kCalendar);
-  const auto heap = run(gc::SchedulerImpl::kHeap);
+  gs::FabricConfig config;
+  config.olt_count = 4;
+  config.onus_per_olt = 16;
+  config.seed = 0x1de;
+  gs::PonFabric fabric(config);
+  (void)fabric.activate_all();
+  fabric.start_traffic();
+  (void)fabric.run_for(gc::SimTime::from_millis(smoke ? 100 : 400));
   IdentityResult r;
-  r.calendar_digest = cal.first;
-  r.heap_digest = heap.first;
-  r.delivered_frames = cal.second;
-  r.frames_match = cal.second == heap.second;
+  r.delivered_frames = fabric.stats().delivered_frames;
+  r.digest_match =
+      fabric.delivered_digest() == (smoke ? kSmokeIdentityDigest : kFullIdentityDigest);
+  r.frames_match =
+      r.delivered_frames == (smoke ? kSmokeIdentityFrames : kFullIdentityFrames);
   return r;
 }
 
@@ -373,7 +354,7 @@ ShardedResult run_sharded(bool smoke) {
 
 // String-scan the committed BENCH_des.json for the two gated throughput
 // keys. Field names are unique in the format write_json emits.
-bool check_baseline(const char* path, double calendar_eps, double carrier_eps) {
+bool check_baseline(const char* path, double heap_eps, double carrier_eps) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "baseline %s not readable\n", path);
@@ -401,7 +382,7 @@ bool check_baseline(const char* path, double calendar_eps, double carrier_eps) {
       ok = false;
     }
   };
-  gate("calendar_eps", calendar_eps);
+  gate("heap_eps", heap_eps);
   gate("carrier_eps", carrier_eps);
   return ok;
 }
@@ -421,12 +402,10 @@ void write_json(const char* path, bool smoke, unsigned hw,
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
   std::fprintf(f, "  \"warmup\": \"~1/10 of timed work per section\",\n");
   std::fprintf(f,
-               "  \"scheduler\": {\"events\": %llu, \"calendar_eps\": %.1f, "
-               "\"heap_eps\": %.1f, \"calendar_vs_heap\": %.3f, "
+               "  \"scheduler\": {\"events\": %llu, \"heap_eps\": %.1f, "
                "\"trace_digest_match\": %s},\n",
-               static_cast<unsigned long long>(sched.events), sched.calendar_eps,
-               sched.heap_eps, sched.calendar_vs_heap(),
-               sched.digest_match() ? "true" : "false");
+               static_cast<unsigned long long>(sched.events), sched.heap_eps,
+               sched.digest_match ? "true" : "false");
   std::fprintf(f,
                "  \"carrier\": {\"olts\": %d, \"onus\": %d, \"sim_millis\": %.1f, "
                "\"wall_seconds\": %.3f, \"events\": %llu, \"carrier_eps\": %.1f, "
@@ -441,7 +420,7 @@ void write_json(const char* path, bool smoke, unsigned hw,
                "  \"identity\": {\"delivered_frames\": %llu, "
                "\"digest_match\": %s, \"frames_match\": %s},\n",
                static_cast<unsigned long long>(identity.delivered_frames),
-               identity.digest_match() ? "true" : "false",
+               identity.digest_match ? "true" : "false",
                identity.frames_match ? "true" : "false");
   std::fprintf(f,
                "  \"sharded\": {\"fabrics\": %zu, \"events\": %llu, "
@@ -479,7 +458,7 @@ int main(int argc, char** argv) {
   }
 
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("=== discrete-event core: calendar queue + 10k-ONU fabric, "
+  std::printf("=== discrete-event core: event queue + 10k-ONU fabric, "
               "%u hardware threads%s ===\n\n",
               hw, smoke ? " (smoke)" : "");
 
@@ -489,11 +468,9 @@ int main(int argc, char** argv) {
   const ShardedResult sharded = run_sharded(smoke);
 
   gc::Table table({"arm", "scale", "events/sec", "notes"});
-  table.add_row({"scheduler/calendar", std::to_string(sched.events) + " events",
-                 gc::format_double(sched.calendar_eps, 0),
-                 gc::format_double(sched.calendar_vs_heap(), 2) + "x vs heap"});
   table.add_row({"scheduler/heap", std::to_string(sched.events) + " events",
-                 gc::format_double(sched.heap_eps, 0), "oracle"});
+                 gc::format_double(sched.heap_eps, 0),
+                 sched.digest_match ? "trace digest pinned" : "TRACE DIVERGED"});
   table.add_row({"carrier",
                  std::to_string(carrier.olts) + " OLT x " +
                      std::to_string(carrier.onus / carrier.olts) + " ONU",
@@ -506,9 +483,9 @@ int main(int argc, char** argv) {
                  "serial " + gc::format_double(sharded.serial_seconds, 2) + "s"});
   std::printf("%s\n", table.render().c_str());
 
-  std::printf("identity: %llu frames delivered, digests %s\n",
+  std::printf("identity: %llu frames delivered, digest %s\n",
               static_cast<unsigned long long>(identity.delivered_frames),
-              identity.digest_match() ? "MATCH" : "DIVERGE");
+              identity.digest_match && identity.frames_match ? "MATCH" : "DIVERGE");
   std::printf("sharded LPT model:");
   for (const auto& [workers, eps] : sharded.modeled_eps) {
     std::printf(" %dw=%.0f", workers, eps);
@@ -522,9 +499,9 @@ int main(int argc, char** argv) {
       invariants_hold = false;
     }
   };
-  check(sched.digest_match(), "scheduler trace digest: calendar == heap");
-  check(identity.digest_match() && identity.frames_match,
-        "fabric delivery digest identical across schedulers");
+  check(sched.digest_match, "scheduler trace digest == recorded digest");
+  check(identity.digest_match && identity.frames_match,
+        "fabric delivery digest and count == recorded ones");
   check(sharded.digest_match, "pool-run digests match serial runs");
   check(carrier.olts >= 100 && carrier.onus >= 10000,
         "carrier arm covers >= 100 OLTs and >= 10k ONUs");
@@ -533,13 +510,11 @@ int main(int argc, char** argv) {
     std::printf("note: throughput floors reported but not enforced — sanitizer "
                 "instrumentation distorts event costs\n");
   } else {
-    check(sched.calendar_vs_heap() >= 0.7,
-          "calendar queue >= 0.7x heap oracle events/sec");
     check(carrier.carrier_eps >= 100'000.0, "carrier drain >= 100k events/sec");
     check(carrier.bytes_per_onu <= 2'048.0, "modeled footprint <= 2 KB/ONU");
     check(carrier.arena_reuse >= 0.5, "arena reuse ratio >= 0.5 at steady state");
     if (baseline_path != nullptr) {
-      check(check_baseline(baseline_path, sched.calendar_eps, carrier.carrier_eps),
+      check(check_baseline(baseline_path, sched.heap_eps, carrier.carrier_eps),
             "events/sec within 20% of committed baseline");
     }
   }

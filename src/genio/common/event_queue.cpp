@@ -1,21 +1,9 @@
 #include "genio/common/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace genio::common {
-
-std::string to_string(SchedulerImpl impl) {
-  switch (impl) {
-    case SchedulerImpl::kCalendar: return "calendar";
-    case SchedulerImpl::kHeap: return "heap";
-  }
-  return "unknown";
-}
-
-EventQueue::EventQueue(SimClock* clock, SchedulerImpl impl)
-    : clock_(clock), impl_(impl) {}
 
 EventQueue::EventId EventQueue::schedule_at(SimTime at, Callback fn) {
   Event ev;
@@ -28,7 +16,8 @@ EventQueue::EventId EventQueue::schedule_at(SimTime at, Callback fn) {
   pending_.insert(ev.seq);
   ++stats_.scheduled;
   stats_.max_pending = std::max<std::uint64_t>(stats_.max_pending, pending_.size());
-  insert(std::move(ev));
+  heap_.push_back(std::move(ev));
+  std::push_heap(heap_.begin(), heap_.end(), heap_after);
   return id;
 }
 
@@ -38,8 +27,8 @@ EventQueue::EventId EventQueue::schedule_after(SimTime delay, Callback fn) {
 
 bool EventQueue::cancel(EventId id) {
   if (!id.valid() || pending_.erase(id.seq) == 0) return false;
-  // The record itself is lazily swept the next time a scan touches it (or
-  // at the next rebuild); cancellation is O(1).
+  // The record itself is lazily swept when it reaches the top of the heap;
+  // cancellation is O(1).
   ++stats_.cancelled;
   return true;
 }
@@ -60,247 +49,25 @@ std::size_t EventQueue::run_until(SimTime t) {
 }
 
 std::optional<SimTime> EventQueue::next_event_time() {
-  if (impl_ == SchedulerImpl::kHeap) {
-    while (!heap_.empty() && !pending_.contains(heap_.front().seq)) {
-      std::pop_heap(heap_.begin(), heap_.end(), heap_after);
-      heap_.pop_back();
-    }
-    if (heap_.empty()) return std::nullopt;
-    return SimTime(heap_.front().at);
-  }
-  std::int64_t vb = 0;
-  std::size_t idx = 0;
-  if (!locate_min(&vb, &idx)) return std::nullopt;
-  return SimTime(buckets_[static_cast<std::size_t>(vb) & bucket_mask_][idx].at);
+  sweep_cancelled();
+  if (heap_.empty()) return std::nullopt;
+  return SimTime(heap_.front().at);
 }
 
-void EventQueue::insert(Event ev) {
-  if (impl_ == SchedulerImpl::kHeap) {
-    heap_.push_back(std::move(ev));
-    std::push_heap(heap_.begin(), heap_.end(), heap_after);
-    return;
+void EventQueue::sweep_cancelled() {
+  while (!heap_.empty() && !pending_.contains(heap_.front().seq)) {
+    std::pop_heap(heap_.begin(), heap_.end(), heap_after);
+    heap_.pop_back();
   }
-  calendar_insert(std::move(ev));
-}
-
-void EventQueue::calendar_insert(Event ev) {
-  if (buckets_.empty()) {
-    bucket_count_ = kMinBuckets;
-    bucket_mask_ = bucket_count_ - 1;
-    buckets_.resize(bucket_count_);
-    year_start_vb_ = vbucket(ev.at);
-  }
-  const std::int64_t vb = vbucket(ev.at);
-  if (calendar_count_ == 0 && overflow_.empty()) {
-    // Nothing scheduled: re-anchoring the year is free.
-    year_start_vb_ = vb;
-  }
-  if (vb < year_start_vb_) {
-    // The year was re-anchored past "now" while the bucket array was empty
-    // (overflow promotion) and this event lands before it: rebuild anchored
-    // at the new minimum. Rare, and O(n) only when it happens.
-    overflow_push(std::move(ev));
-    rebuild(bucket_count_);
-    return;
-  }
-  if (vb >= year_end_vb()) {
-    overflow_push(std::move(ev));
-    return;
-  }
-  buckets_[static_cast<std::size_t>(vb) & bucket_mask_].push_back(std::move(ev));
-  ++calendar_count_;
-  // Keep ~one live event per bucket: grow when the year gets crowded.
-  if (calendar_count_ > bucket_count_ * 2) rebuild(calendar_count_);
-}
-
-void EventQueue::overflow_push(Event ev) {
-  overflow_.push_back(std::move(ev));
-  std::push_heap(overflow_.begin(), overflow_.end(), heap_after);
-}
-
-EventQueue::Event EventQueue::overflow_pop() {
-  std::pop_heap(overflow_.begin(), overflow_.end(), heap_after);
-  Event ev = std::move(overflow_.back());
-  overflow_.pop_back();
-  return ev;
-}
-
-void EventQueue::reanchor_from_overflow() {
-  // Precondition: the bucket array is empty and the overflow top is a
-  // pending event. Start the new year at the overflow minimum and promote
-  // every overflow event that falls inside it.
-  year_start_vb_ = vbucket(overflow_.front().at);
-  const std::int64_t end = year_end_vb();
-  while (!overflow_.empty()) {
-    if (!pending_.contains(overflow_.front().seq)) {
-      (void)overflow_pop();
-      continue;
-    }
-    if (vbucket(overflow_.front().at) >= end) break;
-    Event ev = overflow_pop();
-    buckets_[static_cast<std::size_t>(vbucket(ev.at)) & bucket_mask_].push_back(
-        std::move(ev));
-    ++calendar_count_;
-    ++stats_.overflow_migrations;
-  }
-  // A dense promotion can overcrowd the year; rebuild picks a tighter width.
-  if (calendar_count_ > bucket_count_ * 2) rebuild(calendar_count_);
-}
-
-void EventQueue::rebuild(std::size_t new_bucket_count) {
-  ++stats_.rebuilds;
-  std::vector<Event> live;
-  live.reserve(pending_.size());
-  for (auto& bucket : buckets_) {
-    for (auto& ev : bucket) {
-      if (pending_.contains(ev.seq)) live.push_back(std::move(ev));
-    }
-    bucket.clear();
-  }
-  for (auto& ev : overflow_) {
-    if (pending_.contains(ev.seq)) live.push_back(std::move(ev));
-  }
-  overflow_.clear();
-  calendar_count_ = 0;
-
-  bucket_count_ = std::max(kMinBuckets, std::bit_ceil(std::max<std::size_t>(1, new_bucket_count)));
-  bucket_mask_ = bucket_count_ - 1;
-  buckets_.resize(bucket_count_);
-
-  if (live.empty()) {
-    year_start_vb_ = vbucket(clock_->now().nanos());
-    return;
-  }
-
-  // Adaptive width from the head of the schedule. The naive span/population
-  // average collapses on bimodal populations: a dense near-term cluster plus
-  // a sparse far tail (chaos faults hours out over microsecond DBA cycles)
-  // yields a huge width, the whole cluster lands in one bucket, and every
-  // pop rescans it — O(n^2) drains. Instead, take the average gap across the
-  // earliest events (the region the next pops will actually scan) and aim
-  // for a few events per bucket; everything past the resulting year drops to
-  // the overflow heap, which is exactly what it is for.
-  const std::size_t sample = std::min<std::size_t>(live.size(), 64);
-  std::nth_element(live.begin(), live.begin() + static_cast<std::ptrdiff_t>(sample) - 1,
-                   live.end(),
-                   [](const Event& a, const Event& b) { return a.at < b.at; });
-  std::int64_t lo = live.front().at;
-  for (std::size_t i = 0; i < sample; ++i) lo = std::min(lo, live[i].at);
-  const std::int64_t sample_hi = live[sample - 1].at;
-  const std::int64_t ideal = std::max<std::int64_t>(
-      1, 2 * (sample_hi - lo) / static_cast<std::int64_t>(sample));
-  const int shift =
-      static_cast<int>(std::bit_width(static_cast<std::uint64_t>(ideal - 1)));
-  width_shift_ = std::clamp(shift, 0, kMaxWidthShift);
-  year_start_vb_ = lo >> width_shift_;
-  const std::int64_t end = year_end_vb();
-  for (Event& ev : live) {
-    if (vbucket(ev.at) < end) {
-      buckets_[static_cast<std::size_t>(vbucket(ev.at)) & bucket_mask_].push_back(
-          std::move(ev));
-      ++calendar_count_;
-    } else {
-      overflow_push(std::move(ev));
-    }
-  }
-}
-
-bool EventQueue::locate_min(std::int64_t* vb_out, std::size_t* idx_out) {
-  if (pending_.empty()) return false;
-  // Invariants: every pending event's time is >= the clock (events pop in
-  // order and past schedules clamp to now), and every overflow event lies
-  // strictly beyond the current year, so the yearly scan below sees the
-  // global minimum. Each iteration makes progress (promotes overflow,
-  // sweeps cancelled records, or rebuilds), so the guard never trips.
-  bool conservative = false;
-  for (int guard = 0; guard < 64; ++guard) {
-    while (!overflow_.empty() && !pending_.contains(overflow_.front().seq)) {
-      (void)overflow_pop();
-    }
-    if (calendar_count_ == 0) {
-      if (overflow_.empty()) return false;
-      reanchor_from_overflow();
-      continue;
-    }
-    // Fast path starts the scan at the clock's bucket (everything earlier
-    // has popped already); the conservative retry rescans the whole year,
-    // which stays correct even if the shared clock was advanced externally
-    // past a pending event.
-    const std::int64_t now_vb = vbucket(clock_->now().nanos());
-    const std::int64_t end_vb = year_end_vb();
-    const std::int64_t scan_start =
-        conservative ? year_start_vb_ : std::max(year_start_vb_, now_vb);
-    for (std::int64_t vb = scan_start; vb < end_vb; ++vb) {
-      auto& bucket = buckets_[static_cast<std::size_t>(vb) & bucket_mask_];
-      bool found = false;
-      std::size_t best = 0;
-      for (std::size_t i = 0; i < bucket.size();) {
-        if (vbucket(bucket[i].at) != vb) {
-          ++i;
-          continue;
-        }
-        if (!pending_.contains(bucket[i].seq)) {
-          bucket[i] = std::move(bucket.back());
-          bucket.pop_back();
-          --calendar_count_;
-          continue;  // re-examine the swapped-in record
-        }
-        if (!found || bucket[i].at < bucket[best].at ||
-            (bucket[i].at == bucket[best].at && bucket[i].seq < bucket[best].seq)) {
-          best = i;
-          found = true;
-        }
-        ++i;
-      }
-      if (found) {
-        *vb_out = vb;
-        *idx_out = best;
-        return true;
-      }
-    }
-    // A full year scanned without a pending hit while records remain: they
-    // are cancelled leftovers (or, after an external clock jump, live
-    // records behind the fast-path scan start). Rebuild sweeps and
-    // re-anchors at the true minimum, then retry conservatively.
-    rebuild(bucket_count_);
-    conservative = true;
-  }
-  throw std::logic_error("EventQueue: calendar scan failed to converge");
 }
 
 std::optional<EventQueue::Event> EventQueue::pop_due(std::int64_t limit) {
-  if (impl_ == SchedulerImpl::kHeap) {
-    while (!heap_.empty()) {
-      if (!pending_.contains(heap_.front().seq)) {
-        std::pop_heap(heap_.begin(), heap_.end(), heap_after);
-        heap_.pop_back();
-        continue;
-      }
-      if (heap_.front().at > limit) return std::nullopt;
-      std::pop_heap(heap_.begin(), heap_.end(), heap_after);
-      Event ev = std::move(heap_.back());
-      heap_.pop_back();
-      pending_.erase(ev.seq);
-      return ev;
-    }
-    return std::nullopt;
-  }
-
-  std::int64_t vb = 0;
-  std::size_t idx = 0;
-  if (!locate_min(&vb, &idx)) return std::nullopt;
-  auto& bucket = buckets_[static_cast<std::size_t>(vb) & bucket_mask_];
-  if (bucket[idx].at > limit) return std::nullopt;
-  Event ev = std::move(bucket[idx]);
-  bucket[idx] = std::move(bucket.back());
-  bucket.pop_back();
-  --calendar_count_;
+  sweep_cancelled();
+  if (heap_.empty() || heap_.front().at > limit) return std::nullopt;
+  std::pop_heap(heap_.begin(), heap_.end(), heap_after);
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
   pending_.erase(ev.seq);
-  // Shrink when the population collapses far below the bucket count, so a
-  // drained queue does not keep paying empty-bucket scans forever.
-  if (bucket_count_ > kMinBuckets && pending_.size() < bucket_count_ / 8) {
-    rebuild(std::max(kMinBuckets, pending_.size() * 2));
-  }
   return ev;
 }
 

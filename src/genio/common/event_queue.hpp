@@ -2,23 +2,11 @@
 // fault timeline, supervisor reconcile ticks, TDMA/DBA upstream cycles,
 // per-subscriber traffic generators — schedules callbacks here, and
 // advance_time() becomes "drain events until T" instead of fixed-step
-// polling. Two interchangeable scheduler implementations share one
-// interface and must produce byte-identical execution orders:
-//
-//   kCalendar  a calendar queue (Brown 1988): power-of-two bucket array
-//              indexed by (time >> width_shift), an overflow min-heap for
-//              events beyond the current "year", and O(1) amortized
-//              insert/pop once the adaptive bucket width settles near one
-//              event per bucket. The structure rebuilds (grow, shrink, or
-//              re-span) when occupancy drifts, so clustered horizons
-//              (10k arrivals inside one 125 us DBA cycle) stay O(1).
-//   kHeap      a plain binary heap on (time, seq) — the correctness
-//              oracle. Tests and bench_des assert the two pop identical
-//              schedules for identical workloads.
+// polling. The scheduler is a binary heap on (time, seq).
 //
 // Determinism: same-timestamp events run in schedule order (FIFO via a
 // monotonic sequence number). Cancellation is O(1) lazy: the token's seq
-// leaves the pending set and the record is swept when next touched.
+// leaves the pending set and the record is swept when it reaches the top.
 // Single-threaded by design — one queue per simulation domain; shard
 // domains across the pool for parallel fabrics.
 #pragma once
@@ -32,13 +20,6 @@
 #include "genio/common/sim_clock.hpp"
 
 namespace genio::common {
-
-enum class SchedulerImpl {
-  kCalendar,  // calendar queue (default fast path)
-  kHeap,      // binary-heap oracle
-};
-
-std::string to_string(SchedulerImpl impl);
 
 class EventQueue {
  public:
@@ -54,14 +35,11 @@ class EventQueue {
     std::uint64_t scheduled = 0;
     std::uint64_t executed = 0;
     std::uint64_t cancelled = 0;
-    std::uint64_t rebuilds = 0;            // calendar resize/re-span events
-    std::uint64_t overflow_migrations = 0; // events promoted overflow -> year
     std::uint64_t max_pending = 0;
   };
 
-  explicit EventQueue(SimClock* clock, SchedulerImpl impl = SchedulerImpl::kCalendar);
+  explicit EventQueue(SimClock* clock) : clock_(clock) {}
 
-  SchedulerImpl impl() const { return impl_; }
   SimClock& clock() { return *clock_; }
   const SimClock& clock() const { return *clock_; }
 
@@ -104,49 +82,16 @@ class EventQueue {
     return a.seq > b.seq;
   }
 
-  void insert(Event ev);
+  /// Drop cancelled records from the top of the heap.
+  void sweep_cancelled();
   /// Remove and return the earliest pending event if its time <= limit.
   std::optional<Event> pop_due(std::int64_t limit);
 
-  // -- calendar internals ------------------------------------------------
-  std::int64_t vbucket(std::int64_t at) const { return at >> width_shift_; }
-  std::int64_t year_end_vb() const {
-    return year_start_vb_ + static_cast<std::int64_t>(bucket_count_);
-  }
-  void calendar_insert(Event ev);
-  /// Earliest pending record: (virtual bucket, index) in the bucket array,
-  /// or overflow promotion / year re-anchor as side effects. Sweeps
-  /// cancelled records it touches. Returns false when nothing is pending.
-  bool locate_min(std::int64_t* vb_out, std::size_t* idx_out);
-  /// Re-anchor the (empty) bucket array at the overflow minimum and pull
-  /// every overflow event that now falls inside the year.
-  void reanchor_from_overflow();
-  /// Rebuild the whole calendar: recompute bucket count and width from the
-  /// live population, re-anchor at the earliest event, redistribute.
-  void rebuild(std::size_t new_bucket_count);
-  void overflow_push(Event ev);
-  Event overflow_pop();
-
   SimClock* clock_;
-  SchedulerImpl impl_;
   std::uint64_t next_seq_ = 1;
   std::unordered_set<std::uint64_t> pending_;
   Stats stats_;
-
-  // kHeap state.
   std::vector<Event> heap_;
-
-  // kCalendar state.
-  static constexpr std::size_t kMinBuckets = 64;
-  static constexpr int kDefaultWidthShift = 20;  // ~1 ms buckets
-  static constexpr int kMaxWidthShift = 44;      // ~4.8 h buckets
-  std::vector<std::vector<Event>> buckets_;
-  std::vector<Event> overflow_;          // min-heap on (at, seq)
-  std::size_t bucket_count_ = 0;         // power of two
-  std::size_t bucket_mask_ = 0;
-  int width_shift_ = kDefaultWidthShift;
-  std::int64_t year_start_vb_ = 0;       // first virtual bucket of the year
-  std::size_t calendar_count_ = 0;       // raw records in buckets_ (incl. cancelled)
 };
 
 }  // namespace genio::common

@@ -83,55 +83,4 @@ std::uint32_t crc32_reference(common::BytesView data) {
   return crc ^ 0xffffffffu;
 }
 
-namespace {
-
-// The CRC register update is linear over GF(2), so "advance the register
-// past N zero bits" is a 32x32 bit-matrix; rows are u32 columns of the
-// matrix applied to a register value.
-std::uint32_t gf2_matrix_times(const std::array<std::uint32_t, 32>& mat,
-                               std::uint32_t vec) {
-  std::uint32_t sum = 0;
-  for (std::size_t i = 0; vec != 0; ++i, vec >>= 1) {
-    if (vec & 1) sum ^= mat[i];
-  }
-  return sum;
-}
-
-std::array<std::uint32_t, 32> gf2_matrix_square(
-    const std::array<std::uint32_t, 32>& mat) {
-  std::array<std::uint32_t, 32> sq{};
-  for (std::size_t i = 0; i < 32; ++i) sq[i] = gf2_matrix_times(mat, mat[i]);
-  return sq;
-}
-
-}  // namespace
-
-std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                            std::uint64_t len_b) {
-  if (len_b == 0) return crc_a ^ crc_b;  // crc32 of empty B is 0
-
-  // Operator for one zero bit (shift + conditional reduction), then square
-  // up: odd/even alternate as the operator for 2^k zero bits.
-  std::array<std::uint32_t, 32> odd{};
-  odd[0] = 0xedb88320u;  // reflected CRC-32 polynomial
-  for (std::size_t i = 1; i < 32; ++i) odd[i] = 1u << (i - 1);
-  std::array<std::uint32_t, 32> even = gf2_matrix_square(odd);  // 2 zero bits
-  odd = gf2_matrix_square(even);                                // 4 zero bits
-
-  // Apply the operator for each set bit of len_b (in bytes: first squaring
-  // below yields the 8-zero-bit = 1-zero-byte operator).
-  std::uint64_t len = len_b;
-  do {
-    even = gf2_matrix_square(odd);
-    if (len & 1) crc_a = gf2_matrix_times(even, crc_a);
-    len >>= 1;
-    if (len == 0) break;
-    odd = gf2_matrix_square(even);
-    if (len & 1) crc_a = gf2_matrix_times(odd, crc_a);
-    len >>= 1;
-  } while (len != 0);
-
-  return crc_a ^ crc_b;
-}
-
 }  // namespace genio::crypto

@@ -34,12 +34,4 @@ constexpr std::uint32_t crc32_final(std::uint32_t state) {
   return state ^ 0xffffffffu;
 }
 
-/// Combine two finalized CRCs: given crc_a = crc32(A) and
-/// crc_b = crc32(B), returns crc32(A || B) without rescanning any bytes.
-/// Advances crc_a past len_b zero bytes via GF(2) matrix exponentiation
-/// (O(log len_b) 32x32 matrix squarings), then folds in crc_b. Lets a
-/// burst-level FCS be derived from per-frame CRCs.
-std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                            std::uint64_t len_b);
-
 }  // namespace genio::crypto

@@ -291,19 +291,4 @@ Result<Bytes> GcmContext::open(const GcmNonce& nonce, BytesView ciphertext,
   return out;
 }
 
-void GcmContext::seal_burst(std::span<GcmBurstFrame> frames) const {
-  for (auto& frame : frames) {
-    frame.tag = seal_in_place(frame.nonce, frame.data, frame.aad);
-  }
-}
-
-std::vector<Status> GcmContext::open_burst(std::span<GcmBurstFrame> frames) const {
-  std::vector<Status> statuses;
-  statuses.reserve(frames.size());
-  for (auto& frame : frames) {
-    statuses.push_back(open_in_place(frame.nonce, frame.data, frame.tag, frame.aad));
-  }
-  return statuses;
-}
-
 }  // namespace genio::crypto

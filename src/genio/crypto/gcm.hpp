@@ -20,7 +20,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "genio/common/result.hpp"
 #include "genio/crypto/aes.hpp"
@@ -57,16 +56,6 @@ Result<Bytes> gcm_open(const AesKey& key, const GcmNonce& nonce, BytesView ciphe
 /// against NIST vectors and for pinning the aggregated table path.
 AesBlock ghash(const AesBlock& h, BytesView data);
 
-/// One frame of a burst seal/open: per-frame nonce and AAD over one shared
-/// key context. `data` is transformed in place; `tag` is written on seal
-/// and checked on open.
-struct GcmBurstFrame {
-  GcmNonce nonce{};
-  std::span<std::uint8_t> data{};
-  BytesView aad{};
-  GcmTag tag{};
-};
-
 /// Precomputed per-key GCM state: AES round keys + Shoup tables for the
 /// hash-subkey powers H^1..H^4. Build once per key, rebuild only on rekey,
 /// share read-only thereafter.
@@ -89,15 +78,6 @@ class GcmContext {
   GcmSealed seal(const GcmNonce& nonce, BytesView plaintext, BytesView aad) const;
   Result<Bytes> open(const GcmNonce& nonce, BytesView ciphertext, const GcmTag& tag,
                      BytesView aad) const;
-
-  /// Seal every frame of a burst in place through the shared wide-CTR /
-  /// aggregated-GHASH machinery (per-frame nonces, one context).
-  void seal_burst(std::span<GcmBurstFrame> frames) const;
-
-  /// Open every frame of a burst in place; returns one status per frame.
-  /// A tag mismatch leaves exactly that frame untouched (still ciphertext)
-  /// while the rest of the burst decrypts normally.
-  std::vector<Status> open_burst(std::span<GcmBurstFrame> frames) const;
 
   /// Table-driven aggregated GHASH over this context's hash subkey —
   /// exposed so tests can pin it against the bitwise ghash() oracle.

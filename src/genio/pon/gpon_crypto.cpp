@@ -1,7 +1,6 @@
 #include "genio/pon/gpon_crypto.hpp"
 
 #include <algorithm>
-#include <vector>
 
 namespace genio::pon {
 
@@ -52,67 +51,6 @@ common::Status GponCipher::decrypt(GemFrame& frame) const {
   frame.encrypted = false;
   frame.seal_fcs();
   return common::Status::success();
-}
-
-void GponCipher::seal_burst(std::span<GemFrame> frames) const {
-  // Stage every frame (flag, AAD snapshot, tag-capacity reserve), then run
-  // the whole allocation through the shared context in one call.
-  std::vector<GemHeader> aads(frames.size());
-  std::vector<crypto::GcmBurstFrame> burst(frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    GemFrame& frame = frames[i];
-    frame.encrypted = true;  // header flag participates in AAD
-    aads[i] = frame.header();
-    frame.payload.reserve(frame.payload.size() + 16);
-    burst[i].nonce = nonce_for(frame);
-    burst[i].data = std::span<std::uint8_t>(frame.payload.data(), frame.payload.size());
-    burst[i].aad = BytesView(aads[i].data(), aads[i].size());
-  }
-  ctx_.seal_burst(burst);
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    frames[i].payload.insert(frames[i].payload.end(), burst[i].tag.begin(),
-                             burst[i].tag.end());
-    frames[i].seal_fcs();
-  }
-}
-
-std::vector<common::Status> GponCipher::open_burst(std::span<GemFrame> frames) const {
-  std::vector<common::Status> statuses(frames.size());
-  std::vector<GemHeader> aads(frames.size());
-  std::vector<crypto::GcmBurstFrame> burst;
-  std::vector<std::size_t> opened;  // frame index per burst entry
-  burst.reserve(frames.size());
-  opened.reserve(frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    GemFrame& frame = frames[i];
-    if (!frame.encrypted) {
-      statuses[i] = common::state_error("frame is not marked encrypted");
-      continue;
-    }
-    if (frame.payload.size() < 16) {
-      statuses[i] = common::parse_error("encrypted payload shorter than GCM tag");
-      continue;
-    }
-    aads[i] = frame.header();
-    crypto::GcmBurstFrame entry;
-    entry.nonce = nonce_for(frame);
-    entry.data =
-        std::span<std::uint8_t>(frame.payload.data(), frame.payload.size() - 16);
-    entry.aad = BytesView(aads[i].data(), aads[i].size());
-    std::copy(frame.payload.end() - 16, frame.payload.end(), entry.tag.begin());
-    burst.push_back(entry);
-    opened.push_back(i);
-  }
-  const std::vector<common::Status> gcm_statuses = ctx_.open_burst(burst);
-  for (std::size_t k = 0; k < opened.size(); ++k) {
-    const std::size_t i = opened[k];
-    statuses[i] = gcm_statuses[k];
-    if (!gcm_statuses[k].ok()) continue;  // tampered frame stays ciphertext
-    frames[i].payload.resize(frames[i].payload.size() - 16);
-    frames[i].encrypted = false;
-    frames[i].seal_fcs();
-  }
-  return statuses;
 }
 
 }  // namespace genio::pon

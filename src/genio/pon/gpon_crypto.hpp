@@ -25,16 +25,6 @@ class GponCipher {
   /// Decrypt in place; fails on tag mismatch (tampering or key mismatch).
   common::Status decrypt(GemFrame& frame) const;
 
-  /// Seal an entire TDMA allocation's frame span in one pass: per-frame
-  /// G.987.3 nonces, one shared wide-CTR/aggregated-GHASH context.
-  /// Byte-identical to calling encrypt() frame by frame.
-  void seal_burst(std::span<GemFrame> frames) const;
-
-  /// Open a whole burst in place; returns one status per frame. Exactly
-  /// the tampered frames fail (left as ciphertext); the rest decrypt
-  /// normally. Byte-identical to calling decrypt() frame by frame.
-  std::vector<common::Status> open_burst(std::span<GemFrame> frames) const;
-
   /// Install a new data key (M4 rekey): rebuilds the cached context once;
   /// every subsequent frame reuses the new schedule.
   void rekey(const crypto::AesKey& data_key) { ctx_ = crypto::GcmContext(data_key); }

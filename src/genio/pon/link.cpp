@@ -1,6 +1,5 @@
 #include "genio/pon/link.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace genio::pon {
@@ -53,55 +52,6 @@ common::Result<EthFrame> MacsecLink::receive(const MacsecFrame& frame) {
     ++stats_.frames_rejected;
   }
   return got;
-}
-
-std::vector<MacsecFrame> MacsecLink::send_burst(std::span<const EthFrame> frames) {
-  std::vector<MacsecFrame> out;
-  out.reserve(frames.size());
-  std::size_t i = 0;
-  while (i < frames.size()) {
-    if (tx_in_epoch_ >= rekey_after_) roll_tx();
-    // Chunk at the epoch boundary: at most (rekey_after_ - tx_in_epoch_)
-    // frames go out under the current SAK, exactly as per-frame send()
-    // would key them.
-    const std::size_t room =
-        static_cast<std::size_t>(rekey_after_ - tx_in_epoch_);
-    const std::size_t chunk = std::min(frames.size() - i, room);
-    std::vector<MacsecFrame> sealed = tx_->protect_burst(frames.subspan(i, chunk));
-    tx_in_epoch_ += chunk;
-    for (auto& frame : sealed) out.push_back(std::move(frame));
-    i += chunk;
-  }
-  return out;
-}
-
-std::vector<common::Result<EthFrame>> MacsecLink::receive_burst(
-    std::span<const MacsecFrame> frames) {
-  std::vector<common::Result<EthFrame>> out;
-  out.reserve(frames.size());
-  std::size_t i = 0;
-  while (i < frames.size()) {
-    if (rx_in_epoch_ >= rekey_after_) roll_rx();
-    // rx_in_epoch_ only advances on delivered frames, so the chunk bound is
-    // conservative: a rejected frame just leaves room in the next chunk,
-    // which per-frame receive() would have used identically.
-    const std::size_t room =
-        static_cast<std::size_t>(rekey_after_ - rx_in_epoch_);
-    const std::size_t chunk = std::min(frames.size() - i, room);
-    std::vector<common::Result<EthFrame>> verdicts =
-        rx_->validate_burst(frames.subspan(i, chunk));
-    for (auto& verdict : verdicts) {
-      if (verdict.ok()) {
-        ++rx_in_epoch_;
-        ++stats_.frames_delivered;
-      } else {
-        ++stats_.frames_rejected;
-      }
-      out.push_back(std::move(verdict));
-    }
-    i += chunk;
-  }
-  return out;
 }
 
 }  // namespace genio::pon

@@ -38,16 +38,6 @@ class MacsecLink {
   /// on the same schedule).
   common::Result<EthFrame> receive(const MacsecFrame& frame);
 
-  /// Protect a burst of frames. Bursts are chunked at SAK epoch
-  /// boundaries — a burst never spans a rekey — so the wire bytes are
-  /// identical to calling send() per frame.
-  std::vector<MacsecFrame> send_burst(std::span<const EthFrame> frames);
-
-  /// Validate a burst, chunked at the rx-side epoch boundary on the same
-  /// schedule; verdicts and stats match calling receive() per frame.
-  std::vector<common::Result<EthFrame>> receive_burst(
-      std::span<const MacsecFrame> frames);
-
   std::uint32_t tx_epoch() const { return tx_epoch_; }
   const LinkStats& stats() const { return stats_; }
 

@@ -54,26 +54,17 @@ MacsecFrame MacsecSecY::protect(const EthFrame& frame) {
 }
 
 common::Result<EthFrame> MacsecSecY::validate(const MacsecFrame& frame) {
-  const SecTag aad = encode_sectag(frame.sci, frame.pn);
-  // One buffer serves as ciphertext input and plaintext output: the
-  // in-place open decrypts it only after the tag verifies.
-  Bytes plaintext(frame.ciphertext.begin(), frame.ciphertext.end());
-  auto opened = ctx_.open_in_place(nonce_for(frame.sci, frame.pn), plaintext,
-                                   frame.tag, BytesView(aad.data(), aad.size()));
-  return finish_validate(frame, opened, plaintext);
-}
-
-// Replay-window state machine shared by the per-frame and burst paths. The
-// GCM open has already run (speculatively, in the burst case); window
-// checks and stats are applied here, strictly in frame order.
-common::Result<EthFrame> MacsecSecY::finish_validate(const MacsecFrame& frame,
-                                                     const common::Status& opened,
-                                                     Bytes& plaintext) {
   if (rx_highest_pn_ > 0 && frame.pn + replay_window_ < rx_highest_pn_) {
     ++stats_.late_frames;
     return common::replay_detected("PN " + std::to_string(frame.pn) +
                                    " below replay window floor");
   }
+  const SecTag aad = encode_sectag(frame.sci, frame.pn);
+  // One buffer serves as ciphertext input and plaintext output: the
+  // in-place open decrypts it only after the tag verifies.
+  Bytes plaintext(frame.ciphertext.begin(), frame.ciphertext.end());
+  const auto opened = ctx_.open_in_place(nonce_for(frame.sci, frame.pn), plaintext,
+                                         frame.tag, BytesView(aad.data(), aad.size()));
   if (!opened.ok()) {
     ++stats_.invalid_tag_frames;
     return common::decryption_failed("MACsec ICV invalid (tampered or wrong SAK)");
@@ -102,54 +93,6 @@ common::Result<EthFrame> MacsecSecY::finish_validate(const MacsecFrame& frame,
   if (!inner) return inner.error();
   ++stats_.validated_frames;
   return inner;
-}
-
-std::vector<MacsecFrame> MacsecSecY::protect_burst(std::span<const EthFrame> frames) {
-  std::vector<MacsecFrame> out(frames.size());
-  std::vector<SecTag> aads(frames.size());
-  std::vector<crypto::GcmBurstFrame> burst(frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    out[i].sci = sci_;
-    out[i].pn = next_pn_++;
-    aads[i] = encode_sectag(out[i].sci, out[i].pn);
-    out[i].ciphertext = frames[i].serialize();
-    burst[i].nonce = nonce_for(out[i].sci, out[i].pn);
-    burst[i].data =
-        std::span<std::uint8_t>(out[i].ciphertext.data(), out[i].ciphertext.size());
-    burst[i].aad = BytesView(aads[i].data(), aads[i].size());
-  }
-  ctx_.seal_burst(burst);
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    out[i].tag = burst[i].tag;
-    ++stats_.protected_frames;
-  }
-  return out;
-}
-
-std::vector<common::Result<EthFrame>> MacsecSecY::validate_burst(
-    std::span<const MacsecFrame> frames) {
-  // Speculative batch open (tag checks are order-independent), then the
-  // serial replay-window merge; a frame the window would have dropped just
-  // wastes its open — the verdict is unchanged.
-  std::vector<Bytes> plaintexts(frames.size());
-  std::vector<SecTag> aads(frames.size());
-  std::vector<crypto::GcmBurstFrame> burst(frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    plaintexts[i].assign(frames[i].ciphertext.begin(), frames[i].ciphertext.end());
-    aads[i] = encode_sectag(frames[i].sci, frames[i].pn);
-    burst[i].nonce = nonce_for(frames[i].sci, frames[i].pn);
-    burst[i].data =
-        std::span<std::uint8_t>(plaintexts[i].data(), plaintexts[i].size());
-    burst[i].aad = BytesView(aads[i].data(), aads[i].size());
-    burst[i].tag = frames[i].tag;
-  }
-  const std::vector<common::Status> opened = ctx_.open_burst(burst);
-  std::vector<common::Result<EthFrame>> results;
-  results.reserve(frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    results.push_back(finish_validate(frames[i], opened[i], plaintexts[i]));
-  }
-  return results;
 }
 
 }  // namespace genio::pon

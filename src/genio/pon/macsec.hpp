@@ -64,24 +64,11 @@ class MacsecSecY {
   /// Validate an incoming frame from the peer: GCM tag, then replay window.
   common::Result<EthFrame> validate(const MacsecFrame& frame);
 
-  /// Protect a whole burst through the shared context (PNs advance one per
-  /// frame, in order) — byte-identical to calling protect() per frame.
-  std::vector<MacsecFrame> protect_burst(std::span<const EthFrame> frames);
-
-  /// Validate a burst: the GCM opens run as one batch over the shared
-  /// context, then the replay window advances serially in frame order —
-  /// verdicts and stats match calling validate() per frame.
-  std::vector<common::Result<EthFrame>> validate_burst(
-      std::span<const MacsecFrame> frames);
-
   const MacsecStats& stats() const { return stats_; }
   std::uint32_t next_pn() const { return next_pn_; }
 
  private:
   crypto::GcmNonce nonce_for(std::uint64_t sci, std::uint32_t pn) const;
-  common::Result<EthFrame> finish_validate(const MacsecFrame& frame,
-                                           const common::Status& opened,
-                                           Bytes& plaintext);
 
   std::uint64_t sci_;
   crypto::GcmContext ctx_;  // cached schedule + GHASH table for the SAK

@@ -41,33 +41,4 @@ void Odn::upstream(const GemFrame& frame) {
   if (olt_ != nullptr) olt_->on_upstream(delivered);
 }
 
-void Odn::upstream_burst(std::span<const GemFrame> frames) {
-  if (frames.empty()) return;
-  if (!feeder_up_) {
-    stats_.dropped_frames += frames.size();
-    return;
-  }
-  // Corrupted copies live in `scratch`; reserving up front keeps the
-  // pointers in `delivered` stable as it grows.
-  std::vector<GemFrame> scratch;
-  scratch.reserve(frames.size());
-  std::vector<const GemFrame*> delivered(frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    GemFrame local;
-    const GemFrame& out = transit(frames[i], local);
-    if (&out == &local) {
-      scratch.push_back(std::move(local));
-      delivered[i] = &scratch.back();
-    } else {
-      delivered[i] = &frames[i];
-    }
-    ++stats_.upstream_frames;
-    stats_.upstream_bytes += delivered[i]->payload.size();
-    for (Tap* tap : taps_) tap->observe_upstream(*delivered[i]);
-  }
-  if (olt_ != nullptr) {
-    olt_->on_upstream_burst(std::span<const GemFrame* const>(delivered));
-  }
-}
-
 }  // namespace genio::pon

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "genio/common/rng.hpp"
@@ -30,12 +29,6 @@ class OltDevice {
  public:
   virtual ~OltDevice() = default;
   virtual void on_upstream(const GemFrame& frame) = 0;
-  /// One TDMA allocation delivered as a unit (the DBA grant is the batch
-  /// boundary). Default: frame-by-frame, so existing devices behave
-  /// identically; the real OLT overrides this to open the burst wholesale.
-  virtual void on_upstream_burst(std::span<const GemFrame* const> frames) {
-    for (const GemFrame* frame : frames) on_upstream(*frame);
-  }
 };
 
 /// Passive observer attached to the fiber (T1 "physically tapping fiber").
@@ -82,12 +75,6 @@ class Odn {
 
   /// Carry a frame from an ONU (or an injector) up to the OLT.
   void upstream(const GemFrame& frame);
-
-  /// Carry one TDMA allocation's frames up to the OLT as a burst. Each
-  /// frame transits individually (fault rng draws, stats, and tap
-  /// observations in the same per-frame order as upstream()), then the
-  /// whole span is handed to the OLT in one on_upstream_burst call.
-  void upstream_burst(std::span<const GemFrame> frames);
 
   common::SimTime propagation() const { return propagation_; }
   const OdnStats& stats() const { return stats_; }

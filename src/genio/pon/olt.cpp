@@ -137,10 +137,7 @@ void Olt::handle_control(const GemFrame& frame) {
   }
 }
 
-void Olt::handle_data(const GemFrame& frame) { handle_data(frame, nullptr, nullptr); }
-
-void Olt::handle_data(const GemFrame& frame, GemFrame* opened,
-                      const common::Status* opened_status) {
+void Olt::handle_data(const GemFrame& frame) {
   const auto it = onus_.find(frame.onu_id);
   if (it == onus_.end()) return;
   auto& record = it->second;
@@ -155,20 +152,14 @@ void Olt::handle_data(const GemFrame& frame, GemFrame* opened,
     return;
   }
 
-  GemFrame local;
+  if (record.cipher != nullptr && !frame.encrypted) {
+    ++counters_.plaintext_after_key_drops;
+    emit("pon.security.plaintext_after_key", {{"onu_id", std::to_string(frame.onu_id)}});
+    return;
+  }
+  GemFrame local = copy_frame(frame);
   if (record.cipher != nullptr) {
-    if (!frame.encrypted) {
-      ++counters_.plaintext_after_key_drops;
-      emit("pon.security.plaintext_after_key", {{"onu_id", std::to_string(frame.onu_id)}});
-      return;
-    }
-    common::Status st;
-    if (opened_status != nullptr) {
-      st = *opened_status;
-    } else {
-      local = copy_frame(frame);
-      st = record.cipher->decrypt(local);
-    }
+    const common::Status st = record.cipher->decrypt(local);
     if (!st.ok()) {
       ++counters_.decrypt_failures;
       if (logger_) {
@@ -178,9 +169,6 @@ void Olt::handle_data(const GemFrame& frame, GemFrame* opened,
       emit("pon.security.decrypt_failure", {{"onu_id", std::to_string(frame.onu_id)}});
       return;
     }
-    if (opened != nullptr) local = std::move(*opened);
-  } else {
-    local = copy_frame(frame);
   }
 
   record.last_superframe = frame.superframe;
@@ -188,70 +176,6 @@ void Olt::handle_data(const GemFrame& frame, GemFrame* opened,
     sink_(frame.onu_id, std::move(local.payload));
   } else {
     received_[frame.onu_id].push_back(std::move(local.payload));
-  }
-}
-
-void Olt::on_upstream_burst(std::span<const GemFrame* const> frames) {
-  // Control frames mutate activation state mid-burst; DBA drain bursts are
-  // data-only, so a burst carrying any control frame takes the exact
-  // per-frame path instead.
-  bool data_only = true;
-  for (const GemFrame* frame : frames) {
-    if (frame->port_id == kControlPort) {
-      data_only = false;
-      break;
-    }
-  }
-  if (!data_only || frames.size() < 2) {
-    for (const GemFrame* frame : frames) on_upstream(*frame);
-    return;
-  }
-
-  // Speculatively open every eligible data frame. A frame the serial state
-  // machine would drop as stale just wastes its decrypt — the merge below
-  // discards the result, so counters/events/bytes are identical to
-  // frame-by-frame delivery. Decrypts touch only const per-ONU contexts,
-  // so they parallelize safely when a pool is attached.
-  struct Speculative {
-    GemFrame opened;
-    common::Status status;
-    bool valid = false;
-  };
-  std::vector<Speculative> specs(frames.size());
-  std::vector<std::size_t> targets;
-  targets.reserve(frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const GemFrame& frame = *frames[i];
-    if (!frame.fcs_valid() || !frame.encrypted) continue;
-    const auto it = onus_.find(frame.onu_id);
-    if (it == onus_.end() || it->second.cipher == nullptr) continue;
-    targets.push_back(i);
-  }
-  const auto open_one = [&](std::size_t i) {
-    const auto it = onus_.find(frames[i]->onu_id);
-    specs[i].opened = *frames[i];
-    specs[i].status = it->second.cipher->decrypt(specs[i].opened);
-    specs[i].valid = true;
-  };
-  // The speculative copies above run off-thread when pooled, so they stay
-  // on the plain allocator; the arena is not thread-safe by design.
-  if (pool_ != nullptr && pool_->size() > 1 && targets.size() > 1) {
-    pool_->parallel_for(targets.size(),
-                        [&](std::size_t k) { open_one(targets[k]); });
-  } else {
-    for (const std::size_t i : targets) open_one(i);
-  }
-
-  // Serial index-ordered merge: the per-frame state machine, verbatim.
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const GemFrame& frame = *frames[i];
-    if (!frame.fcs_valid()) {
-      ++counters_.fcs_drops;
-      if (logger_) logger_->warn("pon.olt." + id_, "dropped upstream frame with bad FCS");
-      continue;
-    }
-    handle_data(frame, specs[i].valid ? &specs[i].opened : nullptr,
-                specs[i].valid ? &specs[i].status : nullptr);
   }
 }
 

@@ -11,11 +11,11 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 
 #include "genio/common/event_bus.hpp"
 #include "genio/common/log.hpp"
-#include "genio/common/thread_pool.hpp"
 #include "genio/pon/auth.hpp"
 #include "genio/pon/control.hpp"
 #include "genio/pon/frame_arena.hpp"
@@ -66,16 +66,6 @@ class Olt : public OltDevice {
 
   void on_upstream(const GemFrame& frame) override;
 
-  /// Receive one TDMA allocation as a burst: data frames are opened
-  /// speculatively (in parallel when a pool is attached), then a serial
-  /// index-ordered merge applies the exact per-frame semantics — counters,
-  /// events, and received bytes are identical to frame-by-frame delivery.
-  void on_upstream_burst(std::span<const GemFrame* const> frames) override;
-
-  /// Attach a work-stealing pool for in-burst parallel decrypt (optional;
-  /// nullptr reverts to serial speculative opens).
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
-
   /// Run the mutual-auth handshake with an activated ONU over the in-band
   /// transport. On success the data path switches to the session key.
   common::Status authenticate_onu(std::uint16_t onu_id, AuthTransport& transport);
@@ -99,9 +89,9 @@ class Olt : public OltDevice {
   using DataSink = std::function<void(std::uint16_t onu_id, Bytes&& payload)>;
   void set_data_sink(DataSink sink) { sink_ = std::move(sink); }
 
-  /// Attach a payload arena: per-frame working copies (the decrypt scratch
-  /// and speculative burst opens) draw their buffers from it instead of the
-  /// heap. nullptr (default) reverts to plain allocation.
+  /// Attach a payload arena: per-frame working copies (the decrypt
+  /// scratch) draw their buffers from it instead of the heap. nullptr
+  /// (default) reverts to plain allocation.
   void set_frame_arena(FrameArena* arena) { arena_ = arena; }
 
   // -- introspection --------------------------------------------------------
@@ -122,11 +112,6 @@ class Olt : public OltDevice {
  private:
   void handle_control(const GemFrame& frame);
   void handle_data(const GemFrame& frame);
-  // Shared per-frame state machine: when `opened`/`opened_status` are
-  // non-null the GCM open already ran speculatively (burst path) and its
-  // result is consumed instead of decrypting inline.
-  void handle_data(const GemFrame& frame, GemFrame* opened,
-                   const common::Status* opened_status);
   void send_control(std::uint16_t onu_id, ControlType type,
                     std::map<std::string, std::string> fields);
   void emit(const std::string& topic, std::map<std::string, std::string> attrs);
@@ -153,7 +138,6 @@ class Olt : public OltDevice {
 
   std::map<std::uint16_t, std::vector<Bytes>> received_;
   OltSecurityCounters counters_;
-  common::ThreadPool* pool_ = nullptr;
   DataSink sink_;
   FrameArena* arena_ = nullptr;
 };

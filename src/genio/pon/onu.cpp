@@ -186,13 +186,12 @@ void Onu::send_data(std::uint16_t port, Bytes payload) {
 }
 
 std::size_t Onu::drain_upstream(std::size_t max_frames) {
-  // The DBA grant is the batch boundary: assemble the whole allocation,
-  // seal it as one burst through the shared cipher context, and ship it up
-  // the ODN as a unit. Superframe numbering and wire bytes are identical
-  // to the old frame-by-frame drain. The burst vector is a member so its
-  // capacity survives across grants.
-  burst_.clear();
-  while (burst_.size() < max_frames && !upstream_queue_.empty()) {
+  // The DBA grant bounds how many queued payloads go up in this slot. Each
+  // is framed, sealed and carried up the ODN on its own; once the medium
+  // has delivered (copied or consumed) the frame, its payload buffer goes
+  // back to the arena for the next generation.
+  std::size_t sent = 0;
+  while (sent < max_frames && !upstream_queue_.empty()) {
     if (state_ != OnuState::kOperational) break;
     auto& next = upstream_queue_.front();
     GemFrame frame;
@@ -202,23 +201,16 @@ std::size_t Onu::drain_upstream(std::size_t max_frames) {
     frame.payload = std::move(next.payload);
     upstream_queue_bytes_ -= std::min(upstream_queue_bytes_, frame.payload.size());
     upstream_queue_.pop_front();
-    burst_.push_back(std::move(frame));
+    if (cipher_ != nullptr) {
+      cipher_->encrypt(frame);
+    } else {
+      frame.seal_fcs();
+    }
+    odn_->upstream(frame);
+    ++stats_.data_frames_sent;
+    ++sent;
+    if (arena_ != nullptr) arena_->recycle(std::move(frame.payload));
   }
-  if (burst_.empty()) return 0;
-  if (cipher_ != nullptr) {
-    cipher_->seal_burst(burst_);
-  } else {
-    for (GemFrame& frame : burst_) frame.seal_fcs();
-  }
-  odn_->upstream_burst(burst_);
-  stats_.data_frames_sent += burst_.size();
-  const std::size_t sent = burst_.size();
-  if (arena_ != nullptr) {
-    // The medium delivered (and copied/consumed) the burst; the payload
-    // buffers are dead weight now — recycle them for the next generation.
-    for (GemFrame& frame : burst_) arena_->recycle(std::move(frame.payload));
-  }
-  burst_.clear();
   return sent;
 }
 

@@ -83,9 +83,9 @@ class Onu : public OnuDevice, public AuthTransport {
   /// incrementally — O(1), used by the DBA report path at carrier scale).
   std::size_t upstream_queue_bytes() const { return upstream_queue_bytes_; }
 
-  /// Attach a payload arena: after a burst ships, each frame's payload
-  /// buffer is recycled into it, closing the generator -> queue -> frame ->
-  /// arena allocation loop. nullptr (default) keeps plain heap frees.
+  /// Attach a payload arena: after a frame ships, its payload buffer is
+  /// recycled into it, closing the generator -> queue -> frame -> arena
+  /// allocation loop. nullptr (default) keeps plain heap frees.
   void set_frame_arena(FrameArena* arena) { arena_ = arena; }
 
   /// Downstream payloads accepted for this ONU (after decryption).
@@ -119,7 +119,6 @@ class Onu : public OnuDevice, public AuthTransport {
   };
   std::deque<QueuedFrame> upstream_queue_;
   std::size_t upstream_queue_bytes_ = 0;
-  std::vector<GemFrame> burst_;  // drain scratch, capacity reused across grants
   FrameArena* arena_ = nullptr;
   std::vector<Bytes> received_;
   OnuStats stats_;

@@ -1,16 +1,17 @@
-// Data-plane catalog (round 2): the whole-burst seal/open path exercised
-// end to end — DBA-grant bursts under an ODN bit-error storm, a GPON rekey
-// landing between allocations, MKA epoch rolls inside a MACsec burst, and
-// a longer throughput soak. Each scenario checks delivery integrity (every
-// accepted payload byte-identical to a sent one) and that corrupted or
-// cross-epoch frames are detected exactly, never silently absorbed.
+// Data-plane catalog (round 2): the per-frame seal/open path exercised end
+// to end — DBA-grant upstream bursts under an ODN bit-error storm, a GPON
+// rekey landing between allocations, MKA epoch rolls inside a run of
+// MACsec frames, and a longer throughput soak. A "burst" here is what the
+// PON calls one: the frames an ONU sends in one DBA grant. Each scenario
+// checks delivery integrity (every accepted payload byte-identical to a
+// sent one) and that corrupted or cross-epoch frames are detected exactly,
+// never silently absorbed.
 #include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "genio/common/strings.hpp"
-#include "genio/pon/burst.hpp"
 #include "genio/pon/link.hpp"
 #include "genio/scenario/catalog.hpp"
 #include "genio/scenario/fragments.hpp"
@@ -165,8 +166,10 @@ GENIO_SCENARIO("dataplane.mka.epoch-roll-burst", "dataplane", "rekey",
     frames.push_back(std::move(frame));
   }
 
-  const auto wire = tx.send_burst(frames);
-  const auto out = rx.receive_burst(wire);
+  std::vector<pon::MacsecFrame> wire;
+  for (const auto& frame : frames) wire.push_back(tx.send(frame));
+  std::vector<gc::Result<pon::EthFrame>> out;
+  for (const auto& frame : wire) out.push_back(rx.receive(frame));
   bool all_delivered = out.size() == frames.size();
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (!out[i].ok() || *out[i] != frames[i]) all_delivered = false;

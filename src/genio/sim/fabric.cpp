@@ -16,7 +16,7 @@ std::uint64_t fnv_byte(std::uint64_t h, std::uint8_t b) {
 }  // namespace
 
 PonFabric::PonFabric(FabricConfig config)
-    : config_(config), events_(&clock_, config.scheduler) {
+    : config_(config), events_(&clock_) {
   sites_.reserve(static_cast<std::size_t>(config_.olt_count));
   for (int i = 0; i < config_.olt_count; ++i) build_site(i);
 }

@@ -2,11 +2,10 @@
 // ONUs, a DBA scheduler, and a payload arena) sharing one SimClock and one
 // EventQueue. Per-subscriber traffic generators, per-site DBA cycles, and
 // chaos wakes are all events on that queue, so 10k ONUs across 100 OLTs
-// advance through a single heap-free drain loop instead of per-entity
-// polling. Every random draw comes from a stream derived from (seed,
-// serial), so two fabrics with the same config produce byte-identical
-// delivery digests — including across scheduler implementations, which is
-// the calendar queue's correctness gate.
+// advance through a single drain loop instead of per-entity polling.
+// Every random draw comes from a stream derived from (seed, serial), so
+// two fabrics with the same config produce byte-identical delivery
+// digests.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +30,6 @@ struct FabricConfig {
   int olt_count = 4;
   int onus_per_olt = 16;
   std::uint64_t seed = 42;
-  common::SchedulerImpl scheduler = common::SchedulerImpl::kCalendar;
 
   // Upstream TDMA: one DBA cycle per site every `dba_period`, allocating
   // `cycle_budget_bytes` across the site's T-CONT requests.

@@ -823,88 +823,3 @@ TEST(GcmContext, SealMatchesBitwiseReferenceAcrossBlockCounts) {
     ASSERT_EQ(sealed.tag, ref_tag(aad, sealed.ciphertext)) << "len=" << len;
   }
 }
-
-TEST(GcmContext, BurstSealOpenMatchesPerFrame) {
-  const auto key = cr::make_aes_key(gc::Bytes(16, 0x42));
-  const cr::GcmContext ctx(key);
-  gc::Rng rng(7005);
-  constexpr std::size_t kFrames = 6;
-  std::vector<gc::Bytes> burst_bufs(kFrames);
-  std::vector<gc::Bytes> single_bufs(kFrames);
-  std::vector<gc::Bytes> originals(kFrames);
-  std::vector<gc::Bytes> aads(kFrames);
-  std::vector<cr::GcmBurstFrame> frames(kFrames);
-  std::vector<cr::GcmNonce> nonces(kFrames);
-  for (std::size_t i = 0; i < kFrames; ++i) {
-    originals[i] = rng.bytes(40 + 37 * i);
-    aads[i] = rng.bytes(9);
-    burst_bufs[i] = originals[i];
-    single_bufs[i] = originals[i];
-    nonces[i] = cr::GcmNonce{};
-    nonces[i][0] = static_cast<std::uint8_t>(i + 1);
-    frames[i].nonce = nonces[i];
-    frames[i].data = burst_bufs[i];
-    frames[i].aad = aads[i];
-  }
-  ctx.seal_burst(frames);
-  for (std::size_t i = 0; i < kFrames; ++i) {
-    const auto tag = ctx.seal_in_place(nonces[i], single_bufs[i], aads[i]);
-    EXPECT_EQ(burst_bufs[i], single_bufs[i]) << "frame " << i;
-    EXPECT_EQ(frames[i].tag, tag) << "frame " << i;
-  }
-  // Tamper exactly one frame; open_burst must fail it and only it.
-  burst_bufs[3][5] ^= 0x10;
-  const auto statuses = ctx.open_burst(frames);
-  for (std::size_t i = 0; i < kFrames; ++i) {
-    if (i == 3) {
-      EXPECT_FALSE(statuses[i].ok());
-    } else {
-      ASSERT_TRUE(statuses[i].ok()) << "frame " << i;
-      EXPECT_EQ(burst_bufs[i], originals[i]) << "frame " << i;
-    }
-  }
-}
-
-TEST(Crc32, CombineMatchesOneShotOnRandomSplits) {
-  gc::Rng rng(7006);
-  for (int iter = 0; iter < 200; ++iter) {
-    const std::size_t len_a = rng.index(200);
-    const std::size_t len_b = rng.index(200);
-    const gc::Bytes a = rng.bytes(len_a);
-    const gc::Bytes b = rng.bytes(len_b);
-    gc::Bytes joined = a;
-    joined.insert(joined.end(), b.begin(), b.end());
-    ASSERT_EQ(cr::crc32_combine(cr::crc32(a), cr::crc32(b), b.size()),
-              cr::crc32(joined))
-        << "len_a=" << len_a << " len_b=" << len_b;
-  }
-}
-
-TEST(Crc32, CombineMatchesStreamingUpdate) {
-  // Property from the satellite spec: combining per-chunk CRCs equals the
-  // streaming crc32_update fold over the same split points.
-  gc::Rng rng(7007);
-  const gc::Bytes data = rng.bytes(1024);
-  for (int iter = 0; iter < 50; ++iter) {
-    const std::size_t s1 = rng.index(data.size() + 1);
-    const std::size_t s2 = s1 + rng.index(data.size() - s1 + 1);
-    const gc::BytesView a(data.data(), s1);
-    const gc::BytesView b(data.data() + s1, s2 - s1);
-    const gc::BytesView c(data.data() + s2, data.size() - s2);
-    std::uint32_t state = cr::crc32_init();
-    state = cr::crc32_update(state, a);
-    state = cr::crc32_update(state, b);
-    state = cr::crc32_update(state, c);
-    const std::uint32_t streamed = cr::crc32_final(state);
-    std::uint32_t combined = cr::crc32_combine(cr::crc32(a), cr::crc32(b), b.size());
-    combined = cr::crc32_combine(combined, cr::crc32(c), c.size());
-    ASSERT_EQ(combined, streamed) << "s1=" << s1 << " s2=" << s2;
-  }
-}
-
-TEST(Crc32, CombineEmptyPieces) {
-  const gc::Bytes data = gc::to_bytes("123456789");
-  EXPECT_EQ(cr::crc32_combine(cr::crc32(data), cr::crc32({}), 0), cr::crc32(data));
-  EXPECT_EQ(cr::crc32_combine(cr::crc32({}), cr::crc32(data), data.size()),
-            cr::crc32(data));
-}

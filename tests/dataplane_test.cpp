@@ -8,20 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <span>
 #include <thread>
 #include <vector>
 
 #include "genio/common/rng.hpp"
-#include "genio/common/thread_pool.hpp"
 #include "genio/crypto/crc32.hpp"
 #include "genio/crypto/gcm.hpp"
-#include "genio/pon/burst.hpp"
 #include "genio/pon/frame.hpp"
 #include "genio/pon/gpon_crypto.hpp"
-#include "genio/pon/link.hpp"
 #include "genio/pon/macsec.hpp"
-#include "genio/pon/medium.hpp"
 
 namespace gc = genio::common;
 namespace cr = genio::crypto;
@@ -251,312 +246,4 @@ TEST(Dataplane, ConcurrentCipherConstructionAndUse) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-// ------------------------------------------------- data-plane round 2
-
-// Whole-burst seal/open must be byte-identical to frame-by-frame calls:
-// same ciphertext, same tags, same FCS, per-frame nonces intact.
-TEST(Burst, GponSealOpenMatchesFrameByFrame) {
-  gc::Rng rng(0xb0b0);
-  const cr::AesKey key = cr::make_aes_key(rng.bytes(16));
-  const pon::GponCipher cipher(key);
-
-  std::vector<pon::GemFrame> burst;
-  for (int i = 0; i < 32; ++i) burst.push_back(random_frame(rng, 1200));
-  std::vector<pon::GemFrame> single = burst;
-  const std::vector<pon::GemFrame> originals = burst;
-
-  cipher.seal_burst(burst);
-  for (auto& frame : single) cipher.encrypt(frame);
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    ASSERT_EQ(burst[i].payload, single[i].payload) << "frame " << i;
-    ASSERT_EQ(burst[i].fcs, single[i].fcs) << "frame " << i;
-    ASSERT_TRUE(burst[i].encrypted);
-  }
-
-  const auto statuses = cipher.open_burst(burst);
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    ASSERT_TRUE(statuses[i].ok()) << "frame " << i;
-    EXPECT_EQ(burst[i].payload, originals[i].payload) << "frame " << i;
-    EXPECT_FALSE(burst[i].encrypted);
-  }
-}
-
-// Tampering inside a burst: exactly the tampered frames fail, the rest
-// decrypt to their original payloads, and tampered frames stay ciphertext.
-TEST(Burst, TamperInBurstFailsExactlyTheTamperedFrame) {
-  gc::Rng rng(0x7a3b);
-  const cr::AesKey key = cr::make_aes_key(rng.bytes(16));
-  const pon::GponCipher cipher(key);
-
-  std::vector<pon::GemFrame> burst;
-  for (int i = 0; i < 8; ++i) {
-    auto frame = random_frame(rng, 400);
-    if (frame.payload.empty()) frame.payload = rng.bytes(4);
-    burst.push_back(std::move(frame));
-  }
-  const std::vector<pon::GemFrame> originals = burst;
-  cipher.seal_burst(burst);
-
-  burst[2].payload[0] ^= 0x40;
-  burst[6].payload[3] ^= 0x01;
-  const gc::Bytes tampered2 = burst[2].payload;
-  const gc::Bytes tampered6 = burst[6].payload;
-
-  const auto statuses = cipher.open_burst(burst);
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    if (i == 2 || i == 6) {
-      EXPECT_FALSE(statuses[i].ok()) << "tampered frame " << i << " accepted";
-    } else {
-      ASSERT_TRUE(statuses[i].ok()) << "clean frame " << i << " rejected";
-      EXPECT_EQ(burst[i].payload, originals[i].payload) << "frame " << i;
-    }
-  }
-  EXPECT_EQ(burst[2].payload, tampered2);  // left as ciphertext
-  EXPECT_EQ(burst[6].payload, tampered6);
-}
-
-// burst_fcs (crc32_combine over per-frame FCS) must equal the streaming
-// CRC over the concatenated header||payload spans — no byte was rescanned.
-TEST(Burst, BurstFcsMatchesStreamingCrcOverConcatenation) {
-  gc::Rng rng(0xfc5f);
-  std::vector<pon::GemFrame> frames;
-  for (int i = 0; i < 12; ++i) {
-    auto frame = random_frame(rng, 300);
-    frame.seal_fcs();
-    frames.push_back(std::move(frame));
-  }
-  std::uint32_t state = cr::crc32_init();
-  gc::Bytes all;
-  for (const auto& frame : frames) {
-    const gc::Bytes hdr = frame.header_bytes();
-    all.insert(all.end(), hdr.begin(), hdr.end());
-    all.insert(all.end(), frame.payload.begin(), frame.payload.end());
-  }
-  state = cr::crc32_update(state, all);
-  EXPECT_EQ(pon::burst_fcs(frames), cr::crc32_final(state));
-  EXPECT_EQ(pon::burst_fcs(frames), cr::crc32_reference(all));
-}
-
-// Per-link sharding on the work-stealing pool: parallel seal/open of many
-// links' bursts must be byte-identical to the serial loop (ordered merge).
-TEST(Burst, ShardedLinkBurstsMatchSerial) {
-  gc::Rng rng(0x54a2);
-  constexpr std::size_t kLinks = 6;
-  constexpr int kFramesPerLink = 16;
-
-  std::vector<pon::GponCipher> ciphers;
-  std::vector<std::vector<pon::GemFrame>> serial_frames(kLinks);
-  std::vector<std::vector<pon::GemFrame>> pooled_frames(kLinks);
-  for (std::size_t l = 0; l < kLinks; ++l) {
-    ciphers.emplace_back(cr::make_aes_key(rng.bytes(16)));
-    for (int i = 0; i < kFramesPerLink; ++i) {
-      serial_frames[l].push_back(random_frame(rng, 600));
-    }
-    pooled_frames[l] = serial_frames[l];
-  }
-  std::vector<pon::LinkBurst> serial_links(kLinks);
-  std::vector<pon::LinkBurst> pooled_links(kLinks);
-  for (std::size_t l = 0; l < kLinks; ++l) {
-    serial_links[l] = {&ciphers[l], &serial_frames[l]};
-    pooled_links[l] = {&ciphers[l], &pooled_frames[l]};
-  }
-
-  genio::common::ThreadPool pool(4);
-  pon::seal_link_bursts(nullptr, serial_links);
-  pon::seal_link_bursts(&pool, pooled_links);
-  for (std::size_t l = 0; l < kLinks; ++l) {
-    ASSERT_EQ(serial_frames[l].size(), pooled_frames[l].size());
-    for (std::size_t i = 0; i < serial_frames[l].size(); ++i) {
-      ASSERT_EQ(serial_frames[l][i].payload, pooled_frames[l][i].payload)
-          << "link " << l << " frame " << i;
-      ASSERT_EQ(serial_frames[l][i].fcs, pooled_frames[l][i].fcs);
-    }
-  }
-
-  const auto serial_res = pon::open_link_bursts(nullptr, serial_links);
-  const auto pooled_res = pon::open_link_bursts(&pool, pooled_links);
-  ASSERT_EQ(serial_res.size(), pooled_res.size());
-  for (std::size_t l = 0; l < kLinks; ++l) {
-    ASSERT_EQ(serial_res[l].statuses.size(), pooled_res[l].statuses.size());
-    for (std::size_t i = 0; i < serial_res[l].statuses.size(); ++i) {
-      EXPECT_EQ(serial_res[l].statuses[i].ok(), pooled_res[l].statuses[i].ok());
-      EXPECT_EQ(serial_frames[l][i].payload, pooled_frames[l][i].payload);
-    }
-  }
-}
-
-// Eight threads sealing bursts through ONE shared cipher: under TSan this
-// proves the H-power tables and the wide-CTR T-tables are read-only after
-// construction (the round-2 analogue of SharedContextIsThreadSafeReadOnly).
-TEST(Burst, SharedCipherBurstIsThreadSafeReadOnly) {
-  gc::Rng rng(0x8eed);
-  const cr::AesKey key = cr::make_aes_key(rng.bytes(16));
-  const pon::GponCipher shared(key);
-
-  constexpr int kThreads = 8;
-  std::vector<std::vector<pon::GemFrame>> per_thread(kThreads);
-  std::vector<std::vector<pon::GemFrame>> expected(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < 16; ++i) per_thread[static_cast<std::size_t>(t)].push_back(random_frame(rng, 512));
-    expected[static_cast<std::size_t>(t)] = per_thread[static_cast<std::size_t>(t)];
-    shared.seal_burst(expected[static_cast<std::size_t>(t)]);
-  }
-
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&shared, &per_thread, &expected, &mismatches, t] {
-      auto& mine = per_thread[static_cast<std::size_t>(t)];
-      shared.seal_burst(mine);
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        if (mine[i].payload != expected[static_cast<std::size_t>(t)][i].payload ||
-            mine[i].fcs != expected[static_cast<std::size_t>(t)][i].fcs) {
-          ++mismatches;
-        }
-      }
-      const auto statuses = shared.open_burst(mine);
-      for (const auto& st : statuses) {
-        if (!st.ok()) ++mismatches;
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-namespace {
-
-// Collects upstream deliveries, recording whether they arrived as a burst.
-struct CollectingOlt : public pon::OltDevice {
-  std::vector<pon::GemFrame> frames;
-  std::size_t burst_calls = 0;
-  void on_upstream(const pon::GemFrame& frame) override { frames.push_back(frame); }
-  void on_upstream_burst(std::span<const pon::GemFrame* const> burst) override {
-    ++burst_calls;
-    for (const pon::GemFrame* frame : burst) frames.push_back(*frame);
-  }
-};
-
-}  // namespace
-
-// Odn::upstream_burst under an active bit-error storm must deliver the same
-// bytes, stats, and corruption pattern as per-frame upstream with the same
-// fault-rng seed: the burst transits frame by frame in order.
-TEST(Burst, OdnUpstreamBurstMatchesSerialUnderBitErrors) {
-  gc::Rng rng(0x0d11);
-  std::vector<pon::GemFrame> frames;
-  for (int i = 0; i < 64; ++i) {
-    auto frame = random_frame(rng, 256);
-    if (frame.payload.empty()) frame.payload = rng.bytes(2);
-    frame.seal_fcs();
-    frames.push_back(std::move(frame));
-  }
-
-  pon::Odn serial_odn;
-  CollectingOlt serial_olt;
-  serial_odn.set_olt(&serial_olt);
-  serial_odn.set_bit_error_rate(0.25, gc::Rng(991));
-  for (const auto& frame : frames) serial_odn.upstream(frame);
-
-  pon::Odn burst_odn;
-  CollectingOlt burst_olt;
-  burst_odn.set_olt(&burst_olt);
-  burst_odn.set_bit_error_rate(0.25, gc::Rng(991));
-  burst_odn.upstream_burst(frames);
-
-  EXPECT_EQ(burst_olt.burst_calls, 1u);
-  ASSERT_EQ(serial_olt.frames.size(), burst_olt.frames.size());
-  for (std::size_t i = 0; i < serial_olt.frames.size(); ++i) {
-    EXPECT_EQ(serial_olt.frames[i].payload, burst_olt.frames[i].payload)
-        << "frame " << i;
-    EXPECT_EQ(serial_olt.frames[i].fcs, burst_olt.frames[i].fcs);
-  }
-  EXPECT_EQ(serial_odn.stats().corrupted_frames, burst_odn.stats().corrupted_frames);
-  EXPECT_EQ(serial_odn.stats().upstream_frames, burst_odn.stats().upstream_frames);
-  EXPECT_EQ(serial_odn.stats().upstream_bytes, burst_odn.stats().upstream_bytes);
-}
-
-// MacsecLink bursts chunk at SAK epoch boundaries: with rekey_after = 8
-// and 30 frames, wire bytes, verdicts, stats, and rekey points must all
-// match two independent links driven frame by frame.
-TEST(Burst, MacsecLinkBurstMatchesPerFrameAcrossEpochRolls) {
-  gc::Rng rng(0x3ca3);
-  const gc::Bytes cak = rng.bytes(32);
-  constexpr std::uint64_t kRekeyAfter = 8;
-  constexpr int kFrames = 30;  // crosses three epoch boundaries mid-burst
-
-  pon::MacsecLink burst_a(0x01, cak, "link", kRekeyAfter);
-  pon::MacsecLink burst_b(0x02, cak, "link", kRekeyAfter);
-  pon::MacsecLink serial_a(0x01, cak, "link", kRekeyAfter);
-  pon::MacsecLink serial_b(0x02, cak, "link", kRekeyAfter);
-
-  std::vector<pon::EthFrame> frames;
-  for (int i = 0; i < kFrames; ++i) {
-    pon::EthFrame frame;
-    frame.src_mac = "02:00:00:00:00:01";
-    frame.dst_mac = "02:00:00:00:00:02";
-    frame.payload = rng.bytes(rng.uniform_range(0, 600));
-    frames.push_back(std::move(frame));
-  }
-
-  const auto burst_wire = burst_a.send_burst(frames);
-  std::vector<pon::MacsecFrame> serial_wire;
-  for (const auto& frame : frames) serial_wire.push_back(serial_a.send(frame));
-
-  ASSERT_EQ(burst_wire.size(), serial_wire.size());
-  for (std::size_t i = 0; i < burst_wire.size(); ++i) {
-    EXPECT_EQ(burst_wire[i].sci, serial_wire[i].sci) << "frame " << i;
-    EXPECT_EQ(burst_wire[i].pn, serial_wire[i].pn) << "frame " << i;
-    EXPECT_EQ(burst_wire[i].ciphertext, serial_wire[i].ciphertext) << "frame " << i;
-    EXPECT_EQ(burst_wire[i].tag, serial_wire[i].tag) << "frame " << i;
-  }
-  EXPECT_EQ(burst_a.tx_epoch(), serial_a.tx_epoch());
-  EXPECT_EQ(burst_a.stats().rekey_count, serial_a.stats().rekey_count);
-
-  const auto burst_out = burst_b.receive_burst(burst_wire);
-  ASSERT_EQ(burst_out.size(), static_cast<std::size_t>(kFrames));
-  for (std::size_t i = 0; i < burst_out.size(); ++i) {
-    const auto serial_out = serial_b.receive(serial_wire[i]);
-    ASSERT_TRUE(burst_out[i].ok()) << "frame " << i;
-    ASSERT_TRUE(serial_out.ok()) << "frame " << i;
-    EXPECT_EQ(*burst_out[i], frames[i]) << "frame " << i;
-    EXPECT_EQ(*burst_out[i], *serial_out) << "frame " << i;
-  }
-  EXPECT_EQ(burst_b.stats().frames_delivered, serial_b.stats().frames_delivered);
-  EXPECT_EQ(burst_b.stats().frames_rejected, serial_b.stats().frames_rejected);
-  EXPECT_EQ(burst_b.stats().rekey_count, serial_b.stats().rekey_count);
-}
-
-// A tampered frame inside a MACsec burst: only that frame is rejected, the
-// rest of the burst still validates, and stats count exactly one reject.
-TEST(Burst, MacsecBurstTamperRejectsOnlyTamperedFrame) {
-  gc::Rng rng(0x9bad);
-  const gc::Bytes cak = rng.bytes(32);
-  pon::MacsecLink tx(0x01, cak, "link", 1u << 20);
-  pon::MacsecLink rx(0x02, cak, "link", 1u << 20);
-
-  std::vector<pon::EthFrame> frames;
-  for (int i = 0; i < 10; ++i) {
-    pon::EthFrame frame;
-    frame.src_mac = "02:00:00:00:00:01";
-    frame.dst_mac = "02:00:00:00:00:02";
-    frame.payload = rng.bytes(64);
-    frames.push_back(std::move(frame));
-  }
-  auto wire = tx.send_burst(frames);
-  wire[4].ciphertext[0] ^= 0x80;
-
-  const auto out = rx.receive_burst(wire);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (i == 4) {
-      EXPECT_FALSE(out[i].ok()) << "tampered frame accepted";
-    } else {
-      ASSERT_TRUE(out[i].ok()) << "frame " << i;
-      EXPECT_EQ(*out[i], frames[i]);
-    }
-  }
-  EXPECT_EQ(rx.stats().frames_rejected, 1u);
-  EXPECT_EQ(rx.stats().frames_delivered, 9u);
 }

@@ -3,7 +3,6 @@
 // the T1 attacker toolkit run with mitigations on and off.
 #include <gtest/gtest.h>
 
-#include "genio/common/thread_pool.hpp"
 #include "genio/pon/attacker.hpp"
 #include "genio/pon/auth.hpp"
 #include "genio/pon/control.hpp"
@@ -707,79 +706,4 @@ TEST(AttackT1, BroadcastPhysicsExposeForeignFrames) {
   const auto id1 = olt->onu_id_for("GNIO0001").value();
   ASSERT_TRUE(olt->send_data(id1, 1, gc::to_bytes("tenant-1 data")).ok());
   EXPECT_GE(onu2->stats().foreign_frames_seen, 1u);
-}
-
-// Attaching a thread pool to the OLT must not change ANY observable: the
-// speculative burst decrypt merges in serial frame order, so received data,
-// per-ONU ordering, and every security counter match the pool-less run —
-// even with a bit-error storm corrupting frames mid-burst.
-TEST(DataPath, ThreadPoolBurstDeliveryMatchesSerial) {
-  struct Observed {
-    std::map<std::uint16_t, std::vector<gc::Bytes>> received;
-    pon::OltSecurityCounters counters{};
-    pon::OdnStats odn{};
-  };
-  const auto run = [](gc::ThreadPool* pool) {
-    PonFixture f;
-    auto olt = f.make_olt({.require_authentication = true, .encrypt_data_path = true});
-    if (pool != nullptr) olt->set_thread_pool(pool);
-    std::vector<std::unique_ptr<pon::Onu>> onus;
-    std::vector<pon::Onu*> raw;
-    for (int i = 0; i < 3; ++i) {
-      const std::string serial = "GNIO000" + std::to_string(i + 1);
-      (void)olt->register_serial(serial);
-      onus.push_back(f.make_onu(serial));
-    }
-    olt->start_discovery();
-    for (auto& onu : onus) {
-      const auto id = olt->onu_id_for(onu->serial()).value();
-      EXPECT_TRUE(olt->authenticate_onu(id, *onu).ok());
-      raw.push_back(onu.get());
-    }
-    gc::Rng traffic(0x715e);
-    for (int cycle = 0; cycle < 4; ++cycle) {
-      for (auto& onu : onus) {
-        for (int k = 0; k < 6; ++k) {
-          onu->send_data(1, traffic.bytes(traffic.uniform_range(1, 700)));
-        }
-      }
-      // A bit-error storm on odd cycles: corrupted frames must be counted
-      // and dropped identically on both paths.
-      if (cycle % 2 == 1) {
-        f.odn.set_bit_error_rate(0.3, gc::Rng(1000 + cycle));
-      } else {
-        f.odn.clear_bit_errors();
-      }
-      olt->run_dba_cycle(std::span(raw.data(), raw.size()), 6);
-    }
-    Observed out;
-    for (const auto& onu : onus) {
-      const auto id = olt->onu_id_for(onu->serial()).value();
-      const auto it = olt->received_data().find(id);
-      if (it != olt->received_data().end()) out.received[id] = it->second;
-    }
-    out.counters = olt->counters();
-    out.odn = f.odn.stats();
-    return out;
-  };
-
-  const Observed serial = run(nullptr);
-  gc::ThreadPool pool(4);
-  const Observed pooled = run(&pool);
-
-  ASSERT_EQ(serial.received.size(), pooled.received.size());
-  for (const auto& [id, frames] : serial.received) {
-    ASSERT_TRUE(pooled.received.contains(id));
-    ASSERT_EQ(frames.size(), pooled.received.at(id).size()) << "onu " << id;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      EXPECT_EQ(frames[i], pooled.received.at(id)[i]) << "onu " << id << " frame " << i;
-    }
-  }
-  EXPECT_EQ(serial.counters.fcs_drops, pooled.counters.fcs_drops);
-  EXPECT_EQ(serial.counters.decrypt_failures, pooled.counters.decrypt_failures);
-  EXPECT_EQ(serial.counters.stale_superframe_drops, pooled.counters.stale_superframe_drops);
-  EXPECT_EQ(serial.counters.plaintext_after_key_drops, pooled.counters.plaintext_after_key_drops);
-  EXPECT_EQ(serial.odn.corrupted_frames, pooled.odn.corrupted_frames);
-  EXPECT_EQ(serial.odn.upstream_frames, pooled.odn.upstream_frames);
-  EXPECT_GT(serial.odn.corrupted_frames, 0u);  // the storm actually hit
 }

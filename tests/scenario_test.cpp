@@ -3,8 +3,9 @@
 // semantics and macro auto-registration, the sim-time watchdog edges
 // (exactly-at-budget passes, over-budget times out, a throwing scenario is
 // a failed scenario), catalog coverage meta-tests (every FaultKind and
-// every threat T1-T8 exercised, >= 100 scenarios), and the 50-seed
-// serial-vs-parallel verdict-identity property.
+// every threat T1-T8 exercised, >= 119 scenarios), the seed-1 catalog
+// digests pinned entry by entry, and the 50-seed serial-vs-parallel
+// verdict-identity property.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -259,9 +260,38 @@ TEST(ScenarioWatchdog, ThrowingScenarioIsFailedNotFatal) {
 
 // --------------------------------------------------- catalog meta-tests
 
-TEST(ScenarioCatalog, HoldsAtLeastOneHundredScenarios) {
+// The documented floor: scenario_runner's scorecard requires 119.
+TEST(ScenarioCatalog, HoldsAtLeast119Scenarios) {
   gs::register_builtin_catalog();
-  EXPECT_GE(gs::ScenarioRegistry::global().size(), 100u);
+  EXPECT_GE(gs::ScenarioRegistry::global().size(), 119u);
+}
+
+// Behaviour pin: every built-in scenario's canonical verdict digest at run
+// seed 1 must equal the checked-in list. Test-only registrations are left
+// out so the list holds the catalog alone.
+TEST(ScenarioCatalog, SeedOneDigestsArePinned) {
+  static const char* const kPinned[] = {
+#include "catalog_digests_seed1.inc"
+  };
+  gs::register_builtin_catalog();
+  gs::ScenarioRegistry builtin;
+  for (const auto& def : gs::ScenarioRegistry::global().all()) {
+    if (!def.has_tag("test-only")) builtin.add(def);
+  }
+  gs::RunOptions options;
+  options.seed = 1;
+  options.workers = 4;
+  const auto summary = gs::run_catalog(builtin, options);
+
+  std::string current;
+  for (const auto& verdict : summary.verdicts) {
+    current += "\"" + verdict.canonical() + "\",\n";
+  }
+  ASSERT_EQ(summary.verdicts.size(), std::size(kPinned)) << "current list:\n" << current;
+  for (std::size_t i = 0; i < std::size(kPinned); ++i) {
+    EXPECT_EQ(summary.verdicts[i].canonical(), kPinned[i]) << "entry " << i;
+  }
+  EXPECT_FALSE(HasFailure()) << "current list:\n" << current;
 }
 
 TEST(ScenarioCatalog, EveryFaultKindIsExercised) {

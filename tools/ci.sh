@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI: plain build + ctest + chaos-bench smoke, then the same test
-# suite under ASan+UBSan and under TSan.
+# Tier-1 CI: plain build (warnings are errors) + ctest + bench smokes, then
+# the same test suite under ASan+UBSan and under TSan.
 # Usage: tools/ci.sh [--plain-only|--sanitize-only|--tsan-only]
 set -euo pipefail
 
@@ -24,8 +24,8 @@ run_suite() {
 }
 
 if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
-  echo "== plain build + tier-1 tests =="
-  run_suite "${repo_root}/build"
+  echo "== plain build (warnings are errors) + tier-1 tests =="
+  run_suite "${repo_root}/build" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   echo "== chaos/resilience bench smoke =="
   "${repo_root}/build/bench/bench_chaos_resilience" --smoke
   echo "== self-healing bench smoke =="
@@ -34,14 +34,14 @@ if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
   echo "== pipeline-throughput bench smoke (serial/parallel divergence fails CI) =="
   "${repo_root}/build/bench/bench_pipeline_throughput" --smoke \
     --out "${repo_root}/build/BENCH_pipeline.json"
-  echo "== data-plane crypto bench smoke (fast/reference divergence or a >20% regression vs the committed baseline fails CI) =="
+  echo "== data-plane crypto bench smoke (fast/reference or pool/serial divergence, seal+open < 9x reference, or a >20% regression vs the committed baseline fails CI) =="
   "${repo_root}/build/bench/bench_dataplane" --smoke \
     --baseline "${repo_root}/BENCH_dataplane.json" \
     --out "${repo_root}/build/BENCH_dataplane.json"
   echo "== admission-service overload bench smoke (shed/deadline invariants fail CI) =="
   "${repo_root}/build/bench/bench_admission_service" --smoke \
     --out "${repo_root}/build/BENCH_admission.json"
-  echo "== discrete-event core bench smoke (trace/digest divergence or a >20% regression vs the committed baseline fails CI) =="
+  echo "== discrete-event core bench smoke (a trace or fabric digest off its recorded value, or heap/carrier events/sec >20% below the committed baseline fails CI) =="
   "${repo_root}/build/bench/bench_des" --smoke \
     --baseline "${repo_root}/BENCH_des.json" \
     --out "${repo_root}/build/BENCH_des.json"
@@ -76,7 +76,7 @@ if [[ "${mode}" != "--plain-only" && "${mode}" != "--sanitize-only" ]]; then
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/bench_admission_service" --smoke \
     --out "${repo_root}/build-tsan/BENCH_admission.json"
-  echo "== discrete-event core bench smoke (TSan; digest identity still enforced) =="
+  echo "== discrete-event core bench smoke (TSan; recorded digests still enforced) =="
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/bench_des" --smoke \
     --out "${repo_root}/build-tsan/BENCH_des.json"
