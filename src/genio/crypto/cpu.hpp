@@ -26,4 +26,24 @@ inline bool has_sha_ni() {
 #endif
 }
 
+/// AVX-512F (CPUID leaf 7 EBX bit 16), usable only if the OS saves the
+/// state: OSXSAVE (leaf 1 ECX bit 27) and XCR0 bits 1, 2 (SSE, AVX) and
+/// 5, 6, 7 (opmask, ZMM0-15 upper halves, ZMM16-31). This is the check
+/// `__builtin_cpu_supports("avx512f")` makes.
+inline bool has_avx512f() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & (1u << 27)) == 0) return false;
+  unsigned xcr0_lo = 0, xcr0_hi = 0;
+  __asm__("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
+  constexpr unsigned kZmmState = (1u << 1) | (1u << 2) | (1u << 5) | (1u << 6) | (1u << 7);
+  if ((xcr0_lo & kZmmState) != kZmmState) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & (1u << 16)) != 0;
+#else
+  return false;
+#endif
+}
+
 }  // namespace genio::crypto::cpu

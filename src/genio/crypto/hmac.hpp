@@ -18,6 +18,12 @@ class HmacSha256 {
 
   Digest mac(BytesView data) const;
 
+  /// The chaining values after H(key ^ ipad) and H(key ^ opad): callers
+  /// that lay out their own blocks (lane-sliced WOTS+ keygen) resume from
+  /// these instead of re-deriving the pads.
+  const Sha256::Midstate& inner_midstate() const { return inner_.midstate(); }
+  const Sha256::Midstate& outer_midstate() const { return outer_.midstate(); }
+
  private:
   Sha256 inner_;  // after H(key ^ ipad)
   Sha256 outer_;  // after H(key ^ opad)

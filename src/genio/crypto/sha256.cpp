@@ -132,6 +132,93 @@ __attribute__((target("sha,sse4.1,ssse3"))) void compress_sha_ni(
 }
 #endif
 
+using BlockFn = void (*)(std::uint32_t* state, const std::uint8_t* blocks, std::size_t count);
+
+// A lane backend that loops one single-stream kernel over the lanes: each
+// lane's block is stored big-endian, the byte order that kernel reads.
+template <BlockFn kCompress>
+void compress_each_lane(Sha256Lanes::State& state, const Sha256Lanes::Block& block) {
+  for (std::size_t lane = 0; lane < Sha256Lanes::kLanes; ++lane) {
+    std::uint32_t words[8] = {};
+    std::uint8_t bytes[64] = {};
+    for (std::size_t i = 0; i < 8; ++i) words[i] = state[i][lane];
+    for (std::size_t j = 0; j < 16; ++j) {
+      const std::uint32_t w = block[j][lane];
+      bytes[4 * j] = static_cast<std::uint8_t>(w >> 24);
+      bytes[4 * j + 1] = static_cast<std::uint8_t>(w >> 16);
+      bytes[4 * j + 2] = static_cast<std::uint8_t>(w >> 8);
+      bytes[4 * j + 3] = static_cast<std::uint8_t>(w);
+    }
+    kCompress(words, bytes, 1);
+    for (std::size_t i = 0; i < 8; ++i) state[i][lane] = words[i];
+  }
+}
+
+#if defined(__x86_64__)
+// The AVX-512F lane kernel: process_block with every 32-bit variable a
+// 16-lane vector. Rotates and shifts use the maskz forms under an all-ones
+// mask, which emit the same unmasked vprord/vpsrld: GCC 12's plain
+// _mm512_ror_epi32/_mm512_srli_epi32 pass _mm512_undefined_epi32() and
+// trip -Wuninitialized (GCC bug 105593). Ch, Maj and each three-way XOR
+// are one vpternlogd.
+template <int N>
+__attribute__((target("avx512f"))) inline __m512i rotr16(__m512i x) {
+  return _mm512_maskz_ror_epi32(0xFFFF, x, N);
+}
+
+template <int N>
+__attribute__((target("avx512f"))) inline __m512i shr16(__m512i x) {
+  return _mm512_maskz_srli_epi32(0xFFFF, x, N);
+}
+
+__attribute__((target("avx512f"))) inline __m512i xor3(__m512i a, __m512i b, __m512i c) {
+  return _mm512_ternarylogic_epi32(a, b, c, 0x96);
+}
+
+__attribute__((target("avx512f"))) void compress_lanes_avx512(Sha256Lanes::State& state,
+                                                             const Sha256Lanes::Block& block) {
+  __m512i w[16];  // W[t] lives in w[t % 16]
+  for (std::size_t j = 0; j < 16; ++j) w[j] = _mm512_loadu_si512(block[j].data());
+  __m512i v[8];
+  for (std::size_t i = 0; i < 8; ++i) v[i] = _mm512_loadu_si512(state[i].data());
+  __m512i a = v[0], b = v[1], c = v[2], d = v[3], e = v[4], f = v[5], g = v[6], h = v[7];
+
+#pragma GCC unroll 64
+  for (int t = 0; t < 64; ++t) {
+    if (t >= 16) {
+      const __m512i w15 = w[(t - 15) & 15];
+      const __m512i w2 = w[(t - 2) & 15];
+      const __m512i s0 = xor3(rotr16<7>(w15), rotr16<18>(w15), shr16<3>(w15));
+      const __m512i s1 = xor3(rotr16<17>(w2), rotr16<19>(w2), shr16<10>(w2));
+      w[t & 15] = _mm512_add_epi32(_mm512_add_epi32(w[t & 15], s0),
+                                   _mm512_add_epi32(w[(t - 7) & 15], s1));
+    }
+    const __m512i s1 = xor3(rotr16<6>(e), rotr16<11>(e), rotr16<25>(e));
+    const __m512i ch = _mm512_ternarylogic_epi32(e, f, g, 0xca);  // e ? f : g
+    const __m512i temp1 = _mm512_add_epi32(
+        _mm512_add_epi32(h, s1),
+        _mm512_add_epi32(ch, _mm512_add_epi32(
+                                 _mm512_set1_epi32(static_cast<int>(kRoundConstants[t])),
+                                 w[t & 15])));
+    const __m512i s0 = xor3(rotr16<2>(a), rotr16<13>(a), rotr16<22>(a));
+    const __m512i maj = _mm512_ternarylogic_epi32(a, b, c, 0xe8);  // majority
+    h = g;
+    g = f;
+    f = e;
+    e = _mm512_add_epi32(d, temp1);
+    d = c;
+    c = b;
+    b = a;
+    a = _mm512_add_epi32(temp1, _mm512_add_epi32(s0, maj));
+  }
+
+  const __m512i out[8] = {a, b, c, d, e, f, g, h};
+  for (std::size_t i = 0; i < 8; ++i) {
+    _mm512_storeu_si512(state[i].data(), _mm512_add_epi32(v[i], out[i]));
+  }
+}
+#endif
+
 }  // namespace
 
 Sha256::Kernel Sha256::dispatched_kernel() {
@@ -214,9 +301,41 @@ Digest Sha256::finish() {
   return out;
 }
 
+const Sha256::Midstate& Sha256::midstate() const {
+  if (buffer_len_ != 0) throw std::logic_error("SHA-256: midstate off a block boundary");
+  return state_;
+}
+
 Digest Sha256::hash(BytesView data) { return Sha256().update(data).finish(); }
 
 Digest Sha256::hash(std::string_view text) { return Sha256().update(text).finish(); }
+
+Sha256Lanes::Kernel Sha256Lanes::dispatched_kernel() {
+  static const Kernel kernel = [] {
+    if (cpu::has_avx512f()) return Kernel::kAvx512f;
+    return Sha256::dispatched_kernel() == Sha256::Kernel::kShaNi ? Kernel::kShaNi
+                                                                 : Kernel::kScalar;
+  }();
+  return kernel;
+}
+
+bool Sha256Lanes::supports(Kernel kernel) {
+  switch (kernel) {
+    case Kernel::kAvx512f: return dispatched_kernel() == Kernel::kAvx512f;
+    case Kernel::kShaNi: return Sha256::supports(Sha256::Kernel::kShaNi);
+    case Kernel::kScalar: return true;
+  }
+  return false;
+}
+
+Sha256Lanes::Sha256Lanes(Kernel kernel) : compress_(compress_each_lane<compress_scalar>) {
+  if (kernel == Kernel::kScalar) return;
+  if (!supports(kernel)) throw std::invalid_argument("SHA-256 lanes: this CPU lacks the kernel");
+#if defined(__x86_64__)
+  compress_ = kernel == Kernel::kAvx512f ? compress_lanes_avx512
+                                         : compress_each_lane<compress_sha_ni>;
+#endif
+}
 
 Bytes digest_bytes(const Digest& d) { return Bytes(d.begin(), d.end()); }
 

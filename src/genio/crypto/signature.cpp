@@ -1,5 +1,6 @@
 #include "genio/crypto/signature.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
@@ -14,6 +15,7 @@ constexpr int kWinternitz = 16;   // w
 constexpr int kLen1 = 64;         // 256 bits / 4 bits-per-digit
 constexpr int kLen2 = 3;          // checksum digits: max 64*15=960 < 16^3
 constexpr int kLen = kLen1 + kLen2;
+constexpr std::uint8_t kMaxHeight = 20;
 
 void store_u32_be(std::uint8_t* out, std::uint32_t v) {
   out[0] = static_cast<std::uint8_t>(v >> 24);
@@ -76,6 +78,77 @@ Digest hash_pair(const Digest& left, const Digest& right) {
   return h.finish();
 }
 
+using Lanes = Sha256Lanes;
+
+constexpr std::uint32_t kPad = 0x80000000;  // the 0x80 byte that opens the padding
+
+void broadcast(Lanes::State& state, const Sha256::Midstate& words) {
+  for (std::size_t i = 0; i < words.size(); ++i) state[i].fill(words[i]);
+}
+
+// Lays `state` into rows first_row .. first_row+7 of `block`.
+void put_state(Lanes::Block& block, std::size_t first_row, const Lanes::State& state) {
+  std::copy(state.begin(), state.end(), block.begin() + static_cast<std::ptrdiff_t>(first_row));
+}
+
+// The WOTS+ leaves (compress_pk of the 67 chain tops) of leaves base ..
+// base+15, one leaf per lane. The lanes run each chain c in lockstep on
+// the blocks that chain_seed, chain_step and compress_pk would hash, kept
+// as words (bit lengths count the pad block an HMAC midstate absorbed):
+//   chain_seed   [leaf, c, pad, 0..., 576] from the ipad midstate, then
+//                [inner, pad, 0..., 768] from the opad midstate;
+//   chain_step   15 times [value, c, step, pad, 0..., 320] from the IV,
+//                each step's state the next step's message words;
+//   compress_pk  the tops two per block, [top 2k, top 2k+1], and last
+//                [top 66, pad, 0..., 17152].
+std::array<Digest, Lanes::kLanes> wots_leaf_batch(const HmacSha256& prf, const Lanes& lanes,
+                                                  std::uint32_t base) {
+  static_assert(kLen % 2 == 1, "the last chain top shares its block with the padding");
+  const Sha256::Midstate iv = Sha256().midstate();
+  alignas(64) Lanes::Block seed_block{};
+  alignas(64) Lanes::Block outer_block{};
+  alignas(64) Lanes::Block step_block{};
+  alignas(64) Lanes::Block pk_block{};
+  alignas(64) Lanes::State value{};
+  alignas(64) Lanes::State pk{};
+  for (std::uint32_t lane = 0; lane < Lanes::kLanes; ++lane) seed_block[0][lane] = base + lane;
+  seed_block[2].fill(kPad);
+  seed_block[15].fill((64 + 8) * 8);
+  outer_block[8].fill(kPad);
+  outer_block[15].fill((64 + 32) * 8);
+  step_block[10].fill(kPad);
+  step_block[15].fill(40 * 8);
+  broadcast(pk, iv);
+
+  for (int c = 0; c < kLen; ++c) {
+    seed_block[1].fill(static_cast<std::uint32_t>(c));
+    step_block[8].fill(static_cast<std::uint32_t>(c));
+    broadcast(value, prf.inner_midstate());
+    lanes.compress(value, seed_block);
+    put_state(outer_block, 0, value);
+    broadcast(value, prf.outer_midstate());
+    lanes.compress(value, outer_block);
+    for (int step = 0; step < kWinternitz - 1; ++step) {
+      put_state(step_block, 0, value);
+      step_block[9].fill(static_cast<std::uint32_t>(step));
+      broadcast(value, iv);
+      lanes.compress(value, step_block);
+    }
+    put_state(pk_block, 8 * static_cast<std::size_t>(c % 2), value);
+    if (c % 2 == 1) lanes.compress(pk, pk_block);
+  }
+  pk_block[8].fill(kPad);
+  for (std::size_t row = 9; row < 15; ++row) pk_block[row].fill(0);
+  pk_block[15].fill(kLen * 32 * 8);
+  lanes.compress(pk, pk_block);
+
+  std::array<Digest, Lanes::kLanes> leaves;
+  for (std::size_t lane = 0; lane < Lanes::kLanes; ++lane) {
+    for (std::size_t i = 0; i < 8; ++i) store_u32_be(leaves[lane].data() + 4 * i, pk[i][lane]);
+  }
+  return leaves;
+}
+
 }  // namespace
 
 Bytes Signature::serialize() const {
@@ -94,7 +167,7 @@ Result<Signature> Signature::deserialize(BytesView data) {
   sig.leaf_index = common::get_u32_be(data, 0);
   const std::uint32_t n_chains = common::get_u32_be(data, 4);
   const std::uint32_t n_path = common::get_u32_be(data, 8);
-  if (n_chains != kLen || n_path > 32) {
+  if (n_chains != kLen || n_path > kMaxHeight) {
     return common::parse_error("signature has invalid structure");
   }
   const std::size_t expect = 12 + 32ull * (n_chains + n_path);
@@ -119,8 +192,9 @@ std::string PublicKey::fingerprint() const {
   return digest_hex(Sha256::hash(data)).substr(0, 16);
 }
 
-SigningKey SigningKey::generate(BytesView seed, std::uint8_t height) {
-  if (height < 1 || height > 20) {
+SigningKey SigningKey::generate(BytesView seed, std::uint8_t height,
+                                Sha256Lanes::Kernel kernel) {
+  if (height < 1 || height > kMaxHeight) {
     throw std::invalid_argument("SigningKey height must be in [1, 20]");
   }
   SigningKey key;
@@ -128,16 +202,17 @@ SigningKey SigningKey::generate(BytesView seed, std::uint8_t height) {
   key.height_ = height;
 
   const HmacSha256 prf(key.seed_);
+  const Lanes lanes(kernel);
   const std::uint32_t n_leaves = 1u << height;
   std::vector<Digest> leaves;
   leaves.reserve(n_leaves);
-  for (std::uint32_t leaf = 0; leaf < n_leaves; ++leaf) {
-    std::vector<Digest> tops;
-    tops.reserve(kLen);
-    for (int c = 0; c < kLen; ++c) {
-      tops.push_back(chain_apply(chain_seed(prf, leaf, c), c, 0, kWinternitz - 1));
-    }
-    leaves.push_back(compress_pk(tops));
+  // Below height 4 the spare lanes compute leaf indices past 2^height,
+  // whose results are dropped.
+  for (std::uint32_t base = 0; base < n_leaves; base += Lanes::kLanes) {
+    const auto batch = wots_leaf_batch(prf, lanes, base);
+    const std::size_t count = std::min<std::size_t>(Lanes::kLanes, n_leaves - base);
+    leaves.insert(leaves.end(), batch.begin(),
+                  batch.begin() + static_cast<std::ptrdiff_t>(count));
   }
 
   key.tree_.push_back(std::move(leaves));
@@ -192,6 +267,9 @@ Result<Signature> SigningKey::sign(std::string_view message) {
 Status verify(const PublicKey& public_key, BytesView message, const Signature& signature) {
   if (signature.wots_chains.size() != kLen) {
     return common::signature_invalid("wrong WOTS chain count");
+  }
+  if (public_key.height > kMaxHeight) {
+    return common::signature_invalid("key height above the maximum");
   }
   if (signature.auth_path.size() != public_key.height) {
     return common::signature_invalid("auth path length does not match key height");

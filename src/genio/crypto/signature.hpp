@@ -49,7 +49,9 @@ struct PublicKey {
 class SigningKey {
  public:
   /// `height` in [1, 20]; the key can produce 2^height signatures.
-  static SigningKey generate(BytesView seed, std::uint8_t height);
+  /// `kernel` lets tests build a key on each SHA-256 lane backend.
+  static SigningKey generate(BytesView seed, std::uint8_t height,
+                             Sha256Lanes::Kernel kernel = Sha256Lanes::dispatched_kernel());
 
   const PublicKey& public_key() const { return public_key_; }
 

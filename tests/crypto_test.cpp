@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "genio/common/rng.hpp"
 #include "genio/crypto/aes.hpp"
@@ -162,6 +163,134 @@ TEST(Sha256, StreamingMatchesOneShot) {
     h.update(gc::BytesView(&data[i], 1));
   }
   EXPECT_EQ(h.finish(), cr::Sha256::hash(data));
+}
+
+TEST(Sha256, MidstateOnlyAtBlockBoundary) {
+  cr::Sha256 h;
+  EXPECT_EQ(h.midstate()[0], 0x6a09e667u);  // the IV
+  h.update(gc::Bytes(64, 0x36));
+  EXPECT_NO_THROW(h.midstate());
+  h.update(gc::Bytes(3, 0x36));
+  EXPECT_THROW(h.midstate(), std::logic_error);
+}
+
+// ------------------------------------------------------- SHA-256 lanes
+
+namespace {
+
+using LaneKernel = cr::Sha256Lanes::Kernel;
+
+// Runs each test once per lane backend; a backend the CPU lacks skips.
+class LaneKernels : public testing::TestWithParam<LaneKernel> {
+ protected:
+  void SetUp() override {
+    if (!cr::Sha256Lanes::supports(GetParam())) GTEST_SKIP() << "CPU lacks this lane backend";
+  }
+};
+
+std::uint32_t random_word(gc::Rng& rng) { return static_cast<std::uint32_t>(rng.next_u64()); }
+
+std::uint32_t load_u32_be(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+
+}  // namespace
+
+TEST_P(LaneKernels, MatchesScalarOnRandomBatches) {
+  if (GetParam() == LaneKernel::kScalar) GTEST_SKIP() << "kScalar is the oracle";
+  const cr::Sha256Lanes lanes(GetParam());
+  const cr::Sha256Lanes oracle(LaneKernel::kScalar);
+  gc::Rng rng(1501);
+  for (int batch = 0; batch < 1000; ++batch) {
+    cr::Sha256Lanes::State state{};
+    cr::Sha256Lanes::Block block{};
+    for (auto& row : state) std::generate(row.begin(), row.end(), [&] { return random_word(rng); });
+    for (auto& row : block) std::generate(row.begin(), row.end(), [&] { return random_word(rng); });
+    cr::Sha256Lanes::State expected = state;
+    lanes.compress(state, block);
+    oracle.compress(expected, block);
+    ASSERT_EQ(state, expected) << "batch " << batch;
+  }
+}
+
+TEST_P(LaneKernels, MatchesStreamingSha256) {
+  // Every lane hashes its own random message: the same 1-4 whole blocks
+  // in each lane, then a last block padded by hand around a 0-55-byte
+  // tail. After the whole blocks a lane holds the streaming context's
+  // midstate, and after the last block the digest.
+  const cr::Sha256Lanes lanes(GetParam());
+  gc::Rng rng(1502);
+  for (int round = 0; round < 20; ++round) {
+    const std::size_t whole = 64 * (1 + rng.index(4));
+    std::array<gc::Bytes, cr::Sha256Lanes::kLanes> messages;
+    for (auto& m : messages) m = rng.bytes(whole + rng.index(56));
+    cr::Sha256Lanes::State state{};
+    const cr::Sha256::Midstate iv = cr::Sha256().midstate();
+    for (std::size_t i = 0; i < 8; ++i) state[i].fill(iv[i]);
+    cr::Sha256Lanes::Block block{};
+    for (std::size_t offset = 0; offset < whole; offset += 64) {
+      for (std::size_t lane = 0; lane < cr::Sha256Lanes::kLanes; ++lane) {
+        for (std::size_t j = 0; j < 16; ++j) {
+          block[j][lane] = load_u32_be(messages[lane].data() + offset + 4 * j);
+        }
+      }
+      lanes.compress(state, block);
+    }
+    for (std::size_t lane = 0; lane < cr::Sha256Lanes::kLanes; ++lane) {
+      const gc::Bytes& m = messages[lane];
+      const cr::Sha256::Midstate midstate =
+          cr::Sha256(Kernel::kScalar).update(gc::BytesView(m.data(), whole)).midstate();
+      for (std::size_t i = 0; i < 8; ++i) {
+        ASSERT_EQ(state[i][lane], midstate[i]) << "round " << round << " lane " << lane;
+      }
+      std::array<std::uint8_t, 64> padded{};
+      std::copy(m.begin() + static_cast<std::ptrdiff_t>(whole), m.end(), padded.begin());
+      padded[m.size() - whole] = 0x80;
+      const std::uint64_t bits = 8 * m.size();
+      for (std::size_t i = 0; i < 8; ++i) {
+        padded[56 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+      }
+      for (std::size_t j = 0; j < 16; ++j) block[j][lane] = load_u32_be(padded.data() + 4 * j);
+    }
+    lanes.compress(state, block);
+    for (std::size_t lane = 0; lane < cr::Sha256Lanes::kLanes; ++lane) {
+      const cr::Digest digest = cr::Sha256(Kernel::kScalar).update(messages[lane]).finish();
+      for (std::size_t i = 0; i < 8; ++i) {
+        ASSERT_EQ(state[i][lane], load_u32_be(digest.data() + 4 * i))
+            << "round " << round << " lane " << lane;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cpu, LaneKernels,
+                         testing::Values(LaneKernel::kAvx512f, LaneKernel::kShaNi,
+                                         LaneKernel::kScalar),
+                         [](const testing::TestParamInfo<LaneKernel>& info) {
+                           switch (info.param) {
+                             case LaneKernel::kAvx512f: return "Avx512f";
+                             case LaneKernel::kShaNi: return "ShaNiLoop";
+                             case LaneKernel::kScalar: break;
+                           }
+                           return "ScalarLoop";
+                         });
+
+TEST(Sha256Lanes, DispatchPicksAvx512fWhenCpuSupportsIt) {
+#if defined(__x86_64__)
+  const bool avx512f = __builtin_cpu_supports("avx512f");
+#else
+  const bool avx512f = false;
+#endif
+  const LaneKernel loop = cr::Sha256::dispatched_kernel() == Kernel::kShaNi ? LaneKernel::kShaNi
+                                                                            : LaneKernel::kScalar;
+  EXPECT_EQ(cr::Sha256Lanes::dispatched_kernel(), avx512f ? LaneKernel::kAvx512f : loop);
+  EXPECT_EQ(cr::Sha256Lanes::supports(LaneKernel::kAvx512f), avx512f);
+  EXPECT_EQ(cr::Sha256Lanes::supports(LaneKernel::kShaNi), cr::Sha256::supports(Kernel::kShaNi));
+  EXPECT_TRUE(cr::Sha256Lanes::supports(LaneKernel::kScalar));
+  if (!avx512f) {
+    EXPECT_THROW(cr::Sha256Lanes{LaneKernel::kAvx512f}, std::invalid_argument);
+  }
 }
 
 // --------------------------------------------------------------- HMAC/HKDF
@@ -561,6 +690,59 @@ TEST(Signature, KnownAnswer) {
   const auto sig = key.sign(std::string_view("kat-message")).value();
   EXPECT_EQ(cr::digest_hex(cr::Sha256::hash(sig.serialize())),
             "da5fcc9aab90fd0166462c8aba6c74af285c46b619594b4e266328ea0811f597");
+
+  // Keygen runs 16 leaves per lane batch: height 1 and 3 are partial
+  // batches, 4 one full batch, 5 two and 8 sixteen. The 100-byte seed is
+  // hashed before it keys the chain-seed HMAC. Every backend this CPU has
+  // must build the same keys.
+  struct Root {
+    std::uint8_t height;
+    const char* hex;
+  };
+  const Root roots[] = {
+      {1, "57750e540e3cc3163c957eccb3b0ac5af3c39ea7931464fb62a4efb43e938cf3"},
+      {3, "ae4d6d5e0b9995c64f97de953a3ad362b11f97d8280a775fcb8fd76d6a1a8041"},
+      {4, "316ce3967a8cf9f632073619970c05ddd7f5ff5079be334011a4e4d2859fc112"},
+      {5, "e3e4581bcee9b833b42bacc783a3e270b95ecc50dadc9d231d16a82ba0d02acd"},
+      {8, "3adf7b6a85352cf10f9b128a3f49e5a928a9e506111ec546074d101169a5f64f"},
+  };
+  gc::Bytes long_seed(100);
+  std::iota(long_seed.begin(), long_seed.end(), std::uint8_t{0});
+  for (const LaneKernel kernel : {LaneKernel::kAvx512f, LaneKernel::kShaNi, LaneKernel::kScalar}) {
+    if (!cr::Sha256Lanes::supports(kernel)) continue;
+    SCOPED_TRACE("lane backend " + std::to_string(static_cast<int>(kernel)));
+    for (const Root& r : roots) {
+      const auto k = cr::SigningKey::generate(gc::to_bytes("kat-seed"), r.height, kernel);
+      EXPECT_EQ(cr::digest_hex(k.public_key().root), r.hex) << "height " << int{r.height};
+    }
+    EXPECT_EQ(cr::digest_hex(cr::SigningKey::generate(long_seed, 4, kernel).public_key().root),
+              "6556b4b38c767e54aeb1e1070e07ae1a54c4b047a5cf7dbef1ca25538d0e5af3");
+    auto h5 = cr::SigningKey::generate(gc::to_bytes("kat-seed"), 5, kernel);
+    cr::Signature last;
+    while (h5.signatures_remaining() > 0) last = h5.sign(std::string_view("kat-message")).value();
+    EXPECT_EQ(last.leaf_index, 31u);
+    EXPECT_EQ(cr::digest_hex(cr::Sha256::hash(last.serialize())),
+              "492027f2f41c0ba7319d92b76cbb62f5a40539ae021f5100a5b0df4d8d0918af");
+  }
+}
+
+TEST(Signature, VerifyRejectsHeightAboveTwenty) {
+  // Heights above the 20 that generate() allows never reach the
+  // 1 << height leaf-range check (undefined from 32 up), and the wire
+  // form no longer carries more than 20 auth-path entries.
+  cr::Signature sig;
+  sig.wots_chains.assign(67, cr::Digest{});
+  for (const std::uint8_t height : {21, 32, 255}) {
+    cr::PublicKey key;
+    key.height = height;
+    sig.auth_path.assign(height, cr::Digest{});
+    const auto st = cr::verify(key, std::string_view("m"), sig);
+    ASSERT_FALSE(st.ok()) << int{height};
+    EXPECT_EQ(st.error().code(), gc::ErrorCode::kSignatureInvalid);
+    EXPECT_FALSE(cr::Signature::deserialize(sig.serialize()).ok()) << int{height};
+  }
+  sig.auth_path.assign(20, cr::Digest{});
+  EXPECT_TRUE(cr::Signature::deserialize(sig.serialize()).ok());
 }
 
 TEST(Signature, DeterministicKeyFromSeed) {
