@@ -1,16 +1,21 @@
-// WOTS+ keygen on the lane-sliced SHA-256 kernel. Every GenioPlatform
-// generates its PKI keys (480 one-time keys, ~564k compressions) before a
-// scenario starts, and SigningKey::generate runs them 16 leaves at a time
-// on Sha256Lanes. Three parts:
+// WOTS+ on the lane-sliced SHA-256 kernel. Every GenioPlatform generates
+// its PKI keys (176 one-time keys by default) before a scenario starts:
+// SigningKey::generate runs them 16 leaves at a time on Sha256Lanes, and
+// sign() and verify() run a leaf's 67 chains 16 at a time. Four parts:
 //   identity  seeded batches of random states and blocks through every
 //             lane backend the CPU has, compared lane by lane against the
-//             per-lane kScalar loop (the oracle), plus a height-5 key
-//             built on each backend against the kScalar-built one;
+//             per-lane kScalar loop (the oracle), plus a key built on
+//             each backend whose root and every signature (32 at height
+//             5 in the smoke run, 256 at height 8 in the full one) equal
+//             the kScalar-built key's, and verify() on that backend
+//             accepts them all;
 //   ratio     16-lane compressions per second of the dispatched backend
 //             over the kScalar loop, timed alternately in one process, so
 //             the floor does not move with the host's speed: >= 10x when
 //             AVX-512F is dispatched, >= 3x for the SHA-NI loop, and no
 //             floor on a host with only the scalar kernel;
+//   sign      sign() and verify() per call on each backend, as median and
+//             IQR over the identity key's signatures (informational);
 //   keygen    SigningKey::generate at heights 4, 6 and 8 and one default
 //             GenioPlatform build, as median and IQR (informational).
 // Invariants (exit nonzero if any breaks): identity always; the ratio
@@ -123,6 +128,33 @@ double time_compress(const Lanes& lanes, int calls, std::uint32_t& sink) {
   return s;
 }
 
+// Every signature of one key built on `kernel`, with each sign() and
+// verify() call timed; `verified` is false if verify() rejected any.
+struct SignRun {
+  cr::Digest root{};
+  std::vector<gc::Bytes> signatures;
+  std::vector<double> sign_us, verify_us;
+  bool verified = true;
+};
+
+SignRun sign_every_leaf(LaneKernel kernel, std::uint8_t height) {
+  auto key = cr::SigningKey::generate(gc::to_bytes("bench-keygen"), height, kernel);
+  SignRun run;
+  run.root = key.public_key().root;
+  for (std::uint32_t leaf = 0; key.signatures_remaining() > 0; ++leaf) {
+    const gc::Bytes message = gc::to_bytes("bench-sign-" + std::to_string(leaf));
+    auto t0 = Clock::now();
+    const cr::Signature sig = key.sign(message).value();
+    run.sign_us.push_back(seconds_since(t0) * 1e6);
+    t0 = Clock::now();
+    const bool ok = cr::verify(key.public_key(), message, sig, kernel).ok();
+    run.verify_us.push_back(seconds_since(t0) * 1e6);
+    run.verified = run.verified && ok;
+    run.signatures.push_back(sig.serialize());
+  }
+  return run;
+}
+
 template <typename Fn>
 Spread time_ms(int reps, Fn&& fn) {
   fn();  // warm-up
@@ -154,20 +186,28 @@ int main(int argc, char** argv) {
 
   // -- identity ---------------------------------------------------------------
   const int batches = smoke ? 1000 : 10000;
+  const std::uint8_t sign_height = smoke ? 5 : 8;
   bool identity_ok = true;
-  const cr::Digest scalar_root =
-      cr::SigningKey::generate(gc::to_bytes("bench-keygen"), 5, LaneKernel::kScalar)
-          .public_key()
-          .root;
+  struct SignRow {
+    LaneKernel kernel;
+    Spread sign_us, verify_us;
+  };
+  std::vector<SignRow> sign_rows;
+  const SignRun scalar_run = sign_every_leaf(LaneKernel::kScalar, sign_height);
   for (const LaneKernel kernel : kAllKernels) {
     if (!Lanes::supports(kernel)) continue;
     const bool lanes_ok = lanes_match_scalar(kernel, batches);
-    const bool root_ok =
-        cr::SigningKey::generate(gc::to_bytes("bench-keygen"), 5, kernel).public_key().root ==
-        scalar_root;
-    std::printf("identity %-12s %d random batches %s, height-5 root %s\n", kernel_name(kernel),
-                batches, lanes_ok ? "match" : "DIFFER", root_ok ? "matches" : "DIFFERS");
-    identity_ok = identity_ok && lanes_ok && root_ok;
+    const SignRun run =
+        kernel == LaneKernel::kScalar ? scalar_run : sign_every_leaf(kernel, sign_height);
+    const bool root_ok = run.root == scalar_run.root;
+    const bool sigs_ok = run.signatures == scalar_run.signatures;
+    std::printf("identity %-12s %d random batches %s, height-%d root %s, %zu signatures %s, "
+                "verify %s\n",
+                kernel_name(kernel), batches, lanes_ok ? "match" : "DIFFER", sign_height,
+                root_ok ? "matches" : "DIFFERS", run.signatures.size(),
+                sigs_ok ? "match" : "DIFFER", run.verified ? "accepts" : "REJECTS");
+    identity_ok = identity_ok && lanes_ok && root_ok && sigs_ok && run.verified;
+    sign_rows.push_back({kernel, spread(run.sign_us), spread(run.verify_us)});
   }
 
   // -- ratio: dispatched backend over the kScalar loop ------------------------
@@ -215,6 +255,11 @@ int main(int argc, char** argv) {
     genio::core::GenioPlatform built(config);
     sink ^= static_cast<std::uint32_t>(built.onus().size());
   });
+  for (const SignRow& row : sign_rows) {
+    std::printf("%-12s sign %.1f us [%.1f, %.1f], verify %.1f us [%.1f, %.1f]\n",
+                kernel_name(row.kernel), row.sign_us.median, row.sign_us.q1, row.sign_us.q3,
+                row.verify_us.median, row.verify_us.q1, row.verify_us.q3);
+  }
   for (const Row& row : keygen) {
     std::printf("keygen height %d: %.2f ms [%.2f, %.2f]\n", row.height, row.ms.median,
                 row.ms.q1, row.ms.q3);
@@ -223,7 +268,11 @@ int main(int argc, char** argv) {
               platform.q1, platform.q3);
 
   bool invariants_hold = identity_ok;
-  if (!identity_ok) std::fprintf(stderr, "INVARIANT VIOLATED: lane backends match kScalar\n");
+  if (!identity_ok) {
+    std::fprintf(stderr,
+                 "INVARIANT VIOLATED: lane backends match kScalar (blocks, root, signatures) "
+                 "and verify() accepts\n");
+  }
   if (GENIO_BENCH_SANITIZED) {
     std::printf("note: ratio floor reported but not enforced (sanitizer build)\n");
   } else if (ratio < floor) {
@@ -243,6 +292,7 @@ int main(int argc, char** argv) {
                kernel_name(dispatched), sha256_kernel);
   std::fprintf(f, "  \"byte_identity\": %s,\n  \"identity_batches\": %d,\n",
                identity_ok ? "true" : "false", batches);
+  std::fprintf(f, "  \"identity_signatures\": %zu,\n", scalar_run.signatures.size());
   std::fprintf(f,
                "  \"block_ns\": {\"dispatched\": {\"median\": %.1f, \"q1\": %.1f, \"q3\": %.1f}, "
                "\"scalar_loop\": {\"median\": %.1f, \"q1\": %.1f, \"q3\": %.1f}},\n",
@@ -250,6 +300,15 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"ratio_over_scalar_loop\": %.2f,\n  \"ratio_floor\": %.1f,\n", ratio,
                floor);
   std::fprintf(f, "  \"ratio_floor_enforced\": %s,\n", GENIO_BENCH_SANITIZED ? "false" : "true");
+  for (const bool sign : {true, false}) {
+    std::fprintf(f, "  \"%s_us\": {", sign ? "sign" : "verify");
+    for (std::size_t i = 0; i < sign_rows.size(); ++i) {
+      const Spread& us = sign ? sign_rows[i].sign_us : sign_rows[i].verify_us;
+      std::fprintf(f, "\"%s\": {\"median\": %.2f, \"q1\": %.2f, \"q3\": %.2f}%s",
+                   kernel_name(sign_rows[i].kernel), us.median, us.q1, us.q3,
+                   i + 1 < sign_rows.size() ? ", " : "},\n");
+    }
+  }
   std::fprintf(f, "  \"keygen_ms\": {");
   for (std::size_t i = 0; i < keygen.size(); ++i) {
     std::fprintf(f, "\"h%d\": {\"median\": %.3f, \"q1\": %.3f, \"q3\": %.3f}%s", keygen[i].height,

@@ -1,5 +1,6 @@
 #include "genio/core/platform.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "genio/hardening/scap.hpp"
@@ -12,7 +13,25 @@ namespace {
 constexpr auto kValidFrom = common::SimTime::from_days(0);
 constexpr auto kValidTo = common::SimTime::from_days(3650);
 
+// What each platform key signs, which sizes it through platform_key_height().
+// The root CA signs its own certificate, the OLT's, the boot signer's, one
+// per ONU, and one a scenario issues (the ONL image builder).
+constexpr int kRootSignsBesidesOnus = 4;
+// The OLT signs one handshake transcript per ONU authentication, and the
+// rekey drill authenticates every ONU 5 times.
+constexpr int kOltSignsPerOnu = 5;
+constexpr int kOnuSigns = 5;         // one per authentication, as for the OLT
+constexpr int kBootSignerSigns = 3;  // shim, grub, kernel
+constexpr int kFimSigns = 1;         // the baseline
+
 }  // namespace
+
+std::uint8_t platform_key_height(int signatures) {
+  const std::uint64_t needed = 2 * static_cast<std::uint64_t>(std::max(signatures, 0));
+  std::uint8_t height = 4;
+  while ((std::uint64_t{1} << height) < needed) ++height;
+  return height;
+}
 
 GenioPlatform::GenioPlatform(PlatformConfig config)
     : config_(config),
@@ -66,8 +85,9 @@ void GenioPlatform::schedule_tdma_cycle() {
 
 void GenioPlatform::build_pki() {
   root_ca_ = std::make_unique<crypto::CertificateAuthority>(
-      crypto::CertificateAuthority::create_root("genio-root", rng_.bytes(32),
-                                                kValidFrom, kValidTo, 8));
+      crypto::CertificateAuthority::create_root(
+          "genio-root", rng_.bytes(32), kValidFrom, kValidTo,
+          platform_key_height(config_.onu_count + kRootSignsBesidesOnus)));
   trust_.add_root(root_ca_->certificate());
 }
 
@@ -80,7 +100,8 @@ void GenioPlatform::build_pon() {
   olt_ = std::make_unique<pon::Olt>("olt-1", odn_.get(), &clock_, &logger_, &bus_,
                                     policy);
 
-  auto olt_key = crypto::SigningKey::generate(rng_.bytes(32), 6);
+  auto olt_key = crypto::SigningKey::generate(
+      rng_.bytes(32), platform_key_height(kOltSignsPerOnu * config_.onu_count));
   auto olt_cert = root_ca_
                       ->issue("olt-1", olt_key.public_key(), kValidFrom, kValidTo,
                               {crypto::KeyUsage::kNodeAuth})
@@ -95,7 +116,7 @@ void GenioPlatform::build_pon() {
     // indices), so a rejection would be a scheme bug.
     (void)olt_->register_serial(serial);
     auto onu = std::make_unique<pon::Onu>(serial, odn_.get(), &clock_, &logger_);
-    auto key = crypto::SigningKey::generate(rng_.bytes(32), 4);
+    auto key = crypto::SigningKey::generate(rng_.bytes(32), platform_key_height(kOnuSigns));
     auto cert = root_ca_
                     ->issue(serial, key.public_key(), kValidFrom, kValidTo,
                             {crypto::KeyUsage::kNodeAuth})
@@ -147,7 +168,8 @@ void GenioPlatform::build_host() {
   tpm_ = std::make_unique<os::Tpm>(rng_.bytes(32));
   boot_chain_ = std::make_unique<os::BootChain>(&trust_, tpm_.get());
 
-  auto signer = crypto::SigningKey::generate(rng_.bytes(32), 5);
+  auto signer =
+      crypto::SigningKey::generate(rng_.bytes(32), platform_key_height(kBootSignerSigns));
   auto signer_cert = root_ca_
                          ->issue("genio-boot-signer", signer.public_key(), kValidFrom,
                                  kValidTo, {crypto::KeyUsage::kCodeSigning})
@@ -165,7 +187,7 @@ void GenioPlatform::build_host() {
           .value());
 
   fim_key_ = std::make_unique<crypto::SigningKey>(
-      crypto::SigningKey::generate(rng_.bytes(32), 6));
+      crypto::SigningKey::generate(rng_.bytes(32), platform_key_height(kFimSigns)));
   fim_ = std::make_unique<os::FileIntegrityMonitor>(os::default_olt_fim_rules());
   if (config_.fim_enabled) {
     (void)fim_->init_baseline(host_, *fim_key_);

@@ -87,6 +87,11 @@ struct PlatformConfig {
   std::uint64_t seed = 42;
 };
 
+/// Height of a platform key that signs `signatures` messages: the smallest
+/// h >= 4 (one 16-lane keygen batch) with 2^h >= 2 * signatures, so every
+/// key keeps at least half its one-time leaves spare.
+std::uint8_t platform_key_height(int signatures);
+
 /// Everything known about one registered tenant (business user).
 struct Tenant {
   std::string name;        // doubles as the cluster namespace

@@ -252,7 +252,9 @@ ScenarioResult run_t4_low_level_vulnerabilities() {
                             std::to_string(scan.findings.size()) + " findings)";
       const auto plan = vuln::PatchPlanner::plan(scan, platform.host());
 
-      auto builder = crypto::SigningKey::generate(platform.rng().bytes(32), 6);
+      constexpr int kImageBuilderSigns = 1;  // the kernel update image
+      auto builder = crypto::SigningKey::generate(platform.rng().bytes(32),
+                                                  platform_key_height(kImageBuilderSigns));
       auto cert = platform.root_ca()
                       .issue("onl-builder", builder.public_key(),
                              common::SimTime::from_days(0),

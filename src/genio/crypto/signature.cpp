@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "genio/crypto/hmac.hpp"
@@ -24,30 +25,6 @@ void store_u32_be(std::uint8_t* out, std::uint32_t v) {
   out[3] = static_cast<std::uint8_t>(v);
 }
 
-// PRF for chain seeds: leaf-and-chain-scoped secret start values,
-// HMAC(seed, leaf || chain) under the key's seed.
-Digest chain_seed(const HmacSha256& prf, std::uint32_t leaf, int chain) {
-  std::array<std::uint8_t, 8> info;
-  store_u32_be(info.data(), leaf);
-  store_u32_be(info.data() + 4, static_cast<std::uint32_t>(chain));
-  return prf.mac(BytesView(info.data(), info.size()));
-}
-
-// One step of the WOTS chain, H(value || chain || step); domain-separated
-// by position to resist multi-target shortcuts.
-Digest chain_step(const Digest& value, int chain, int step) {
-  std::array<std::uint8_t, 40> data;
-  std::memcpy(data.data(), value.data(), value.size());
-  store_u32_be(data.data() + 32, static_cast<std::uint32_t>(chain));
-  store_u32_be(data.data() + 36, static_cast<std::uint32_t>(step));
-  return Sha256::hash(BytesView(data.data(), data.size()));
-}
-
-Digest chain_apply(Digest value, int chain, int from, int steps) {
-  for (int s = 0; s < steps; ++s) value = chain_step(value, chain, from + s);
-  return value;
-}
-
 // Map a message digest to 67 base-16 digits (64 message + 3 checksum).
 std::array<int, kLen> message_digits(BytesView message) {
   const Digest digest = Sha256::hash(message);
@@ -65,7 +42,7 @@ std::array<int, kLen> message_digits(BytesView message) {
 }
 
 // Compress the 67 chain-top values into the WOTS public key hash (a leaf).
-Digest compress_pk(const std::vector<Digest>& tops) {
+Digest compress_pk(const std::array<Digest, kLen>& tops) {
   Sha256 h;
   for (const auto& t : tops) h.update(BytesView(t.data(), t.size()));
   return h.finish();
@@ -91,48 +68,78 @@ void put_state(Lanes::Block& block, std::size_t first_row, const Lanes::State& s
   std::copy(state.begin(), state.end(), block.begin() + static_cast<std::ptrdiff_t>(first_row));
 }
 
-// The WOTS+ leaves (compress_pk of the 67 chain tops) of leaves base ..
-// base+15, one leaf per lane. The lanes run each chain c in lockstep on
-// the blocks that chain_seed, chain_step and compress_pk would hash, kept
-// as words (bit lengths count the pad block an HMAC midstate absorbed):
-//   chain_seed   [leaf, c, pad, 0..., 576] from the ipad midstate, then
-//                [inner, pad, 0..., 768] from the opad midstate;
-//   chain_step   15 times [value, c, step, pad, 0..., 320] from the IV,
-//                each step's state the next step's message words;
-//   compress_pk  the tops two per block, [top 2k, top 2k+1], and last
-//                [top 66, pad, 0..., 17152].
-std::array<Digest, Lanes::kLanes> wots_leaf_batch(const HmacSha256& prf, const Lanes& lanes,
-                                                  std::uint32_t base) {
-  static_assert(kLen % 2 == 1, "the last chain top shares its block with the padding");
+Digest lane_digest(const Lanes::State& state, std::size_t lane) {
+  Digest d;
+  for (std::size_t i = 0; i < 8; ++i) store_u32_be(d.data() + 4 * i, state[i][lane]);
+  return d;
+}
+
+void load_lane(Lanes::State& state, std::size_t lane, const Digest& d) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    state[i][lane] = common::get_u32_be(BytesView(d.data(), d.size()), 4 * i);
+  }
+}
+
+// The two hashes of a WOTS+ chain, as the lane-sliced blocks they compress
+// (bit lengths count the pad block an HMAC midstate absorbed):
+//   seed  HMAC(key seed, leaf || chain), the chain's secret start value:
+//         [leaf, chain, pad, 0..., 576] from the ipad midstate, then
+//         [inner, pad, 0..., 768] from the opad midstate;
+//   step  H(value || chain || step), domain-separated by position:
+//         [value, chain, step, pad, 0..., 320] from the IV, each step's
+//         state the next step's message words.
+// Callers set the per-lane rows: seed_block[0..1] and step_block[8..9].
+struct ChainBlocks {
   const Sha256::Midstate iv = Sha256().midstate();
   alignas(64) Lanes::Block seed_block{};
   alignas(64) Lanes::Block outer_block{};
   alignas(64) Lanes::Block step_block{};
-  alignas(64) Lanes::Block pk_block{};
-  alignas(64) Lanes::State value{};
-  alignas(64) Lanes::State pk{};
-  for (std::uint32_t lane = 0; lane < Lanes::kLanes; ++lane) seed_block[0][lane] = base + lane;
-  seed_block[2].fill(kPad);
-  seed_block[15].fill((64 + 8) * 8);
-  outer_block[8].fill(kPad);
-  outer_block[15].fill((64 + 32) * 8);
-  step_block[10].fill(kPad);
-  step_block[15].fill(40 * 8);
-  broadcast(pk, iv);
 
-  for (int c = 0; c < kLen; ++c) {
-    seed_block[1].fill(static_cast<std::uint32_t>(c));
-    step_block[8].fill(static_cast<std::uint32_t>(c));
+  ChainBlocks() {
+    seed_block[2].fill(kPad);
+    seed_block[15].fill((64 + 8) * 8);
+    outer_block[8].fill(kPad);
+    outer_block[15].fill((64 + 32) * 8);
+    step_block[10].fill(kPad);
+    step_block[15].fill(40 * 8);
+  }
+
+  void seed(const HmacSha256& prf, const Lanes& lanes, Lanes::State& value) {
     broadcast(value, prf.inner_midstate());
     lanes.compress(value, seed_block);
     put_state(outer_block, 0, value);
     broadcast(value, prf.outer_midstate());
     lanes.compress(value, outer_block);
+  }
+
+  void step(const Lanes& lanes, Lanes::State& value) {
+    put_state(step_block, 0, value);
+    broadcast(value, iv);
+    lanes.compress(value, step_block);
+  }
+};
+
+// The WOTS+ leaves (compress_pk of the 67 chain tops) of leaves base ..
+// base+15, one leaf per lane: each chain c runs in lockstep across the
+// lanes, seed then 15 steps, and compress_pk takes the tops two per
+// block, [top 2k, top 2k+1], and last [top 66, pad, 0..., 17152].
+std::array<Digest, Lanes::kLanes> wots_leaf_batch(const HmacSha256& prf, const Lanes& lanes,
+                                                  std::uint32_t base) {
+  static_assert(kLen % 2 == 1, "the last chain top shares its block with the padding");
+  ChainBlocks chain;
+  alignas(64) Lanes::Block pk_block{};
+  alignas(64) Lanes::State value{};
+  alignas(64) Lanes::State pk{};
+  for (std::uint32_t lane = 0; lane < Lanes::kLanes; ++lane) chain.seed_block[0][lane] = base + lane;
+  broadcast(pk, chain.iv);
+
+  for (int c = 0; c < kLen; ++c) {
+    chain.seed_block[1].fill(static_cast<std::uint32_t>(c));
+    chain.step_block[8].fill(static_cast<std::uint32_t>(c));
+    chain.seed(prf, lanes, value);
     for (int step = 0; step < kWinternitz - 1; ++step) {
-      put_state(step_block, 0, value);
-      step_block[9].fill(static_cast<std::uint32_t>(step));
-      broadcast(value, iv);
-      lanes.compress(value, step_block);
+      chain.step_block[9].fill(static_cast<std::uint32_t>(step));
+      chain.step(lanes, value);
     }
     put_state(pk_block, 8 * static_cast<std::size_t>(c % 2), value);
     if (c % 2 == 1) lanes.compress(pk, pk_block);
@@ -143,10 +150,48 @@ std::array<Digest, Lanes::kLanes> wots_leaf_batch(const HmacSha256& prf, const L
   lanes.compress(pk, pk_block);
 
   std::array<Digest, Lanes::kLanes> leaves;
-  for (std::size_t lane = 0; lane < Lanes::kLanes; ++lane) {
-    for (std::size_t i = 0; i < 8; ++i) store_u32_be(leaves[lane].data() + 4 * i, pk[i][lane]);
-  }
+  for (std::size_t lane = 0; lane < Lanes::kLanes; ++lane) leaves[lane] = lane_digest(pk, lane);
   return leaves;
+}
+
+// The 67 chains of one leaf on the lanes: chain c takes steps[c] steps,
+// numbered from[c] onward, from the start value `start(blocks, chains,
+// value)` puts in each lane, and its value after the last step is tops[c].
+// Chains run 16 at a time, longest first, so the lanes of a batch finish
+// close together and the short last batch (67 = 4 * 16 + 3) holds the
+// shortest chains; its spare lanes repeat its last chain and are never
+// stored.
+template <typename Start>
+std::array<Digest, kLen> run_chains(const Lanes& lanes, const std::array<int, kLen>& from,
+                                    const std::array<int, kLen>& steps, Start&& start) {
+  std::array<std::uint32_t, kLen> order;
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return steps[a] > steps[b]; });
+
+  ChainBlocks blocks;
+  alignas(64) Lanes::State value{};
+  std::array<Digest, kLen> tops;
+  for (std::size_t first = 0; first < kLen; first += Lanes::kLanes) {
+    const std::size_t count = std::min<std::size_t>(Lanes::kLanes, kLen - first);
+    std::array<std::uint32_t, Lanes::kLanes> chains;
+    for (std::size_t lane = 0; lane < Lanes::kLanes; ++lane) {
+      chains[lane] = order[first + std::min(lane, count - 1)];
+    }
+    blocks.step_block[8] = chains;
+    start(blocks, chains, value);
+    for (int j = 0;; ++j) {
+      for (std::size_t lane = 0; lane < count; ++lane) {
+        if (steps[chains[lane]] == j) tops[chains[lane]] = lane_digest(value, lane);
+      }
+      if (j == steps[chains[0]]) break;
+      for (std::size_t lane = 0; lane < Lanes::kLanes; ++lane) {
+        blocks.step_block[9][lane] = static_cast<std::uint32_t>(from[chains[lane]] + j);
+      }
+      blocks.step(lanes, value);
+    }
+  }
+  return tops;
 }
 
 }  // namespace
@@ -200,6 +245,7 @@ SigningKey SigningKey::generate(BytesView seed, std::uint8_t height,
   SigningKey key;
   key.seed_.assign(seed.begin(), seed.end());
   key.height_ = height;
+  key.kernel_ = kernel;
 
   const HmacSha256 prf(key.seed_);
   const Lanes lanes(kernel);
@@ -239,16 +285,17 @@ Result<Signature> SigningKey::sign(BytesView message) {
     return common::resource_exhausted("one-time signature leaves exhausted");
   }
   const std::uint32_t leaf = next_leaf_++;
-  const auto digits = message_digits(message);
-
   const HmacSha256 prf(seed_);
+  const Lanes lanes(kernel_);
+  const auto tops = run_chains(lanes, {}, message_digits(message),
+                               [&](ChainBlocks& blocks, const auto& chains, Lanes::State& value) {
+                                 blocks.seed_block[0].fill(leaf);
+                                 blocks.seed_block[1] = chains;
+                                 blocks.seed(prf, lanes, value);
+                               });
   Signature sig;
   sig.leaf_index = leaf;
-  sig.wots_chains.reserve(kLen);
-  for (int c = 0; c < kLen; ++c) {
-    sig.wots_chains.push_back(
-        chain_apply(chain_seed(prf, leaf, c), c, 0, digits[static_cast<std::size_t>(c)]));
-  }
+  sig.wots_chains.assign(tops.begin(), tops.end());
 
   std::uint32_t index = leaf;
   for (std::uint8_t level = 0; level < height_; ++level) {
@@ -264,7 +311,8 @@ Result<Signature> SigningKey::sign(std::string_view message) {
                         message.size()));
 }
 
-Status verify(const PublicKey& public_key, BytesView message, const Signature& signature) {
+Status verify(const PublicKey& public_key, BytesView message, const Signature& signature,
+              Sha256Lanes::Kernel kernel) {
   if (signature.wots_chains.size() != kLen) {
     return common::signature_invalid("wrong WOTS chain count");
   }
@@ -279,13 +327,14 @@ Status verify(const PublicKey& public_key, BytesView message, const Signature& s
   }
 
   const auto digits = message_digits(message);
-  std::vector<Digest> tops;
-  tops.reserve(kLen);
-  for (int c = 0; c < kLen; ++c) {
-    const int done = digits[static_cast<std::size_t>(c)];
-    tops.push_back(chain_apply(signature.wots_chains[static_cast<std::size_t>(c)], c, done,
-                               (kWinternitz - 1) - done));
-  }
+  std::array<int, kLen> remaining;
+  for (std::size_t c = 0; c < kLen; ++c) remaining[c] = (kWinternitz - 1) - digits[c];
+  const auto tops = run_chains(Lanes(kernel), digits, remaining,
+                               [&](ChainBlocks&, const auto& chains, Lanes::State& value) {
+                                 for (std::size_t lane = 0; lane < Lanes::kLanes; ++lane) {
+                                   load_lane(value, lane, signature.wots_chains[chains[lane]]);
+                                 }
+                               });
   Digest node = compress_pk(tops);
 
   std::uint32_t index = signature.leaf_index;

@@ -49,7 +49,8 @@ struct PublicKey {
 class SigningKey {
  public:
   /// `height` in [1, 20]; the key can produce 2^height signatures.
-  /// `kernel` lets tests build a key on each SHA-256 lane backend.
+  /// `kernel` lets tests build a key on each SHA-256 lane backend; the
+  /// key's sign() runs on the same one.
   static SigningKey generate(BytesView seed, std::uint8_t height,
                              Sha256Lanes::Kernel kernel = Sha256Lanes::dispatched_kernel());
 
@@ -69,12 +70,15 @@ class SigningKey {
   Bytes seed_;
   std::uint8_t height_ = 0;
   std::uint32_t next_leaf_ = 0;
+  Sha256Lanes::Kernel kernel_ = Sha256Lanes::Kernel::kScalar;
   PublicKey public_key_;
   std::vector<std::vector<Digest>> tree_;  // tree_[level][i]; level 0 = leaves
 };
 
-/// Verify `signature` over `message` against `public_key`.
-Status verify(const PublicKey& public_key, BytesView message, const Signature& signature);
+/// Verify `signature` over `message` against `public_key`. `kernel` lets
+/// tests verify on each SHA-256 lane backend.
+Status verify(const PublicKey& public_key, BytesView message, const Signature& signature,
+              Sha256Lanes::Kernel kernel = Sha256Lanes::dispatched_kernel());
 Status verify(const PublicKey& public_key, std::string_view message,
               const Signature& signature);
 

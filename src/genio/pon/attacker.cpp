@@ -77,7 +77,7 @@ void RogueOnu::on_downstream(const GemFrame& frame) {
       odn_->upstream(up);
     } else if (msg->type == ControlType::kAssignOnuId &&
                msg->field("serial") == claimed_serial_) {
-      onu_id_ = static_cast<std::uint16_t>(std::stoi(msg->field("onu_id", "0")));
+      if (const auto id = parse_onu_id(msg->field("onu_id"))) onu_id_ = *id;
     } else if (msg->type == ControlType::kRangingRequest &&
                msg->field("serial") == claimed_serial_) {
       ControlMessage response;

@@ -1,5 +1,7 @@
 #include "genio/pon/control.hpp"
 
+#include <charconv>
+
 #include "genio/common/strings.hpp"
 
 namespace genio::pon {
@@ -56,6 +58,16 @@ common::Result<ControlMessage> ControlMessage::decode(common::BytesView payload)
                        std::string(parts[i].substr(eq + 1)));
   }
   return msg;
+}
+
+common::Result<std::uint16_t> parse_onu_id(std::string_view text) {
+  unsigned value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < 1 || value >= kBroadcastOnuId) {
+    return common::parse_error("invalid onu_id '" + std::string(text) + "'");
+  }
+  return static_cast<std::uint16_t>(value);
 }
 
 }  // namespace genio::pon

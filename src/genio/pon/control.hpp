@@ -44,4 +44,9 @@ struct ControlMessage {
   }
 };
 
+/// The ONU-ID an assign_onu_id message carries: the whole field must be a
+/// decimal in [1, kBroadcastOnuId - 1] (the OLT assigns from 1). Control
+/// frames are untrusted, so anything else is a parse error.
+common::Result<std::uint16_t> parse_onu_id(std::string_view text);
+
 }  // namespace genio::pon

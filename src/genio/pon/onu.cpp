@@ -23,7 +23,8 @@ Onu::Onu(std::string serial, Odn* odn, const common::SimClock* clock,
 void Onu::provision_credentials(crypto::SigningKey key,
                                 std::vector<crypto::Certificate> chain,
                                 const crypto::TrustStore* trust, common::Rng rng) {
-  auth_.emplace(serial_, std::move(key), std::move(chain), trust, rng);
+  auth_ = std::make_unique<AuthEndpoint>(serial_, std::move(key), std::move(chain), trust,
+                                         rng);
 }
 
 void Onu::send_control(ControlType type, std::map<std::string, std::string> fields) {
@@ -82,7 +83,12 @@ void Onu::handle_control(const GemFrame& frame) {
 
     case ControlType::kAssignOnuId:
       if (state_ == OnuState::kAwaitingAssignment && msg->field("serial") == serial_) {
-        onu_id_ = static_cast<std::uint16_t>(std::stoi(msg->field("onu_id", "0")));
+        const auto id = parse_onu_id(msg->field("onu_id"));
+        if (!id) {
+          if (logger_) logger_->warn("pon.onu." + serial_, id.error().message());
+          break;
+        }
+        onu_id_ = *id;
         state_ = OnuState::kRanging;
       }
       break;
@@ -162,14 +168,14 @@ void Onu::handle_data(const GemFrame& frame) {
 
 common::Result<AuthResponse> Onu::auth_respond(const AuthHello& hello,
                                                common::SimTime now) {
-  if (!auth_.has_value()) {
+  if (auth_ == nullptr) {
     return common::unavailable("ONU has no credentials provisioned");
   }
   return auth_->respond(hello, now);
 }
 
 common::Result<SessionKeys> Onu::auth_complete(const AuthFinish& finish) {
-  if (!auth_.has_value()) {
+  if (auth_ == nullptr) {
     return common::unavailable("ONU has no credentials provisioned");
   }
   auto keys = auth_->complete(finish);

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -107,7 +107,8 @@ class Onu : public OnuDevice, public AuthTransport {
   std::uint32_t tx_superframe_ = 0;
   std::uint32_t last_rx_superframe_ = 0;
 
-  std::optional<AuthEndpoint> auth_;
+  // Out of line, like cipher_: fabric ONUs hold no credentials.
+  std::unique_ptr<AuthEndpoint> auth_;
   std::optional<SessionKeys> pending_keys_;
   // Out of line: a GponCipher carries ~16.8 KB of GCM tables, and most
   // ONUs (every fabric ONU) never activate a session key.
@@ -117,7 +118,9 @@ class Onu : public OnuDevice, public AuthTransport {
     std::uint16_t port;
     Bytes payload;
   };
-  std::deque<QueuedFrame> upstream_queue_;
+  // A list, not a deque: libstdc++'s deque allocates ~600 B on
+  // construction, and most fabric ONUs never queue a frame.
+  std::list<QueuedFrame> upstream_queue_;
   std::size_t upstream_queue_bytes_ = 0;
   FrameArena* arena_ = nullptr;
   std::vector<Bytes> received_;

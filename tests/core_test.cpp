@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "genio/core/pipeline.hpp"
@@ -114,6 +115,34 @@ TEST(Platform, DeterministicFromSeed) {
   core::GenioPlatform b({});
   EXPECT_EQ(a.root_ca().certificate().subject_key.root,
             b.root_ca().certificate().subject_key.root);
+}
+
+// Platform keys are sized to twice what their roles sign (platform.cpp):
+// the OLT 5 authentications per ONU, the root CA onu_count + 4
+// certificates. Doing twice that must still find a free leaf every time.
+TEST(PlatformKeys, TwiceTheModelledDemandStillSigns) {
+  for (const int onus : {1, 2, 4, 8}) {
+    SCOPED_TRACE("onu_count " + std::to_string(onus));
+    core::PlatformConfig config;
+    config.onu_count = onus;
+    core::GenioPlatform platform(config);
+    ASSERT_EQ(platform.activate_pon(), onus);
+    for (int round = 1; round < 10; ++round) {
+      for (const auto& onu : platform.onus()) {
+        EXPECT_TRUE(platform.reauthenticate_onu(onu->serial()).ok())
+            << onu->serial() << " round " << round;
+      }
+    }
+    // The build issued onu_count + 3 (self, OLT, boot signer, ONUs).
+    const auto subject = cr::SigningKey::generate(gc::to_bytes("extra-subject"), 1).public_key();
+    for (int i = 0; i < onus + 5; ++i) {
+      EXPECT_TRUE(platform.root_ca()
+                      .issue("extra-" + std::to_string(i), subject, gc::SimTime::from_days(0),
+                             gc::SimTime::from_days(1), {cr::KeyUsage::kNodeAuth})
+                      .ok())
+          << "certificate " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- pipeline

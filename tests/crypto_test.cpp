@@ -726,6 +726,82 @@ TEST(Signature, KnownAnswer) {
   }
 }
 
+namespace {
+
+// A test-local WOTS+ reference, one hash at a time on the scalar kernel:
+// 64 message digits plus a 3-digit checksum, chain seeds
+// HMAC(seed, leaf || chain), and steps H(value || chain || step).
+std::array<int, 67> reference_digits(const gc::Bytes& message) {
+  const cr::Digest digest = cr::Sha256(Kernel::kScalar).update(message).finish();
+  std::array<int, 67> digits{};
+  int checksum = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    digits[2 * i] = digest[i] >> 4;
+    digits[2 * i + 1] = digest[i] & 0x0f;
+    checksum += 30 - digits[2 * i] - digits[2 * i + 1];
+  }
+  for (std::size_t i = 0; i < 3; ++i) digits[64 + i] = (checksum >> (4 * (2 - i))) & 0x0f;
+  return digits;
+}
+
+cr::Digest reference_chain(const cr::HmacSha256& prf, std::uint32_t leaf, std::uint32_t chain,
+                           int steps) {
+  gc::Bytes info;
+  gc::put_u32_be(info, leaf);
+  gc::put_u32_be(info, chain);
+  cr::Digest value = prf.mac(info);
+  for (int step = 0; step < steps; ++step) {
+    gc::Bytes data(value.begin(), value.end());
+    gc::put_u32_be(data, chain);
+    gc::put_u32_be(data, static_cast<std::uint32_t>(step));
+    value = cr::Sha256(Kernel::kScalar).update(data).finish();
+  }
+  return value;
+}
+
+}  // namespace
+
+// sign() and verify() run a leaf's 67 chains 16 at a time on the lanes,
+// batched by step count; every backend must give the reference's chain
+// values, and verify() on it must still catch a flip anywhere.
+TEST_P(LaneKernels, SignMatchesScalarReferenceAndVerifyRejectsFlips) {
+  const gc::Bytes seed = gc::to_bytes("lane-sign-seed");
+  auto key = cr::SigningKey::generate(seed, 8, GetParam());
+  const cr::HmacSha256 prf(seed, Kernel::kScalar);
+  gc::Rng rng(1601);
+  bool saw_zero = false;
+  bool saw_fifteen = false;
+  for (std::uint32_t leaf = 0; leaf < 200; ++leaf) {
+    const gc::Bytes message = rng.bytes(1 + rng.index(100));
+    const auto digits = reference_digits(message);
+    saw_zero = saw_zero || std::count(digits.begin(), digits.end(), 0) > 0;
+    saw_fifteen = saw_fifteen || std::count(digits.begin(), digits.end(), 15) > 0;
+    const auto sig = key.sign(message).value();
+    ASSERT_EQ(sig.leaf_index, leaf);
+    ASSERT_EQ(sig.wots_chains.size(), 67u);
+    for (std::uint32_t c = 0; c < 67; ++c) {
+      ASSERT_EQ(sig.wots_chains[c], reference_chain(prf, leaf, c, digits[c]))
+          << "leaf " << leaf << " chain " << c;
+    }
+    ASSERT_TRUE(cr::verify(key.public_key(), message, sig, GetParam()).ok()) << leaf;
+
+    const auto flip = [&](cr::Digest& d) {
+      d[rng.index(d.size())] ^= static_cast<std::uint8_t>(1 + rng.index(255));
+    };
+    auto bad = sig;
+    flip(bad.wots_chains[0]);
+    EXPECT_FALSE(cr::verify(key.public_key(), message, bad, GetParam()).ok()) << leaf;
+    bad = sig;
+    flip(bad.wots_chains[66]);
+    EXPECT_FALSE(cr::verify(key.public_key(), message, bad, GetParam()).ok()) << leaf;
+    bad = sig;
+    flip(bad.auth_path[rng.index(bad.auth_path.size())]);
+    EXPECT_FALSE(cr::verify(key.public_key(), message, bad, GetParam()).ok()) << leaf;
+  }
+  EXPECT_TRUE(saw_zero);
+  EXPECT_TRUE(saw_fifteen);
+}
+
 TEST(Signature, VerifyRejectsHeightAboveTwenty) {
   // Heights above the 20 that generate() allows never reach the
   // 1 << height leaf-range check (undefined from 32 up), and the wire

@@ -366,6 +366,41 @@ TEST(Activation, OnuReachesOperational) {
   EXPECT_TRUE(olt->onu_id_for("GNIO0001").has_value());
 }
 
+TEST(ControlMessage, OnuIdParserAcceptsOnlyAssignableIds) {
+  EXPECT_EQ(pon::parse_onu_id("1").value(), 1);
+  EXPECT_EQ(pon::parse_onu_id("1022").value(), 1022);
+  for (const char* text : {"", "0", "1023", "-1", "+5", "5 ", " 5", "0x10", "65537"}) {
+    EXPECT_FALSE(pon::parse_onu_id(text).ok()) << "'" << text << "'";
+  }
+}
+
+// Control frames are untrusted: anyone on the tree can put a payload with
+// a valid FCS on port 0. An assign_onu_id whose ID is not in [1, 1022] is
+// dropped, without throwing out of the medium, and the honest ONU and the
+// rogue keep waiting for a real assignment.
+TEST(Activation, ForgedOnuIdAssignmentIsDropped) {
+  PonFixture f;
+  auto onu = f.make_onu("GNIO0001");
+  pon::RogueOnu rogue("GNIO0002", &f.odn);
+  pon::DownstreamHijacker hijacker(&f.odn);
+  const auto control = [&](const std::string& text) {
+    hijacker.inject(pon::kBroadcastOnuId, pon::kControlPort, 1, gc::to_bytes(text));
+  };
+  control("sn_request");
+  ASSERT_EQ(onu->state(), pon::OnuState::kAwaitingAssignment);
+  for (const std::string id : {"zz", "99999999999", "1023", "66559"}) {
+    for (const char* serial : {"GNIO0001", "GNIO0002"}) {
+      EXPECT_NO_THROW(control("assign_onu_id;onu_id=" + id + ";serial=" + serial)) << id;
+    }
+    EXPECT_EQ(onu->state(), pon::OnuState::kAwaitingAssignment) << id;
+    EXPECT_EQ(onu->onu_id(), 0) << id;
+    EXPECT_FALSE(rogue.activated()) << id;
+  }
+  control("assign_onu_id;onu_id=5;serial=GNIO0001");
+  EXPECT_EQ(onu->state(), pon::OnuState::kRanging);
+  EXPECT_EQ(onu->onu_id(), 5);
+}
+
 TEST(Activation, UnknownSerialRejectedByAllowlist) {
   PonFixture f;
   auto olt = f.make_olt({.enforce_serial_allowlist = true});

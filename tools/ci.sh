@@ -45,7 +45,7 @@ if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
   "${repo_root}/build/bench/bench_des" --smoke \
     --baseline "${repo_root}/BENCH_des.json" \
     --out "${repo_root}/build/BENCH_des.json"
-  echo "== WOTS+ keygen bench smoke (a lane backend off the kScalar loop's bytes, or dispatched lanes < 10x (AVX-512F) / < 3x (SHA-NI loop) the kScalar loop, fails CI) =="
+  echo "== WOTS+ keygen/sign/verify bench smoke (a lane backend whose blocks, key root or signatures differ from the kScalar loop's, a verify() that rejects them, or dispatched lanes < 10x (AVX-512F) / < 3x (SHA-NI loop) the kScalar loop, fails CI) =="
   "${repo_root}/build/bench/bench_keygen" --smoke \
     --out "${repo_root}/build/BENCH_keygen.json"
   echo "== scenario fabric: full catalog + scorecard (any regression fails CI) =="
@@ -83,7 +83,7 @@ if [[ "${mode}" != "--plain-only" && "${mode}" != "--sanitize-only" ]]; then
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/bench_des" --smoke \
     --out "${repo_root}/build-tsan/BENCH_des.json"
-  echo "== WOTS+ keygen bench smoke (TSan; lane byte identity enforced, ratio floor not) =="
+  echo "== WOTS+ keygen/sign/verify bench smoke (TSan; lane block, root and signature identity enforced, ratio floor not) =="
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/bench_keygen" --smoke \
     --out "${repo_root}/build-tsan/BENCH_keygen.json"
