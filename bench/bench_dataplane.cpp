@@ -1,4 +1,4 @@
-// PON data-plane crypto fast-path sweep, round 2. A seeded corpus of
+// PON data-plane crypto fast-path sweep, round 3. A seeded corpus of
 // GEM-shaped frames (G.987.3 nonces, 9-byte headers as AAD) is swept over
 // payload sizes from 64 B to 9 KB jumbo, measuring frames/sec and MB/s for:
 //   seal   AES-GCM encrypt+tag     reference: a local bitwise oracle
@@ -6,12 +6,12 @@
 //                                  bitwise GHASH — the seed's gcm_seal path,
 //                                  kept here now that the free functions
 //                                  route through GcmContext)
-//                                  fast: GcmContext::seal_in_place (cached
-//                                  schedule, 4-wide interleaved CTR,
-//                                  aggregated H^1..H^4 table GHASH)
+//                                  fast: GcmContext::seal_in_place on the
+//                                  dispatched backend (cached schedule,
+//                                  wide CTR, four-block aggregated GHASH)
 //   open   AES-GCM verify+decrypt  bitwise oracle vs GcmContext::open_in_place
 //   crc    frame FCS               byte-at-a-time crc32_reference vs
-//                                  slicing-by-8 crc32
+//                                  crc32 on the dispatched backend
 // Round-2 arm on top of the sweep:
 //   sharded  8 links with independent key contexts, one leaf task per link
 //            on the work-stealing pool (ThreadPool::parallel_for), each
@@ -20,13 +20,25 @@
 //            for 1/2/4/8 workers (CI hosts pin hardware_concurrency to 1,
 //            so scaling is modeled from measured leaves, while a real pool
 //            run checks byte identity against a serial loop).
-// Before any timing, every corpus frame is cross-checked: fast-path
-// ciphertext, tag, and CRC must be byte-identical to the bitwise reference
-// AND to the gcm_seal free functions, opens must round-trip, and a tampered
-// copy must be rejected by both paths.
+// Round-3 arm, the data-plane backends (DataplaneKernel):
+//   backends  seal+open and CRC of 1 KB frames on the AES-NI/PCLMULQDQ
+//             backend and on the portable one (T-table AES, Shoup GHASH,
+//             slicing-by-8), timed alternately in one process; the median
+//             of the per-repetition ratios is gated, so the floor does not
+//             move with the host's speed. Skipped on a CPU without the
+//             backend.
+// Before any timing, every corpus frame is cross-checked on every backend
+// the CPU has: ciphertext, tag, and CRC must be byte-identical to the
+// bitwise reference AND to the gcm_seal free functions, opens must
+// round-trip, and a tampered copy must be rejected by all paths. The CRC
+// backends must also equal crc32_reference at every length 0..1100.
 // Invariants (exit nonzero if any breaks):
-//   * byte identity + tamper-verdict parity across the whole corpus;
+//   * byte identity + tamper-verdict parity across the whole corpus, on
+//     every backend, and CRC identity at every length (always enforced);
 //   * seal+open frames/sec at 1 KB payloads >= 9x the bitwise reference;
+//   * AES-NI/PCLMULQDQ over portable: seal+open at 1 KB >= 8x, CRC at
+//     1 KB >= 4x (when the CPU has the backend; about half of the 15x and
+//     8x a full run measures on a 4-vCPU Xeon with both);
 //   * with --baseline PATH, per-size fast-path MB/s >= 0.8x the committed
 //     numbers (the >20%-regression CI gate).
 // Floors are enforced only on uninstrumented builds (GENIO_BENCH_SANITIZED).
@@ -39,6 +51,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -75,6 +88,23 @@ namespace pon = genio::pon;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using DpKernel = cr::DataplaneKernel;
+
+const char* kernel_name(DpKernel kernel) {
+  return kernel == DpKernel::kAesPclmul ? "aes_pclmul" : "portable";
+}
+
+struct Spread {
+  double median = 0, q1 = 0, q3 = 0;
+};
+
+Spread spread(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const auto at = [&](double q) {
+    return xs[static_cast<std::size_t>(q * static_cast<double>(xs.size() - 1) + 0.5)];
+  };
+  return {at(0.5), at(0.25), at(0.75)};
+}
 
 // ------------------------------------------------ bitwise reference oracle
 // The seed's slow path, reconstructed locally: per-call key expansion and
@@ -185,12 +215,14 @@ std::vector<Sample> make_corpus(gc::Rng& rng, const cr::AesKey& key,
   return corpus;
 }
 
-// Correctness gate run before any clock starts: the fast path AND the
-// gcm_seal/gcm_open free functions must agree with the bitwise reference on
-// every frame, byte for byte, including rejection of a tampered frame.
+// Correctness gate run before any clock starts: the context on its backend
+// AND the gcm_seal/gcm_open free functions must agree with the bitwise
+// reference on every frame, byte for byte, including rejection of a
+// tampered frame; the CRC on the context's backend must equal the oracle.
 bool verify_identity(const cr::AesKey& key, const cr::GcmContext& ctx,
                      std::vector<Sample>& corpus) {
   bool ok = true;
+  const char* backend = kernel_name(ctx.kernel());
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     Sample& s = corpus[i];
     const gc::BytesView aad(s.aad.data(), s.aad.size());
@@ -198,11 +230,11 @@ bool verify_identity(const cr::AesKey& key, const cr::GcmContext& ctx,
     gc::Bytes buf = s.plaintext;
     const cr::GcmTag tag = ctx.seal_in_place(s.nonce, buf, aad);
     if (buf != s.ciphertext || tag != s.tag) {
-      std::fprintf(stderr, "IDENTITY VIOLATED: seal diverged on frame %zu\n", i);
+      std::fprintf(stderr, "IDENTITY VIOLATED: %s seal diverged on frame %zu\n", backend, i);
       ok = false;
     }
     if (!ctx.open_in_place(s.nonce, buf, tag, aad).ok() || buf != s.plaintext) {
-      std::fprintf(stderr, "IDENTITY VIOLATED: open failed on frame %zu\n", i);
+      std::fprintf(stderr, "IDENTITY VIOLATED: %s open failed on frame %zu\n", backend, i);
       ok = false;
     }
 
@@ -222,14 +254,35 @@ bool verify_identity(const cr::AesKey& key, const cr::GcmContext& ctx,
       const bool fast_rejects = !ctx.open_in_place(s.nonce, evil, s.tag, aad).ok();
       const bool ref_rejects = !ref_open(key, s.nonce, evil, s.tag, aad, scratch);
       if (!fast_rejects || !ref_rejects) {
-        std::fprintf(stderr, "IDENTITY VIOLATED: tamper verdict frame %zu\n", i);
+        std::fprintf(stderr, "IDENTITY VIOLATED: %s tamper verdict frame %zu\n", backend, i);
         ok = false;
       }
     }
 
-    if (cr::crc32(s.plaintext) != cr::crc32_reference(s.plaintext)) {
-      std::fprintf(stderr, "IDENTITY VIOLATED: crc diverged on frame %zu\n", i);
+    const std::uint32_t crc = cr::crc32_reference(s.plaintext);
+    if (cr::crc32(s.plaintext) != crc ||
+        cr::crc32_final(cr::crc32_update(cr::crc32_init(), s.plaintext, ctx.kernel())) != crc) {
+      std::fprintf(stderr, "IDENTITY VIOLATED: %s crc diverged on frame %zu\n", backend, i);
       ok = false;
+    }
+  }
+  return ok;
+}
+
+// Every CRC backend against the byte-wise oracle at each length 0..1100,
+// which puts every tail length behind the 64-byte fold threshold.
+bool crc_lengths_identity(gc::Rng& rng, const std::vector<DpKernel>& kernels) {
+  const gc::Bytes data = rng.bytes(1100);
+  bool ok = true;
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const gc::BytesView view(data.data(), len);
+    const std::uint32_t expect = cr::crc32_reference(view);
+    for (const DpKernel kernel : kernels) {
+      if (cr::crc32_final(cr::crc32_update(cr::crc32_init(), view, kernel)) != expect) {
+        std::fprintf(stderr, "IDENTITY VIOLATED: %s crc diverged at length %zu\n",
+                     kernel_name(kernel), len);
+        ok = false;
+      }
     }
   }
   return ok;
@@ -269,7 +322,8 @@ struct SizeResult {
   double sealopen_speedup() const { return sealopen_fps(true) / sealopen_fps(false); }
 };
 
-SizeResult run_size(gc::Rng& rng, const cr::AesKey& key, const cr::GcmContext& ctx,
+SizeResult run_size(gc::Rng& rng, const cr::AesKey& key,
+                    const std::vector<cr::GcmContext>& backends, const cr::GcmContext& ctx,
                     std::size_t payload_bytes, bool smoke, bool& identity_ok) {
   // The reference path (bitwise GHASH) is orders of magnitude slower, so it
   // gets a smaller, separately clamped iteration budget; frames/sec rates
@@ -284,7 +338,9 @@ SizeResult run_size(gc::Rng& rng, const cr::AesKey& key, const cr::GcmContext& c
   const int frames = smoke ? 8 : 32;
 
   auto corpus = make_corpus(rng, key, payload_bytes, frames);
-  identity_ok = verify_identity(key, ctx, corpus) && identity_ok;
+  for (const cr::GcmContext& backend : backends) {
+    identity_ok = verify_identity(key, backend, corpus) && identity_ok;
+  }
 
   SizeResult r;
   r.payload_bytes = payload_bytes;
@@ -333,6 +389,69 @@ SizeResult run_size(gc::Rng& rng, const cr::AesKey& key, const cr::GcmContext& c
   r.crc_fast = {iters_crc, timed(iters_crc / 10 + 1, iters_crc, [&](int k) {
                   sink = sink ^ cr::crc32(at(k).plaintext);
                 })};
+  return r;
+}
+
+// ------------------------------------------------------------ backends arm
+
+// AES-NI/PCLMULQDQ against portable at 1 KB, in ns per frame.
+struct BackendRatio {
+  std::size_t payload_bytes = 1024;
+  int reps = 0;
+  Spread sealopen_hw, sealopen_portable, crc_hw, crc_portable;
+  double sealopen_ratio = 0.0;  // median of per-repetition portable/hw
+  double crc_ratio = 0.0;
+};
+
+constexpr double kSealOpenRatioFloor = 8.0;
+constexpr double kCrcRatioFloor = 4.0;
+
+// Both backends in one process: each repetition times the AES-NI context
+// and then the portable one on the same frames (and the CRC fold and then
+// slicing-by-8), so a host that slows down mid-run slows both sides of
+// most ratios.
+BackendRatio run_backends(gc::Rng& rng, const cr::AesKey& key, bool smoke) {
+  BackendRatio r;
+  const cr::GcmContext hw(key, DpKernel::kAesPclmul);
+  const cr::GcmContext portable(key, DpKernel::kPortable);
+  const auto corpus = make_corpus(rng, key, r.payload_bytes, 8);
+  gc::Bytes buf(r.payload_bytes + 16);
+  volatile std::uint32_t sink = 0;
+
+  const auto sealopen_ns = [&](const cr::GcmContext& ctx, int iters) {
+    const double s = timed(iters / 10 + 1, iters, [&](int k) {
+      const Sample& f = corpus[static_cast<std::size_t>(k) % corpus.size()];
+      const gc::BytesView aad(f.aad.data(), f.aad.size());
+      buf.assign(f.plaintext.begin(), f.plaintext.end());
+      const cr::GcmTag tag = ctx.seal_in_place(f.nonce, buf, aad);
+      sink = sink ^ static_cast<std::uint32_t>(ctx.open_in_place(f.nonce, buf, tag, aad).ok());
+    });
+    return s / iters * 1e9;
+  };
+  const auto crc_ns = [&](DpKernel kernel, int iters) {
+    const double s = timed(iters / 10 + 1, iters, [&](int k) {
+      const Sample& f = corpus[static_cast<std::size_t>(k) % corpus.size()];
+      sink = sink ^ cr::crc32_update(cr::crc32_init(), f.plaintext, kernel);
+    });
+    return s / iters * 1e9;
+  };
+
+  r.reps = smoke ? 9 : 21;
+  std::vector<double> so_hw, so_portable, so_ratio, crc_hw, crc_portable, crc_ratio;
+  for (int rep = 0; rep < r.reps; ++rep) {
+    so_hw.push_back(sealopen_ns(hw, 4000));
+    so_portable.push_back(sealopen_ns(portable, 200));
+    so_ratio.push_back(so_portable.back() / so_hw.back());
+    crc_hw.push_back(crc_ns(DpKernel::kAesPclmul, 20000));
+    crc_portable.push_back(crc_ns(DpKernel::kPortable, 4000));
+    crc_ratio.push_back(crc_portable.back() / crc_hw.back());
+  }
+  r.sealopen_hw = spread(so_hw);
+  r.sealopen_portable = spread(so_portable);
+  r.crc_hw = spread(crc_hw);
+  r.crc_portable = spread(crc_portable);
+  r.sealopen_ratio = spread(so_ratio).median;
+  r.crc_ratio = spread(crc_ratio).median;
   return r;
 }
 
@@ -535,7 +654,8 @@ bool check_baseline(const char* path, const std::vector<SizeResult>& results) {
 
 void write_json(const char* path, bool smoke, unsigned hw,
                 const std::vector<SizeResult>& results, const ShardedResult& sharded,
-                double speedup_1k, bool identity_ok, bool invariants_hold) {
+                const BackendRatio* backends, double speedup_1k, bool identity_ok,
+                bool invariants_hold) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -543,9 +663,11 @@ void write_json(const char* path, bool smoke, unsigned hw,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"dataplane\",\n");
-  std::fprintf(f, "  \"round\": 2,\n");
+  std::fprintf(f, "  \"round\": 3,\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
+  std::fprintf(f, "  \"dataplane_kernel\": \"%s\",\n",
+               kernel_name(cr::dispatched_dataplane_kernel()));
   std::fprintf(f, "  \"warmup\": \"~1/10 of timed iterations per section\",\n");
   std::fprintf(f, "  \"sizes\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -579,6 +701,29 @@ void write_json(const char* path, bool smoke, unsigned hw,
                  i + 1 < sharded.modeled.size() ? ", " : "");
   }
   std::fprintf(f, "]},\n");
+  if (backends != nullptr) {
+    const BackendRatio& b = *backends;
+    const auto ns = [&](const char* name, const Spread& x, const char* sep) {
+      std::fprintf(f, "\"%s\": {\"median\": %.1f, \"q1\": %.1f, \"q3\": %.1f}%s", name,
+                   x.median, x.q1, x.q3, sep);
+    };
+    std::fprintf(f, "  \"backends\": {\"payload_bytes\": %zu, \"reps\": %d,\n",
+                 b.payload_bytes, b.reps);
+    std::fprintf(f, "    \"sealopen_ns\": {");
+    ns("aes_pclmul", b.sealopen_hw, ", ");
+    ns("portable", b.sealopen_portable, "},\n");
+    std::fprintf(f, "    \"crc_ns\": {");
+    ns("aes_pclmul", b.crc_hw, ", ");
+    ns("portable", b.crc_portable, "},\n");
+    std::fprintf(f,
+                 "    \"sealopen_ratio\": %.2f, \"sealopen_ratio_floor\": %.1f, "
+                 "\"crc_ratio\": %.2f, \"crc_ratio_floor\": %.1f, "
+                 "\"ratio_floors_enforced\": %s},\n",
+                 b.sealopen_ratio, kSealOpenRatioFloor, b.crc_ratio, kCrcRatioFloor,
+                 GENIO_BENCH_SANITIZED ? "false" : "true");
+  } else {
+    std::fprintf(f, "  \"backends\": null,\n");
+  }
   std::fprintf(f, "  \"summary\": {\"sealopen_speedup_at_1k\": %.2f, "
                   "\"byte_identity\": %s, \"speedup_floor_enforced\": %s},\n",
                speedup_1k, identity_ok ? "true" : "false",
@@ -607,21 +752,32 @@ int main(int argc, char** argv) {
   gc::Rng rng(0x90247);
   const cr::AesKey key = cr::make_aes_key(rng.bytes(16));
   const cr::GcmContext ctx(key);  // built once, as GponCipher holds it
+  const bool has_hw = cr::supports_dataplane_kernel(DpKernel::kAesPclmul);
+  std::vector<DpKernel> kernels = {DpKernel::kPortable};
+  if (has_hw) kernels.push_back(DpKernel::kAesPclmul);
+  std::vector<cr::GcmContext> backends;
+  for (const DpKernel kernel : kernels) backends.emplace_back(key, kernel);
 
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{64, 1024, 9000}
             : std::vector<std::size_t>{64, 256, 1024, 4096, 9000};
-  std::printf("=== data-plane crypto fast path (round 2): %zu payload sizes, "
-              "%u hardware threads%s ===\n\n",
-              sizes.size(), hw, smoke ? " (smoke)" : "");
+  std::printf("=== data-plane crypto fast path (round 3): %zu payload sizes, "
+              "dispatched backend %s, %u hardware threads%s ===\n\n",
+              sizes.size(), kernel_name(ctx.kernel()), hw, smoke ? " (smoke)" : "");
+  if (!has_hw) {
+    std::printf("note: this CPU has no AES-NI and PCLMULQDQ: the aes_pclmul identity and "
+                "ratio arms are skipped\n\n");
+  }
 
-  bool identity_ok = true;
+  bool identity_ok = crc_lengths_identity(rng, kernels);
   std::vector<SizeResult> results;
   for (const std::size_t bytes : sizes) {
-    results.push_back(run_size(rng, key, ctx, bytes, smoke, identity_ok));
+    results.push_back(run_size(rng, key, backends, ctx, bytes, smoke, identity_ok));
   }
   const ShardedResult sharded = run_sharded(rng, smoke);
   identity_ok = identity_ok && sharded.identity;
+  std::optional<BackendRatio> ratio;
+  if (has_hw) ratio = run_backends(rng, key, smoke);
 
   gc::Table table({"payload B", "seal ref f/s", "seal fast f/s", "open ref f/s",
                    "open fast f/s", "fast seal MB/s", "crc speedup",
@@ -648,8 +804,17 @@ int main(int argc, char** argv) {
   for (const SizeResult& r : results) {
     if (r.payload_bytes == 1024) speedup_1k = r.sealopen_speedup();
   }
-  std::printf("seal+open speedup at 1 KB payloads: %.2fx (target >= 9x)\n\n",
+  std::printf("seal+open speedup at 1 KB payloads: %.2fx (target >= 9x)\n",
               speedup_1k);
+  if (ratio) {
+    std::printf("1 KB aes_pclmul over portable, median of %d alternating repetitions: "
+                "seal+open %.0f ns vs %.0f ns = %.1fx (floor %.0fx), "
+                "crc %.0f ns vs %.0f ns = %.1fx (floor %.0fx)\n",
+                ratio->reps, ratio->sealopen_hw.median, ratio->sealopen_portable.median,
+                ratio->sealopen_ratio, kSealOpenRatioFloor, ratio->crc_hw.median,
+                ratio->crc_portable.median, ratio->crc_ratio, kCrcRatioFloor);
+  }
+  std::printf("\n");
 
   bool invariants_hold = true;
   const auto check = [&](bool ok, const char* what) {
@@ -658,19 +823,24 @@ int main(int argc, char** argv) {
       invariants_hold = false;
     }
   };
-  check(identity_ok, "fast path byte-identical to reference across corpus");
+  check(identity_ok, "every backend byte-identical to reference across corpus");
   if (GENIO_BENCH_SANITIZED) {
     std::printf("note: speedup floors reported but not enforced — sanitizer "
                 "instrumentation distorts relative path costs\n");
   } else {
     check(speedup_1k >= 9.0, "seal+open >= 9x reference at 1 KB payloads");
+    if (ratio) {
+      check(ratio->sealopen_ratio >= kSealOpenRatioFloor,
+            "aes_pclmul seal+open >= 8x portable at 1 KB payloads");
+      check(ratio->crc_ratio >= kCrcRatioFloor, "aes_pclmul crc >= 4x portable at 1 KB");
+    }
     if (baseline_path != nullptr) {
       check(check_baseline(baseline_path, results),
             "fast-path MB/s within 20% of committed baseline");
     }
   }
 
-  write_json(out_path, smoke, hw, results, sharded, speedup_1k,
+  write_json(out_path, smoke, hw, results, sharded, ratio ? &*ratio : nullptr, speedup_1k,
              identity_ok, invariants_hold);
   return invariants_hold ? 0 : 1;
 }

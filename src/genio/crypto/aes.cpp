@@ -3,6 +3,10 @@
 #include <cstring>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace genio::crypto {
 
 namespace {
@@ -72,9 +76,72 @@ inline std::uint32_t load_be32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
 }
 
+#if defined(__x86_64__)
+// N counter blocks through AES-NI, XORed from `in` into `out` (16*N bytes,
+// which may alias). Block i is the IV's first 12 bytes with
+// bswap32(ctr + i) as dword 3, so the counter wraps mod 2^32 like inc32.
+// The N aesenc chains are independent: at N = 8 they cover the
+// instruction's latency. Round keys are the FIPS-197 bytes as stored.
+template <int N>
+__attribute__((target("aes,sse4.1"))) inline void aesni_ctr_blocks(
+    const __m128i* rk, __m128i prefix, std::uint32_t ctr, const std::uint8_t* in,
+    std::uint8_t* out) {
+  __m128i b[N];
+#pragma GCC unroll 8
+  for (int i = 0; i < N; ++i) {
+    const auto be_ctr = static_cast<int>(__builtin_bswap32(ctr + static_cast<std::uint32_t>(i)));
+    b[i] = _mm_xor_si128(_mm_insert_epi32(prefix, be_ctr, 3), rk[0]);
+  }
+  for (int r = 1; r < 10; ++r) {
+#pragma GCC unroll 8
+    for (int i = 0; i < N; ++i) b[i] = _mm_aesenc_si128(b[i], rk[r]);
+  }
+#pragma GCC unroll 8
+  for (int i = 0; i < N; ++i) {
+    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 16 * i));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * i),
+                     _mm_xor_si128(x, _mm_aesenclast_si128(b[i], rk[10])));
+  }
+}
+
+// AES-NI CTR: eight blocks per pass, then one four-block pass, then a tail
+// of under 64 bytes through a zero-padded copy.
+__attribute__((target("aes,sse4.1"))) void ctr_xor_aesni(
+    const std::array<std::array<std::uint8_t, 16>, 11>& round_keys, const AesBlock& iv,
+    std::uint8_t* data, std::size_t n) {
+  __m128i rk[11];
+  for (std::size_t r = 0; r < 11; ++r) {
+    rk[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(round_keys[r].data()));
+  }
+  const __m128i prefix = _mm_loadu_si128(reinterpret_cast<const __m128i*>(iv.data()));
+  std::uint32_t ctr = load_be32(iv.data() + 12);
+  for (; n >= 128; data += 128, n -= 128, ctr += 8) {
+    aesni_ctr_blocks<8>(rk, prefix, ctr, data, data);
+  }
+  if (n >= 64) {
+    aesni_ctr_blocks<4>(rk, prefix, ctr, data, data);
+    data += 64;
+    n -= 64;
+    ctr += 4;
+  }
+  if (n == 0) return;
+  std::uint8_t tail[64] = {};
+  std::memcpy(tail, data, n);
+  if (n > 16) {
+    aesni_ctr_blocks<4>(rk, prefix, ctr, tail, tail);
+  } else {
+    aesni_ctr_blocks<1>(rk, prefix, ctr, tail, tail);
+  }
+  std::memcpy(data, tail, n);
+}
+#endif
+
 }  // namespace
 
-Aes128::Aes128(const AesKey& key) {
+Aes128::Aes128(const AesKey& key, DataplaneKernel kernel) : kernel_(kernel) {
+  if (!supports_dataplane_kernel(kernel)) {
+    throw std::invalid_argument("AES: this CPU has no AES-NI and PCLMULQDQ");
+  }
   // Key expansion (AES-128: 11 round keys of 16 bytes).
   std::array<std::uint8_t, 176> w;
   std::memcpy(w.data(), key.data(), 16);
@@ -160,6 +227,12 @@ void Aes128::ctr_xor_in_place(const AesBlock& iv, std::span<std::uint8_t> data) 
 }
 
 void Aes128::ctr_xor_wide(const AesBlock& iv, std::span<std::uint8_t> data) const {
+#if defined(__x86_64__)
+  if (kernel_ == DataplaneKernel::kAesPclmul) {
+    ctr_xor_aesni(round_keys_, iv, data.data(), data.size());
+    return;
+  }
+#endif
   constexpr std::size_t kWide = 4;        // blocks generated per pass
   constexpr std::size_t kWideBytes = 16 * kWide;
 

@@ -7,6 +7,11 @@
 // per-call expansion. Long-lived callers (GcmContext, the PON data plane)
 // hold one instance per key and rebuild it only on rekey; the key-taking
 // free functions remain for one-shot use.
+//
+// `ctr_xor_wide` runs on the data-plane backend CPUID selects (AES-NI when
+// the CPU has it, else T-tables); `encrypt_block` and `ctr_xor_in_place`
+// stay byte-wise on every CPU, as the oracle the wide path is tested
+// against.
 #pragma once
 
 #include <array>
@@ -14,6 +19,7 @@
 #include <span>
 
 #include "genio/common/bytes.hpp"
+#include "genio/crypto/cpu.hpp"
 
 namespace genio::crypto {
 
@@ -28,7 +34,13 @@ using AesBlock = std::array<std::uint8_t, 16>;
 /// Expanded-key AES-128 context (the reusable cached schedule).
 class Aes128 {
  public:
-  explicit Aes128(const AesKey& key);
+  /// `kernel` lets tests run the backends side by side. Throws
+  /// std::invalid_argument if the CPU lacks it.
+  explicit Aes128(const AesKey& key,
+                  DataplaneKernel kernel = dispatched_dataplane_kernel());
+
+  /// The backend ctr_xor_wide runs on.
+  DataplaneKernel kernel() const { return kernel_; }
 
   /// Encrypt a single 16-byte block.
   AesBlock encrypt_block(const AesBlock& plaintext) const;
@@ -38,19 +50,21 @@ class Aes128 {
   /// schedule — no allocation, no copies.
   void ctr_xor_in_place(const AesBlock& iv, std::span<std::uint8_t> data) const;
 
-  /// Wide AES-CTR: generates 4 keystream blocks per pass with the rounds of
-  /// all four blocks interleaved over T-tables and the round-key-major u32
-  /// schedule, so the four column chains fill the pipeline instead of
-  /// serializing. Tails shorter than 64 bytes fall back to the single-block
-  /// path, continuing from the incremented counter — output is byte-for-byte
-  /// identical to ctr_xor_in_place for every length.
+  /// Wide AES-CTR on this instance's backend, byte-for-byte identical to
+  /// ctr_xor_in_place for every length. kAesPclmul keeps eight blocks of
+  /// aesenc rounds in flight; kPortable interleaves four blocks' rounds over
+  /// T-tables and the round-key-major u32 schedule, and hands tails shorter
+  /// than 64 bytes to the single-block path. One block of zeros through it
+  /// is E_K(iv), which is how GcmContext gets H and E_K(J0) on its backend.
   void ctr_xor_wide(const AesBlock& iv, std::span<std::uint8_t> data) const;
 
  private:
+  // FIPS-197 byte order, the order aesenc reads its round key in.
   std::array<std::array<std::uint8_t, 16>, 11> round_keys_;
   // Round-key-major layout: rk_words_[4*r + j] is column j of round key r as
   // a big-endian u32 — the shape the wide T-table rounds consume directly.
   std::array<std::uint32_t, 44> rk_words_{};
+  DataplaneKernel kernel_;
 };
 
 /// AES-128-CTR keystream XOR: encryption and decryption are the same

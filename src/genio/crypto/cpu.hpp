@@ -10,6 +10,21 @@
 
 namespace genio::crypto::cpu {
 
+/// AES-NI (CPUID leaf 1 ECX bit 25) and PCLMULQDQ (bit 1), plus the SSSE3
+/// (bit 9) shuffle and the SSE4.1 (bit 19) inserts and extracts the AES-CTR,
+/// GHASH and CRC-32 kernels also use. All are XMM instructions, whose state
+/// every x86-64 OS saves, so no XCR0 check is needed.
+inline bool has_aes_pclmul() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  constexpr unsigned kNeeded = (1u << 25) | (1u << 1) | (1u << 9) | (1u << 19);
+  return (ecx & kNeeded) == kNeeded;
+#else
+  return false;
+#endif
+}
+
 /// SHA extensions (CPUID leaf 7 EBX bit 29) plus the SSSE3 and SSE4.1
 /// shuffles and blends the SHA-NI SHA-256 kernel also uses.
 inline bool has_sha_ni() {
@@ -47,3 +62,28 @@ inline bool has_avx512f() {
 }
 
 }  // namespace genio::crypto::cpu
+
+namespace genio::crypto {
+
+/// Backends of the data-plane kernels: AES-CTR (Aes128::ctr_xor_wide),
+/// GHASH (GcmContext) and CRC-32 (crc32_update). Every backend yields the
+/// same bytes. kPortable (T-table AES, Shoup-table GHASH, slicing-by-8
+/// CRC) runs anywhere and is the oracle; kAesPclmul runs on AES-NI and
+/// PCLMULQDQ.
+enum class DataplaneKernel { kPortable, kAesPclmul };
+
+/// kAesPclmul when CPUID reports it, else kPortable. Resolved on first call
+/// and shared by all three kernels.
+inline DataplaneKernel dispatched_dataplane_kernel() {
+  static const DataplaneKernel kernel =
+      cpu::has_aes_pclmul() ? DataplaneKernel::kAesPclmul : DataplaneKernel::kPortable;
+  return kernel;
+}
+
+/// Whether `kernel` can run on this CPU (kPortable always can).
+inline bool supports_dataplane_kernel(DataplaneKernel kernel) {
+  return kernel == DataplaneKernel::kPortable ||
+         dispatched_dataplane_kernel() == DataplaneKernel::kAesPclmul;
+}
+
+}  // namespace genio::crypto

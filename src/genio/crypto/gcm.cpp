@@ -2,7 +2,21 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace genio::crypto {
+
+// Shoup tables of B*H^p for every byte value B, split into 64-bit halves
+// (hi = bytes 0..7 big-endian, lo = bytes 8..15) so one block multiply is
+// 16 lookups folded with two-word shifts. Built from 8 doublings plus
+// subset XORs per power — cheap enough to rebuild on every rekey. The
+// key-independent byte-reduction table is a shared process-wide static.
+struct GhashTables {
+  std::array<std::array<std::uint64_t, 256>, 4> hi{};
+  std::array<std::array<std::uint64_t, 256>, 4> lo{};
+};
 
 namespace {
 
@@ -159,6 +173,191 @@ inline void shoup_mult_acc(const std::array<std::uint64_t, 256>& hi,
   zl ^= al;
 }
 
+// One Shoup multiply by H^power (1..4).
+AesBlock shoup_mult(const GhashTables& t, int power, const AesBlock& x) {
+  const auto p = static_cast<std::size_t>(power - 1);
+  std::uint64_t zh = 0;
+  std::uint64_t zl = 0;
+  shoup_mult_acc(t.hi[p], t.lo[p], x.data(), zh, zl);
+  AesBlock z;
+  store_be64(z.data(), zh);
+  store_be64(z.data() + 8, zl);
+  return z;
+}
+
+// Portable GHASH: y absorbs `data`, zero-padded to whole blocks.
+void ghash_fold_shoup(const GhashTables& t, AesBlock& y, BytesView data) {
+  std::size_t offset = 0;
+  // Aggregated fold, four blocks per reduction:
+  //   y' = (y ^ B0)*H^4 ^ B1*H^3 ^ B2*H^2 ^ B3*H
+  // — algebraically identical to four serial Horner steps, but the four
+  // multiplies are independent and fill the pipeline.
+  while (data.size() - offset >= 64) {
+    const std::uint8_t* p = data.data() + offset;
+    std::uint8_t b0[16];
+    for (int i = 0; i < 16; ++i) b0[i] = static_cast<std::uint8_t>(y[static_cast<std::size_t>(i)] ^ p[i]);
+    std::uint64_t zh = 0;
+    std::uint64_t zl = 0;
+    shoup_mult_acc(t.hi[3], t.lo[3], b0, zh, zl);
+    shoup_mult_acc(t.hi[2], t.lo[2], p + 16, zh, zl);
+    shoup_mult_acc(t.hi[1], t.lo[1], p + 32, zh, zl);
+    shoup_mult_acc(t.hi[0], t.lo[0], p + 48, zh, zl);
+    store_be64(y.data(), zh);
+    store_be64(y.data() + 8, zl);
+    offset += 64;
+  }
+  // Serial tail (full blocks plus one zero-padded partial).
+  while (offset < data.size()) {
+    const std::size_t n = std::min<std::size_t>(16, data.size() - offset);
+    for (std::size_t i = 0; i < n; ++i) y[i] ^= data[offset + i];
+    y = shoup_mult(t, 1, y);
+    offset += n;
+  }
+}
+
+#if defined(__x86_64__)
+// ------------------------------------------------------ PCLMULQDQ GHASH
+// Gueron and Kounavis, "Intel Carry-Less Multiplication Instruction and its
+// Usage for Computing the GCM Mode". Reversing a block's bytes turns GCM's
+// bit order (x^0 is the MSB of byte 0) into a 128-bit integer whose bit
+// 127 - i is the x^i coefficient. The carry-less product of two such
+// integers is the 255-bit product with every coefficient one place low, so
+// it is shifted left one bit and then reduced modulo
+// g = x^128 + x^7 + x^2 + x + 1 in that reflected order.
+//
+// These are target-attributed functions rather than lambdas: a lambda in a
+// target("...") function does not inherit the target, and GCC 12 then
+// refuses to inline the intrinsics into it.
+
+__attribute__((target("ssse3"))) inline __m128i load_reflected(const std::uint8_t* p) {
+  const __m128i reverse = _mm_setr_epi8(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+  return _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), reverse);
+}
+
+__attribute__((target("ssse3"))) inline void store_reflected(std::uint8_t* p, __m128i x) {
+  const __m128i reverse = _mm_setr_epi8(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm_shuffle_epi8(x, reverse));
+}
+
+// Unreduced 256-bit product, schoolbook: lo = a0*b0, hi = a1*b1 and
+// mid = a0*b1 ^ a1*b0 (straddling bit 64). Products of one fold XOR into
+// the same three accumulators and share one reduction.
+struct Wide {
+  __m128i lo, mid, hi;
+};
+
+__attribute__((target("pclmul"))) inline void clmul_acc(Wide& acc, __m128i a, __m128i b) {
+  acc.lo = _mm_xor_si128(acc.lo, _mm_clmulepi64_si128(a, b, 0x00));
+  acc.hi = _mm_xor_si128(acc.hi, _mm_clmulepi64_si128(a, b, 0x11));
+  acc.mid = _mm_xor_si128(acc.mid, _mm_clmulepi64_si128(a, b, 0x01));
+  acc.mid = _mm_xor_si128(acc.mid, _mm_clmulepi64_si128(a, b, 0x10));
+}
+
+inline Wide wide_zero() {
+  return {_mm_setzero_si128(), _mm_setzero_si128(), _mm_setzero_si128()};
+}
+
+// Shift the product left one bit and reduce it to 128 bits.
+inline __m128i reduce(const Wide& w) {
+  __m128i lo = _mm_xor_si128(w.lo, _mm_slli_si128(w.mid, 8));
+  __m128i hi = _mm_xor_si128(w.hi, _mm_srli_si128(w.mid, 8));
+
+  // 256-bit shift left by one, 32-bit lane by lane with the carries moved
+  // up one lane (and from lo's top lane into hi's bottom lane).
+  const __m128i lo_carry = _mm_srli_epi32(lo, 31);
+  const __m128i hi_carry = _mm_srli_epi32(hi, 31);
+  lo = _mm_or_si128(_mm_slli_epi32(lo, 1), _mm_slli_si128(lo_carry, 4));
+  hi = _mm_or_si128(_mm_or_si128(_mm_slli_epi32(hi, 1), _mm_slli_si128(hi_carry, 4)),
+                    _mm_srli_si128(lo_carry, 12));
+
+  // Reduction, first phase: fold the low 64 bits' x^1, x^2 and x^7 terms
+  // (left shifts by 31, 30 and 25 within each lane) up.
+  const __m128i a = _mm_xor_si128(_mm_xor_si128(_mm_slli_epi32(lo, 31), _mm_slli_epi32(lo, 30)),
+                                  _mm_slli_epi32(lo, 25));
+  const __m128i spill = _mm_srli_si128(a, 4);
+  lo = _mm_xor_si128(lo, _mm_slli_si128(a, 12));
+  // Second phase: the right shifts by 1, 2 and 7, plus what the first phase
+  // spilled, land in the high half.
+  __m128i b = _mm_xor_si128(_mm_xor_si128(_mm_srli_epi32(lo, 1), _mm_srli_epi32(lo, 2)),
+                            _mm_srli_epi32(lo, 7));
+  b = _mm_xor_si128(b, spill);
+  return _mm_xor_si128(hi, _mm_xor_si128(lo, b));
+}
+
+__attribute__((target("pclmul"))) inline __m128i gf_mult_clmul(__m128i a, __m128i b) {
+  Wide w = wide_zero();
+  clmul_acc(w, a, b);
+  return reduce(w);
+}
+
+// y absorbs `n` bytes at `p`, zero-padded to whole blocks. Groups of four
+// blocks fold against H^4..H^1 with one reduction; a last group of k < 4
+// blocks folds against H^k..H^1. `h[p - 1]` is H^p, reflected.
+__attribute__((target("pclmul,ssse3"))) __m128i ghash_clmul(__m128i y, const __m128i* h,
+                                                            const std::uint8_t* p,
+                                                            std::size_t n) {
+  for (; n >= 64; p += 64, n -= 64) {
+    Wide w = wide_zero();
+    clmul_acc(w, _mm_xor_si128(y, load_reflected(p)), h[3]);
+    clmul_acc(w, load_reflected(p + 16), h[2]);
+    clmul_acc(w, load_reflected(p + 32), h[1]);
+    clmul_acc(w, load_reflected(p + 48), h[0]);
+    y = reduce(w);
+  }
+  if (n == 0) return y;
+  std::uint8_t last[64] = {};
+  std::memcpy(last, p, n);
+  const std::size_t blocks = (n + 15) / 16;
+  Wide w = wide_zero();
+  clmul_acc(w, _mm_xor_si128(y, load_reflected(last)), h[blocks - 1]);
+  for (std::size_t i = 1; i < blocks; ++i) {
+    clmul_acc(w, load_reflected(last + 16 * i), h[blocks - 1 - i]);
+  }
+  return reduce(w);
+}
+
+__attribute__((target("ssse3"))) inline void load_powers(const std::array<AesBlock, 4>& h_pows,
+                                                         __m128i* h) {
+  for (std::size_t p = 0; p < 4; ++p) h[p] = load_reflected(h_pows[p].data());
+}
+
+// H^2..H^4 from H, stored back in GCM byte order.
+__attribute__((target("pclmul,ssse3"))) void h_powers_clmul(std::array<AesBlock, 4>& h_pows) {
+  const __m128i h = load_reflected(h_pows[0].data());
+  __m128i hp = h;
+  for (std::size_t p = 1; p < 4; ++p) {
+    hp = gf_mult_clmul(hp, h);
+    store_reflected(h_pows[p].data(), hp);
+  }
+}
+
+__attribute__((target("pclmul,ssse3"))) AesBlock ghash_bytes_clmul(
+    const std::array<AesBlock, 4>& h_pows, BytesView data) {
+  __m128i h[4];
+  load_powers(h_pows, h);
+  AesBlock out;
+  store_reflected(out.data(), ghash_clmul(_mm_setzero_si128(), h, data.data(), data.size()));
+  return out;
+}
+
+// The tag: GHASH over AAD, ciphertext and the length block, all in one
+// register, XORed with E_K(J0).
+__attribute__((target("pclmul,ssse3"))) GcmTag tag_clmul(const std::array<AesBlock, 4>& h_pows,
+                                                         BytesView aad, BytesView ciphertext,
+                                                         const AesBlock& lens,
+                                                         const AesBlock& ek_j0) {
+  __m128i h[4];
+  load_powers(h_pows, h);
+  __m128i y = ghash_clmul(_mm_setzero_si128(), h, aad.data(), aad.size());
+  y = ghash_clmul(y, h, ciphertext.data(), ciphertext.size());
+  y = ghash_clmul(y, h, lens.data(), lens.size());
+  GcmTag tag;
+  store_reflected(tag.data(), y);
+  for (std::size_t i = 0; i < 16; ++i) tag[i] ^= ek_j0[i];
+  return tag;
+}
+#endif
+
 }  // namespace
 
 AesBlock ghash(const AesBlock& h, BytesView data) {
@@ -181,73 +380,51 @@ Result<Bytes> gcm_open(const AesKey& key, const GcmNonce& nonce, BytesView ciphe
 
 // ----------------------------------------------------------- GcmContext
 
-GcmContext::GcmContext(const AesKey& key) : cipher_(key) {
-  h_pows_[0] = cipher_.encrypt_block(AesBlock{});
-  build_shoup_table(h_pows_[0], pow_hi_[0], pow_lo_[0]);
+GcmContext::GcmContext(const AesKey& key, DataplaneKernel kernel) : cipher_(key, kernel) {
+  cipher_.ctr_xor_wide(AesBlock{}, h_pows_[0]);  // H = E_K(0^128)
+#if defined(__x86_64__)
+  if (kernel == DataplaneKernel::kAesPclmul) {
+    h_powers_clmul(h_pows_);
+    return;
+  }
+#endif
+  auto tables = std::make_shared<GhashTables>();
+  build_shoup_table(h_pows_[0], tables->hi[0], tables->lo[0]);
   // Higher powers chain through the H^1 table: H^p = H^(p-1) * H.
   for (std::size_t p = 1; p < 4; ++p) {
-    h_pows_[p] = mult_h(h_pows_[p - 1]);
-    build_shoup_table(h_pows_[p], pow_hi_[p], pow_lo_[p]);
+    h_pows_[p] = shoup_mult(*tables, 1, h_pows_[p - 1]);
+    build_shoup_table(h_pows_[p], tables->hi[p], tables->lo[p]);
   }
-}
-
-AesBlock GcmContext::mult_h(const AesBlock& x) const {
-  std::uint64_t zh = 0;
-  std::uint64_t zl = 0;
-  shoup_mult_acc(pow_hi_[0], pow_lo_[0], x.data(), zh, zl);
-  AesBlock z;
-  store_be64(z.data(), zh);
-  store_be64(z.data() + 8, zl);
-  return z;
-}
-
-void GcmContext::ghash_fold(AesBlock& y, BytesView data) const {
-  std::size_t offset = 0;
-  // Aggregated fold, four blocks per reduction:
-  //   y' = (y ^ B0)*H^4 ^ B1*H^3 ^ B2*H^2 ^ B3*H
-  // — algebraically identical to four serial Horner steps, but the four
-  // multiplies are independent and fill the pipeline.
-  while (data.size() - offset >= 64) {
-    const std::uint8_t* p = data.data() + offset;
-    std::uint8_t b0[16];
-    for (int i = 0; i < 16; ++i) b0[i] = static_cast<std::uint8_t>(y[static_cast<std::size_t>(i)] ^ p[i]);
-    std::uint64_t zh = 0;
-    std::uint64_t zl = 0;
-    shoup_mult_acc(pow_hi_[3], pow_lo_[3], b0, zh, zl);
-    shoup_mult_acc(pow_hi_[2], pow_lo_[2], p + 16, zh, zl);
-    shoup_mult_acc(pow_hi_[1], pow_lo_[1], p + 32, zh, zl);
-    shoup_mult_acc(pow_hi_[0], pow_lo_[0], p + 48, zh, zl);
-    store_be64(y.data(), zh);
-    store_be64(y.data() + 8, zl);
-    offset += 64;
-  }
-  // Serial tail (full blocks plus one zero-padded partial).
-  while (offset < data.size()) {
-    const std::size_t n = std::min<std::size_t>(16, data.size() - offset);
-    for (std::size_t i = 0; i < n; ++i) y[i] ^= data[offset + i];
-    y = mult_h(y);
-    offset += n;
-  }
+  tables_ = std::move(tables);
 }
 
 AesBlock GcmContext::ghash(BytesView data) const {
+#if defined(__x86_64__)
+  if (kernel() == DataplaneKernel::kAesPclmul) return ghash_bytes_clmul(h_pows_, data);
+#endif
   AesBlock y{};
-  ghash_fold(y, data);
+  ghash_fold_shoup(*tables_, y, data);
   return y;
 }
 
 GcmTag GcmContext::compute_tag(const AesBlock& j0, BytesView aad,
                                BytesView ciphertext) const {
-  AesBlock y{};
-  ghash_fold(y, aad);
-  ghash_fold(y, ciphertext);
+  AesBlock ek_j0{};
+  cipher_.ctr_xor_wide(j0, ek_j0);  // E_K(J0) on the cipher's backend
   const AesBlock lens = length_block(aad.size() * 8, ciphertext.size() * 8);
+#if defined(__x86_64__)
+  if (kernel() == DataplaneKernel::kAesPclmul) {
+    return tag_clmul(h_pows_, aad, ciphertext, lens, ek_j0);
+  }
+#endif
+  AesBlock y{};
+  ghash_fold_shoup(*tables_, y, aad);
+  ghash_fold_shoup(*tables_, y, ciphertext);
   for (int i = 0; i < 16; ++i) {
     y[static_cast<std::size_t>(i)] ^= lens[static_cast<std::size_t>(i)];
   }
-  y = mult_h(y);
+  y = shoup_mult(*tables_, 1, y);
 
-  const AesBlock ek_j0 = cipher_.encrypt_block(j0);
   GcmTag tag;
   for (int i = 0; i < 16; ++i) {
     tag[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(

@@ -6,12 +6,16 @@
 // bitwise GHASH oracle (the free `ghash()` function) that tests and the
 // data-plane bench pin it against:
 //   * GcmContext — the data-plane path: construction expands the AES round
-//     keys once and precomputes 8-bit Shoup tables for the hash-subkey
-//     powers H^1..H^4 (256 x 16-byte entries each), so GHASH folds four
-//     blocks per reduction (four independent Horner chains instead of one
-//     serial multiply-per-block) and the CTR keystream runs through the
-//     4-wide interleaved AES path; seal/open operate in place on the
-//     caller's buffer.
+//     keys and the hash-subkey powers H^1..H^4 once, so GHASH folds four
+//     blocks per reduction (four independent products instead of one
+//     serial multiply per block); seal/open operate in place on the
+//     caller's buffer. It runs on the backend CPUID selects (DataplaneKernel
+//     in cpu.hpp). On kAesPclmul the CTR keystream, H and E_K(J0) come from
+//     AES-NI and each multiply is four PCLMULQDQs, so the context is round
+//     keys and H powers, under 512 bytes. On kPortable the keystream runs
+//     through the 4-wide T-table path and each power gets an 8-bit Shoup
+//     table (16 KB in all), built at construction and held behind a
+//     shared pointer, so copies of a context share them.
 //   * gcm_seal/gcm_open free functions construct a stack GcmContext —
 //     same bytes as always (pinned by NIST vectors and the bitwise GHASH
 //     oracle), but no longer a duplicated CTR/GHASH implementation.
@@ -19,6 +23,7 @@
 // shareable read-only across threads (proved under TSan).
 #pragma once
 
+#include <memory>
 #include <span>
 
 #include "genio/common/result.hpp"
@@ -56,12 +61,18 @@ Result<Bytes> gcm_open(const AesKey& key, const GcmNonce& nonce, BytesView ciphe
 /// against NIST vectors and for pinning the aggregated table path.
 AesBlock ghash(const AesBlock& h, BytesView data);
 
-/// Precomputed per-key GCM state: AES round keys + Shoup tables for the
-/// hash-subkey powers H^1..H^4. Build once per key, rebuild only on rekey,
-/// share read-only thereafter.
+/// Shoup tables for H^1..H^4, defined in gcm.cpp (portable backend only).
+struct GhashTables;
+
+/// Precomputed per-key GCM state: AES round keys and the hash-subkey powers
+/// H^1..H^4 (plus their Shoup tables on the portable backend). Build once
+/// per key, rebuild only on rekey, share read-only thereafter.
 class GcmContext {
  public:
-  explicit GcmContext(const AesKey& key);
+  /// `kernel` lets tests run the backends side by side. Throws
+  /// std::invalid_argument if the CPU lacks it.
+  explicit GcmContext(const AesKey& key,
+                      DataplaneKernel kernel = dispatched_dataplane_kernel());
 
   /// Encrypt `data` in place and return the authentication tag.
   GcmTag seal_in_place(const GcmNonce& nonce, std::span<std::uint8_t> data,
@@ -79,14 +90,15 @@ class GcmContext {
   Result<Bytes> open(const GcmNonce& nonce, BytesView ciphertext, const GcmTag& tag,
                      BytesView aad) const;
 
-  /// Table-driven aggregated GHASH over this context's hash subkey —
+  /// Aggregated GHASH over this context's hash subkey on its backend —
   /// exposed so tests can pin it against the bitwise ghash() oracle.
   AesBlock ghash(BytesView data) const;
 
   /// The hash subkey H = E_K(0^128) (for tests).
   const AesBlock& h() const { return h_pows_[0]; }
 
-  /// H^power for power in 1..4 (for tests pinning the aggregation tables).
+  /// H^power for power in 1..4, in GCM byte order on every backend (for
+  /// tests pinning the aggregation powers).
   const AesBlock& h_pow(int power) const {
     return h_pows_[static_cast<std::size_t>(power - 1)];
   }
@@ -94,24 +106,19 @@ class GcmContext {
   /// The underlying cached-schedule cipher (CTR reuse, tests).
   const Aes128& cipher() const { return cipher_; }
 
+  /// The backend this context seals and opens on.
+  DataplaneKernel kernel() const { return cipher_.kernel(); }
+
  private:
-  AesBlock mult_h(const AesBlock& x) const;
-  void ghash_fold(AesBlock& y, BytesView data) const;
   GcmTag compute_tag(const AesBlock& j0, BytesView aad, BytesView ciphertext) const;
 
   Aes128 cipher_;
   // h_pows_[p-1] = H^p; H^1 is the classic subkey, H^2..H^4 feed the
-  // aggregated fold (four independent Horner chains, one reduction each
-  // per 4-block group).
+  // aggregated fold (four independent products, one reduction per
+  // 4-block group).
   std::array<AesBlock, 4> h_pows_{};
-  // Shoup tables of B*H^p for every byte value B, split into 64-bit halves
-  // (hi = bytes 0..7 big-endian, lo = bytes 8..15) so one block multiply
-  // is 16 lookups folded with two-word shifts. Built from 8 doublings
-  // plus subset XORs per power — cheap enough to rebuild on every rekey.
-  // The key-independent byte-reduction table is a shared process-wide
-  // static.
-  std::array<std::array<std::uint64_t, 256>, 4> pow_hi_{};
-  std::array<std::array<std::uint64_t, 256>, 4> pow_lo_{};
+  // Null on kAesPclmul, which multiplies with PCLMULQDQ instead.
+  std::shared_ptr<const GhashTables> tables_;
 };
 
 }  // namespace genio::crypto

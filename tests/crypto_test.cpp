@@ -1081,3 +1081,297 @@ TEST(GcmContext, SealMatchesBitwiseReferenceAcrossBlockCounts) {
     ASSERT_EQ(sealed.tag, ref_tag(aad, sealed.ciphertext)) << "len=" << len;
   }
 }
+
+// ---------------------------------------- data-plane round 3: backends
+
+namespace {
+
+using DpKernel = cr::DataplaneKernel;
+
+const char* dp_kernel_name(const testing::TestParamInfo<DpKernel>& info) {
+  return info.param == DpKernel::kPortable ? "Portable" : "AesPclmul";
+}
+
+// Runs each test once per data-plane backend, straight through the
+// kernel-taking constructors; the AES-NI/PCLMULQDQ run skips on CPUs
+// without them.
+class DataplaneKernels : public testing::TestWithParam<DpKernel> {
+ protected:
+  void SetUp() override {
+    if (!cr::supports_dataplane_kernel(GetParam())) {
+      GTEST_SKIP() << "CPU has no AES-NI and PCLMULQDQ";
+    }
+  }
+};
+
+class AesKernels : public DataplaneKernels {};
+class GcmKernels : public DataplaneKernels {};
+class Crc32Kernels : public DataplaneKernels {};
+
+cr::GcmNonce nonce_from_hex(const std::string& hex) {
+  cr::GcmNonce nonce{};
+  const gc::Bytes bytes = from_hex(hex);
+  std::copy(bytes.begin(), bytes.end(), nonce.begin());
+  return nonce;
+}
+
+std::string hex_tag(const cr::GcmTag& tag) {
+  return gc::hex_encode(gc::BytesView(tag.data(), tag.size()));
+}
+
+// GCM assembled only from the oracles: byte-wise single-block CTR, and the
+// bitwise GHASH over zero-padded AAD, ciphertext and the length block.
+cr::GcmSealed bitwise_seal(const cr::AesKey& key, const cr::GcmNonce& nonce,
+                           gc::BytesView plaintext, gc::BytesView aad) {
+  const cr::Aes128 aes(key, DpKernel::kPortable);
+  cr::AesBlock j0{};
+  std::copy(nonce.begin(), nonce.end(), j0.begin());
+  j0[15] = 1;
+  cr::AesBlock ctr = j0;
+  ctr[15] = 2;
+  cr::GcmSealed out;
+  out.ciphertext.assign(plaintext.begin(), plaintext.end());
+  aes.ctr_xor_in_place(ctr, out.ciphertext);
+
+  gc::Bytes ghash_in(aad.begin(), aad.end());
+  ghash_in.resize((ghash_in.size() + 15) / 16 * 16, 0);
+  ghash_in.insert(ghash_in.end(), out.ciphertext.begin(), out.ciphertext.end());
+  ghash_in.resize((ghash_in.size() + 15) / 16 * 16, 0);
+  for (const std::uint64_t bits : {aad.size() * 8, plaintext.size() * 8}) {
+    for (int i = 0; i < 8; ++i) ghash_in.push_back(static_cast<std::uint8_t>(bits >> (56 - 8 * i)));
+  }
+  const cr::AesBlock y = cr::ghash(aes.encrypt_block(cr::AesBlock{}), ghash_in);
+  const cr::AesBlock ek_j0 = aes.encrypt_block(j0);
+  for (std::size_t i = 0; i < 16; ++i) out.tag[i] = static_cast<std::uint8_t>(y[i] ^ ek_j0[i]);
+  return out;
+}
+
+}  // namespace
+
+TEST(DataplaneKernel, DispatchPicksAesPclmulWhenCpuidReportsIt) {
+#if defined(__x86_64__)
+  const bool cpu_has = __builtin_cpu_supports("aes") && __builtin_cpu_supports("pclmul") &&
+                       __builtin_cpu_supports("ssse3") && __builtin_cpu_supports("sse4.1");
+#else
+  const bool cpu_has = false;
+#endif
+  EXPECT_EQ(cr::dispatched_dataplane_kernel(),
+            cpu_has ? DpKernel::kAesPclmul : DpKernel::kPortable);
+  EXPECT_EQ(cr::supports_dataplane_kernel(DpKernel::kAesPclmul), cpu_has);
+  EXPECT_TRUE(cr::supports_dataplane_kernel(DpKernel::kPortable));
+  const auto key = cr::make_aes_key(gc::Bytes(16, 1));
+  EXPECT_EQ(cr::Aes128(key).kernel(), cr::dispatched_dataplane_kernel());
+  EXPECT_EQ(cr::GcmContext(key).kernel(), cr::dispatched_dataplane_kernel());
+  if (!cpu_has) {
+    EXPECT_THROW(cr::Aes128(key, DpKernel::kAesPclmul), std::invalid_argument);
+    EXPECT_THROW(cr::GcmContext(key, DpKernel::kAesPclmul), std::invalid_argument);
+    EXPECT_THROW(cr::crc32_update(cr::crc32_init(), {}, DpKernel::kAesPclmul),
+                 std::invalid_argument);
+  }
+}
+
+TEST_P(AesKernels, CtrWideMatchesSingleBlockPath) {
+  const auto key = cr::make_aes_key(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
+  const cr::Aes128 cipher(key, GetParam());
+  const cr::Aes128 oracle(key, DpKernel::kPortable);
+  gc::Rng rng(7101);
+  for (std::size_t len = 0; len < 160; ++len) {
+    cr::AesBlock iv{};
+    for (auto& b : iv) b = static_cast<std::uint8_t>(rng.index(256));
+    const gc::Bytes data = rng.bytes(len);
+    gc::Bytes wide = data;
+    gc::Bytes narrow = data;
+    cipher.ctr_xor_wide(iv, wide);
+    oracle.ctr_xor_in_place(iv, narrow);
+    ASSERT_EQ(wide, narrow) << "len=" << len;
+  }
+}
+
+TEST_P(AesKernels, CtrWideWrapsTheCounterMod2To32) {
+  // Counters from 0xfffffff0 to 0xfffffffe: every block group and tail
+  // position meets the wrap, which leaves bytes 0..11 alone.
+  const auto key = cr::make_aes_key(gc::Bytes(16, 0x3c));
+  const cr::Aes128 cipher(key, GetParam());
+  const cr::Aes128 oracle(key, DpKernel::kPortable);
+  gc::Rng rng(7102);
+  for (std::uint8_t start = 0xf0; start <= 0xfe; ++start) {
+    cr::AesBlock iv{};
+    iv[11] = 0x7f;
+    iv[12] = iv[13] = iv[14] = 0xff;
+    iv[15] = start;
+    for (const std::size_t len : {16u, 64u, 127u, 128u, 200u, 16u * 20 + 3}) {
+      const gc::Bytes data = rng.bytes(len);
+      gc::Bytes wide = data;
+      gc::Bytes narrow = data;
+      cipher.ctr_xor_wide(iv, wide);
+      oracle.ctr_xor_in_place(iv, narrow);
+      ASSERT_EQ(wide, narrow) << "start=" << int{start} << " len=" << len;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cpu, AesKernels,
+                         testing::Values(DpKernel::kPortable, DpKernel::kAesPclmul),
+                         dp_kernel_name);
+
+TEST_P(GcmKernels, NistVectors) {
+  struct Case {
+    const char* key;
+    const char* nonce;
+    const char* pt;
+    const char* aad;
+    const char* ct;
+    const char* tag;
+  };
+  const Case cases[] = {
+      // NIST GCM spec test cases 1-4.
+      {"00000000000000000000000000000000", "000000000000000000000000", "", "", "",
+       "58e2fccefa7e3061367f1d57a4e7455a"},
+      {"00000000000000000000000000000000", "000000000000000000000000",
+       "00000000000000000000000000000000", "", "0388dace60b6a392f328c2b971b2fe78",
+       "ab6e47d42cec13bdf53a67b21257bddf"},
+      {"feffe9928665731c6d6a8f9467308308", "cafebabefacedbaddecaf888",
+       "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+       "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+       "",
+       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
+       "4d5c2af327cd64a62cf35abd2ba6fab4"},
+      {"feffe9928665731c6d6a8f9467308308", "cafebabefacedbaddecaf888",
+       "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+       "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+       "feedfacedeadbeeffeedfacedeadbeefabaddad2",
+       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091",
+       "5bc94fbc3221a5db94fae95ae7121a47"},
+      // CAVS gcmEncryptExtIV128, PTlen=0, AADlen=128 (tag only).
+      {"77be63708971c4e240d1cb79e8d77feb", "e0e00f19fed7ba0136a797f3", "",
+       "7a43ec1d9c0a5a78a0b16533a6213cab", "", "209fcc8d3675ed938e9c7166709dd946"},
+  };
+  for (const Case& c : cases) {
+    const cr::GcmContext ctx(cr::make_aes_key(from_hex(c.key)), GetParam());
+    const cr::GcmNonce nonce = nonce_from_hex(c.nonce);
+    const gc::Bytes pt = from_hex(c.pt);
+    const gc::Bytes aad = from_hex(c.aad);
+    const auto sealed = ctx.seal(nonce, pt, aad);
+    EXPECT_EQ(gc::hex_encode(sealed.ciphertext), c.ct) << c.tag;
+    EXPECT_EQ(hex_tag(sealed.tag), c.tag);
+    const auto opened = ctx.open(nonce, sealed.ciphertext, sealed.tag, aad);
+    ASSERT_TRUE(opened.ok()) << c.tag;
+    EXPECT_EQ(*opened, pt) << c.tag;
+  }
+}
+
+TEST_P(GcmKernels, SealAndOpenMatchBitwiseOracle) {
+  const auto key = cr::make_aes_key(from_hex("000102030405060708090a0b0c0d0e0f"));
+  const cr::GcmContext ctx(key, GetParam());
+  gc::Rng rng(7103);
+  std::vector<std::size_t> lengths(301);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.insert(lengths.end(), {576, 1500, 9000});
+  for (const std::size_t aad_len : {9u, 23u}) {
+    const gc::Bytes aad = rng.bytes(aad_len);
+    for (const std::size_t len : lengths) {
+      cr::GcmNonce nonce{};
+      for (auto& b : nonce) b = static_cast<std::uint8_t>(rng.index(256));
+      const gc::Bytes pt = rng.bytes(len);
+      const cr::GcmSealed expect = bitwise_seal(key, nonce, pt, aad);
+      gc::Bytes buf = pt;
+      const cr::GcmTag tag = ctx.seal_in_place(nonce, buf, aad);
+      ASSERT_EQ(buf, expect.ciphertext) << "aad=" << aad_len << " len=" << len;
+      ASSERT_EQ(tag, expect.tag) << "aad=" << aad_len << " len=" << len;
+      ASSERT_TRUE(ctx.open_in_place(nonce, buf, expect.tag, aad).ok()) << "len=" << len;
+      ASSERT_EQ(buf, pt) << "aad=" << aad_len << " len=" << len;
+    }
+  }
+}
+
+TEST_P(GcmKernels, CipherCtrCrossesTheCounterWrap) {
+  // A 96-bit nonce starts the payload counter at 2, so the wrap is reached
+  // through the context's cipher with a counter of 0xfffffffe.
+  const auto key = cr::make_aes_key(from_hex("feffe9928665731c6d6a8f9467308308"));
+  const cr::GcmContext ctx(key, GetParam());
+  cr::AesBlock iv{};
+  iv[0] = 0xca;
+  iv[12] = iv[13] = iv[14] = 0xff;
+  iv[15] = 0xfe;
+  gc::Rng rng(7104);
+  const gc::Bytes data = rng.bytes(16 * 19 + 7);
+  gc::Bytes wide = data;
+  gc::Bytes narrow = data;
+  ctx.cipher().ctr_xor_wide(iv, wide);
+  cr::Aes128(key, DpKernel::kPortable).ctr_xor_in_place(iv, narrow);
+  EXPECT_EQ(wide, narrow);
+}
+
+TEST_P(GcmKernels, TamperIsRejectedAndLeavesBufferUntouched) {
+  const auto key = cr::make_aes_key(gc::Bytes(16, 9));
+  const cr::GcmContext ctx(key, GetParam());
+  const cr::GcmNonce nonce = nonce_from_hex("00112233445566778899aabb");
+  gc::Rng rng(7105);
+  const gc::Bytes aad = rng.bytes(9);
+  for (const std::size_t len : {1u, 64u, 1500u}) {
+    gc::Bytes buf = rng.bytes(len);
+    const cr::GcmTag tag = ctx.seal_in_place(nonce, buf, aad);
+    for (const std::size_t at : {std::size_t{0}, len / 2, len - 1}) {
+      gc::Bytes tampered = buf;
+      tampered[at] ^= 0x01;
+      const gc::Bytes before = tampered;
+      const auto st = ctx.open_in_place(nonce, tampered, tag, aad);
+      ASSERT_FALSE(st.ok()) << "len=" << len << " at=" << at;
+      EXPECT_EQ(st.error().code(), gc::ErrorCode::kDecryptionFailed);
+      EXPECT_EQ(tampered, before);
+    }
+    cr::GcmTag bad_tag = tag;
+    bad_tag[15] ^= 0x80;
+    gc::Bytes copy = buf;
+    EXPECT_FALSE(ctx.open_in_place(nonce, copy, bad_tag, aad).ok());
+    EXPECT_EQ(copy, buf);
+  }
+}
+
+TEST_P(GcmKernels, HPowersMatchBitwiseSquaring) {
+  const auto key = cr::make_aes_key(from_hex("feffe9928665731c6d6a8f9467308308"));
+  const cr::GcmContext ctx(key, GetParam());
+  EXPECT_EQ(ctx.h(), cr::Aes128(key, DpKernel::kPortable).encrypt_block(cr::AesBlock{}));
+  for (int p = 1; p < 4; ++p) {
+    const cr::AesBlock& hp = ctx.h_pow(p);
+    EXPECT_EQ(ctx.h_pow(p + 1), cr::ghash(ctx.h(), gc::BytesView(hp.data(), hp.size())))
+        << "power=" << p + 1;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cpu, GcmKernels,
+                         testing::Values(DpKernel::kPortable, DpKernel::kAesPclmul),
+                         dp_kernel_name);
+
+TEST_P(Crc32Kernels, MatchesReferenceAtEveryLengthAndOffset) {
+  gc::Rng rng(7106);
+  const gc::Bytes data = rng.bytes(1100 + 16);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const gc::BytesView view(data.data() + offset, len);
+      const std::uint32_t crc =
+          cr::crc32_final(cr::crc32_update(cr::crc32_init(), view, GetParam()));
+      ASSERT_EQ(crc, cr::crc32_reference(view)) << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST_P(Crc32Kernels, StreamingSplitsMatchReference) {
+  gc::Rng rng(7107);
+  for (int trial = 0; trial < 400; ++trial) {
+    const gc::Bytes data = rng.bytes(rng.index(1101));
+    const std::size_t split = rng.index(data.size() + 1);
+    std::uint32_t state = cr::crc32_init();
+    state = cr::crc32_update(state, gc::BytesView(data.data(), split), GetParam());
+    state = cr::crc32_update(state, gc::BytesView(data.data() + split, data.size() - split),
+                             GetParam());
+    ASSERT_EQ(cr::crc32_final(state), cr::crc32_reference(data))
+        << "len=" << data.size() << " split=" << split;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cpu, Crc32Kernels,
+                         testing::Values(DpKernel::kPortable, DpKernel::kAesPclmul),
+                         dp_kernel_name);

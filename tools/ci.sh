@@ -34,7 +34,7 @@ if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
   echo "== pipeline-throughput bench smoke (serial/parallel divergence fails CI) =="
   "${repo_root}/build/bench/bench_pipeline_throughput" --smoke \
     --out "${repo_root}/build/BENCH_pipeline.json"
-  echo "== data-plane crypto bench smoke (fast/reference or pool/serial divergence, seal+open < 9x reference, or a >20% regression vs the committed baseline fails CI) =="
+  echo "== data-plane crypto bench smoke (a backend, CRC fold or pool/serial divergence from the oracles, seal+open < 9x reference, AES-NI/PCLMULQDQ < 8x portable seal+open or < 4x portable CRC at 1 KB, or a >20% regression vs the committed baseline fails CI) =="
   "${repo_root}/build/bench/bench_dataplane" --smoke \
     --baseline "${repo_root}/BENCH_dataplane.json" \
     --out "${repo_root}/build/BENCH_dataplane.json"
@@ -71,7 +71,7 @@ if [[ "${mode}" != "--plain-only" && "${mode}" != "--sanitize-only" ]]; then
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/bench_pipeline_throughput" --smoke \
     --out "${repo_root}/build-tsan/BENCH_pipeline.json"
-  echo "== data-plane crypto bench smoke (TSan) =="
+  echo "== data-plane crypto bench smoke (TSan; backend and CRC fold identity enforced, ratio floors not) =="
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/bench_dataplane" --smoke \
     --out "${repo_root}/build-tsan/BENCH_dataplane.json"
