@@ -159,7 +159,7 @@ void Olt::handle_data(const GemFrame& frame) {
   }
   GemFrame local = copy_frame(frame);
   if (record.cipher != nullptr) {
-    const common::Status st = record.cipher->decrypt(local);
+    const common::Status st = record.cipher->decrypt(local, Direction::kUpstream);
     if (!st.ok()) {
       ++counters_.decrypt_failures;
       if (logger_) {

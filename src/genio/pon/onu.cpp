@@ -208,7 +208,7 @@ std::size_t Onu::drain_upstream(std::size_t max_frames) {
     upstream_queue_bytes_ -= std::min(upstream_queue_bytes_, frame.payload.size());
     upstream_queue_.pop_front();
     if (cipher_ != nullptr) {
-      cipher_->encrypt(frame);
+      cipher_->encrypt(frame, Direction::kUpstream);
     } else {
       frame.seal_fcs();
     }

@@ -175,6 +175,30 @@ TEST(GponCipher, EncryptDecryptRoundTrip) {
   EXPECT_EQ(gc::to_text(f.payload), "sensor readings");
 }
 
+TEST(GponCipher, DirectionsUseDistinctNonces) {
+  // The OLT and the ONU share the data key and count superframes on their
+  // own, so a frame each way can carry the same superframe, ONU-ID and
+  // port. The direction byte in the IV keeps their keystreams apart.
+  const pon::GponCipher cipher(test_key(3));
+  pon::GemFrame down;
+  down.onu_id = 12;
+  down.port_id = 1;
+  down.superframe = 5;
+  down.payload = gc::to_bytes("the same payload, both ways");
+  pon::GemFrame up = down;
+  pon::GemFrame by_default = down;
+  cipher.encrypt(down, pon::Direction::kDownstream);
+  cipher.encrypt(up, pon::Direction::kUpstream);
+  cipher.encrypt(by_default);
+  EXPECT_NE(down.payload, up.payload);
+  EXPECT_EQ(by_default.payload, down.payload);  // downstream is the default
+
+  pon::GemFrame reflected = up;
+  EXPECT_FALSE(cipher.decrypt(reflected, pon::Direction::kDownstream).ok());
+  ASSERT_TRUE(cipher.decrypt(up, pon::Direction::kUpstream).ok());
+  EXPECT_EQ(gc::to_text(up.payload), "the same payload, both ways");
+}
+
 TEST(GponCipher, HeaderTamperBreaksAad) {
   pon::GponCipher cipher(test_key(3));
   pon::GemFrame f;
@@ -477,6 +501,33 @@ TEST(DataPath, EncryptedRoundTrip) {
   olt->run_dba_cycle(std::span(&raw, 1), 4);
   ASSERT_EQ(olt->received_data().at(id).size(), 1u);
   EXPECT_EQ(gc::to_text(olt->received_data().at(id)[0]), "telemetry");
+}
+
+TEST(DataPath, ReflectedUpstreamFrameIsRejected) {
+  // Both ends seal under the one session data key and count superframes
+  // on their own. A tap that plays the ONU's own upstream frame back down
+  // the tree must not get it accepted as OLT data.
+  PonFixture f;
+  pon::FiberTap tap;
+  f.odn.add_tap(&tap);
+  auto olt = f.make_olt({.require_authentication = true, .encrypt_data_path = true});
+  auto onu = f.make_onu("GNIO0001");
+  (void)olt->register_serial("GNIO0001");
+  olt->start_discovery();
+  const auto id = olt->onu_id_for("GNIO0001").value();
+  ASSERT_TRUE(olt->authenticate_onu(id, *onu).ok());
+
+  for (int i = 0; i < 8; ++i) onu->send_data(1, gc::to_bytes("uplink " + std::to_string(i)));
+  pon::Onu* raw = onu.get();
+  olt->run_dba_cycle(std::span(&raw, 1), 8);
+  ASSERT_EQ(olt->received_data().at(id).size(), 8u);
+  const pon::GemFrame captured = tap.captured_upstream().back();
+  ASSERT_EQ(captured.port_id, 1);
+  ASSERT_TRUE(captured.encrypted);
+
+  f.odn.downstream(captured);
+  EXPECT_TRUE(onu->received_data().empty());
+  EXPECT_EQ(onu->stats().decrypt_failures, 1u);
 }
 
 TEST(DataPath, UnauthenticatedOnuDeniedWhenM4Required) {
