@@ -54,7 +54,9 @@ MacsecFrame MacsecSecY::protect(const EthFrame& frame) {
 }
 
 common::Result<EthFrame> MacsecSecY::validate(const MacsecFrame& frame) {
-  if (rx_highest_pn_ > 0 && frame.pn + replay_window_ < rx_highest_pn_) {
+  // Behind the floor only if below the highest PN by more than the window;
+  // written as a difference so a PN near 2^32 cannot wrap below it.
+  if (frame.pn < rx_highest_pn_ && rx_highest_pn_ - frame.pn > replay_window_) {
     ++stats_.late_frames;
     return common::replay_detected("PN " + std::to_string(frame.pn) +
                                    " below replay window floor");

@@ -132,6 +132,23 @@ TEST(Macsec, FrameBelowWindowFloorRejected) {
   EXPECT_GE(rx.stats().late_frames, 1u);
 }
 
+TEST(Macsec, FarFuturePnIsAnIcvFailureNotALateFrame) {
+  // A PN near 2^32 is far ahead of the window, not behind it: the replay
+  // floor must not wrap and call a forged frame late.
+  pon::MacsecSecY tx(0x1, test_key(1));
+  pon::MacsecSecY rx(0x2, test_key(1));
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(rx.validate(tx.protect(make_eth("x"))).ok());
+  }
+  auto forged = tx.protect(make_eth("forged"));
+  forged.pn = 0xFFFFFFF0u;
+  const auto st = rx.validate(forged);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code(), gc::ErrorCode::kDecryptionFailed);
+  EXPECT_EQ(rx.stats().invalid_tag_frames, 1u);
+  EXPECT_EQ(rx.stats().late_frames, 0u);
+}
+
 TEST(Macsec, TamperedFrameRejected) {
   pon::MacsecSecY tx(0x1, test_key(1));
   pon::MacsecSecY rx(0x2, test_key(1));
