@@ -1,6 +1,7 @@
 #include "genio/crypto/gcm.hpp"
 
 #include <cstring>
+#include <initializer_list>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -316,11 +317,6 @@ __attribute__((target("pclmul,ssse3"))) __m128i ghash_clmul(__m128i y, const __m
   return reduce(w);
 }
 
-__attribute__((target("ssse3"))) inline void load_powers(const std::array<AesBlock, 4>& h_pows,
-                                                         __m128i* h) {
-  for (std::size_t p = 0; p < 4; ++p) h[p] = load_reflected(h_pows[p].data());
-}
-
 // H^2..H^4 from H, stored back in GCM byte order.
 __attribute__((target("pclmul,ssse3"))) void h_powers_clmul(std::array<AesBlock, 4>& h_pows) {
   const __m128i h = load_reflected(h_pows[0].data());
@@ -331,30 +327,17 @@ __attribute__((target("pclmul,ssse3"))) void h_powers_clmul(std::array<AesBlock,
   }
 }
 
-__attribute__((target("pclmul,ssse3"))) AesBlock ghash_bytes_clmul(
-    const std::array<AesBlock, 4>& h_pows, BytesView data) {
+// GHASH over `parts` in turn, each zero-padded to whole blocks, with the
+// running hash kept in one register.
+__attribute__((target("pclmul,ssse3"))) AesBlock ghash_parts_clmul(
+    const std::array<AesBlock, 4>& h_pows, std::initializer_list<BytesView> parts) {
   __m128i h[4];
-  load_powers(h_pows, h);
+  for (std::size_t p = 0; p < 4; ++p) h[p] = load_reflected(h_pows[p].data());
+  __m128i y = _mm_setzero_si128();
+  for (const BytesView part : parts) y = ghash_clmul(y, h, part.data(), part.size());
   AesBlock out;
-  store_reflected(out.data(), ghash_clmul(_mm_setzero_si128(), h, data.data(), data.size()));
+  store_reflected(out.data(), y);
   return out;
-}
-
-// The tag: GHASH over AAD, ciphertext and the length block, all in one
-// register, XORed with E_K(J0).
-__attribute__((target("pclmul,ssse3"))) GcmTag tag_clmul(const std::array<AesBlock, 4>& h_pows,
-                                                         BytesView aad, BytesView ciphertext,
-                                                         const AesBlock& lens,
-                                                         const AesBlock& ek_j0) {
-  __m128i h[4];
-  load_powers(h_pows, h);
-  __m128i y = ghash_clmul(_mm_setzero_si128(), h, aad.data(), aad.size());
-  y = ghash_clmul(y, h, ciphertext.data(), ciphertext.size());
-  y = ghash_clmul(y, h, lens.data(), lens.size());
-  GcmTag tag;
-  store_reflected(tag.data(), y);
-  for (std::size_t i = 0; i < 16; ++i) tag[i] ^= ek_j0[i];
-  return tag;
 }
 #endif
 
@@ -398,38 +381,25 @@ GcmContext::GcmContext(const AesKey& key, DataplaneKernel kernel) : cipher_(key,
   tables_ = std::move(tables);
 }
 
-AesBlock GcmContext::ghash(BytesView data) const {
+AesBlock GcmContext::ghash(BytesView data) const { return ghash_parts({data}); }
+
+AesBlock GcmContext::ghash_parts(std::initializer_list<BytesView> parts) const {
 #if defined(__x86_64__)
-  if (kernel() == DataplaneKernel::kAesPclmul) return ghash_bytes_clmul(h_pows_, data);
+  if (kernel() == DataplaneKernel::kAesPclmul) return ghash_parts_clmul(h_pows_, parts);
 #endif
   AesBlock y{};
-  ghash_fold_shoup(*tables_, y, data);
+  for (const BytesView part : parts) ghash_fold_shoup(*tables_, y, part);
   return y;
 }
 
 GcmTag GcmContext::compute_tag(const AesBlock& j0, BytesView aad,
                                BytesView ciphertext) const {
+  // The length block goes through the same fold as the data.
+  const AesBlock lens = length_block(aad.size() * 8, ciphertext.size() * 8);
+  GcmTag tag = ghash_parts({aad, ciphertext, lens});
   AesBlock ek_j0{};
   cipher_.ctr_xor_wide(j0, ek_j0);  // E_K(J0) on the cipher's backend
-  const AesBlock lens = length_block(aad.size() * 8, ciphertext.size() * 8);
-#if defined(__x86_64__)
-  if (kernel() == DataplaneKernel::kAesPclmul) {
-    return tag_clmul(h_pows_, aad, ciphertext, lens, ek_j0);
-  }
-#endif
-  AesBlock y{};
-  ghash_fold_shoup(*tables_, y, aad);
-  ghash_fold_shoup(*tables_, y, ciphertext);
-  for (int i = 0; i < 16; ++i) {
-    y[static_cast<std::size_t>(i)] ^= lens[static_cast<std::size_t>(i)];
-  }
-  y = shoup_mult(*tables_, 1, y);
-
-  GcmTag tag;
-  for (int i = 0; i < 16; ++i) {
-    tag[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(
-        y[static_cast<std::size_t>(i)] ^ ek_j0[static_cast<std::size_t>(i)]);
-  }
+  for (std::size_t i = 0; i < 16; ++i) tag[i] ^= ek_j0[i];
   return tag;
 }
 

@@ -23,6 +23,7 @@
 // shareable read-only across threads (proved under TSan).
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <span>
 
@@ -110,6 +111,8 @@ class GcmContext {
   DataplaneKernel kernel() const { return cipher_.kernel(); }
 
  private:
+  // GHASH over `parts` in turn, each zero-padded to whole blocks.
+  AesBlock ghash_parts(std::initializer_list<BytesView> parts) const;
   GcmTag compute_tag(const AesBlock& j0, BytesView aad, BytesView ciphertext) const;
 
   Aes128 cipher_;
