@@ -7,8 +7,9 @@
 // and port would reuse a GCM nonce.
 //
 // Data-plane fast path: the cipher holds one GcmContext for the ONU data
-// key — AES round keys and the GHASH table are expanded at construction
-// (and on rekey) only, and seal/open run in place on the frame payload:
+// key — AES round keys and the GHASH key powers are expanded at
+// construction (and on rekey) only, and seal/open run in place on the
+// frame payload:
 // the CTR keystream is XORed into the payload bytes and the tag lands in
 // reserved capacity at the tail, with zero intermediate buffers.
 #pragma once

@@ -23,7 +23,7 @@ struct LinkStats {
 /// frame count, which both sides observe identically in order.
 ///
 /// Each epoch's SecY carries the cached GcmContext for its SAK, so the
-/// AES key schedule and GHASH table are built exactly once per rekey —
+/// AES key schedule and GHASH key powers are built exactly once per rekey —
 /// every frame in between reuses them.
 class MacsecLink {
  public:

@@ -46,10 +46,10 @@ struct MacsecStats {
 /// monotonically increasing packet number, and a receive side with a
 /// sliding replay window. A full link is two SecYs, one per peer.
 ///
-/// The SecY owns a GcmContext for its SAK: key schedule and GHASH table
-/// are expanded once at construction (i.e. once per rekey, since MKA-style
-/// re-keying swaps in a fresh SecY), and every protect/validate reuses
-/// them with in-place CTR + table-driven GHASH.
+/// The SecY owns a GcmContext for its SAK: key schedule and GHASH key
+/// powers are expanded once at construction (i.e. once per rekey, since
+/// MKA-style re-keying swaps in a fresh SecY), and every protect/validate
+/// reuses them with in-place CTR + aggregated GHASH.
 class MacsecSecY {
  public:
   /// `sci` identifies this transmitter; `sak` is the Secure Association Key
@@ -71,7 +71,7 @@ class MacsecSecY {
   crypto::GcmNonce nonce_for(std::uint64_t sci, std::uint32_t pn) const;
 
   std::uint64_t sci_;
-  crypto::GcmContext ctx_;  // cached schedule + GHASH table for the SAK
+  crypto::GcmContext ctx_;  // cached schedule + GHASH powers for the SAK
   std::uint32_t replay_window_;
   std::uint32_t next_pn_ = 1;
 

@@ -110,8 +110,9 @@ class Onu : public OnuDevice, public AuthTransport {
   // Out of line, like cipher_: fabric ONUs hold no credentials.
   std::unique_ptr<AuthEndpoint> auth_;
   std::optional<SessionKeys> pending_keys_;
-  // Out of line: a GponCipher carries ~16.8 KB of GCM tables, and most
-  // ONUs (every fabric ONU) never activate a session key.
+  // Out of line: a GponCipher is 440 B of round keys and GHASH powers
+  // (plus 16 KB of shared tables without AES-NI), and most ONUs (every
+  // fabric ONU) never activate a session key.
   std::unique_ptr<GponCipher> cipher_;
 
   struct QueuedFrame {
