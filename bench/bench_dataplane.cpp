@@ -57,6 +57,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
+
 #include "genio/common/rng.hpp"
 #include "genio/common/strings.hpp"
 #include "genio/common/table.hpp"
@@ -89,21 +91,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using DpKernel = cr::DataplaneKernel;
+using genio::bench::lpt_makespan;
+using genio::bench::Spread;
+using genio::bench::spread;
 
 const char* kernel_name(DpKernel kernel) {
   return kernel == DpKernel::kAesPclmul ? "aes_pclmul" : "portable";
-}
-
-struct Spread {
-  double median = 0, q1 = 0, q3 = 0;
-};
-
-Spread spread(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const auto at = [&](double q) {
-    return xs[static_cast<std::size_t>(q * static_cast<double>(xs.size() - 1) + 0.5)];
-  };
-  return {at(0.5), at(0.25), at(0.75)};
 }
 
 // ------------------------------------------------ bitwise reference oracle
@@ -487,17 +480,6 @@ struct ShardedResult {
   double pool_MBps = 0.0;                     // real pool run (this host)
   bool identity = true;
 };
-
-// LPT makespan for `workers` identical workers over the measured leaf times:
-// the modeled wall-clock of the sharded data plane on a w-way host.
-double lpt_makespan(std::vector<double> leaves, int workers) {
-  std::sort(leaves.begin(), leaves.end(), std::greater<>());
-  std::vector<double> load(static_cast<std::size_t>(workers), 0.0);
-  for (const double leaf : leaves) {
-    *std::min_element(load.begin(), load.end()) += leaf;
-  }
-  return *std::max_element(load.begin(), load.end());
-}
 
 // Per-link sharding: 8 links, independent keys, one seal+open leaf each.
 // Leaf times are measured serially (accurate on the 1-core CI host), the

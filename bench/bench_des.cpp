@@ -56,6 +56,8 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
+
 #include "genio/common/event_queue.hpp"
 #include "genio/common/rng.hpp"
 #include "genio/common/sim_clock.hpp"
@@ -317,17 +319,9 @@ ShardedResult run_sharded(bool smoke) {
   // LPT makespan model: longest leaf first onto the least-loaded worker.
   // CI hosts report hardware_concurrency()==1, so parallel scaling is
   // modeled from the measured leaves rather than timed directly.
-  std::array<std::size_t, kShards> order{};
-  for (std::size_t i = 0; i < kShards; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return leaf_seconds[a] > leaf_seconds[b];
-  });
+  const std::vector<double> leaves(leaf_seconds.begin(), leaf_seconds.end());
   for (const int workers : {1, 2, 4, 8}) {
-    std::vector<double> load(static_cast<std::size_t>(workers), 0.0);
-    for (const std::size_t leaf : order) {
-      *std::min_element(load.begin(), load.end()) += leaf_seconds[leaf];
-    }
-    const double makespan = *std::max_element(load.begin(), load.end());
+    const double makespan = genio::bench::lpt_makespan(leaves, workers);
     r.modeled_eps.emplace_back(workers,
                                static_cast<double>(r.total_events) / makespan);
   }

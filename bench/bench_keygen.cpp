@@ -30,6 +30,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
+
 #include "genio/common/rng.hpp"
 #include "genio/core/platform.hpp"
 #include "genio/crypto/sha256.hpp"
@@ -57,6 +59,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using Lanes = cr::Sha256Lanes;
 using LaneKernel = Lanes::Kernel;
+using genio::bench::Spread;
+using genio::bench::spread;
 
 constexpr LaneKernel kAllKernels[] = {LaneKernel::kAvx512f, LaneKernel::kShaNi,
                                       LaneKernel::kScalar};
@@ -72,18 +76,6 @@ const char* kernel_name(LaneKernel kernel) {
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-struct Spread {
-  double median = 0, q1 = 0, q3 = 0;
-};
-
-Spread spread(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const auto at = [&](double q) {
-    return xs[static_cast<std::size_t>(q * static_cast<double>(xs.size() - 1) + 0.5)];
-  };
-  return {at(0.5), at(0.25), at(0.75)};
 }
 
 void random_words(gc::Rng& rng, Lanes::State& state, Lanes::Block& block) {

@@ -3,7 +3,7 @@
 // straightforward solution." Measures host CVE-scan throughput as the
 // package count grows, SCAP benchmark evaluation cost, the verify cost
 // of the two signed-update channels (APT-like vs ONIE-like), and — for
-// the M14v2 SAST engine — scan throughput plus a false-positive-rate
+// the M14 SAST engine — scan throughput plus a false-positive-rate
 // comparison of the legacy regex pass against the taint dataflow pass
 // on a labeled corpus.
 #include <benchmark/benchmark.h>

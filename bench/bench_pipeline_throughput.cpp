@@ -1,8 +1,9 @@
 // Admission-scan fabric throughput sweep. One seeded image corpus (all
 // images admit cleanly, so every arm performs the full five-gate scan) is
 // pushed through the deployment pipeline in three postures:
-//   serial        parallel_scanning=false, scan_cache=false — the
-//                 pre-fabric baseline;
+//   serial        scan_workers=1, scan_cache_capacity=0 — the
+//                 pre-fabric baseline (parallel-w1 builds the same
+//                 size-1 pool);
 //   parallel-wK   work-stealing pool sized K in {1,2,4,8}, cache off;
 //   cached        pool of 4 with the content-addressed cache: a cold
 //                 round (every admit scans) then a warm round (every
@@ -31,6 +32,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
+
 #include "genio/appsec/sast.hpp"
 #include "genio/appsec/sca.hpp"
 #include "genio/appsec/secrets.hpp"
@@ -50,6 +53,7 @@ namespace core = genio::core;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using genio::bench::lpt_makespan;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
@@ -243,15 +247,6 @@ std::vector<double> measure_leaf_tasks(const as::ContainerImage& image,
   return tasks;
 }
 
-double lpt_makespan(std::vector<double> tasks, std::size_t workers) {
-  std::sort(tasks.begin(), tasks.end(), std::greater<double>());
-  std::vector<double> load(std::max<std::size_t>(workers, 1), 0.0);
-  for (const double t : tasks) {
-    *std::min_element(load.begin(), load.end()) += t;
-  }
-  return *std::max_element(load.begin(), load.end());
-}
-
 struct ArmSummary {
   std::string name;
   std::size_t workers = 1;
@@ -372,8 +367,8 @@ int main(int argc, char** argv) {
   // arms still measure cold-cache admission semantics.
   {
     core::PlatformConfig warm_config;
-    warm_config.parallel_scanning = false;
-    warm_config.scan_cache = false;
+    warm_config.scan_workers = 1;
+    warm_config.scan_cache_capacity = 0;
     const std::vector<as::ContainerImage> warm_corpus(corpus.begin(),
                                                       corpus.begin() + 1);
     Site warm_site(warm_config, spec, warm_corpus);
@@ -384,8 +379,8 @@ int main(int argc, char** argv) {
   std::vector<ArmSummary> arms;
 
   core::PlatformConfig serial_config;
-  serial_config.parallel_scanning = false;
-  serial_config.scan_cache = false;
+  serial_config.scan_workers = 1;
+  serial_config.scan_cache_capacity = 0;
   Site serial_site(serial_config, spec, corpus);
   const RoundResult serial_round = run_round(serial_site, corpus, "serial");
   arms.push_back({"serial", 1, serial_round, 0.0});
@@ -407,7 +402,7 @@ int main(int argc, char** argv) {
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     core::PlatformConfig config;
     config.scan_workers = static_cast<int>(workers);
-    config.scan_cache = false;
+    config.scan_cache_capacity = 0;
     Site site(config, spec, corpus);
     ArmSummary arm;
     arm.name = "parallel-w" + std::to_string(workers);

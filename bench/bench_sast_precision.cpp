@@ -1,24 +1,20 @@
 // E-SAST2 — precision/recall gate for the M14v3 flow-sensitive taint
-// engine against the M14v2 def-use baseline. Scores both engines on two
-// labeled corpora (sast_corpus.hpp):
-//   legacy — straight-line flows the def-use walk already handles. The
-//            new engine must match it exactly: confirmed recall 1.00,
-//            confirmed false-positive rate 0.00.
+// engine. Scores it on two labeled corpora (sast_corpus.hpp):
+//   legacy — straight-line source->sink flows, and safe files whose lines
+//            still trip the regex rules.
 //   flow   — branch-dependent sanitization, loop-carried taint, aliasing
-//            and 2+-hop helper chains. The flow-sensitive engine must be
-//            STRICTLY better than def-use on confirmed recall while
-//            holding the false-positive rate at 0.00.
-// "Confirmed" = a complete unsanitized source->sink trace (the kHigh
-// tier); parameter-dependent and audit flows never count.
+//            and 2+-hop helper chains.
+// On both the engine must hold confirmed recall 1.00 and a confirmed
+// false-positive rate of 0.00. "Confirmed" = a complete unsanitized
+// source->sink trace (the kHigh tier); parameter-dependent and audit
+// flows never count.
 // Invariants (exit nonzero if any breaks):
-//   * flow engine on legacy corpus: recall == 1.00 and FP rate == 0.00;
-//   * flow engine on flow corpus:   recall == 1.00 and FP rate == 0.00;
-//   * flow recall on flow corpus strictly exceeds def-use recall;
-//   * def-use keeps FP rate 0.00 on both corpora (A/B stays honest);
+//   * legacy corpus: recall == 1.00 and FP rate == 0.00;
+//   * flow corpus:   recall == 1.00 and FP rate == 0.00;
 //   * sharding the per-function pass on a 4-worker pool renders
 //     byte-identically to the serial engine for every corpus file.
 // Writes a machine-readable summary to BENCH_sast.json (or --out PATH).
-// `--smoke` skips the timing loops (verdicts and gates always run).
+// `--smoke` skips the timing loop (verdicts and gates always run).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -121,10 +117,9 @@ double time_engine_us(const sast::TaintAnalyzer& analyzer,
   return total_us / rounds;
 }
 
-void write_json(const char* path, bool smoke, const Score& defuse_legacy,
-                const Score& flow_legacy, const Score& defuse_flow,
-                const Score& flow_flow, double defuse_us, double flow_us,
-                bool parallel_identical, bool invariants_hold) {
+void write_json(const char* path, bool smoke, const Score& legacy,
+                const Score& flow, double flow_us, bool parallel_identical,
+                bool invariants_hold) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -142,19 +137,11 @@ void write_json(const char* path, bool smoke, const Score& defuse_legacy,
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"tier\": \"confirmed (complete unsanitized trace)\",\n");
   std::fprintf(f, "  \"scores\": {\n");
-  emit_score("defuse_legacy", defuse_legacy, false);
-  emit_score("flow_legacy", flow_legacy, false);
-  emit_score("defuse_flow", defuse_flow, false);
-  emit_score("flow_flow", flow_flow, true);
+  emit_score("flow_legacy", legacy, false);
+  emit_score("flow_flow", flow, true);
   std::fprintf(f, "  },\n");
-  std::fprintf(f,
-               "  \"recall_gain_on_flow_corpus\": %.2f,\n",
-               flow_flow.recall() - defuse_flow.recall());
-  if (defuse_us > 0.0 && flow_us > 0.0) {
-    std::fprintf(f,
-                 "  \"timing\": {\"defuse_corpus_scan_us\": %.1f, "
-                 "\"flow_corpus_scan_us\": %.1f, \"flow_over_defuse\": %.2f},\n",
-                 defuse_us, flow_us, flow_us / defuse_us);
+  if (flow_us > 0.0) {
+    std::fprintf(f, "  \"timing\": {\"flow_corpus_scan_us\": %.1f},\n", flow_us);
   }
   std::fprintf(f, "  \"parallel_identical_to_serial\": %s,\n",
                parallel_identical ? "true" : "false");
@@ -176,14 +163,8 @@ int main(int argc, char** argv) {
   const std::vector<LabeledSource> legacy = genio::bench::make_legacy_sast_corpus();
   const std::vector<LabeledSource> flow_corpus = genio::bench::make_flow_sast_corpus();
 
-  sast::TaintAnalyzer defuse;
-  defuse.set_engine(sast::TaintEngine::kDefUse);
   sast::TaintAnalyzer flow;
-  flow.set_engine(sast::TaintEngine::kFlowSensitive);
-
-  const Score defuse_legacy = score_engine(defuse, legacy);
   const Score flow_legacy = score_engine(flow, legacy);
-  const Score defuse_flow = score_engine(defuse, flow_corpus);
   const Score flow_flow = score_engine(flow, flow_corpus);
 
   // Parallel shard vs serial: every corpus file must render identically.
@@ -192,7 +173,6 @@ int main(int argc, char** argv) {
   {
     gc::ThreadPool pool(4);
     sast::TaintAnalyzer sharded;
-    sharded.set_engine(sast::TaintEngine::kFlowSensitive);
     sharded.set_thread_pool(&pool);
     for (const auto* corpus : {&legacy, &flow_corpus}) {
       for (const auto& entry : *corpus) {
@@ -206,15 +186,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  double defuse_us = 0.0;
-  double flow_us = 0.0;
-  if (!smoke) {
-    const int rounds = 200;
-    defuse_us = time_engine_us(defuse, flow_corpus, rounds);
-    flow_us = time_engine_us(flow, flow_corpus, rounds);
-  }
+  const double flow_us = smoke ? 0.0 : time_engine_us(flow, flow_corpus, 200);
 
-  gc::Table table({"engine / corpus", "recall", "FP rate", "missed", "false alarms"});
+  gc::Table table({"corpus", "recall", "FP rate", "missed", "false alarms"});
   const auto join_names = [](const std::vector<std::string>& names) {
     std::string out;
     for (const auto& n : names) out += (out.empty() ? "" : ", ") + n;
@@ -225,15 +199,10 @@ int main(int argc, char** argv) {
                    gc::format_double(s.fp_rate(), 2), join_names(s.missed),
                    join_names(s.flagged)});
   };
-  add_row("def-use / legacy", defuse_legacy);
-  add_row("flow-sensitive / legacy", flow_legacy);
-  add_row("def-use / flow", defuse_flow);
-  add_row("flow-sensitive / flow", flow_flow);
+  add_row("legacy", flow_legacy);
+  add_row("flow", flow_flow);
   std::printf("%s\n", table.render().c_str());
-  if (!smoke) {
-    std::printf("corpus scan: def-use %.1f us, flow-sensitive %.1f us (%.2fx)\n",
-                defuse_us, flow_us, flow_us / defuse_us);
-  }
+  if (!smoke) std::printf("flow corpus scan: %.1f us\n", flow_us);
 
   int failures = 0;
   const auto check = [&failures](bool ok, const char* what) {
@@ -244,17 +213,13 @@ int main(int argc, char** argv) {
   check(flow_legacy.fp_rate() == 0.0, "flow engine: legacy FP rate == 0.00");
   check(flow_flow.recall() == 1.0, "flow engine: flow-corpus recall == 1.00");
   check(flow_flow.fp_rate() == 0.0, "flow engine: flow-corpus FP rate == 0.00");
-  check(flow_flow.recall() > defuse_flow.recall(),
-        "flow engine strictly beats def-use recall on the flow corpus");
-  check(defuse_legacy.fp_rate() == 0.0 && defuse_flow.fp_rate() == 0.0,
-        "def-use baseline: FP rate == 0.00 on both corpora");
   check(parallel_identical, "parallel shard renders identically to serial");
   if (!parallel_identical) {
     std::printf("  first divergence: %s\n", first_divergence.c_str());
   }
 
-  write_json(out_path, smoke, defuse_legacy, flow_legacy, defuse_flow,
-             flow_flow, defuse_us, flow_us, parallel_identical, failures == 0);
+  write_json(out_path, smoke, flow_legacy, flow_flow, flow_us, parallel_identical,
+             failures == 0);
   std::printf("wrote %s\n", out_path);
   return failures == 0 ? 0 : 1;
 }

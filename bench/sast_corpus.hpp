@@ -1,7 +1,7 @@
 // Labeled SAST corpora shared by bench_lesson4_scanning (legacy
-// accuracy gate) and bench_sast_precision (def-use vs flow-sensitive A/B
-// gate). Every entry is a simulated source file with a ground-truth
-// label: does a real, unsanitized injection flow exist?
+// accuracy gate) and bench_sast_precision (the taint engine's recall and
+// false-positive floors). Every entry is a simulated source file with a
+// ground-truth label: does a real, unsanitized injection flow exist?
 #pragma once
 
 #include <vector>
@@ -17,8 +17,9 @@ struct LabeledSource {
   appsec::SourceFile file;
 };
 
-/// The original M14v2 corpus: straight-line flows both engines must score
-/// identically (precision floor: FP rate stays 0.00, recall stays 1.00).
+/// The straight-line corpus: direct source->sink flows and safe files
+/// whose lines still trip the regex rules (precision floor: FP rate stays
+/// 0.00, recall stays 1.00).
 inline std::vector<LabeledSource> make_legacy_sast_corpus() {
   namespace as = appsec;
   std::vector<LabeledSource> corpus;
@@ -82,12 +83,10 @@ inline std::vector<LabeledSource> make_legacy_sast_corpus() {
   return corpus;
 }
 
-/// The M14v3 corpus: flows whose verdict depends on control flow —
+/// The control-flow corpus: flows whose verdict depends on control flow —
 /// branch-dependent sanitization, loop-carried taint, aliasing, 2+-hop
-/// helper chains. The def-use walk confirms only the two parity cases
-/// (alias-flow, loop-accumulate); the flow-sensitive engine must confirm
-/// all seven vulnerable entries and stay at zero false positives on the
-/// five safe ones.
+/// helper chains. The engine must confirm all seven vulnerable entries
+/// and stay at zero false positives on the five safe ones.
 inline std::vector<LabeledSource> make_flow_sast_corpus() {
   namespace as = appsec;
   std::vector<LabeledSource> corpus;
@@ -137,9 +136,8 @@ inline std::vector<LabeledSource> make_flow_sast_corpus() {
                      "    return stmt.executeQuery(\"SELECT * FROM t WHERE q='\" + q + \"'\");\n"
                      "  }\n"
                      "}\n"}});
-  // -- vulnerable parity cases: straight aliasing / post-loop sink that the
-  //    def-use walk already confirms — they pin that the new engine never
-  //    regresses what the old one caught.
+  // -- vulnerable: straight aliasing and a sink after the loop, which a
+  //    statement-order walk also confirms.
   corpus.push_back({"alias-flow", true,
                     {"/app/alias.py", as::Language::kPython,
                      "def alias():\n"

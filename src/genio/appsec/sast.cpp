@@ -67,6 +67,15 @@ std::vector<SastFinding> SastEngine::analyze(const SourceFile& file) const {
       }
       findings.push_back(std::move(finding));
     }
+    for (const int line : report.unanalyzed_lines) {
+      SastFinding finding{"TAINT-DEPTH",
+                          "Calls nest too deeply to analyze; file fails closed",
+                          "critical", file.path, line};
+      finding.detail = "calls nest deeper than " +
+                       std::to_string(sast::kMaxCallNesting) +
+                       " levels; the deeper calls were not analyzed";
+      findings.push_back(std::move(finding));
+    }
   }
 
   // Pass 2: legacy line regexes. Kept for rule-ID continuity; downgraded

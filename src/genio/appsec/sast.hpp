@@ -1,12 +1,13 @@
 // Static Application Security Testing (M14; the paper's second "M13").
 // Two-pass architecture:
-//   Pass 1 — taint-tracking dataflow (sast/taint.hpp): CFG-based
+//   Pass 1 — taint-tracking dataflow (sast/taint.hpp): a CFG-based
 //     flow-sensitive worklist solver with recursion-safe interprocedural
-//     summaries (M14v3, default) or the legacy linear def-use walk
-//     (M14v2, kept for A/B comparison). Findings carry a full taint
-//     trace and Confidence::kHigh; flows killed by a sanitizer or
-//     parameter binding surface as Confidence::kAudit entries that the
-//     gate never counts actionable.
+//     summaries (M14v3). Findings carry a full taint trace and
+//     Confidence::kHigh; flows killed by a sanitizer or parameter binding
+//     surface as Confidence::kAudit entries that the gate never counts
+//     actionable. A statement whose calls nest deeper than the parser
+//     follows (sast::kMaxCallNesting) yields a critical TAINT-DEPTH
+//     finding, so the gate fails closed on a file it could not analyze.
 //   Pass 2 — legacy Semgrep/Bandit-style line regexes (kept so historic
 //     rule IDs and benchmarks stay comparable). Findings default to
 //     Confidence::kMedium and are downgraded to kLow when the dataflow
@@ -57,25 +58,15 @@ class SastEngine {
   void add_rules(std::vector<SastRule> rules);
   std::size_t rule_count() const { return rules_.size(); }
 
-  /// Toggle the dataflow pass (legacy-only mode for A/B comparison).
+  /// Toggle the dataflow pass (off = legacy regex rules only).
   void set_taint_enabled(bool enabled) { taint_enabled_ = enabled; }
   bool taint_enabled() const { return taint_enabled_; }
-
-  /// Pick the dataflow engine: flow-sensitive M14v3 (default) or the
-  /// M14v2 def-use baseline.
-  void set_flow_sensitive(bool enabled) {
-    taint_.set_engine(enabled ? sast::TaintEngine::kFlowSensitive
-                              : sast::TaintEngine::kDefUse);
-  }
-  bool flow_sensitive() const {
-    return taint_.engine() == sast::TaintEngine::kFlowSensitive;
-  }
 
   /// Attach the admission-scan fabric: analyze_all/analyze_image scan
   /// files in parallel (lexer/parser/taint are per-file pure) and merge
   /// findings in file order — byte-identical to the serial loop. Null or
   /// size-1 pool keeps the serial path. Single-file analyze() calls shard
-  /// the flow-sensitive engine's per-function pass on the same pool.
+  /// the taint engine's per-function pass on the same pool.
   void set_thread_pool(common::ThreadPool* pool) {
     pool_ = pool;
     taint_.set_thread_pool(pool);

@@ -1,7 +1,7 @@
 // Control-flow graph over the parser's block-structured statement lists
 // (M14v3). Lowers if/elif/else chains, while/for loops (with back edges),
 // try/except, break/continue and early return/raise into basic blocks so
-// the worklist dataflow solver (dataflow.hpp) can merge taint at joins and
+// the worklist dataflow solver (dataflow.cpp) can merge taint at joins and
 // iterate loop bodies to a fixpoint instead of walking statements once in
 // textual order.
 #pragma once

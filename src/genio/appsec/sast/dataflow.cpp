@@ -1,5 +1,12 @@
-#include "genio/appsec/sast/dataflow.hpp"
-
+// Flow-sensitive interprocedural taint engine (M14v3) behind
+// TaintAnalyzer::analyze. Builds a CFG per function (cfg.hpp), runs a
+// worklist fixpoint over a per-variable untainted < sanitized < tainted
+// lattice with merge at control-flow joins, and computes bottom-up,
+// recursion-safe function summaries to a fixpoint so multi-hop
+// source->helper->helper->sink chains trace end to end. The final
+// per-function extraction pass is embarrassingly parallel and shards on
+// the common/ work-stealing pool with a deterministic ordered merge
+// (byte-identical to the serial path).
 #include <algorithm>
 #include <map>
 #include <optional>
@@ -10,6 +17,7 @@
 #include <vector>
 
 #include "genio/appsec/sast/cfg.hpp"
+#include "genio/appsec/sast/taint.hpp"
 #include "genio/common/thread_pool.hpp"
 
 namespace genio::appsec::sast {
@@ -593,27 +601,64 @@ class FlowEngine {
   std::map<std::string, Summary> summaries_;
 };
 
+/// Confirmed flows shadow parameter-dependent ones on the same sink,
+/// duplicates collapse, sanitized parameter flows drop, and output sorts
+/// by (sink line, rule).
+std::vector<TaintFlow> canonicalize_flows(std::vector<TaintFlow> flows) {
+  std::set<std::pair<std::string, int>> confirmed;
+  for (const auto& f : flows) {
+    if (!f.parameter_dependent && !f.sanitized) {
+      confirmed.insert({f.rule_id, f.sink_line});
+    }
+  }
+  std::vector<TaintFlow> out;
+  std::set<std::string> seen;
+  for (auto& f : flows) {
+    if (f.parameter_dependent &&
+        (f.sanitized || confirmed.count({f.rule_id, f.sink_line}) != 0)) {
+      continue;
+    }
+    const std::string key = f.rule_id + ":" + std::to_string(f.sink_line) + ":" +
+                            std::to_string(f.source_line) + ":" +
+                            (f.sanitized ? "s" : "u") +
+                            (f.parameter_dependent ? "p" : "c");
+    if (!seen.insert(key).second) continue;
+    out.push_back(std::move(f));
+  }
+  std::sort(out.begin(), out.end(), [](const TaintFlow& a, const TaintFlow& b) {
+    if (a.sink_line != b.sink_line) return a.sink_line < b.sink_line;
+    return a.rule_id < b.rule_id;
+  });
+  return out;
+}
+
 }  // namespace
 
-TaintReport analyze_flow_sensitive(const SourceFile& file,
-                                   const TaintRuleSet& rules,
-                                   common::ThreadPool* pool) {
+TaintAnalyzer::TaintAnalyzer() : rules_(default_taint_rules()) {}
+TaintAnalyzer::TaintAnalyzer(TaintRuleSet rules) : rules_(std::move(rules)) {}
+
+TaintReport TaintAnalyzer::analyze(const SourceFile& file) const {
   const ParsedUnit unit = parse(file);
-  FlowEngine engine(unit, rules, file.language);
+  FlowEngine engine(unit, rules_, file.language);
   engine.solve_summaries();
 
   const std::size_t n = unit.functions.size();
   TaintReport report;
+  for (const auto& fn : unit.functions) {
+    for (const auto& stmt : fn.body) {
+      if (stmt.truncated) report.unanalyzed_lines.insert(stmt.line);
+    }
+  }
   std::vector<TaintFlow> flows;
   const auto merge = [&](FlowEngine::FnResult&& r) {
     for (auto& f : r.flows) flows.push_back(std::move(f));
     report.constant_sink_lines.insert(r.constant_sinks.begin(),
                                       r.constant_sinks.end());
   };
-  if (pool != nullptr && pool->size() > 1) {
+  if (pool_ != nullptr && pool_->size() > 1) {
     // Shard per-function extraction on the fabric. The ordered reduce
     // makes the merged flow list identical to the serial loop below.
-    pool->parallel_map_reduce<FlowEngine::FnResult>(
+    pool_->parallel_map_reduce<FlowEngine::FnResult>(
         n, [&](std::size_t i) { return engine.extract(unit.functions[i]); },
         [&](std::size_t, FlowEngine::FnResult&& r) { merge(std::move(r)); });
   } else {

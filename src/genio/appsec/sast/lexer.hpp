@@ -1,7 +1,7 @@
 // Line-oriented lexer for the simulated Python/Java sources M14 scans.
-// It is deliberately small: enough token structure for def-use chains and
-// taint propagation (identifiers, dotted names, string literals with
-// f-string interpolation markers, operators), not a full grammar.
+// It is deliberately small: enough token structure for the statement
+// parser and taint propagation (identifiers, dotted names, string literals
+// with f-string interpolation markers, operators), not a full grammar.
 #pragma once
 
 #include <string>

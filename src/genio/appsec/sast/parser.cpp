@@ -1,5 +1,6 @@
 #include "genio/appsec/sast/parser.hpp"
 
+#include <algorithm>
 #include <set>
 
 namespace genio::appsec::sast {
@@ -68,30 +69,49 @@ std::string join_chain(const std::vector<Token>& toks, std::size_t i,
   return out;
 }
 
-/// Find the index of the matching closer for the opener at `open_idx`.
-std::size_t matching_close(const std::vector<Token>& toks, std::size_t open_idx,
-                           std::size_t end) {
-  int depth = 0;
-  for (std::size_t i = open_idx; i < end; ++i) {
-    if (is_open(toks[i])) ++depth;
-    if (is_close(toks[i])) {
-      --depth;
-      if (depth == 0) return i;
+/// Every bracket pair in a token span, matched in one pass, so a walk that
+/// descends through nested calls never rescans for a closer.
+class Brackets {
+ public:
+  Brackets(const std::vector<Token>& toks, Span span)
+      : base_(span.first), close_of_(span.second - span.first, span.second) {
+    std::vector<std::size_t> open;
+    for (std::size_t i = span.first; i < span.second; ++i) {
+      if (is_open(toks[i])) {
+        open.push_back(i);
+      } else if (is_close(toks[i]) && !open.empty()) {
+        close_of_[open.back() - base_] = i;
+        open.pop_back();
+      }
     }
   }
-  return end;
-}
+
+  /// The closer at which the bracket depth counted from the opener at
+  /// `open` returns to zero, or `end` if there is none before `end`.
+  std::size_t matching_close(std::size_t open, std::size_t end) const {
+    return std::min(close_of_[open - base_], end);
+  }
+
+ private:
+  std::size_t base_;
+  std::vector<std::size_t> close_of_;  // opener -> its closer, or span end
+};
 
 struct ExprInfo {
   std::vector<std::string> idents;
   bool has_string = false;
   bool concatenated = false;
+  bool truncated = false;  // a call nested deeper than kMaxCallNesting
 };
 
 /// Walk an expression span: record every call (recursively) into `calls`
-/// and every data identifier into `info.idents`.
-void walk_expr(const std::vector<Token>& toks, Span span,
-               std::vector<CallRef>& calls, ExprInfo& info) {
+/// and every data identifier into `info.idents`. `depth` counts the calls
+/// enclosing the span. A call that would nest deeper than kMaxCallNesting
+/// is skipped whole and flags `info.truncated`, which bounds the recursion
+/// and the per-level copies on any input.
+void walk_expr(const std::vector<Token>& toks, const Brackets& brackets,
+               Span span, int depth, std::vector<CallRef>& calls,
+               ExprInfo& info) {
   std::size_t i = span.first;
   while (i < span.second) {
     const Token& t = toks[i];
@@ -99,39 +119,48 @@ void walk_expr(const std::vector<Token>& toks, Span span,
       const std::size_t ce = chain_end(toks, i, span.second);
       if (ce < span.second && is_op(toks[ce], "(")) {
         // A call: parse its top-level arguments.
-        const std::size_t close = matching_close(toks, ce, span.second);
+        const std::size_t close = brackets.matching_close(ce, span.second);
+        const std::size_t next = close == span.second ? span.second : close + 1;
+        if (depth == kMaxCallNesting) {
+          info.truncated = true;
+          i = next;
+          continue;
+        }
         CallRef call;
         call.callee = join_chain(toks, i, ce);
         call.line = t.line;
         std::size_t arg_begin = ce + 1;
-        int depth = 0;
         for (std::size_t j = ce + 1; j <= close && j < span.second; ++j) {
           const bool at_end = j == close;
-          if (!at_end && is_open(toks[j])) ++depth;
-          if (!at_end && is_close(toks[j])) --depth;
-          if (at_end || (depth == 0 && is_op(toks[j], ","))) {
+          if (!at_end && is_open(toks[j])) {
+            j = brackets.matching_close(j, close);  // commas in there are not ours
+            continue;
+          }
+          if (at_end || is_op(toks[j], ",")) {
             if (j > arg_begin) {
               ArgInfo arg;
               ExprInfo arg_info;
               std::vector<CallRef> nested;
-              walk_expr(toks, {arg_begin, j}, nested, arg_info);
-              arg.idents = arg_info.idents;
-              arg.has_string = arg_info.has_string;
-              arg.concatenated = arg_info.concatenated;
-              for (const auto& n : nested) arg.nested_callees.push_back(n.callee);
-              for (auto& n : nested) calls.push_back(std::move(n));
-              call.args.push_back(std::move(arg));
+              walk_expr(toks, brackets, {arg_begin, j}, depth + 1, nested,
+                        arg_info);
               // The enclosing expression depends on everything the call saw.
               info.idents.insert(info.idents.end(), arg_info.idents.begin(),
                                  arg_info.idents.end());
               info.has_string |= arg_info.has_string;
               info.concatenated |= arg_info.concatenated;
+              info.truncated |= arg_info.truncated;
+              arg.has_string = arg_info.has_string;
+              arg.concatenated = arg_info.concatenated;
+              arg.idents = std::move(arg_info.idents);
+              for (const auto& n : nested) arg.nested_callees.push_back(n.callee);
+              for (auto& n : nested) calls.push_back(std::move(n));
+              call.args.push_back(std::move(arg));
             }
             arg_begin = j + 1;
           }
         }
         calls.push_back(std::move(call));
-        i = close == span.second ? span.second : close + 1;
+        i = next;
         continue;
       }
       // Plain (possibly dotted) identifier used as data.
@@ -240,9 +269,11 @@ Statement make_statement(const std::vector<Token>& toks, Span span) {
   }
 
   ExprInfo info;
-  walk_expr(toks, {value_begin, span.second}, stmt.calls, info);
+  const Span value{value_begin, span.second};
+  walk_expr(toks, Brackets(toks, value), value, 0, stmt.calls, info);
   stmt.rhs_idents = std::move(info.idents);
   stmt.concatenated = info.concatenated;
+  stmt.truncated = info.truncated;
   return stmt;
 }
 
@@ -372,7 +403,8 @@ ParsedUnit parse(const SourceFile& file) {
         std::size_t open = span.first + 2;
         while (open < span.second && !is_op(toks[open], "(")) ++open;
         if (open < span.second) {
-          const std::size_t close = matching_close(toks, open, span.second);
+          const std::size_t close =
+              Brackets(toks, span).matching_close(open, span.second);
           fn.params = parse_params(toks, {open + 1, close}, true);
         }
         unit.functions.push_back(std::move(fn));
@@ -441,7 +473,8 @@ ParsedUnit parse(const SourceFile& file) {
           FunctionDef fn;
           fn.name = toks[open - 1].text;
           fn.line = first.line;
-          const std::size_t close = matching_close(toks, open, span.second);
+          const std::size_t close =
+              Brackets(toks, span).matching_close(open, span.second);
           fn.params = parse_params(toks, {open + 1, close}, false);
           unit.functions.push_back(std::move(fn));
           stack.emplace_back(Scope::kFunction, unit.functions.size() - 1);

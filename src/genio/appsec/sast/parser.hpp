@@ -1,7 +1,8 @@
 // Statement/function extraction for the taint pass: groups the lexer's
 // tokens into assignments, calls (with per-argument operand lists), and
 // returns, and recovers function boundaries (Python indentation, Java
-// braces) so def-use chains can be built per function.
+// braces) and block nesting so build_cfg (cfg.hpp) can lower each
+// function to basic blocks.
 #pragma once
 
 #include <string>
@@ -10,6 +11,11 @@
 #include "genio/appsec/sast/lexer.hpp"
 
 namespace genio::appsec::sast {
+
+/// How deeply the parser follows calls nested inside calls. A deeper call
+/// is not parsed: its statement is marked `truncated`, and the SAST gate
+/// fails the file closed instead of passing it unscanned.
+inline constexpr int kMaxCallNesting = 64;
 
 /// One top-level argument of a call, flattened to what taint tracking
 /// needs: which identifiers feed it and which calls wrap them.
@@ -58,7 +64,10 @@ struct Statement {
   bool is_return = false;
   bool concatenated = false;  // value expression joins strings/vars
   std::vector<std::string> rhs_idents;  // all operand idents (recursively)
-  std::vector<CallRef> calls;           // all calls, outermost first
+  std::vector<CallRef> calls;           // nested calls before their caller
+  /// Calls nest deeper than kMaxCallNesting: the ones below the cap are
+  /// missing from `calls` and `rhs_idents`.
+  bool truncated = false;
 };
 
 struct FunctionDef {

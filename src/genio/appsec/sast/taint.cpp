@@ -1,9 +1,5 @@
 #include "genio/appsec/sast/taint.hpp"
 
-#include <algorithm>
-#include <optional>
-
-#include "genio/appsec/sast/dataflow.hpp"
 #include "genio/common/strings.hpp"
 
 namespace genio::appsec::sast {
@@ -17,14 +13,6 @@ std::string to_string(SinkCategory category) {
     case SinkCategory::kWeakCrypto: return "weak-hash";
   }
   return "sink";
-}
-
-std::string to_string(TaintEngine engine) {
-  switch (engine) {
-    case TaintEngine::kDefUse: return "def-use";
-    case TaintEngine::kFlowSensitive: return "flow-sensitive";
-  }
-  return "taint-engine";
 }
 
 bool callee_matches(const std::string& callee, const std::string& pattern) {
@@ -181,447 +169,6 @@ TaintRuleSet default_taint_rules() {
       {"urlencoder.encode", "URL-encoded", java},
   };
   return rules;
-}
-
-namespace {
-
-// ------------------------------------------------------------ intra-pass
-
-/// Taint attached to one variable (or one expression value).
-struct VarTaint {
-  bool from_source = false;       // a real source call/ident feeds it
-  std::set<std::string> params;   // parameter names it may derive from
-  int source_line = 0;
-  std::vector<TaintStep> trace;
-};
-
-void merge_taint(VarTaint& into, const VarTaint& from) {
-  if (from.from_source && !into.from_source) {
-    into.from_source = true;
-    into.source_line = from.source_line;
-    into.trace = from.trace;  // prefer the source-backed trace
-  } else if (into.trace.empty()) {
-    into.trace = from.trace;
-    into.source_line = from.source_line;
-  }
-  into.params.insert(from.params.begin(), from.params.end());
-}
-
-struct FunctionSummary {
-  struct ParamSink {
-    std::string param;
-    const SinkSpec* sink = nullptr;
-    int sink_line = 0;
-    std::vector<TaintStep> steps;  // param entry ... sink, inside the callee
-  };
-  std::vector<ParamSink> param_sinks;   // unsanitized param->sink flows
-  std::set<std::string> params_returned;
-  bool returns_source = false;
-  VarTaint return_taint;  // set when returns_source
-};
-
-struct Analysis {
-  const TaintRuleSet& rules;
-  Language lang;
-  const std::map<std::string, FunctionSummary>* summaries = nullptr;
-  const std::map<std::string, const FunctionDef*>* functions = nullptr;
-  std::vector<TaintFlow>* flows = nullptr;        // pass 2 only
-  std::set<int>* constant_sinks = nullptr;        // pass 2 only
-};
-
-struct ArgTaint {
-  bool tainted = false;
-  bool sanitized = false;
-  std::string sanitizer_note;
-  VarTaint taint;
-  // Taint that entered a sanitizer call in this expression (`escape(uid)`):
-  // the value is clean, but we remember the flow for kLow audit findings.
-  bool cleansed = false;
-  VarTaint cleansed_taint;
-};
-
-class FunctionPass {
- public:
-  FunctionPass(const FunctionDef& fn, const Analysis& ctx) : fn_(fn), ctx_(ctx) {
-    for (const auto& p : fn.params) {
-      VarTaint t;
-      t.params = {p};
-      t.trace = {{fn.line, "parameter '" + p + "' of " + fn.name + "()"}};
-      vars_[p] = std::move(t);
-    }
-  }
-
-  FunctionSummary run() {
-    for (const auto& stmt : fn_.body) visit(stmt);
-    return std::move(summary_);
-  }
-
- private:
-  std::optional<VarTaint> ident_taint(const std::string& ident, int line) const {
-    const auto it = vars_.find(ident);
-    if (it != vars_.end()) return it->second;
-    if (const SourceSpec* s = ctx_.rules.match_source_ident(ident, ctx_.lang)) {
-      VarTaint t;
-      t.from_source = true;
-      t.source_line = line;
-      t.trace = {{line, std::string(s->note) + " '" + ident + "'"}};
-      return t;
-    }
-    return std::nullopt;
-  }
-
-  const FunctionSummary* summary_for(const std::string& callee) const {
-    if (ctx_.summaries == nullptr) return nullptr;
-    const auto it = ctx_.summaries->find(last_dotted_segment(callee));
-    return it == ctx_.summaries->end() ? nullptr : &it->second;
-  }
-  const FunctionDef* function_for(const std::string& callee) const {
-    if (ctx_.functions == nullptr) return nullptr;
-    const auto it = ctx_.functions->find(last_dotted_segment(callee));
-    return it == ctx_.functions->end() ? nullptr : it->second;
-  }
-
-  /// Taint of a single call argument, honoring nested sanitizer wrappers
-  /// (`execute(escape(x))`) and nested source calls (`execute(input())`).
-  ArgTaint eval_arg(const ArgInfo& arg, int line) const {
-    ArgTaint out;
-    for (const auto& callee : arg.nested_callees) {
-      if (const SanitizerSpec* s = ctx_.rules.match_sanitizer(callee, ctx_.lang)) {
-        out.sanitized = true;
-        out.sanitizer_note = s->note + " by " + callee + "()";
-      }
-    }
-    for (const auto& callee : arg.nested_callees) {
-      if (const SourceSpec* s = ctx_.rules.match_source_call(callee, ctx_.lang)) {
-        VarTaint t;
-        t.from_source = true;
-        t.source_line = line;
-        t.trace = {{line, std::string(s->note) + " via " + callee + "()"}};
-        merge_taint(out.taint, t);
-        out.tainted = true;
-        continue;
-      }
-      if (const FunctionSummary* s = summary_for(callee)) {
-        if (s->returns_source) {
-          VarTaint t = s->return_taint;
-          t.trace.push_back({line, "tainted return value of " + callee + "()"});
-          merge_taint(out.taint, t);
-          out.tainted = true;
-        }
-      }
-    }
-    for (const auto& ident : arg.idents) {
-      if (const auto t = ident_taint(ident, line)) {
-        merge_taint(out.taint, *t);
-        out.tainted = true;
-        continue;
-      }
-      // A variable holding a sanitized value: report a neutralized flow
-      // so the sink line is refuted instead of silently ignored.
-      const auto c = cleansed_.find(ident);
-      if (c != cleansed_.end()) {
-        merge_taint(out.taint, c->second.first);
-        out.tainted = true;
-        out.sanitized = true;
-        out.sanitizer_note = c->second.second;
-      }
-    }
-    return out;
-  }
-
-  /// Taint of a statement's whole value expression (assignment RHS or
-  /// return value): identifiers minus sanitized ones, plus source calls
-  /// and tainted helper returns.
-  ArgTaint eval_value(const Statement& stmt) const {
-    ArgTaint out;
-    std::set<std::string> sanitized_idents;
-    std::set<std::string> sanitized_callees;
-    for (const auto& call : stmt.calls) {
-      const SanitizerSpec* s = ctx_.rules.match_sanitizer(call.callee, ctx_.lang);
-      if (s == nullptr) continue;
-      out.sanitized = true;
-      out.sanitizer_note = s->note + " by " + call.callee + "()";
-      for (const auto& arg : call.args) {
-        sanitized_idents.insert(arg.idents.begin(), arg.idents.end());
-        sanitized_callees.insert(arg.nested_callees.begin(),
-                                 arg.nested_callees.end());
-        for (const auto& ident : arg.idents) {
-          if (const auto t = ident_taint(ident, stmt.line)) {
-            out.cleansed = true;
-            merge_taint(out.cleansed_taint, *t);
-          }
-        }
-        for (const auto& callee : arg.nested_callees) {
-          const SourceSpec* src = ctx_.rules.match_source_call(callee, ctx_.lang);
-          if (src == nullptr) continue;
-          VarTaint t;
-          t.from_source = true;
-          t.source_line = stmt.line;
-          t.trace = {{stmt.line, std::string(src->note) + " via " + callee + "()"}};
-          out.cleansed = true;
-          merge_taint(out.cleansed_taint, t);
-        }
-      }
-    }
-    for (const auto& ident : stmt.rhs_idents) {
-      if (sanitized_idents.count(ident) != 0) continue;
-      if (const auto t = ident_taint(ident, stmt.line)) {
-        merge_taint(out.taint, *t);
-        out.tainted = true;
-      }
-    }
-    for (const auto& call : stmt.calls) {
-      if (sanitized_callees.count(call.callee) != 0) continue;
-      if (const SourceSpec* s = ctx_.rules.match_source_call(call.callee, ctx_.lang)) {
-        VarTaint t;
-        t.from_source = true;
-        t.source_line = call.line;
-        t.trace = {{call.line, std::string(s->note) + " via " + call.callee + "()"}};
-        merge_taint(out.taint, t);
-        out.tainted = true;
-        continue;
-      }
-      const FunctionSummary* summary = summary_for(call.callee);
-      if (summary == nullptr) continue;
-      if (summary->returns_source) {
-        VarTaint t = summary->return_taint;
-        t.trace.push_back({call.line, "tainted return value of " + call.callee + "()"});
-        merge_taint(out.taint, t);
-        out.tainted = true;
-      }
-      const FunctionDef* callee_fn = function_for(call.callee);
-      if (callee_fn == nullptr) continue;
-      const std::size_t n = std::min(call.args.size(), callee_fn->params.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        if (summary->params_returned.count(callee_fn->params[i]) == 0) continue;
-        ArgTaint at = eval_arg(call.args[i], call.line);
-        if (!at.tainted || at.sanitized) continue;
-        VarTaint t = at.taint;
-        t.trace.push_back({call.line, "flows through " + call.callee +
-                                          "() and back via its return value"});
-        merge_taint(out.taint, t);
-        out.tainted = true;
-      }
-    }
-    return out;
-  }
-
-  void emit(const SinkSpec& sink, const ArgTaint& at, int sink_line,
-            bool sanitized, const std::string& sanitizer_note,
-            std::vector<TaintStep> extra_steps = {}) {
-    const bool param_only = !at.taint.from_source;
-    if (param_only && at.taint.params.empty()) return;
-
-    // Feed the one-level interprocedural summary.
-    if (param_only && !sanitized) {
-      for (const auto& p : at.taint.params) {
-        FunctionSummary::ParamSink ps;
-        ps.param = p;
-        ps.sink = &sink;
-        ps.sink_line = sink_line;
-        ps.steps = at.taint.trace;
-        ps.steps.push_back({sink_line, "reaches " + to_string(sink.category) +
-                                           " sink"});
-        summary_.param_sinks.push_back(std::move(ps));
-      }
-    }
-    if (ctx_.flows == nullptr) return;
-
-    TaintFlow flow;
-    flow.rule_id = sink.rule_id;
-    flow.title = sink.title;
-    flow.severity = sink.severity;
-    flow.category = sink.category;
-    flow.function = fn_.name;
-    flow.source_line = at.taint.trace.empty() ? sink_line
-                                              : at.taint.trace.front().line;
-    flow.sink_line = sink_line;
-    flow.trace = at.taint.trace;
-    for (auto& step : extra_steps) flow.trace.push_back(std::move(step));
-    flow.sanitized = sanitized;
-    flow.sanitizer_note = sanitizer_note;
-    flow.parameter_dependent = param_only;
-    ctx_.flows->push_back(std::move(flow));
-  }
-
-  void check_sinks(const Statement& stmt) {
-    for (const auto& call : stmt.calls) {
-      const SinkSpec* sink = ctx_.rules.match_sink(call.callee, ctx_.lang);
-      if (sink != nullptr && !call.args.empty()) {
-        const std::size_t checked =
-            sink->first_arg_only ? 1 : call.args.size();
-        // A SQL sink whose query is a pure literal refutes regex noise.
-        if (sink->first_arg_only && ctx_.constant_sinks != nullptr) {
-          const ArgInfo& query = call.args.front();
-          if (query.has_string && query.idents.empty() &&
-              query.nested_callees.empty()) {
-            ctx_.constant_sinks->insert(call.line);
-          }
-        }
-        bool direct_flow = false;
-        for (std::size_t i = 0; i < checked; ++i) {
-          const ArgTaint at = eval_arg(call.args[i], call.line);
-          if (!at.tainted) continue;
-          direct_flow |= !at.sanitized;
-          emit(*sink, at, call.line, at.sanitized, at.sanitizer_note,
-               {{call.line, "reaches " + to_string(sink->category) + " sink " +
-                                call.callee + "()"}});
-        }
-        // Parameter binding: taint in the non-query arguments of a SQL
-        // sink is bound, not concatenated — the canonical sanitizer.
-        if (sink->first_arg_only && !direct_flow) {
-          for (std::size_t i = 1; i < call.args.size(); ++i) {
-            const ArgTaint at = eval_arg(call.args[i], call.line);
-            if (!at.tainted) continue;
-            emit(*sink, at, call.line, /*sanitized=*/true,
-                 "parameter binding (value bound, not concatenated)",
-                 {{call.line, "bound as query parameter of " + call.callee +
-                                  "()"}});
-          }
-        }
-      }
-      // Confirmed interprocedural flow: tainted value passed into a
-      // helper whose summary says that parameter reaches a sink.
-      const FunctionSummary* summary = summary_for(call.callee);
-      const FunctionDef* callee_fn = function_for(call.callee);
-      if (summary == nullptr || callee_fn == nullptr) continue;
-      const std::size_t n = std::min(call.args.size(), callee_fn->params.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        const ArgTaint at = eval_arg(call.args[i], call.line);
-        if (!at.tainted || at.sanitized || !at.taint.from_source) continue;
-        for (const auto& ps : summary->param_sinks) {
-          if (ps.param != callee_fn->params[i]) continue;
-          ArgTaint cross = at;
-          std::vector<TaintStep> steps;
-          steps.push_back({call.line, "passed to " + call.callee + "() as '" +
-                                          ps.param + "'"});
-          steps.insert(steps.end(), ps.steps.begin(), ps.steps.end());
-          emit(*ps.sink, cross, ps.sink_line, /*sanitized=*/false, "",
-               std::move(steps));
-        }
-      }
-    }
-  }
-
-  void visit(const Statement& stmt) {
-    check_sinks(stmt);
-
-    if (stmt.is_return) {
-      const ArgTaint v = eval_value(stmt);
-      if (v.tainted && !v.sanitized) {
-        if (v.taint.from_source) {
-          summary_.returns_source = true;
-          summary_.return_taint = v.taint;
-          summary_.return_taint.trace.push_back(
-              {stmt.line, "returned from " + fn_.name + "()"});
-        }
-        summary_.params_returned.insert(v.taint.params.begin(),
-                                        v.taint.params.end());
-      }
-      return;
-    }
-
-    if (stmt.lhs.empty()) return;
-    const ArgTaint v = eval_value(stmt);
-    if (v.tainted && !v.sanitized) {
-      VarTaint t = v.taint;
-      t.trace.push_back({stmt.line,
-                         (stmt.concatenated ? "concatenated into '"
-                                            : "assigned to '") +
-                             stmt.lhs + "'"});
-      if (stmt.augmented) {
-        const auto it = vars_.find(stmt.lhs);
-        if (it != vars_.end()) merge_taint(t, it->second);
-      }
-      vars_[stmt.lhs] = std::move(t);
-      cleansed_.erase(stmt.lhs);
-    } else if (!stmt.augmented) {
-      // Reassignment with a clean (or sanitized) value kills taint.
-      vars_.erase(stmt.lhs);
-      if (v.cleansed) {
-        VarTaint t = v.cleansed_taint;
-        t.trace.push_back(
-            {stmt.line, v.sanitizer_note + ", assigned to '" + stmt.lhs + "'"});
-        cleansed_[stmt.lhs] = {std::move(t), v.sanitizer_note};
-      } else {
-        cleansed_.erase(stmt.lhs);
-      }
-    }
-  }
-
-  const FunctionDef& fn_;
-  const Analysis& ctx_;
-  std::map<std::string, VarTaint> vars_;
-  std::map<std::string, std::pair<VarTaint, std::string>> cleansed_;
-  FunctionSummary summary_;
-};
-
-}  // namespace
-
-std::vector<TaintFlow> canonicalize_flows(std::vector<TaintFlow> flows) {
-  // Confirmed flows shadow parameter-dependent ones on the same sink;
-  // duplicates collapse; sanitized parameter flows are dropped.
-  std::set<std::pair<std::string, int>> confirmed;
-  for (const auto& f : flows) {
-    if (!f.parameter_dependent && !f.sanitized) {
-      confirmed.insert({f.rule_id, f.sink_line});
-    }
-  }
-  std::vector<TaintFlow> out;
-  std::set<std::string> seen;
-  for (auto& f : flows) {
-    if (f.parameter_dependent &&
-        (f.sanitized || confirmed.count({f.rule_id, f.sink_line}) != 0)) {
-      continue;
-    }
-    const std::string key = f.rule_id + ":" + std::to_string(f.sink_line) + ":" +
-                            std::to_string(f.source_line) + ":" +
-                            (f.sanitized ? "s" : "u") +
-                            (f.parameter_dependent ? "p" : "c");
-    if (!seen.insert(key).second) continue;
-    out.push_back(std::move(f));
-  }
-  std::sort(out.begin(), out.end(), [](const TaintFlow& a, const TaintFlow& b) {
-    if (a.sink_line != b.sink_line) return a.sink_line < b.sink_line;
-    return a.rule_id < b.rule_id;
-  });
-  return out;
-}
-
-TaintAnalyzer::TaintAnalyzer() : rules_(default_taint_rules()) {}
-TaintAnalyzer::TaintAnalyzer(TaintRuleSet rules) : rules_(std::move(rules)) {}
-
-TaintReport TaintAnalyzer::analyze(const SourceFile& file) const {
-  if (engine_ == TaintEngine::kFlowSensitive) {
-    return analyze_flow_sensitive(file, rules_, pool_);
-  }
-  const ParsedUnit unit = parse(file);
-  const Language lang = file.language;
-  TaintReport report;
-
-  std::map<std::string, const FunctionDef*> functions;
-  for (const auto& fn : unit.functions) {
-    if (fn.name != "<main>") functions[fn.name] = &fn;
-  }
-
-  // Pass 1: intraprocedural summaries (params treated as taint carriers).
-  std::map<std::string, FunctionSummary> summaries;
-  for (const auto& fn : unit.functions) {
-    if (fn.name == "<main>") continue;
-    Analysis ctx{rules_, lang, nullptr, nullptr, nullptr, nullptr};
-    summaries[fn.name] = FunctionPass(fn, ctx).run();
-  }
-
-  // Pass 2: flow extraction with one-level call summaries available.
-  std::vector<TaintFlow> flows;
-  for (const auto& fn : unit.functions) {
-    Analysis ctx{rules_, lang,       &summaries,
-                 &functions, &flows, &report.constant_sink_lines};
-    FunctionPass(fn, ctx).run();
-  }
-
-  report.flows = canonicalize_flows(std::move(flows));
-  return report;
 }
 
 }  // namespace genio::appsec::sast

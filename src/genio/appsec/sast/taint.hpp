@@ -5,9 +5,9 @@
 // kill it, and dangerous sinks (SQL, process execution, eval,
 // deserialization, weak hashes) report a finding only when an unsanitized
 // flow actually reaches them — with the full trace, so operators can
-// audit every hop. Two engines share this interface (see TaintEngine):
-// the M14v2 linear def-use walk and the M14v3 CFG-based flow-sensitive
-// solver (cfg.hpp + dataflow.hpp), which is the default.
+// audit every hop. The engine (M14v3, dataflow.cpp) is flow-sensitive: it
+// lowers each function to a CFG (cfg.hpp), merges taint at control-flow
+// joins and composes recursion-safe function summaries to a fixpoint.
 #pragma once
 
 #include <map>
@@ -101,47 +101,28 @@ struct TaintReport {
   /// tainted operand: dataflow evidence that a regex match on that line
   /// (e.g. a `%s` placeholder tripping the `%`-heuristic) is noise.
   std::set<int> constant_sink_lines;
+  /// Lines whose calls nest deeper than kMaxCallNesting. Calls below the
+  /// cap were not analyzed, so no verdict on this file is complete.
+  std::set<int> unanalyzed_lines;
 };
-
-/// Canonical post-processing shared by both engines: confirmed flows
-/// shadow parameter-dependent ones on the same sink, duplicates collapse,
-/// sanitized parameter flows drop, and output sorts by (sink line, rule).
-std::vector<TaintFlow> canonicalize_flows(std::vector<TaintFlow> flows);
-
-/// Which dataflow engine TaintAnalyzer runs.
-///  kDefUse        — M14v2: per-function linear def-use chains with
-///                   one-level call summaries. Kept as the reference /
-///                   A-B baseline for bench_sast_precision.
-///  kFlowSensitive — M14v3: CFG + worklist fixpoint over a per-variable
-///                   untainted < sanitized < tainted lattice, with
-///                   recursion-safe bottom-up function summaries; catches
-///                   branch-dependent sanitization, loop-carried taint and
-///                   multi-hop helper chains the def-use walk cannot.
-enum class TaintEngine { kDefUse, kFlowSensitive };
-std::string to_string(TaintEngine engine);
 
 class TaintAnalyzer {
  public:
   TaintAnalyzer();  // default_taint_rules()
   explicit TaintAnalyzer(TaintRuleSet rules);
 
-  /// Run the configured engine: parse, intraprocedural analysis, function
-  /// summaries to fixpoint, then flow extraction.
+  /// Parse, solve function summaries to a fixpoint, then extract flows.
   TaintReport analyze(const SourceFile& file) const;
 
-  void set_engine(TaintEngine engine) { engine_ = engine; }
-  TaintEngine engine() const { return engine_; }
-
-  /// Shard the flow-sensitive engine's per-function extraction pass on
-  /// the pool (deterministic ordered merge; byte-identical to serial).
-  /// Null or size-1 pool keeps the serial path.
+  /// Shard the per-function extraction pass on the pool (deterministic
+  /// ordered merge; byte-identical to serial). Null or size-1 pool keeps
+  /// the serial path. Summary fixpoints are ordered and stay serial.
   void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
   const TaintRuleSet& rules() const { return rules_; }
 
  private:
   TaintRuleSet rules_;
-  TaintEngine engine_ = TaintEngine::kFlowSensitive;
   common::ThreadPool* pool_ = nullptr;  // non-owning; optional
 };
 

@@ -6,7 +6,7 @@
 // the merged output is byte-identical to a serial loop no matter how the
 // work was scheduled. A pool of size 1 spawns no threads and runs
 // everything inline — the serial fallback the resilience invariants rely
-// on (PlatformConfig.parallel_scanning=false).
+// on (PlatformConfig.scan_workers=1).
 //
 // Blocking discipline: parallel_for's caller is itself the final worker —
 // it grabs indices until the range is exhausted, then waits only for

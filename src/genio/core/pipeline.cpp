@@ -73,24 +73,21 @@ DeploymentPipeline::DeploymentPipeline(GenioPlatform* platform)
       policies_(platform->config().resilience_policies
                     ? resilience::make_fail_closed_policies()
                     : resilience::make_fail_open_policies()),
-      pool_(platform->config().parallel_scanning
-                ? (platform->config().scan_workers > 0
-                       ? static_cast<std::size_t>(platform->config().scan_workers)
-                       : common::ThreadPool::recommended_workers())
-                : 1),
-      cache_(platform->config().scan_cache ? platform->config().scan_cache_capacity
-                                           : 0) {
+      pool_(platform->config().scan_workers > 0
+                ? static_cast<std::size_t>(platform->config().scan_workers)
+                : common::ThreadPool::recommended_workers()),
+      cache_(platform->config().scan_cache_capacity) {
+  sast_.set_taint_enabled(platform->config().sast_taint_analysis);
   sast_.set_thread_pool(&pool_);
 }
 
 std::string DeploymentPipeline::rulepack_fingerprint() const {
   const PlatformConfig& config = platform_->config();
   std::string fp = "rp1:sast=" + std::to_string(sast_.rule_count());
-  if (config.sast_taint_analysis) {
-    // The two engines produce different verdicts for the same image, so
-    // they must never share scan-cache entries.
-    fp += config.sast_flow_sensitive ? "+taint2" : "+taint";
-  }
+  // Taint on and off give different verdicts for the same image, so they
+  // must never share scan-cache entries. "+taint2" is the flow-sensitive
+  // engine's tag, kept byte for byte so no scan-cache key changes.
+  if (config.sast_taint_analysis) fp += "+taint2";
   fp += ":yara=" + std::to_string(yara_.rule_count());
   fp += ":block=" + common::format_double(sca_block_score, 2);
   fp += ":gates=";
@@ -126,8 +123,6 @@ bool DeploymentPipeline::run_scan_gates(PipelineReport& report,
                                         const appsec::RegistryEntry& entry,
                                         const Tenant& tenant) {
   const PlatformConfig& config = platform_->config();
-  sast_.set_taint_enabled(config.sast_taint_analysis);
-  sast_.set_flow_sensitive(config.sast_flow_sensitive);
 
   // Resolve the SCA feed dependency serially, before any fan-out: outage
   // handling is control flow (retry policy, degrade-to-snapshot), not scan
@@ -393,7 +388,7 @@ bool DeploymentPipeline::admit_prefix(const DeploymentRequest& request,
   }
 
   // 1-5. The content-addressed gates — signature (supply-chain trust),
-  // SCA (M13), SAST (M14v2), secret scanning, malware (M16) — run on the
+  // SCA (M13), SAST (M14), secret scanning, malware (M16) — run on the
   // admission-scan fabric (or serially when it is sized 1), behind the
   // content-addressed cache. Stage order, details and fail-mode semantics
   // are byte-identical to the legacy serial gate chain.

@@ -89,9 +89,9 @@ class DeploymentPipeline {
 
   const resilience::GatePolicySet& policies() const { return policies_; }
 
-  /// The admission-scan fabric: size 1 when parallel_scanning is off.
+  /// The admission-scan fabric: size 1 when scan_workers is 1.
   common::ThreadPool& scan_pool() { return pool_; }
-  /// Content-addressed scan cache (capacity 0 when scan_cache is off).
+  /// Content-addressed scan cache (capacity 0 = off).
   ScanCache& scan_cache() { return cache_; }
   const ScanCache& scan_cache() const { return cache_; }
 

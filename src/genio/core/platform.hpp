@@ -49,9 +49,6 @@ struct PlatformConfig {
   bool sca_gate = true;              // M13
   bool sast_gate = true;             // M14
   bool sast_taint_analysis = true;   // taint dataflow pass (off = legacy regex only)
-  // M14v3 CFG-based flow-sensitive engine; off = M14v2 linear def-use
-  // baseline. Only meaningful while sast_taint_analysis is on.
-  bool sast_flow_sensitive = true;
   bool secret_gate = true;           // M13/M14-adjacent secret scanning
   bool malware_gate = true;          // M16
   bool sandbox_enabled = true;       // M17
@@ -61,14 +58,12 @@ struct PlatformConfig {
   bool resilience_policies = true;
   // Admission-scan fabric: run the post-pull gates (and the per-file /
   // per-package work inside SAST and SCA) on a work-stealing pool. Reports
-  // are byte-identical to the serial path; off = serial fallback.
-  bool parallel_scanning = true;
-  int scan_workers = 0;  // pool size incl. caller; 0 = min(hw cores, 8)
+  // are byte-identical to the serial path.
+  int scan_workers = 0;  // pool size incl. caller; 0 = min(hw cores, 8); 1 = serial
   // Content-addressed scan cache keyed by (image digest, signature scope,
   // feed revision, rulepack fingerprint); repeated admits of unchanged
   // images replay the cached gate verdicts instead of rescanning.
-  bool scan_cache = true;
-  std::size_t scan_cache_capacity = 128;  // LRU entries
+  std::size_t scan_cache_capacity = 128;  // LRU entries; 0 = cache off
   // On CVE feed re-ingest, diff changed packages against each cached
   // entry's manifest and drop only intersecting verdicts (the rest are
   // re-keyed to the live revision). Off = legacy whole-cache dump, which

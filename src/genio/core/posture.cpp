@@ -65,8 +65,6 @@ PostureReport evaluate_posture(GenioPlatform& platform,
       (config.sast_gate ? 1 : 0) + (config.secret_gate ? 1 : 0) +
       (config.malware_gate ? 1 : 0) + (config.sandbox_enabled ? 1 : 0);
   report.sast_taint_mode = config.sast_gate && config.sast_taint_analysis;
-  report.sast_flow_sensitive =
-      report.sast_taint_mode && config.sast_flow_sensitive;
 
   // PEACH assessment derived from the running configuration.
   appsec::PeachAssessment tenant_api{
@@ -184,12 +182,9 @@ std::string render_posture(const PostureReport& report) {
   table.add_row({"active-probe findings", std::to_string(report.hunter_findings)});
   table.add_row({"pipeline gates active",
                  std::to_string(report.pipeline_gates_active) + "/6"});
-  table.add_row({"SAST analysis mode",
-                 !report.sast_taint_mode
-                     ? "legacy rules only"
-                     : (report.sast_flow_sensitive
-                            ? "flow-sensitive taint + rules"
-                            : "def-use taint + rules")});
+  table.add_row({"SAST analysis mode", report.sast_taint_mode
+                                           ? "flow-sensitive taint + rules"
+                                           : "legacy rules only"});
   table.add_row({"PEACH isolation",
                  common::format_double(report.peach.mean_score(), 2) + " (" +
                      appsec::to_string(report.peach.overall_tier()) + ")"});

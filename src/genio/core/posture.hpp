@@ -30,7 +30,6 @@ struct PostureReport {
   // Application.
   int pipeline_gates_active = 0;  // of 6 (signature, sca, sast, secrets, malware, sandbox)
   bool sast_taint_mode = false;   // informational: taint dataflow pass active
-  bool sast_flow_sensitive = false;  // M14v3 flow-sensitive engine active
   // Tenancy.
   appsec::PeachReport peach;
 

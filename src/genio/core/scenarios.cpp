@@ -35,7 +35,7 @@ PlatformConfig unmitigated_config() {
 }
 
 // A tenant image with a seeded SQL injection (a complete request->sink
-// taint flow the M14v2 dataflow pass confirms) and vulnerable dependencies.
+// taint flow the M14 dataflow pass confirms) and vulnerable dependencies.
 appsec::ContainerImage make_vulnerable_app_image() {
   appsec::ContainerImage image("registry.genio.io/tenant-a/readings-api", "1.0.0");
   image.add_layer(

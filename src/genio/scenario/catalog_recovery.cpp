@@ -151,7 +151,6 @@ GENIO_SCENARIO_FAMILY(playbook_drills) {
 
 void run_reingest(ScenarioContext& ctx, bool incremental, bool affected) {
   core::PlatformConfig config = scenario_config();
-  config.scan_cache = true;
   config.incremental_invalidation = incremental;
   auto& platform = ctx.make_platform(config);
   const TenantFleet fleet = setup_tenants(platform, 1);

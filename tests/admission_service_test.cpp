@@ -410,7 +410,7 @@ TEST(AdmissionServiceProperty, FiftySeedBackpressureNoStarvationSweep) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     core::PlatformConfig platform_config;
     platform_config.seed = seed;
-    platform_config.parallel_scanning = false;  // keep 50 sites cheap
+    platform_config.scan_workers = 1;  // keep 50 sites cheap
     core::AdmissionServiceConfig service_config;
     service_config.per_tenant_capacity = 6;
     service_config.total_capacity = 12;

@@ -257,8 +257,7 @@ TEST(Pipeline, SanitizedTaintFlowIsAuditOnlyAndDeploys) {
 
 TEST(Pipeline, BranchOnlySanitizationStillBlocks) {
   // The sanitizer runs on one branch only; the flow-sensitive engine
-  // merges the unsanitized else path at the join and keeps the gate shut
-  // (the old def-use walk cleared the taint and deployed this image).
+  // merges the unsanitized else path at the join and keeps the gate shut.
   PipelineFixture f;
   as::ContainerImage image("registry.genio.io/tenant-a/branchy-app", "1.0.0");
   image.add_layer({{"/app/find.py",

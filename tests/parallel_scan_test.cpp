@@ -485,11 +485,11 @@ struct Site {
 
 TEST(ParallelPipeline, ReportsAreByteIdenticalToSerialOverSeededCorpus) {
   core::PlatformConfig serial_config;
-  serial_config.parallel_scanning = false;
-  serial_config.scan_cache = false;
+  serial_config.scan_workers = 1;
+  serial_config.scan_cache_capacity = 0;
   core::PlatformConfig parallel_config;
   parallel_config.scan_workers = 4;  // explicit: CI may expose 1 core
-  parallel_config.scan_cache = false;
+  parallel_config.scan_cache_capacity = 0;
 
   Site serial(serial_config);
   Site parallel(parallel_config);
@@ -526,8 +526,8 @@ TEST(ParallelPipeline, ReportsAreByteIdenticalToSerialOverSeededCorpus) {
 
 TEST(ParallelPipeline, SerialFallbackConfigDisablesFabricAndCache) {
   core::PlatformConfig config;
-  config.parallel_scanning = false;
-  config.scan_cache = false;
+  config.scan_workers = 1;
+  config.scan_cache_capacity = 0;
   Site site(config);
   EXPECT_EQ(site.pipeline.scan_pool().size(), 1u);
   EXPECT_TRUE(site.pipeline.scan_pool().inline_mode());
@@ -633,4 +633,15 @@ TEST(ParallelPipeline, RulepackFingerprintTracksGateConfig) {
   EXPECT_NE(all.pipeline.rulepack_fingerprint(),
             partial.pipeline.rulepack_fingerprint());
   EXPECT_NE(all.pipeline.rulepack_fingerprint().find("SCAXM"), std::string::npos);
+
+  // Taint on and off block different images, so they must not share
+  // cache entries. The taint tag stays "+taint2" byte for byte.
+  core::PlatformConfig no_taint;
+  no_taint.sast_taint_analysis = false;
+  Site regex_only(no_taint);
+  EXPECT_NE(all.pipeline.rulepack_fingerprint(),
+            regex_only.pipeline.rulepack_fingerprint());
+  EXPECT_NE(all.pipeline.rulepack_fingerprint().find("+taint2"), std::string::npos);
+  EXPECT_EQ(regex_only.pipeline.rulepack_fingerprint().find("+taint"),
+            std::string::npos);
 }

@@ -3,15 +3,16 @@
 // break/continue, multi-line call arguments), CFG lowering shape, the
 // worklist dataflow verdicts (branch-dependent sanitization, loop-carried
 // taint, multi-hop chains, recursion), dotted-segment callee matching, the
-// audit confidence tier, and serial/parallel determinism.
+// audit confidence tier, serial/parallel determinism, and the fail-closed
+// cap on call nesting.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "genio/appsec/sast.hpp"
 #include "genio/appsec/sast/cfg.hpp"
-#include "genio/appsec/sast/dataflow.hpp"
 #include "genio/appsec/sast/parser.hpp"
 #include "genio/appsec/sast/taint.hpp"
 #include "genio/common/thread_pool.hpp"
@@ -373,21 +374,7 @@ TEST(SastCallees, EvalSinkIgnoresRetrievalCall) {
   }
 }
 
-// --------------------------------------------- engines, tiers, determinism
-
-TEST(SastFlow, DefUseEngineStillMissesBranchSanitization) {
-  // The A/B baseline: the linear walk sees the sanitizer assignment and
-  // clears the taint regardless of the branch it sits in. This pins the
-  // gap bench_sast_precision scores.
-  sast::TaintAnalyzer defuse;
-  defuse.set_engine(sast::TaintEngine::kDefUse);
-  const auto report = defuse.analyze(py("def find(mode):\n"
-                                        "    x = request.args.get(\"id\")\n"
-                                        "    if mode:\n"
-                                        "        x = db.escape(x)\n"
-                                        "    return db.execute(\"SELECT * FROM t WHERE id='\" + x + \"'\")\n"));
-  EXPECT_FALSE(has_confirmed(report)) << render_flows(report);
-}
+// ------------------------------------------------------ tiers, determinism
 
 TEST(SastFlow, SanitizedFlowReportsAsAuditTier) {
   as::SastEngine engine = as::make_default_sast_engine();
@@ -437,4 +424,60 @@ TEST(SastFlow, ParallelShardMatchesSerialByteForByte) {
               render_flows(sharded.analyze(file)))
         << file.path;
   }
+}
+
+// ------------------------------------------------------- adversarial input
+
+namespace {
+
+/// `return db.execute(g(g(...g(request.args.get("id"))...)))` with `depth`
+/// wrappers around the source.
+as::SourceFile nested_source_file(int depth) {
+  std::string content = "def f():\n    return db.execute(";
+  for (int i = 0; i < depth; ++i) content += "g(";
+  content += "request.args.get(\"id\")";
+  content.append(static_cast<std::size_t>(depth), ')');
+  content += ")\n";
+  return py(content);
+}
+
+const as::SastFinding* find_rule(const std::vector<as::SastFinding>& findings,
+                                 const std::string& rule_id) {
+  for (const auto& f : findings) {
+    if (f.rule_id == rule_id) return &f;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+TEST(SastFlow, CallNestingIsTracedUpToTheCapAndFlaggedPastIt) {
+  // execute() is level 1, so with kMaxCallNesting - 2 wrappers the source
+  // call sits exactly at the cap and the flow is confirmed.
+  const as::SourceFile at_cap = nested_source_file(sast::kMaxCallNesting - 2);
+  const auto traced = sast::TaintAnalyzer().analyze(at_cap);
+  EXPECT_TRUE(has_confirmed(traced)) << render_flows(traced);
+  EXPECT_TRUE(traced.unanalyzed_lines.empty());
+  EXPECT_EQ(find_rule(as::make_default_sast_engine().analyze(at_cap), "TAINT-DEPTH"),
+            nullptr);
+
+  // One level deeper the source is past the cap: the statement is
+  // flagged rather than silently dropped.
+  const auto past =
+      sast::TaintAnalyzer().analyze(nested_source_file(sast::kMaxCallNesting - 1));
+  EXPECT_FALSE(has_confirmed(past));
+  EXPECT_EQ(past.unanalyzed_lines, std::set<int>{2});
+}
+
+TEST(SastFlow, HundredThousandNestedCallsReturnAndBlockTheGate) {
+  // One tenant line of 100,000 nested calls. Recursing once per level
+  // would overflow the stack; the capped walk returns, and the file gets a
+  // critical actionable finding, so the SAST gate fails closed.
+  const auto findings =
+      as::make_default_sast_engine().analyze(nested_source_file(100000));
+  const as::SastFinding* depth = find_rule(findings, "TAINT-DEPTH");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->line, 2);
+  EXPECT_EQ(depth->severity, "critical");
+  EXPECT_TRUE(as::SastEngine::is_actionable(*depth));
 }

@@ -48,6 +48,9 @@ if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
   echo "== WOTS+ keygen/sign/verify bench smoke (a lane backend whose blocks, key root or signatures differ from the kScalar loop's, a verify() that rejects them, or dispatched lanes < 10x (AVX-512F) / < 3x (SHA-NI loop) the kScalar loop, fails CI) =="
   "${repo_root}/build/bench/bench_keygen" --smoke \
     --out "${repo_root}/build/BENCH_keygen.json"
+  echo "== SAST precision gate smoke (taint recall < 1.00 or FP rate > 0.00 on either labeled corpus, or a 4-worker sharded pass that differs from the serial one, fails CI) =="
+  "${repo_root}/build/bench/bench_sast_precision" --smoke \
+    --out "${repo_root}/build/BENCH_sast.json"
   echo "== scenario fabric: full catalog + scorecard (any regression fails CI) =="
   "${repo_root}/build/bench/scenario_runner" --all \
     --out "${repo_root}/build/BENCH_scenarios.json"
@@ -87,6 +90,10 @@ if [[ "${mode}" != "--plain-only" && "${mode}" != "--sanitize-only" ]]; then
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/bench_keygen" --smoke \
     --out "${repo_root}/build-tsan/BENCH_keygen.json"
+  echo "== SAST precision gate smoke (TSan; recall/FP floors and sharded/serial identity enforced) =="
+  TSAN_OPTIONS=halt_on_error=1 \
+    "${repo_root}/build-tsan/bench/bench_sast_precision" --smoke \
+    --out "${repo_root}/build-tsan/BENCH_sast.json"
   echo "== scenario fabric smoke subset (TSan) =="
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/scenario_runner" --filter smoke \
