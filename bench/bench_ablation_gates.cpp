@@ -6,6 +6,8 @@
 //      and co-residency exposure vs provisioning density.
 #include <cstdio>
 
+#include "bench_util.hpp"
+
 #include "genio/common/strings.hpp"
 #include "genio/common/table.hpp"
 #include "genio/core/pipeline.hpp"
@@ -119,10 +121,11 @@ int main() {
     table.add_row(std::move(row));
   }
   std::printf("%s\n", table.render().c_str());
-  std::printf("single-point-of-failure check: each bad image is caught by exactly "
-              "its gate, and sails through when that gate is removed — %s\n"
-              "(each gate is load-bearing; none is redundant)\n\n",
-              defense_in_depth_ok ? "holds" : "VIOLATED");
+  genio::bench::Gate gate({genio::bench::kVerdict});
+  gate.check(defense_in_depth_ok,
+             "single-point-of-failure check: each bad image is caught by exactly "
+             "its gate, and sails through when that gate is removed");
+  std::printf("(each gate is load-bearing; none is redundant)\n\n");
 
   // --------------------------------------------------------- isolation tier
   gc::Table tiers({"tier", "tenants/VM", "escape blast radius",
@@ -163,5 +166,5 @@ int main() {
   std::printf("trade-off: hard isolation bounds a privileged escape to the tenant's "
               "own VM (0 co-residents) at 4x the VM count; soft isolation packs 4x "
               "denser but a breakout reaches 3 neighbors\n");
-  return defense_in_depth_ok ? 0 : 1;
+  return gate.exit_code();
 }

@@ -25,12 +25,12 @@
 // Writes a machine-readable summary to BENCH_admission.json (or --out
 // PATH). `--smoke` runs a reduced day for CI.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
+
+#include "bench_util.hpp"
 
 #include "genio/common/rng.hpp"
 #include "genio/common/strings.hpp"
@@ -46,12 +46,6 @@ namespace vl = genio::vuln;
 namespace core = genio::core;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
 
 constexpr int kTenants = 3;
 constexpr int kPackagePool = 8;  // per-tenant package namespace size
@@ -223,11 +217,7 @@ struct DayResult {
   double percentile(core::AdmitClass cls, double p) const {
     const auto& samples = stats[static_cast<std::size_t>(cls)].latency_seconds;
     if (samples.empty()) return 0.0;
-    std::vector<float> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    const auto rank =
-        static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return static_cast<double>(sorted[std::min(rank, sorted.size() - 1)]);
+    return genio::bench::quantile(std::vector<double>(samples.begin(), samples.end()), p);
   }
   std::uint64_t total_sheds() const {
     std::uint64_t n = 0;
@@ -323,7 +313,7 @@ DayResult run_day(const DaySpec& spec) {
   gc::SimTime covered = t0;  // arrivals are generated for [covered, tick_end)
   std::size_t next_reingest = 0;
   std::uint64_t reingest_baseline = site.platform.cve_db().revision();
-  const auto wall_start = Clock::now();
+  const auto wall_start = genio::bench::Clock::now();
 
   while (site.platform.clock().now() < day_end) {
     const gc::SimTime tick_start = site.platform.clock().now();
@@ -407,7 +397,7 @@ DayResult run_day(const DaySpec& spec) {
   // accounting identity can be checked exactly.
   while (service.backlog() > 0) (void)service.pump(1024);
 
-  result.wall_ms = ms_since(wall_start);
+  result.wall_ms = 1e3 * genio::bench::seconds_since(wall_start);
   result.sim_seconds = (site.platform.clock().now() - t0).seconds();
   for (std::size_t c = 0; c < core::kAdmitClasses; ++c) {
     result.stats[c] = service.stats(static_cast<core::AdmitClass>(c));
@@ -479,94 +469,50 @@ const char* class_name(std::size_t c) {
   return "?";
 }
 
-void write_json(const char* path, bool smoke, const DaySpec& spec,
-                const DayResult& day, const ContrastResult& incr,
-                const ContrastResult& full, bool invariants_hold) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"admission_service\",\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f,
-               "  \"day\": {\"sim_hours\": %.2f, \"base_rate_per_s\": %.1f, "
-               "\"storm_rate_per_s\": %.1f, \"storms\": %zu, \"reingests\": %zu, "
-               "\"wall_ms\": %.1f},\n",
-               spec.day.hours(), spec.base_rate, spec.storm_rate,
-               spec.storm_at.size(), spec.reingest_at.size(), day.wall_ms);
-  std::fprintf(f,
-               "  \"totals\": {\"submitted\": %llu, \"completions\": %llu, "
-               "\"sheds\": %llu, \"processed_per_sim_sec\": %.1f, "
-               "\"backlog_high_water\": %zu, \"total_capacity\": %zu, "
-               "\"gate_bypasses\": %llu, \"rescans_enqueued\": %llu},\n",
-               static_cast<unsigned long long>(day.submitted),
-               static_cast<unsigned long long>(day.completions),
-               static_cast<unsigned long long>(day.total_sheds()),
-               day.processed_per_sim_sec(), day.backlog_high_water,
-               day.total_capacity,
-               static_cast<unsigned long long>(day.gate_bypasses),
-               static_cast<unsigned long long>(day.rescans_enqueued));
-  std::fprintf(f, "  \"classes\": [\n");
+void write_json(const genio::bench::Args& args, const DaySpec& spec, const DayResult& day,
+                const ContrastResult& incr, const ContrastResult& full, bool invariants_hold) {
+  genio::bench::Json json(args.out, "admission_service", args.smoke);
+  json.object("day")
+      .field("sim_hours", spec.day.hours(), 2).field("base_rate_per_s", spec.base_rate, 1)
+      .field("storm_rate_per_s", spec.storm_rate, 1).field("storms", spec.storm_at.size())
+      .field("reingests", spec.reingest_at.size()).field("wall_ms", day.wall_ms, 1).close();
+  json.object("totals").field("submitted", day.submitted).field("completions", day.completions)
+      .field("sheds", day.total_sheds())
+      .field("processed_per_sim_sec", day.processed_per_sim_sec(), 1)
+      .field("backlog_high_water", day.backlog_high_water)
+      .field("total_capacity", day.total_capacity).field("gate_bypasses", day.gate_bypasses)
+      .field("rescans_enqueued", day.rescans_enqueued).close();
+  json.array("classes");
   for (std::size_t c = 0; c < core::kAdmitClasses; ++c) {
     const auto& s = day.stats[c];
-    std::fprintf(f,
-                 "    {\"class\": \"%s\", \"submitted\": %llu, \"accepted\": %llu, "
-                 "\"backpressure\": %llu, \"shed_ingress\": %llu, "
-                 "\"shed_displaced\": %llu, \"deadline_exceeded\": %llu, "
-                 "\"deployed\": %llu, \"blocked\": %llu, \"coalesced\": %llu, "
-                 "\"p50_s\": %.3f, \"p99_s\": %.3f}%s\n",
-                 class_name(c), static_cast<unsigned long long>(s.submitted),
-                 static_cast<unsigned long long>(s.accepted),
-                 static_cast<unsigned long long>(s.rejected_backpressure),
-                 static_cast<unsigned long long>(s.shed_ingress),
-                 static_cast<unsigned long long>(s.shed_displaced),
-                 static_cast<unsigned long long>(s.deadline_exceeded),
-                 static_cast<unsigned long long>(s.deployed),
-                 static_cast<unsigned long long>(s.blocked),
-                 static_cast<unsigned long long>(s.coalesced),
-                 day.percentile(static_cast<core::AdmitClass>(c), 0.50),
-                 day.percentile(static_cast<core::AdmitClass>(c), 0.99),
-                 c + 1 < core::kAdmitClasses ? "," : "");
+    const auto cls = static_cast<core::AdmitClass>(c);
+    json.object()
+        .field("class", class_name(c)).field("submitted", s.submitted).field("accepted", s.accepted)
+        .field("backpressure", s.rejected_backpressure).field("shed_ingress", s.shed_ingress)
+        .field("shed_displaced", s.shed_displaced).field("deadline_exceeded", s.deadline_exceeded)
+        .field("deployed", s.deployed).field("blocked", s.blocked).field("coalesced", s.coalesced)
+        .field("p50_s", day.percentile(cls, 0.50), 3).field("p99_s", day.percentile(cls, 0.99), 3)
+        .close();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"cache\": {\"hits\": %llu, \"misses\": %llu, \"hit_rate\": %.4f, "
-               "\"evictions\": %llu, \"invalidations_full\": %llu, "
-               "\"invalidations_targeted\": %llu, \"revision_rekeys\": %llu, "
-               "\"offtarget_cold_scans\": %llu},\n",
-               static_cast<unsigned long long>(day.cache.hits),
-               static_cast<unsigned long long>(day.cache.misses), day.hit_rate(),
-               static_cast<unsigned long long>(day.cache.evictions),
-               static_cast<unsigned long long>(day.cache.invalidations_full),
-               static_cast<unsigned long long>(day.cache.invalidations_targeted),
-               static_cast<unsigned long long>(day.cache.revision_rekeys),
-               static_cast<unsigned long long>(day.offtarget_cold_scans));
-  std::fprintf(f,
-               "  \"contrast\": {\"fleet_images\": %zu, \"affected_images\": %zu, "
-               "\"post_ingest_misses_incremental\": %llu, "
-               "\"post_ingest_misses_full_dump\": %llu},\n",
-               incr.fleet_images, incr.affected_images,
-               static_cast<unsigned long long>(incr.post_ingest_misses),
-               static_cast<unsigned long long>(full.post_ingest_misses));
-  std::fprintf(f, "  \"accounting_consistent\": %s,\n",
-               day.accounting_ok ? "true" : "false");
-  std::fprintf(f, "  \"invariants_hold\": %s\n", invariants_hold ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  json.close();
+  json.object("cache").field("hits", day.cache.hits).field("misses", day.cache.misses)
+      .field("hit_rate", day.hit_rate(), 4).field("evictions", day.cache.evictions)
+      .field("invalidations_full", day.cache.invalidations_full)
+      .field("invalidations_targeted", day.cache.invalidations_targeted)
+      .field("revision_rekeys", day.cache.revision_rekeys)
+      .field("offtarget_cold_scans", day.offtarget_cold_scans).close();
+  json.object("contrast")
+      .field("fleet_images", incr.fleet_images).field("affected_images", incr.affected_images)
+      .field("post_ingest_misses_incremental", incr.post_ingest_misses)
+      .field("post_ingest_misses_full_dump", full.post_ingest_misses).close();
+  json.field("accounting_consistent", day.accounting_ok).field("invariants_hold", invariants_hold);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* out_path = "BENCH_admission.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const auto args = genio::bench::parse_args(argc, argv, "BENCH_admission.json");
+  const bool smoke = args.smoke;
 
   DaySpec spec;
   if (smoke) {
@@ -639,42 +585,36 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(full.post_ingest_misses));
 
   // -- invariants ------------------------------------------------------------
-  bool invariants_hold = true;
-  const auto check = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "INVARIANT VIOLATED: %s\n", what);
-      invariants_hold = false;
-    }
-  };
+  genio::bench::Gate gate({genio::bench::kInvariants});
   const auto& critical =
       day.stats[static_cast<std::size_t>(core::AdmitClass::kCriticalInfra)];
-  check(critical.sheds() == 0, "critical class is never shed");
-  check(day.gate_bypasses == 0, "no gate ever fails open");
-  check(day.backlog_high_water <= day.total_capacity,
-        "backlog high water within configured capacity");
-  check(day.bus_shed_events == day.total_sheds(),
-        "every shed is audited on the event bus");
-  check(day.evictions == 0 && day.offtarget_cold_scans == 0,
-        "post-re-ingest cold scans only touch affected images");
-  check(day.hit_rate() >= spec.hit_rate_floor,
-        smoke ? "day-wide cache hit rate >= 0.90 (smoke)"
-              : "day-wide cache hit rate >= 0.95");
-  check(day.accounting_ok, "per-class accounting identity balances");
-  check(day.total_sheds() > 0 && day.stats[1].rejected_backpressure +
-                                         day.stats[2].rejected_backpressure +
-                                         day.stats[0].rejected_backpressure >
-                                     0,
-        "the storms actually exercised shedding and backpressure");
-  check(day.stats[1].blocked > 0, "unsigned images were blocked, not deployed");
-  check(incr.rescans_enqueued == incr.affected_images,
-        "re-scan fan-out equals the affected-image count");
-  check(incr.post_ingest_misses == incr.affected_images,
-        "incremental invalidation re-scores only affected entries");
-  check(full.post_ingest_misses >= static_cast<std::uint64_t>(full.fleet_images),
-        "full dump re-scores the entire fleet");
-  check(incr.post_ingest_misses < full.post_ingest_misses,
-        "incremental invalidation beats a full dump");
+  gate.check(critical.sheds() == 0, "critical class is never shed");
+  gate.check(day.gate_bypasses == 0, "no gate ever fails open");
+  gate.check(day.backlog_high_water <= day.total_capacity,
+             "backlog high water within configured capacity");
+  gate.check(day.bus_shed_events == day.total_sheds(),
+             "every shed is audited on the event bus");
+  gate.check(day.evictions == 0 && day.offtarget_cold_scans == 0,
+             "post-re-ingest cold scans only touch affected images");
+  gate.check(day.hit_rate() >= spec.hit_rate_floor,
+             smoke ? "day-wide cache hit rate >= 0.90 (smoke)"
+                   : "day-wide cache hit rate >= 0.95");
+  gate.check(day.accounting_ok, "per-class accounting identity balances");
+  gate.check(day.total_sheds() > 0 && day.stats[1].rejected_backpressure +
+                                              day.stats[2].rejected_backpressure +
+                                              day.stats[0].rejected_backpressure >
+                                          0,
+             "the storms actually exercised shedding and backpressure");
+  gate.check(day.stats[1].blocked > 0, "unsigned images were blocked, not deployed");
+  gate.check(incr.rescans_enqueued == incr.affected_images,
+             "re-scan fan-out equals the affected-image count");
+  gate.check(incr.post_ingest_misses == incr.affected_images,
+             "incremental invalidation re-scores only affected entries");
+  gate.check(full.post_ingest_misses >= static_cast<std::uint64_t>(full.fleet_images),
+             "full dump re-scores the entire fleet");
+  gate.check(incr.post_ingest_misses < full.post_ingest_misses,
+             "incremental invalidation beats a full dump");
 
-  write_json(out_path, smoke, spec, day, incr, full, invariants_hold);
-  return invariants_hold ? 0 : 1;
+  write_json(args, spec, day, incr, full, gate.ok());
+  return gate.exit_code();
 }

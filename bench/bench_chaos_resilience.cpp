@@ -13,8 +13,9 @@
 // Exits nonzero if any invariant breaks. `--smoke` runs a reduced sweep
 // for CI.
 #include <cstdio>
-#include <cstring>
 #include <vector>
+
+#include "bench_util.hpp"
 
 #include "genio/common/strings.hpp"
 #include "genio/common/table.hpp"
@@ -143,10 +144,7 @@ RunResult run_drill(std::uint64_t seed, int fault_count, bool resilience) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = genio::bench::parse_args(argc, argv).smoke;
 
   const std::vector<int> fault_rates = smoke ? std::vector<int>{4, 12}
                                              : std::vector<int>{4, 12, 24};
@@ -191,25 +189,14 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  struct Invariant {
-    const char* text;
-    bool holds;
-  };
-  const Invariant invariants[] = {
-      {"resilience off: injected faults caused a fail-open gate or a lost workload",
-       off_showed_damage},
-      {"resilience on: no gate ever failed open", on_never_failed_open},
-      {"resilience on: no deployed workload vanished", on_never_lost_pods},
-      {"resilience on: availability >= 99% at baseline fault rate",
-       on_baseline_available},
-      {"posture flagged every observed degraded mitigation", posture_always_flagged},
-  };
-  bool all_hold = true;
-  for (const auto& inv : invariants) {
-    std::printf("  [%s] %s\n", inv.holds ? "ok" : "VIOLATED", inv.text);
-    all_hold &= inv.holds;
-  }
-  std::printf("\n%s\n", all_hold ? "all invariants hold"
-                                 : "INVARIANT VIOLATION — see rows above");
-  return all_hold ? 0 : 1;
+  genio::bench::Gate gate({genio::bench::kChecklist});
+  gate.check(off_showed_damage,
+             "resilience off: injected faults caused a fail-open gate or a lost workload");
+  gate.check(on_never_failed_open, "resilience on: no gate ever failed open");
+  gate.check(on_never_lost_pods, "resilience on: no deployed workload vanished");
+  gate.check(on_baseline_available, "resilience on: availability >= 99% at baseline fault rate");
+  gate.check(posture_always_flagged, "posture flagged every observed degraded mitigation");
+  std::printf("\n%s\n", gate.ok() ? "all invariants hold"
+                                  : "INVARIANT VIOLATION — see rows above");
+  return gate.exit_code();
 }

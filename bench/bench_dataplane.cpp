@@ -41,18 +41,15 @@
 //     8x a full run measures on a 4-vCPU Xeon with both);
 //   * with --baseline PATH, per-size fast-path MB/s >= 0.8x the committed
 //     numbers (the >20%-regression CI gate).
-// Floors are enforced only on uninstrumented builds (GENIO_BENCH_SANITIZED).
+// Floors are enforced only on uninstrumented builds (bench_util.hpp's
+// kSanitized).
 // Each timed section is preceded by warm-up iterations (~1/10 of the timed
 // count). Writes BENCH_dataplane.json (or --out PATH); `--smoke` runs a
 // reduced sweep for CI.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,29 +65,14 @@
 #include "genio/pon/frame.hpp"
 #include "genio/pon/gpon_crypto.hpp"
 
-// Sanitizer instrumentation taxes every memory access, which flattens the
-// table-lookup fast path against the register-heavy bitwise reference; the
-// byte-identity invariant still holds under sanitizers, but the speedup
-// floors are only enforced on uninstrumented builds.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define GENIO_BENCH_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define GENIO_BENCH_SANITIZED 1
-#endif
-#endif
-#ifndef GENIO_BENCH_SANITIZED
-#define GENIO_BENCH_SANITIZED 0
-#endif
-
 namespace gc = genio::common;
 namespace cr = genio::crypto;
 namespace pon = genio::pon;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using DpKernel = cr::DataplaneKernel;
+using genio::bench::kSanitized;
 using genio::bench::lpt_makespan;
 using genio::bench::Spread;
 using genio::bench::spread;
@@ -281,19 +263,15 @@ bool crc_lengths_identity(gc::Rng& rng, const std::vector<DpKernel>& kernels) {
   return ok;
 }
 
-// Run `fn` warm_iters times untimed, then time `iters` calls; returns
-// seconds. `fn(k)` processes corpus frame k % corpus_size.
-double timed(int warm_iters, int iters, const std::function<void(int)>& fn) {
-  for (int k = 0; k < warm_iters; ++k) fn(k);
-  const auto start = Clock::now();
-  for (int k = 0; k < iters; ++k) fn(k);
-  return std::chrono::duration<double>(Clock::now() - start).count();
+// Seconds per call over `iters` timed calls after ~1/10 as many warm-up
+// calls. `fn(k)` processes corpus frame k % corpus_size.
+double per_call(int iters, const std::function<void(int)>& fn) {
+  return genio::bench::time_calls(iters / 10 + 1, 1, iters, fn).median;
 }
 
 struct PathStats {
-  int iters = 0;
-  double seconds = 0.0;
-  double fps() const { return seconds <= 0.0 ? 0.0 : iters / seconds; }
+  double seconds = 0.0;  // per call
+  double fps() const { return seconds <= 0.0 ? 0.0 : 1.0 / seconds; }
   double mbps(std::size_t bytes) const {
     return fps() * static_cast<double>(bytes) / 1e6;
   }
@@ -306,11 +284,8 @@ struct SizeResult {
   // Frames/sec through a full seal-then-open round trip: the number the
   // >= 9x acceptance target is pinned on.
   double sealopen_fps(bool fast) const {
-    const double ts = fast ? seal_fast.seconds / seal_fast.iters
-                           : seal_ref.seconds / seal_ref.iters;
-    const double to = fast ? open_fast.seconds / open_fast.iters
-                           : open_ref.seconds / open_ref.iters;
-    return 1.0 / (ts + to);
+    return fast ? 1.0 / (seal_fast.seconds + open_fast.seconds)
+                : 1.0 / (seal_ref.seconds + open_ref.seconds);
   }
   double sealopen_speedup() const { return sealopen_fps(true) / sealopen_fps(false); }
 };
@@ -344,21 +319,21 @@ SizeResult run_size(gc::Rng& rng, const cr::AesKey& key,
   volatile std::uint32_t sink = 0;  // keep CRC loops observable
   gc::Bytes buf(payload_bytes + 16);
 
-  r.seal_ref = {iters_ref, timed(iters_ref / 10 + 1, iters_ref, [&](int k) {
+  r.seal_ref = {per_call(iters_ref, [&](int k) {
                   const Sample& s = at(k);
                   const auto sealed = ref_seal(
                       key, s.nonce, s.plaintext,
                       gc::BytesView(s.aad.data(), s.aad.size()));
                   sink = sink ^ sealed.tag[0];
                 })};
-  r.seal_fast = {iters_fast, timed(iters_fast / 10 + 1, iters_fast, [&](int k) {
+  r.seal_fast = {per_call(iters_fast, [&](int k) {
                    const Sample& s = at(k);
                    buf.assign(s.plaintext.begin(), s.plaintext.end());
                    const auto tag = ctx.seal_in_place(
                        s.nonce, buf, gc::BytesView(s.aad.data(), s.aad.size()));
                    sink = sink ^ tag[0];
                  })};
-  r.open_ref = {iters_ref, timed(iters_ref / 10 + 1, iters_ref, [&](int k) {
+  r.open_ref = {per_call(iters_ref, [&](int k) {
                   const Sample& s = at(k);
                   gc::Bytes opened;
                   const bool good = ref_open(
@@ -366,7 +341,7 @@ SizeResult run_size(gc::Rng& rng, const cr::AesKey& key,
                       gc::BytesView(s.aad.data(), s.aad.size()), opened);
                   sink = sink ^ static_cast<std::uint32_t>(good);
                 })};
-  r.open_fast = {iters_fast, timed(iters_fast / 10 + 1, iters_fast, [&](int k) {
+  r.open_fast = {per_call(iters_fast, [&](int k) {
                    const Sample& s = at(k);
                    buf.assign(s.ciphertext.begin(), s.ciphertext.end());
                    const auto st = ctx.open_in_place(
@@ -376,10 +351,10 @@ SizeResult run_size(gc::Rng& rng, const cr::AesKey& key,
 
   const int iters_crc = clamp_iters(scale * 64e6, 256, 200000);
   const int iters_crc_ref = clamp_iters(scale * 16e6, 64, 50000);
-  r.crc_ref = {iters_crc_ref, timed(iters_crc_ref / 10 + 1, iters_crc_ref, [&](int k) {
+  r.crc_ref = {per_call(iters_crc_ref, [&](int k) {
                  sink = sink ^ cr::crc32_reference(at(k).plaintext);
                })};
-  r.crc_fast = {iters_crc, timed(iters_crc / 10 + 1, iters_crc, [&](int k) {
+  r.crc_fast = {per_call(iters_crc, [&](int k) {
                   sink = sink ^ cr::crc32(at(k).plaintext);
                 })};
   return r;
@@ -412,21 +387,19 @@ BackendRatio run_backends(gc::Rng& rng, const cr::AesKey& key, bool smoke) {
   volatile std::uint32_t sink = 0;
 
   const auto sealopen_ns = [&](const cr::GcmContext& ctx, int iters) {
-    const double s = timed(iters / 10 + 1, iters, [&](int k) {
+    return 1e9 * per_call(iters, [&](int k) {
       const Sample& f = corpus[static_cast<std::size_t>(k) % corpus.size()];
       const gc::BytesView aad(f.aad.data(), f.aad.size());
       buf.assign(f.plaintext.begin(), f.plaintext.end());
       const cr::GcmTag tag = ctx.seal_in_place(f.nonce, buf, aad);
       sink = sink ^ static_cast<std::uint32_t>(ctx.open_in_place(f.nonce, buf, tag, aad).ok());
     });
-    return s / iters * 1e9;
   };
   const auto crc_ns = [&](DpKernel kernel, int iters) {
-    const double s = timed(iters / 10 + 1, iters, [&](int k) {
+    return 1e9 * per_call(iters, [&](int k) {
       const Sample& f = corpus[static_cast<std::size_t>(k) % corpus.size()];
       sink = sink ^ cr::crc32_update(cr::crc32_init(), f.plaintext, kernel);
     });
-    return s / iters * 1e9;
   };
 
   r.reps = smoke ? 9 : 21;
@@ -506,11 +479,10 @@ ShardedResult run_sharded(gc::Rng& rng, bool smoke) {
   std::size_t total_bytes = 0;
   for (std::size_t l = 0; l < r.links; ++l) {
     std::vector<pon::GemFrame> work = frames[l];
-    const double secs = timed(iters / 10 + 1, iters, [&](int) {
+    r.leaf_seconds.push_back(per_call(iters, [&](int) {
       seal_link(ciphers[l], work);
       if (!open_link(ciphers[l], work)) r.identity = false;
-    });
-    r.leaf_seconds.push_back(secs / iters);
+    }));
     total_bytes += frames[l].size() * r.payload_bytes;
   }
 
@@ -548,187 +520,100 @@ ShardedResult run_sharded(gc::Rng& rng, bool smoke) {
       r.identity = false;
     }
   }
-  const double t_pool = timed(iters / 10 + 1, iters, [&](int) {
+  const double t_pool = per_call(iters, [&](int) {
     pool.parallel_for(r.links, [&](std::size_t l) {
       seal_link(ciphers[l], pool_work[l]);
       (void)open_link(ciphers[l], pool_work[l]);
     });
   });
-  r.pool_MBps = static_cast<double>(total_bytes) * iters / t_pool / 1e6;
+  r.pool_MBps = static_cast<double>(total_bytes) / t_pool / 1e6;
   return r;
 }
 
 // ---------------------------------------------------------- baseline gate
 
-struct BaselineSize {
-  std::size_t payload_bytes = 0;
-  double seal_MBps = 0.0;
-  double open_MBps = 0.0;
-  double crc_MBps = 0.0;
-};
-
-// String-scan the committed BENCH_dataplane.json for per-size fast-path
-// MB/s. The format is what write_json below emits: within each size block,
-// "fast_MBps" appears exactly three times, in seal/open/crc order; the
-// sharded section deliberately uses differently named fields.
-std::vector<BaselineSize> parse_baseline(const std::string& text) {
-  std::vector<BaselineSize> sizes;
-  std::size_t pos = 0;
-  const auto number_after = [&](std::size_t at) {
-    return std::strtod(text.c_str() + at, nullptr);
-  };
-  while ((pos = text.find("\"payload_bytes\": ", pos)) != std::string::npos) {
-    pos += std::strlen("\"payload_bytes\": ");
-    BaselineSize b;
-    b.payload_bytes = static_cast<std::size_t>(number_after(pos));
-    double* fields[3] = {&b.seal_MBps, &b.open_MBps, &b.crc_MBps};
-    const std::size_t block_end = std::min(text.find("\"payload_bytes\": ", pos),
-                                           text.size());
-    std::size_t cursor = pos;
-    for (double* field : fields) {
-      cursor = text.find("\"fast_MBps\": ", cursor);
-      if (cursor == std::string::npos || cursor >= block_end) return sizes;
-      cursor += std::strlen("\"fast_MBps\": ");
-      *field = number_after(cursor);
-    }
-    sizes.push_back(b);
-  }
-  return sizes;
-}
-
 // >20% fast-path regression against the committed baseline fails the run
 // (uninstrumented builds only; size blocks are matched by payload_bytes so
 // smoke's subset sweep compares the shared sizes).
-bool check_baseline(const char* path, const std::vector<SizeResult>& results) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "baseline %s not readable\n", path);
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto baseline = parse_baseline(ss.str());
-  if (baseline.empty()) {
-    std::fprintf(stderr, "baseline %s has no parsable size blocks\n", path);
+bool within_committed_sizes(const std::string& path, const std::vector<SizeResult>& results) {
+  const auto baseline = genio::bench::Baseline::load(path);
+  const auto first = baseline.ok() ? baseline->number("sizes[0].payload_bytes") : baseline.error();
+  if (!first.ok()) {  // unreadable, or no size blocks
+    std::fprintf(stderr, "%s\n", first.error().message().c_str());
     return false;
   }
   bool ok = true;
-  constexpr double kFloor = 0.8;
-  for (const SizeResult& r : results) {
-    for (const BaselineSize& b : baseline) {
-      if (b.payload_bytes != r.payload_bytes) continue;
-      const auto gate = [&](const char* what, double current, double committed) {
-        if (committed > 0.0 && current < kFloor * committed) {
-          std::fprintf(stderr,
-                       "BASELINE REGRESSION: %s at %zu B: %.1f MB/s < 0.8 x "
-                       "committed %.1f MB/s\n",
-                       what, r.payload_bytes, current, committed);
-          ok = false;
-        }
-      };
-      gate("seal", r.seal_fast.mbps(r.payload_bytes), b.seal_MBps);
-      gate("open", r.open_fast.mbps(r.payload_bytes), b.open_MBps);
-      gate("crc", r.crc_fast.mbps(r.payload_bytes), b.crc_MBps);
+  for (int i = 0;; ++i) {
+    const std::string block = "sizes[" + std::to_string(i) + "]";
+    const auto bytes = baseline->number(block + ".payload_bytes");
+    if (!bytes.ok()) return ok;
+    for (const SizeResult& r : results) {
+      if (static_cast<double>(r.payload_bytes) != *bytes) continue;
+      const std::string at = " at " + std::to_string(r.payload_bytes) + " B";
+      const std::pair<const char*, const PathStats*> paths[] = {
+          {"seal", &r.seal_fast}, {"open", &r.open_fast}, {"crc", &r.crc_fast}};
+      for (const auto& [name, stats] : paths) {
+        ok &= genio::bench::within_baseline(baseline, block + "." + name + ".fast_MBps",
+                                            stats->mbps(r.payload_bytes), name + at, "MB/s", 1);
+      }
     }
   }
-  return ok;
 }
 
-void write_json(const char* path, bool smoke, unsigned hw,
-                const std::vector<SizeResult>& results, const ShardedResult& sharded,
-                const BackendRatio* backends, double speedup_1k, bool identity_ok,
-                bool invariants_hold) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
+void write_json(const genio::bench::Args& args, const std::vector<SizeResult>& results,
+                const ShardedResult& sharded, const BackendRatio* backends,
+                double speedup_1k, bool identity_ok, bool invariants_hold) {
+  genio::bench::Json json(args.out, "dataplane", args.smoke);
+  json.field("round", 3).field("dataplane_kernel", kernel_name(cr::dispatched_dataplane_kernel()));
+  json.field("warmup", "~1/10 of timed iterations per section");
+  json.array("sizes");
+  for (const SizeResult& r : results) {
+    const std::size_t bytes = r.payload_bytes;
+    json.object().field("payload_bytes", bytes);
+    const auto path = [&](const char* name, const PathStats& ref, const PathStats& fast) {
+      json.object(name).field("ref_fps", ref.fps(), 1).field("fast_fps", fast.fps(), 1)
+          .field("ref_MBps", ref.mbps(bytes), 2).field("fast_MBps", fast.mbps(bytes), 2)
+          .field("speedup", fast.fps() / ref.fps(), 2).close();
+    };
+    path("seal", r.seal_ref, r.seal_fast);
+    path("open", r.open_ref, r.open_fast);
+    json.object("crc")
+        .field("ref_MBps", r.crc_ref.mbps(bytes), 2).field("fast_MBps", r.crc_fast.mbps(bytes), 2)
+        .field("speedup", r.crc_fast.fps() / r.crc_ref.fps(), 2).close();
+    json.field("sealopen_speedup", r.sealopen_speedup(), 2).close();
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"dataplane\",\n");
-  std::fprintf(f, "  \"round\": 3,\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
-  std::fprintf(f, "  \"dataplane_kernel\": \"%s\",\n",
-               kernel_name(cr::dispatched_dataplane_kernel()));
-  std::fprintf(f, "  \"warmup\": \"~1/10 of timed iterations per section\",\n");
-  std::fprintf(f, "  \"sizes\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const SizeResult& r = results[i];
-    std::fprintf(
-        f,
-        "    {\"payload_bytes\": %zu,\n"
-        "     \"seal\": {\"ref_fps\": %.1f, \"fast_fps\": %.1f, "
-        "\"ref_MBps\": %.2f, \"fast_MBps\": %.2f, \"speedup\": %.2f},\n"
-        "     \"open\": {\"ref_fps\": %.1f, \"fast_fps\": %.1f, "
-        "\"ref_MBps\": %.2f, \"fast_MBps\": %.2f, \"speedup\": %.2f},\n"
-        "     \"crc\": {\"ref_MBps\": %.2f, \"fast_MBps\": %.2f, "
-        "\"speedup\": %.2f},\n"
-        "     \"sealopen_speedup\": %.2f}%s\n",
-        r.payload_bytes, r.seal_ref.fps(), r.seal_fast.fps(),
-        r.seal_ref.mbps(r.payload_bytes), r.seal_fast.mbps(r.payload_bytes),
-        r.seal_fast.fps() / r.seal_ref.fps(), r.open_ref.fps(), r.open_fast.fps(),
-        r.open_ref.mbps(r.payload_bytes), r.open_fast.mbps(r.payload_bytes),
-        r.open_fast.fps() / r.open_ref.fps(), r.crc_ref.mbps(r.payload_bytes),
-        r.crc_fast.mbps(r.payload_bytes), r.crc_fast.fps() / r.crc_ref.fps(),
-        r.sealopen_speedup(), i + 1 < results.size() ? "," : "");
+  json.close();
+  json.object("sharded").field("links", sharded.links).field("payload_bytes", sharded.payload_bytes)
+      .field("pool_MBps", sharded.pool_MBps, 2).array("modeled");
+  for (const auto& [workers, mbps] : sharded.modeled) {
+    json.object().field("workers", workers).field("modeled_MBps", mbps, 2).close();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"sharded\": {\"links\": %zu, \"payload_bytes\": %zu, "
-               "\"pool_MBps\": %.2f, \"modeled\": [",
-               sharded.links, sharded.payload_bytes, sharded.pool_MBps);
-  for (std::size_t i = 0; i < sharded.modeled.size(); ++i) {
-    std::fprintf(f, "{\"workers\": %d, \"modeled_MBps\": %.2f}%s",
-                 sharded.modeled[i].first, sharded.modeled[i].second,
-                 i + 1 < sharded.modeled.size() ? ", " : "");
-  }
-  std::fprintf(f, "]},\n");
+  json.close().close();
   if (backends != nullptr) {
     const BackendRatio& b = *backends;
-    const auto ns = [&](const char* name, const Spread& x, const char* sep) {
-      std::fprintf(f, "\"%s\": {\"median\": %.1f, \"q1\": %.1f, \"q3\": %.1f}%s", name,
-                   x.median, x.q1, x.q3, sep);
-    };
-    std::fprintf(f, "  \"backends\": {\"payload_bytes\": %zu, \"reps\": %d,\n",
-                 b.payload_bytes, b.reps);
-    std::fprintf(f, "    \"sealopen_ns\": {");
-    ns("aes_pclmul", b.sealopen_hw, ", ");
-    ns("portable", b.sealopen_portable, "},\n");
-    std::fprintf(f, "    \"crc_ns\": {");
-    ns("aes_pclmul", b.crc_hw, ", ");
-    ns("portable", b.crc_portable, "},\n");
-    std::fprintf(f,
-                 "    \"sealopen_ratio\": %.2f, \"sealopen_ratio_floor\": %.1f, "
-                 "\"crc_ratio\": %.2f, \"crc_ratio_floor\": %.1f, "
-                 "\"ratio_floors_enforced\": %s},\n",
-                 b.sealopen_ratio, kSealOpenRatioFloor, b.crc_ratio, kCrcRatioFloor,
-                 GENIO_BENCH_SANITIZED ? "false" : "true");
+    json.object("backends").field("payload_bytes", b.payload_bytes).field("reps", b.reps);
+    json.object("sealopen_ns")
+        .field("aes_pclmul", b.sealopen_hw, 1).field("portable", b.sealopen_portable, 1).close();
+    json.object("crc_ns")
+        .field("aes_pclmul", b.crc_hw, 1).field("portable", b.crc_portable, 1).close();
+    json.field("sealopen_ratio", b.sealopen_ratio, 2)
+        .field("sealopen_ratio_floor", kSealOpenRatioFloor, 1).field("crc_ratio", b.crc_ratio, 2)
+        .field("crc_ratio_floor", kCrcRatioFloor, 1).field("ratio_floors_enforced", !kSanitized)
+        .close();
   } else {
-    std::fprintf(f, "  \"backends\": null,\n");
+    json.null("backends");
   }
-  std::fprintf(f, "  \"summary\": {\"sealopen_speedup_at_1k\": %.2f, "
-                  "\"byte_identity\": %s, \"speedup_floor_enforced\": %s},\n",
-               speedup_1k, identity_ok ? "true" : "false",
-               GENIO_BENCH_SANITIZED ? "false" : "true");
-  std::fprintf(f, "  \"invariants_hold\": %s\n", invariants_hold ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  json.object("summary")
+      .field("sealopen_speedup_at_1k", speedup_1k, 2).field("byte_identity", identity_ok)
+      .field("speedup_floor_enforced", !kSanitized).close();
+  json.field("invariants_hold", invariants_hold);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* out_path = "BENCH_dataplane.json";
-  const char* baseline_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-    if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    }
-  }
+  const auto args = genio::bench::parse_args(argc, argv, "BENCH_dataplane.json");
+  const bool smoke = args.smoke;
 
   const unsigned hw = std::thread::hardware_concurrency();
   gc::Rng rng(0x90247);
@@ -798,31 +683,25 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  bool invariants_hold = true;
-  const auto check = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "INVARIANT VIOLATED: %s\n", what);
-      invariants_hold = false;
-    }
-  };
-  check(identity_ok, "every backend byte-identical to reference across corpus");
-  if (GENIO_BENCH_SANITIZED) {
+  genio::bench::Gate gate({genio::bench::kInvariants});
+  gate.check(identity_ok, "every backend byte-identical to reference across corpus");
+  if (kSanitized) {
     std::printf("note: speedup floors reported but not enforced — sanitizer "
                 "instrumentation distorts relative path costs\n");
   } else {
-    check(speedup_1k >= 9.0, "seal+open >= 9x reference at 1 KB payloads");
+    gate.check(speedup_1k >= 9.0, "seal+open >= 9x reference at 1 KB payloads");
     if (ratio) {
-      check(ratio->sealopen_ratio >= kSealOpenRatioFloor,
-            "aes_pclmul seal+open >= 8x portable at 1 KB payloads");
-      check(ratio->crc_ratio >= kCrcRatioFloor, "aes_pclmul crc >= 4x portable at 1 KB");
+      gate.check(ratio->sealopen_ratio >= kSealOpenRatioFloor,
+                 "aes_pclmul seal+open >= 8x portable at 1 KB payloads");
+      gate.check(ratio->crc_ratio >= kCrcRatioFloor, "aes_pclmul crc >= 4x portable at 1 KB");
     }
-    if (baseline_path != nullptr) {
-      check(check_baseline(baseline_path, results),
-            "fast-path MB/s within 20% of committed baseline");
+    if (!args.baseline.empty()) {
+      gate.check(within_committed_sizes(args.baseline, results),
+                 "fast-path MB/s within 20% of committed baseline");
     }
   }
 
-  write_json(out_path, smoke, hw, results, sharded, ratio ? &*ratio : nullptr, speedup_1k,
-             identity_ok, invariants_hold);
-  return invariants_hold ? 0 : 1;
+  write_json(args, results, sharded, ratio ? &*ratio : nullptr, speedup_1k, identity_ok,
+             gate.ok());
+  return gate.exit_code();
 }

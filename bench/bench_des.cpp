@@ -26,7 +26,7 @@
 //   * identity arm: delivered digest and count == the recorded ones;
 //   * sharded arm: pool-run digests == serial-run digests;
 //   * carrier arm covers >= 100 OLTs and >= 10,000 ONUs;
-// and on uninstrumented builds (GENIO_BENCH_SANITIZED) additionally:
+// and on uninstrumented builds (bench_util.hpp's kSanitized) additionally:
 //   * carrier drain >= 100k events/sec;
 //   * modeled footprint <= 2 KB per ONU (~0.8 KB measured: a 656-byte
 //     Onu plus its arena share; the 16.8 KB GCM context sits out of line
@@ -43,16 +43,11 @@
 // horizons for CI.
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <functional>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -66,27 +61,14 @@
 #include "genio/common/thread_pool.hpp"
 #include "genio/sim/fabric.hpp"
 
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define GENIO_BENCH_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define GENIO_BENCH_SANITIZED 1
-#endif
-#endif
-#ifndef GENIO_BENCH_SANITIZED
-#define GENIO_BENCH_SANITIZED 0
-#endif
-
 namespace gc = genio::common;
 namespace gs = genio::sim;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using genio::bench::Clock;
+using genio::bench::kSanitized;
+using genio::bench::seconds_since;
 
 std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
@@ -162,15 +144,12 @@ SchedulerResult run_scheduler(bool smoke) {
   const std::uint64_t seed = 0xde5;
 
   (void)drive_scheduler(seed, batches / 8 + 1, per_batch);  // warm-up
-  for (int rep = 0; rep < 5; ++rep) {  // best-of-5: see header comment
-    const auto start = Clock::now();
-    const auto [executed, digest] = drive_scheduler(seed, batches, per_batch);
-    const double wall = seconds_since(start);
-    r.heap_eps = std::max(r.heap_eps, static_cast<double>(executed) / wall);
-    r.events = executed;
-    // Same seed: identical across reps.
-    r.digest_match = digest == (smoke ? kSmokeTraceDigest : kFullTraceDigest);
-  }
+  std::uint64_t digest = 0;  // same seed: identical across reps
+  const auto wall = genio::bench::time_calls(0, 5, 1, [&] {
+    std::tie(r.events, digest) = drive_scheduler(seed, batches, per_batch);
+  });
+  r.heap_eps = static_cast<double>(r.events) / wall.min;  // best-of-5: see header
+  r.digest_match = digest == (smoke ? kSmokeTraceDigest : kFullTraceDigest);
   return r;
 }
 
@@ -344,112 +323,38 @@ ShardedResult run_sharded(bool smoke) {
   return r;
 }
 
-// ------------------------------------------------------------- baseline gate
-
-// String-scan the committed BENCH_des.json for the two gated throughput
-// keys. Field names are unique in the format write_json emits.
-bool check_baseline(const char* path, double heap_eps, double carrier_eps) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "baseline %s not readable\n", path);
-    return false;
+void write_json(const genio::bench::Args& args, const SchedulerResult& sched,
+                const CarrierResult& carrier, const IdentityResult& identity,
+                const ShardedResult& sharded, bool invariants_hold) {
+  genio::bench::Json json(args.out, "des", args.smoke);
+  json.field("warmup", "~1/10 of timed work per section");
+  json.object("scheduler").field("events", sched.events).field("heap_eps", sched.heap_eps, 1)
+      .field("trace_digest_match", sched.digest_match).close();
+  json.object("carrier").field("olts", carrier.olts).field("onus", carrier.onus)
+      .field("sim_millis", carrier.sim_millis, 1).field("wall_seconds", carrier.wall_seconds, 3)
+      .field("events", carrier.executed).field("carrier_eps", carrier.carrier_eps, 1)
+      .field("delivered_frames", carrier.delivered_frames).field("queue_drops", carrier.queue_drops)
+      .field("modeled_bytes_per_onu", carrier.bytes_per_onu, 1)
+      .field("arena_reuse_ratio", carrier.arena_reuse, 3).close();
+  json.object("identity").field("delivered_frames", identity.delivered_frames)
+      .field("digest_match", identity.digest_match).field("frames_match", identity.frames_match)
+      .close();
+  json.object("sharded").field("fabrics", sharded.fabrics).field("events", sharded.total_events)
+      .field("serial_seconds", sharded.serial_seconds, 3)
+      .field("pool_seconds", sharded.pool_seconds, 3).field("digest_match", sharded.digest_match)
+      .array("modeled");
+  for (const auto& [workers, eps] : sharded.modeled_eps) {
+    json.object().field("workers", workers).field("modeled_eps", eps, 1).close();
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  bool ok = true;
-  constexpr double kFloor = 0.8;
-  const auto gate = [&](const char* key, double current) {
-    const std::string needle = std::string("\"") + key + "\": ";
-    const std::size_t pos = text.find(needle);
-    if (pos == std::string::npos) {
-      std::fprintf(stderr, "baseline %s missing key %s\n", path, key);
-      ok = false;
-      return;
-    }
-    const double committed = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-    if (committed > 0.0 && current < kFloor * committed) {
-      std::fprintf(stderr,
-                   "BASELINE REGRESSION: %s: %.0f events/sec < 0.8 x committed "
-                   "%.0f events/sec\n",
-                   key, current, committed);
-      ok = false;
-    }
-  };
-  gate("heap_eps", heap_eps);
-  gate("carrier_eps", carrier_eps);
-  return ok;
-}
-
-void write_json(const char* path, bool smoke, unsigned hw,
-                const SchedulerResult& sched, const CarrierResult& carrier,
-                const IdentityResult& identity, const ShardedResult& sharded,
-                bool invariants_hold) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"des\",\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
-  std::fprintf(f, "  \"warmup\": \"~1/10 of timed work per section\",\n");
-  std::fprintf(f,
-               "  \"scheduler\": {\"events\": %llu, \"heap_eps\": %.1f, "
-               "\"trace_digest_match\": %s},\n",
-               static_cast<unsigned long long>(sched.events), sched.heap_eps,
-               sched.digest_match ? "true" : "false");
-  std::fprintf(f,
-               "  \"carrier\": {\"olts\": %d, \"onus\": %d, \"sim_millis\": %.1f, "
-               "\"wall_seconds\": %.3f, \"events\": %llu, \"carrier_eps\": %.1f, "
-               "\"delivered_frames\": %llu, \"queue_drops\": %llu, "
-               "\"modeled_bytes_per_onu\": %.1f, \"arena_reuse_ratio\": %.3f},\n",
-               carrier.olts, carrier.onus, carrier.sim_millis, carrier.wall_seconds,
-               static_cast<unsigned long long>(carrier.executed), carrier.carrier_eps,
-               static_cast<unsigned long long>(carrier.delivered_frames),
-               static_cast<unsigned long long>(carrier.queue_drops),
-               carrier.bytes_per_onu, carrier.arena_reuse);
-  std::fprintf(f,
-               "  \"identity\": {\"delivered_frames\": %llu, "
-               "\"digest_match\": %s, \"frames_match\": %s},\n",
-               static_cast<unsigned long long>(identity.delivered_frames),
-               identity.digest_match ? "true" : "false",
-               identity.frames_match ? "true" : "false");
-  std::fprintf(f,
-               "  \"sharded\": {\"fabrics\": %zu, \"events\": %llu, "
-               "\"serial_seconds\": %.3f, \"pool_seconds\": %.3f, "
-               "\"digest_match\": %s, \"modeled\": [",
-               sharded.fabrics, static_cast<unsigned long long>(sharded.total_events),
-               sharded.serial_seconds, sharded.pool_seconds,
-               sharded.digest_match ? "true" : "false");
-  for (std::size_t i = 0; i < sharded.modeled_eps.size(); ++i) {
-    std::fprintf(f, "{\"workers\": %d, \"modeled_eps\": %.1f}%s",
-                 sharded.modeled_eps[i].first, sharded.modeled_eps[i].second,
-                 i + 1 < sharded.modeled_eps.size() ? ", " : "");
-  }
-  std::fprintf(f, "]},\n");
-  std::fprintf(f, "  \"floors_enforced\": %s,\n",
-               GENIO_BENCH_SANITIZED ? "false" : "true");
-  std::fprintf(f, "  \"invariants_hold\": %s\n", invariants_hold ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  json.close().close();
+  json.field("floors_enforced", !kSanitized).field("invariants_hold", invariants_hold);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* out_path = "BENCH_des.json";
-  const char* baseline_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-    if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    }
-  }
+  const auto args = genio::bench::parse_args(argc, argv, "BENCH_des.json");
+  const bool smoke = args.smoke;
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("=== discrete-event core: event queue + 10k-ONU fabric, "
@@ -486,36 +391,35 @@ int main(int argc, char** argv) {
   }
   std::printf(" events/sec\n\n");
 
-  bool invariants_hold = true;
-  const auto check = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "INVARIANT VIOLATED: %s\n", what);
-      invariants_hold = false;
-    }
-  };
-  check(sched.digest_match, "scheduler trace digest == recorded digest");
-  check(identity.digest_match && identity.frames_match,
-        "fabric delivery digest and count == recorded ones");
-  check(sharded.digest_match, "pool-run digests match serial runs");
-  check(carrier.olts >= 100 && carrier.onus >= 10000,
-        "carrier arm covers >= 100 OLTs and >= 10k ONUs");
-  check(carrier.delivered_frames > 0, "carrier fabric delivered traffic");
-  if (GENIO_BENCH_SANITIZED) {
+  genio::bench::Gate gate({genio::bench::kInvariants});
+  gate.check(sched.digest_match, "scheduler trace digest == recorded digest");
+  gate.check(identity.digest_match && identity.frames_match,
+             "fabric delivery digest and count == recorded ones");
+  gate.check(sharded.digest_match, "pool-run digests match serial runs");
+  gate.check(carrier.olts >= 100 && carrier.onus >= 10000,
+             "carrier arm covers >= 100 OLTs and >= 10k ONUs");
+  gate.check(carrier.delivered_frames > 0, "carrier fabric delivered traffic");
+  if (kSanitized) {
     std::printf("note: throughput floors reported but not enforced — sanitizer "
                 "instrumentation distorts event costs\n");
   } else {
-    check(carrier.carrier_eps >= 100'000.0, "carrier drain >= 100k events/sec");
-    check(carrier.bytes_per_onu <= 2'048.0, "modeled footprint <= 2 KB/ONU");
-    check(carrier.arena_reuse >= 0.5, "arena reuse ratio >= 0.5 at steady state");
-    if (baseline_path != nullptr) {
-      check(check_baseline(baseline_path, sched.heap_eps, carrier.carrier_eps),
-            "events/sec within 20% of committed baseline");
+    gate.check(carrier.carrier_eps >= 100'000.0, "carrier drain >= 100k events/sec");
+    gate.check(carrier.bytes_per_onu <= 2'048.0, "modeled footprint <= 2 KB/ONU");
+    gate.check(carrier.arena_reuse >= 0.5, "arena reuse ratio >= 0.5 at steady state");
+    if (!args.baseline.empty()) {
+      // Both keys are read even when the first regresses.
+      const auto baseline = genio::bench::Baseline::load(args.baseline);
+      const bool heap_ok = genio::bench::within_baseline(
+          baseline, "scheduler.heap_eps", sched.heap_eps, "heap_eps", "events/sec", 0);
+      const bool carrier_ok =
+          genio::bench::within_baseline(baseline, "carrier.carrier_eps", carrier.carrier_eps,
+                                        "carrier_eps", "events/sec", 0);
+      gate.check(heap_ok && carrier_ok, "events/sec within 20% of committed baseline");
     }
   }
 
-  write_json(out_path, smoke, hw, sched, carrier, identity, sharded,
-             invariants_hold);
-  if (!invariants_hold) {
+  write_json(args, sched, carrier, identity, sharded, gate.ok());
+  if (!gate.ok()) {
     std::fprintf(stderr, "\nBENCH FAILED: invariant violations above\n");
     return 1;
   }

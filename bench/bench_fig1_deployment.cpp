@@ -5,6 +5,8 @@
 // cloud for latency; the reverse for capacity).
 #include <cstdio>
 
+#include "bench_util.hpp"
+
 #include "genio/common/strings.hpp"
 #include "genio/common/table.hpp"
 #include "genio/core/platform.hpp"
@@ -70,10 +72,10 @@ int main() {
   placement.add_row({"ML training / archival", "> 100 ms", "cloud"});
   std::printf("\n%s", placement.render().c_str());
 
-  std::printf("\nshape check: far-edge RTT < edge RTT < cloud RTT — %s\n",
-              (profiles[0].one_way_latency < profiles[1].one_way_latency &&
-               profiles[1].one_way_latency < profiles[2].one_way_latency)
-                  ? "holds"
-                  : "VIOLATED");
-  return 0;
+  std::printf("\n");
+  genio::bench::Gate gate({genio::bench::kVerdict});
+  gate.check(profiles[0].one_way_latency < profiles[1].one_way_latency &&
+                 profiles[1].one_way_latency < profiles[2].one_way_latency,
+             "shape check: far-edge RTT < edge RTT < cloud RTT");
+  return gate.exit_code();
 }

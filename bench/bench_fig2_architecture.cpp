@@ -3,8 +3,9 @@
 // controllers, VM cluster, Kubernetes-like orchestrator, tenant apps) and
 // reports the component inventory plus the measured throughput of the
 // secure deployment pipeline across it.
-#include <chrono>
 #include <cstdio>
+
+#include "bench_util.hpp"
 
 #include "genio/common/table.hpp"
 #include "genio/core/pipeline.hpp"
@@ -67,7 +68,7 @@ int main() {
     (void)platform.registry().push_signed(std::move(image), "tenant-a", publisher);
   }
 
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = genio::bench::Clock::now();
   int deployed = 0;
   for (int i = 0; i < kApps; ++i) {
     const auto report = pipeline.deploy(
@@ -78,9 +79,7 @@ int main() {
          .limits = {0.2, 128}});
     deployed += report.deployed ? 1 : 0;
   }
-  const auto elapsed = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
+  const double elapsed = genio::bench::seconds_since(start);
 
   std::printf("secure pipeline: %d/%d apps deployed in %.3fs (%.1f deployments/s, "
               "all 7 gates active)\n",

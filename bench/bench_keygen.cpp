@@ -19,13 +19,10 @@
 //   keygen    SigningKey::generate at heights 4, 6 and 8 and one default
 //             GenioPlatform build, as median and IQR (informational).
 // Invariants (exit nonzero if any breaks): identity always; the ratio
-// floor only on uninstrumented builds (GENIO_BENCH_SANITIZED).
+// floor only on uninstrumented builds (bench_util.hpp's kSanitized).
 // Writes BENCH_keygen.json (or --out PATH); `--smoke` runs fewer batches
 // and repetitions for CI.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,30 +34,17 @@
 #include "genio/crypto/sha256.hpp"
 #include "genio/crypto/signature.hpp"
 
-// Sanitizer instrumentation taxes the scalar loop's stack traffic far more
-// than the vector kernel's registers, so the ratio means nothing there;
-// identity still holds and is still enforced.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define GENIO_BENCH_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define GENIO_BENCH_SANITIZED 1
-#endif
-#endif
-#ifndef GENIO_BENCH_SANITIZED
-#define GENIO_BENCH_SANITIZED 0
-#endif
-
 namespace gc = genio::common;
 namespace cr = genio::crypto;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using Lanes = cr::Sha256Lanes;
 using LaneKernel = Lanes::Kernel;
+using genio::bench::kSanitized;
 using genio::bench::Spread;
 using genio::bench::spread;
+using genio::bench::time_calls;
 
 constexpr LaneKernel kAllKernels[] = {LaneKernel::kAvx512f, LaneKernel::kShaNi,
                                       LaneKernel::kScalar};
@@ -72,10 +56,6 @@ const char* kernel_name(LaneKernel kernel) {
     case LaneKernel::kScalar: break;
   }
   return "scalar_loop";
-}
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
 void random_words(gc::Rng& rng, Lanes::State& state, Lanes::Block& block) {
@@ -110,12 +90,10 @@ double time_compress(const Lanes& lanes, int calls, std::uint32_t& sink) {
   alignas(64) Lanes::State state{};
   alignas(64) Lanes::Block block{};
   random_words(rng, state, block);
-  const auto t0 = Clock::now();
-  for (int i = 0; i < calls; ++i) {
-    lanes.compress(state, block);
-    block[i & 15][0] ^= state[0][0];
-  }
-  const double s = seconds_since(t0) / calls;
+  const double s = time_calls(0, 1, calls, [&](int i) {
+                     lanes.compress(state, block);
+                     block[i & 15][0] ^= state[0][0];
+                   }).median;
   sink ^= state[7][15];
   return s;
 }
@@ -135,39 +113,30 @@ SignRun sign_every_leaf(LaneKernel kernel, std::uint8_t height) {
   run.root = key.public_key().root;
   for (std::uint32_t leaf = 0; key.signatures_remaining() > 0; ++leaf) {
     const gc::Bytes message = gc::to_bytes("bench-sign-" + std::to_string(leaf));
-    auto t0 = Clock::now();
+    auto t0 = genio::bench::Clock::now();
     const cr::Signature sig = key.sign(message).value();
-    run.sign_us.push_back(seconds_since(t0) * 1e6);
-    t0 = Clock::now();
+    run.sign_us.push_back(genio::bench::seconds_since(t0) * 1e6);
+    t0 = genio::bench::Clock::now();
     const bool ok = cr::verify(key.public_key(), message, sig, kernel).ok();
-    run.verify_us.push_back(seconds_since(t0) * 1e6);
+    run.verify_us.push_back(genio::bench::seconds_since(t0) * 1e6);
     run.verified = run.verified && ok;
     run.signatures.push_back(sig.serialize());
   }
   return run;
 }
 
+/// Milliseconds per call, over `reps` calls after one warm-up call.
 template <typename Fn>
 Spread time_ms(int reps, Fn&& fn) {
-  fn();  // warm-up
-  std::vector<double> ms;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    fn();
-    ms.push_back(seconds_since(t0) * 1e3);
-  }
-  return spread(std::move(ms));
+  const Spread s = time_calls(1, reps, 1, fn);
+  return {s.median * 1e3, s.q1 * 1e3, s.q3 * 1e3, s.min * 1e3};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* out_path = "BENCH_keygen.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const auto args = genio::bench::parse_args(argc, argv, "BENCH_keygen.json");
+  const bool smoke = args.smoke;
   const unsigned hw = std::thread::hardware_concurrency();
   const LaneKernel dispatched = Lanes::dispatched_kernel();
   const char* sha256_kernel =
@@ -256,61 +225,38 @@ int main(int argc, char** argv) {
     std::printf("keygen height %d: %.2f ms [%.2f, %.2f]\n", row.height, row.ms.median,
                 row.ms.q1, row.ms.q3);
   }
-  std::printf("default GenioPlatform build: %.2f ms [%.2f, %.2f]\n\n", platform.median,
-              platform.q1, platform.q3);
+  std::printf("default GenioPlatform build: %.2f ms [%.2f, %.2f] (sink %u)\n\n",
+              platform.median, platform.q1, platform.q3, sink);
 
-  bool invariants_hold = identity_ok;
-  if (!identity_ok) {
-    std::fprintf(stderr,
-                 "INVARIANT VIOLATED: lane backends match kScalar (blocks, root, signatures) "
-                 "and verify() accepts\n");
-  }
-  if (GENIO_BENCH_SANITIZED) {
+  genio::bench::Gate gate({genio::bench::kInvariants});
+  gate.check(identity_ok,
+             "lane backends match kScalar (blocks, root, signatures) and verify() accepts");
+  if (kSanitized) {
     std::printf("note: ratio floor reported but not enforced (sanitizer build)\n");
-  } else if (ratio < floor) {
-    std::fprintf(stderr, "INVARIANT VIOLATED: %s lanes >= %.0fx the kScalar loop (got %.1fx)\n",
-                 kernel_name(dispatched), floor, ratio);
-    invariants_hold = false;
+  } else {
+    char what[96];
+    std::snprintf(what, sizeof(what), "%s lanes >= %.0fx the kScalar loop (got %.1fx)",
+                  kernel_name(dispatched), floor, ratio);
+    gate.check(ratio >= floor, what);
   }
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"keygen\",\n  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
-  std::fprintf(f, "  \"lane_kernel\": \"%s\",\n  \"sha256_kernel\": \"%s\",\n",
-               kernel_name(dispatched), sha256_kernel);
-  std::fprintf(f, "  \"byte_identity\": %s,\n  \"identity_batches\": %d,\n",
-               identity_ok ? "true" : "false", batches);
-  std::fprintf(f, "  \"identity_signatures\": %zu,\n", scalar_run.signatures.size());
-  std::fprintf(f,
-               "  \"block_ns\": {\"dispatched\": {\"median\": %.1f, \"q1\": %.1f, \"q3\": %.1f}, "
-               "\"scalar_loop\": {\"median\": %.1f, \"q1\": %.1f, \"q3\": %.1f}},\n",
-               fast_s.median, fast_s.q1, fast_s.q3, scalar_s.median, scalar_s.q1, scalar_s.q3);
-  std::fprintf(f, "  \"ratio_over_scalar_loop\": %.2f,\n  \"ratio_floor\": %.1f,\n", ratio,
-               floor);
-  std::fprintf(f, "  \"ratio_floor_enforced\": %s,\n", GENIO_BENCH_SANITIZED ? "false" : "true");
+  genio::bench::Json json(args.out, "keygen", smoke);
+  json.field("lane_kernel", kernel_name(dispatched)).field("sha256_kernel", sha256_kernel);
+  json.field("byte_identity", identity_ok).field("identity_batches", batches);
+  json.field("identity_signatures", scalar_run.signatures.size());
+  json.object("block_ns").field("dispatched", fast_s, 1).field("scalar_loop", scalar_s, 1).close();
+  json.field("ratio_over_scalar_loop", ratio, 2).field("ratio_floor", floor, 1);
+  json.field("ratio_floor_enforced", !kSanitized);
   for (const bool sign : {true, false}) {
-    std::fprintf(f, "  \"%s_us\": {", sign ? "sign" : "verify");
-    for (std::size_t i = 0; i < sign_rows.size(); ++i) {
-      const Spread& us = sign ? sign_rows[i].sign_us : sign_rows[i].verify_us;
-      std::fprintf(f, "\"%s\": {\"median\": %.2f, \"q1\": %.2f, \"q3\": %.2f}%s",
-                   kernel_name(sign_rows[i].kernel), us.median, us.q1, us.q3,
-                   i + 1 < sign_rows.size() ? ", " : "},\n");
+    json.object(sign ? "sign_us" : "verify_us");
+    for (const SignRow& row : sign_rows) {
+      json.field(kernel_name(row.kernel), sign ? row.sign_us : row.verify_us, 2);
     }
+    json.close();
   }
-  std::fprintf(f, "  \"keygen_ms\": {");
-  for (std::size_t i = 0; i < keygen.size(); ++i) {
-    std::fprintf(f, "\"h%d\": {\"median\": %.3f, \"q1\": %.3f, \"q3\": %.3f}%s", keygen[i].height,
-                 keygen[i].ms.median, keygen[i].ms.q1, keygen[i].ms.q3,
-                 i + 1 < keygen.size() ? ", " : "},\n");
-  }
-  std::fprintf(f, "  \"platform_build_ms\": {\"median\": %.3f, \"q1\": %.3f, \"q3\": %.3f},\n",
-               platform.median, platform.q1, platform.q3);
-  std::fprintf(f, "  \"invariants_hold\": %s\n}\n", invariants_hold ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s (sink %u)\n", out_path, sink);
-  return invariants_hold ? 0 : 1;
+  json.object("keygen_ms");
+  for (const Row& row : keygen) json.field("h" + std::to_string(row.height), row.ms, 3);
+  json.close();
+  json.field("platform_build_ms", platform, 3).field("invariants_hold", gate.ok());
+  return gate.exit_code();
 }

@@ -6,6 +6,8 @@
 // remediation convergence.
 #include <cstdio>
 
+#include "bench_util.hpp"
+
 #include "genio/common/strings.hpp"
 #include "genio/common/table.hpp"
 #include "genio/hardening/auditor.hpp"
@@ -56,12 +58,11 @@ int main() {
   std::printf("iterative remediation on ONL:\n%s\n", rounds.render().c_str());
 
   const auto final_report = auditor.audit(host);
-  std::printf("shape check: published-STIG applicability on ONL (0%%) << on ubuntu "
-              "(100%%); adaptations restore coverage; convergence in <= 2 rounds — %s\n",
-              (published.evaluate(onl).applicability() == 0.0 &&
-               published.evaluate(ubuntu).applicability() == 1.0 &&
-               final_report.total_findings() == 0)
-                  ? "holds"
-                  : "VIOLATED");
-  return 0;
+  genio::bench::Gate gate({genio::bench::kVerdict});
+  gate.check(published.evaluate(onl).applicability() == 0.0 &&
+                 published.evaluate(ubuntu).applicability() == 1.0 &&
+                 final_report.total_findings() == 0,
+             "shape check: published-STIG applicability on ONL (0%) << on ubuntu "
+             "(100%); adaptations restore coverage; convergence in <= 2 rounds");
+  return gate.exit_code();
 }

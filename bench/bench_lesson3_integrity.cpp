@@ -3,10 +3,12 @@
 // stack — secure+measured boot, TPM seal/unseal, FIM baseline/check as a
 // function of monitored-file count, LUKS passphrase-KDF unlock — and
 // demonstrates the Clevis-unavailable fallback path (manual passphrase)
-// that old ONL userspace forces.
-#include <benchmark/benchmark.h>
-
+// that old ONL userspace forces. Each row is the median [q1, q3] time per
+// call over kRowReps timed blocks.
 #include <cstdio>
+#include <string>
+
+#include "bench_util.hpp"
 
 #include "genio/core/platform.hpp"
 #include "genio/os/luks.hpp"
@@ -14,79 +16,9 @@
 namespace gc = genio::common;
 namespace cr = genio::crypto;
 namespace os = genio::os;
+namespace gb = genio::bench;
 
-namespace {
-
-void BM_SecureMeasuredBoot(benchmark::State& state) {
-  genio::core::GenioPlatform platform({});
-  for (auto _ : state) {
-    const auto report = platform.boot_host();
-    benchmark::DoNotOptimize(report.booted);
-  }
-  state.SetLabel("3-stage verified+measured boot");
-}
-BENCHMARK(BM_SecureMeasuredBoot)->Unit(benchmark::kMillisecond);
-
-void BM_TpmSealUnseal(benchmark::State& state) {
-  os::Tpm tpm(gc::to_bytes("seed"));
-  (void)tpm.extend(0, gc::to_bytes("fw"));
-  for (auto _ : state) {
-    const auto blob = tpm.seal(gc::to_bytes("disk-encryption-key"), {{0}});
-    const auto out = tpm.unseal(blob);
-    benchmark::DoNotOptimize(out.ok());
-  }
-}
-BENCHMARK(BM_TpmSealUnseal);
-
-void BM_FimCheck(benchmark::State& state) {
-  const int file_count = static_cast<int>(state.range(0));
-  os::Host host = os::make_stock_onl_host("olt-1");
-  for (int i = 0; i < file_count; ++i) {
-    host.write_file("/etc/conf.d/file-" + std::to_string(i),
-                    "setting-" + std::to_string(i), "root", 0644);
-  }
-  auto key = cr::SigningKey::generate(gc::to_bytes("fim"), 4);
-  os::FileIntegrityMonitor fim(os::default_olt_fim_rules());
-  (void)fim.init_baseline(host, key);
-  for (auto _ : state) {
-    const auto report = fim.check(host, key.public_key());
-    benchmark::DoNotOptimize(report.baseline_authentic);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(fim.baseline_size()));
-}
-BENCHMARK(BM_FimCheck)->Arg(10)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
-
-void BM_LuksPassphraseUnlock(benchmark::State& state) {
-  const int iterations = static_cast<int>(state.range(0));
-  gc::Rng rng(1);
-  const auto vol = os::LuksVolume::create(gc::to_bytes("pw"), gc::to_bytes("data"), rng,
-                                          iterations);
-  for (auto _ : state) {
-    const auto out = vol.unlock(gc::to_bytes("pw"));
-    benchmark::DoNotOptimize(out.ok());
-  }
-  state.SetLabel("KDF iterations: " + std::to_string(iterations));
-}
-BENCHMARK(BM_LuksPassphraseUnlock)->Arg(1000)->Arg(10000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_LuksTpmAutoUnlock(benchmark::State& state) {
-  gc::Rng rng(1);
-  os::Tpm tpm(gc::to_bytes("tpm"));
-  (void)tpm.extend(os::kPcrKernel, gc::to_bytes("kernel"));
-  auto vol = os::LuksVolume::create(gc::to_bytes("pw"), gc::to_bytes("data"), rng, 10000);
-  (void)vol.bind_tpm(tpm, {{os::kPcrKernel}}, gc::to_bytes("pw"), true);
-  for (auto _ : state) {
-    const auto out = vol.unlock_with_tpm(tpm);
-    benchmark::DoNotOptimize(out.ok());
-  }
-  state.SetLabel("Clevis-style PCR-bound unlock (no operator)");
-}
-BENCHMARK(BM_LuksTpmAutoUnlock);
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main() {
   // The Lesson 3 operational contrast, before the timing numbers.
   std::printf("=== E-L3: integrity protections on an old industrial distro ===\n");
   gc::Rng rng(1);
@@ -107,7 +39,54 @@ int main(int argc, char** argv) {
               fixed_bind.to_string().c_str(),
               vol.unlock_with_tpm(tpm).ok() ? "works" : "fails");
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  {
+    genio::core::GenioPlatform platform({});
+    const auto per_call =
+        gb::time_calls(1, gb::kRowReps, 3, [&] { gb::keep(platform.boot_host().booted); });
+    gb::print_row("secure_measured_boot", per_call, "3-stage verified+measured boot");
+  }
+
+  {
+    os::Tpm sealer(gc::to_bytes("seed"));
+    (void)sealer.extend(0, gc::to_bytes("fw"));
+    const auto per_call = gb::time_calls(10, gb::kRowReps, 100, [&] {
+      const auto blob = sealer.seal(gc::to_bytes("disk-encryption-key"), {{0}});
+      gb::keep(sealer.unseal(blob).ok());
+    });
+    gb::print_row("tpm_seal_unseal", per_call);
+  }
+
+  for (const int file_count : {10, 100, 1000}) {
+    os::Host host = os::make_stock_onl_host("olt-1");
+    for (int i = 0; i < file_count; ++i) {
+      host.write_file("/etc/conf.d/file-" + std::to_string(i),
+                      "setting-" + std::to_string(i), "root", 0644);
+    }
+    auto key = cr::SigningKey::generate(gc::to_bytes("fim"), 4);
+    os::FileIntegrityMonitor fim(os::default_olt_fim_rules());
+    (void)fim.init_baseline(host, key);
+    const auto per_call = gb::time_calls(1, gb::kRowReps, file_count >= 1000 ? 2 : 10, [&] {
+      gb::keep(fim.check(host, key.public_key()).baseline_authentic);
+    });
+    gb::print_row("fim_check/" + std::to_string(file_count), per_call,
+                  gb::rate(static_cast<double>(fim.baseline_size()), per_call, "files", 0));
+  }
+
+  for (const int iterations : {1000, 10000, 100000}) {
+    gc::Rng kdf_rng(1);
+    const auto locked = os::LuksVolume::create(gc::to_bytes("pw"), gc::to_bytes("data"),
+                                               kdf_rng, iterations);
+    const auto per_call = gb::time_calls(1, gb::kRowReps, iterations >= 100000 ? 1 : 5, [&] {
+      gb::keep(locked.unlock(gc::to_bytes("pw")).ok());
+    });
+    gb::print_row("luks_passphrase_unlock/" + std::to_string(iterations), per_call,
+                  "KDF iterations: " + std::to_string(iterations));
+  }
+
+  {
+    const auto per_call =
+        gb::time_calls(10, gb::kRowReps, 100, [&] { gb::keep(vol.unlock_with_tpm(tpm).ok()); });
+    gb::print_row("luks_tpm_auto_unlock", per_call, "Clevis-style PCR-bound unlock (no operator)");
+  }
   return 0;
 }

@@ -5,11 +5,12 @@
 // of the two signed-update channels (APT-like vs ONIE-like), and — for
 // the M14 SAST engine — scan throughput plus a false-positive-rate
 // comparison of the legacy regex pass against the taint dataflow pass
-// on a labeled corpus.
-#include <benchmark/benchmark.h>
-
+// on a labeled corpus. Each row is the median [q1, q3] time per call over
+// kRowReps timed blocks.
 #include <cstdio>
+#include <string>
 
+#include "bench_util.hpp"
 #include "sast_corpus.hpp"
 
 #include "genio/appsec/sast.hpp"
@@ -23,6 +24,7 @@ namespace gc = genio::common;
 namespace cr = genio::crypto;
 namespace os = genio::os;
 namespace vn = genio::vuln;
+namespace gb = genio::bench;
 
 namespace {
 
@@ -48,47 +50,40 @@ vn::CveDatabase make_db(int cve_count) {
   return db;
 }
 
-void BM_HostCveScan(benchmark::State& state) {
-  const int packages = static_cast<int>(state.range(0));
-  const auto host = make_host_with_packages(packages);
+void time_host_cve_scan() {
   const auto db = make_db(2000);
   const vn::HostVulnScanner scanner(&db);
-  for (auto _ : state) {
-    const auto report = scanner.scan(host);
-    benchmark::DoNotOptimize(report.findings.size());
+  for (const int packages : {50, 200, 1000}) {
+    const auto host = make_host_with_packages(packages);
+    const auto per_call = gb::time_calls(2, gb::kRowReps, packages >= 1000 ? 5 : 20,
+                                         [&] { gb::keep(scanner.scan(host).findings.size()); });
+    gb::print_row("host_cve_scan/" + std::to_string(packages), per_call,
+                  gb::rate(packages, per_call, "packages", 0));
   }
-  state.SetItemsProcessed(state.iterations() * packages);
 }
-BENCHMARK(BM_HostCveScan)->Arg(50)->Arg(200)->Arg(1000)->Unit(benchmark::kMicrosecond);
 
-void BM_ScapEvaluate(benchmark::State& state) {
+void time_scap_evaluate() {
   const auto host = os::make_stock_onl_host("olt-1");
   const auto bench = genio::hardening::make_scap_benchmark();
-  for (auto _ : state) {
-    const auto report = bench.evaluate(host);
-    benchmark::DoNotOptimize(report.failed);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bench.rule_count()));
+  const auto per_call =
+      gb::time_calls(500, gb::kRowReps, 5000, [&] { gb::keep(bench.evaluate(host).failed); });
+  gb::print_row("scap_evaluate", per_call,
+                gb::rate(static_cast<double>(bench.rule_count()), per_call, "rules", 0));
 }
-BENCHMARK(BM_ScapEvaluate);
 
-void BM_AptVerifyInstall(benchmark::State& state) {
+void time_apt_verify_install() {
   os::AptRepository repo("genio-main", cr::SigningKey::generate(gc::to_bytes("rk"), 12));
   repo.add_package({"tool", gc::Version(1, 0, 0), gc::Bytes(64 * 1024, 0x7f)});
   const auto snapshot = repo.snapshot().value();
   os::AptClient client;
   client.trust_key("genio-main", repo.public_key());
   os::Host host;
-  for (auto _ : state) {
-    const auto st = client.install(host, snapshot, "tool");
-    benchmark::DoNotOptimize(st.ok());
-  }
-  state.SetLabel("64KiB package, signed metadata");
+  const auto per_call = gb::time_calls(
+      2, gb::kRowReps, 10, [&] { gb::keep(client.install(host, snapshot, "tool").ok()); });
+  gb::print_row("apt_verify_install", per_call, "64KiB package, signed metadata");
 }
-BENCHMARK(BM_AptVerifyInstall)->Unit(benchmark::kMicrosecond);
 
-void BM_OnieVerifyInstall(benchmark::State& state) {
+void time_onie_verify_install() {
   auto ca = cr::CertificateAuthority::create_root("rel", gc::to_bytes("ca"),
                                                   gc::SimTime::from_days(0),
                                                   gc::SimTime::from_days(3650), 4);
@@ -107,21 +102,16 @@ void BM_OnieVerifyInstall(benchmark::State& state) {
   os::Tpm tpm(gc::to_bytes("tpm"));
   os::OnieInstaller installer(&trust, &tpm);
   os::Host host = os::make_stock_onl_host("olt-1");
-  for (auto _ : state) {
-    const auto st = installer.install(host, image, gc::SimTime::from_days(1));
-    benchmark::DoNotOptimize(st.ok());
-  }
-  state.SetLabel("1MiB image, chain + detached signature + TPM measure");
+  const auto per_call = gb::time_calls(1, gb::kRowReps, 1, [&] {
+    gb::keep(installer.install(host, image, gc::SimTime::from_days(1)).ok());
+  });
+  gb::print_row("onie_verify_install", per_call,
+                "1MiB image, chain + detached signature + TPM measure");
 }
-BENCHMARK(BM_OnieVerifyInstall)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- M14 SAST
 
 using genio::bench::LabeledSource;
-
-std::vector<LabeledSource> make_sast_corpus() {
-  return genio::bench::make_legacy_sast_corpus();
-}
 
 /// Does the engine raise an actionable critical finding for this file?
 bool flags_file(const as::SastEngine& engine, const as::SourceFile& file) {
@@ -151,7 +141,7 @@ AccuracyStats measure_accuracy(bool taint_enabled) {
   as::SastEngine engine = as::make_default_sast_engine();
   engine.set_taint_enabled(taint_enabled);
   AccuracyStats stats;
-  for (const auto& entry : make_sast_corpus()) {
+  for (const auto& entry : gb::make_legacy_sast_corpus()) {
     const bool flagged = flags_file(engine, entry.file);
     if (entry.vulnerable) {
       ++stats.vulnerable;
@@ -164,32 +154,22 @@ AccuracyStats measure_accuracy(bool taint_enabled) {
   return stats;
 }
 
-void BM_SastLegacyRegexScan(benchmark::State& state) {
-  as::SastEngine engine = as::make_default_sast_engine();
-  engine.set_taint_enabled(false);
-  const auto corpus = make_sast_corpus();
-  for (auto _ : state) {
-    std::size_t findings = 0;
-    for (const auto& entry : corpus) findings += engine.analyze(entry.file).size();
-    benchmark::DoNotOptimize(findings);
+/// One scan of the whole labeled corpus per call, with and without the
+/// taint dataflow pass.
+void time_sast_scans() {
+  const auto corpus = gb::make_legacy_sast_corpus();
+  for (const bool taint : {false, true}) {
+    as::SastEngine engine = as::make_default_sast_engine();
+    engine.set_taint_enabled(taint);
+    const auto per_call = gb::time_calls(2, gb::kRowReps, 10, [&] {
+      std::size_t findings = 0;
+      for (const auto& entry : corpus) findings += engine.analyze(entry.file).size();
+      gb::keep(findings);
+    });
+    gb::print_row(taint ? "sast_taint_dataflow_scan" : "sast_legacy_regex_scan", per_call,
+                  gb::rate(static_cast<double>(corpus.size()), per_call, "files", 0));
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(corpus.size()));
 }
-BENCHMARK(BM_SastLegacyRegexScan)->Unit(benchmark::kMicrosecond);
-
-void BM_SastTaintDataflowScan(benchmark::State& state) {
-  as::SastEngine engine = as::make_default_sast_engine();
-  const auto corpus = make_sast_corpus();
-  for (auto _ : state) {
-    std::size_t findings = 0;
-    for (const auto& entry : corpus) findings += engine.analyze(entry.file).size();
-    benchmark::DoNotOptimize(findings);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(corpus.size()));
-}
-BENCHMARK(BM_SastTaintDataflowScan)->Unit(benchmark::kMicrosecond);
 
 /// Printed after the timing runs; exits nonzero if the dataflow pass does
 /// not strictly improve the false-positive rate over the legacy regexes.
@@ -202,23 +182,22 @@ int report_sast_accuracy() {
               "legacy regex only:", legacy.detection_rate(), legacy.fp_rate());
   std::printf("  %-22s detection %.2f  false-positive rate %.2f\n",
               "taint + regex:", taint.detection_rate(), taint.fp_rate());
-  if (taint.fp_rate() >= legacy.fp_rate()) {
-    std::printf("FAIL: dataflow pass did not reduce the false-positive rate\n");
-    return 1;
-  }
-  if (taint.detection_rate() < legacy.detection_rate()) {
-    std::printf("FAIL: dataflow pass lost detections vs legacy\n");
-    return 1;
-  }
-  return 0;
+  gb::Gate gate({gb::kFailLines});
+  gate.check(taint.fp_rate() < legacy.fp_rate(),
+             "dataflow pass did not reduce the false-positive rate");
+  gate.check(taint.detection_rate() >= legacy.detection_rate(),
+             "dataflow pass lost detections vs legacy");
+  return gate.exit_code();
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
+  std::printf("=== E-L4: scanning maturity and signed-update channels ===\n\n");
+  time_host_cve_scan();
+  time_scap_evaluate();
+  time_apt_verify_install();
+  time_onie_verify_install();
+  time_sast_scans();
   return report_sast_accuracy();
 }

@@ -6,6 +6,8 @@
 // GENIO to run several checkers.
 #include <cstdio>
 
+#include "bench_util.hpp"
+
 #include "genio/common/strings.hpp"
 #include "genio/common/table.hpp"
 #include "genio/middleware/checkers.hpp"
@@ -93,11 +95,11 @@ int main() {
            "%"});
   std::printf("%s\n", tools.render().c_str());
 
-  const bool shape = hardened_allowed * 2 < permissive_allowed &&
-                     mw::catalog_coverage({&kube_bench}) < 1.0 &&
-                     mw::catalog_coverage({&kube_bench, &kubescape, &kubesec}) == 1.0;
-  std::printf("shape check: least-privilege shrinks the allowed set; no single tool "
-              "covers the catalog; the union does — %s\n",
-              shape ? "holds" : "VIOLATED");
-  return 0;
+  genio::bench::Gate gate({genio::bench::kVerdict});
+  gate.check(hardened_allowed * 2 < permissive_allowed &&
+                 mw::catalog_coverage({&kube_bench}) < 1.0 &&
+                 mw::catalog_coverage({&kube_bench, &kubescape, &kubesec}) == 1.0,
+             "shape check: least-privilege shrinks the allowed set; no single tool "
+             "covers the catalog; the union does");
+  return gate.exit_code();
 }

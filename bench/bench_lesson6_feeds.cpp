@@ -6,6 +6,8 @@
 // recall per feed, and the precision gain from KBOM-exact matching.
 #include <cstdio>
 
+#include "bench_util.hpp"
+
 #include "genio/common/strings.hpp"
 #include "genio/common/table.hpp"
 #include "genio/vuln/feeds.hpp"
@@ -109,13 +111,11 @@ int main() {
   std::printf("precision: KBOM keeps %.0f%% of the name-only candidates\n\n",
               100.0 * precision_gain);
 
-  const bool shape_holds =
-      k8s.stats().mean_latency_hours() < docker.stats().mean_latency_hours() &&
-      recovered > 0 && onos.stats().missed > 0 &&
-      exact.findings.size() < noisy.size();
-  std::printf("shape check: structured < blog latency; blog parsing needed manual "
-              "recovery sweeps; stale "
-              "tracker loses advisories; KBOM < name-only noise — %s\n",
-              shape_holds ? "holds" : "VIOLATED");
-  return shape_holds ? 0 : 1;
+  genio::bench::Gate gate({genio::bench::kVerdict});
+  gate.check(k8s.stats().mean_latency_hours() < docker.stats().mean_latency_hours() &&
+                 recovered > 0 && onos.stats().missed > 0 &&
+                 exact.findings.size() < noisy.size(),
+             "shape check: structured < blog latency; blog parsing needed manual "
+             "recovery sweeps; stale tracker loses advisories; KBOM < name-only noise");
+  return gate.exit_code();
 }

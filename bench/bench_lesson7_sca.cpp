@@ -6,6 +6,8 @@
 // applicability across application interface types.
 #include <cstdio>
 
+#include "bench_util.hpp"
+
 #include "genio/appsec/dast.hpp"
 #include "genio/appsec/sca.hpp"
 #include "genio/common/strings.hpp"
@@ -118,10 +120,9 @@ int main() {
               "interface the CATS-style fuzzer can drive\n\n",
               fuzzable, std::size(apps));
 
-  std::printf("shape check: noise ratio grows with dependency count; fuzzing limited "
-              "to spec-bearing services — %s\n",
-              (noise_grows && fuzzable < static_cast<int>(std::size(apps)))
-                  ? "holds"
-                  : "VIOLATED");
-  return 0;
+  genio::bench::Gate gate({genio::bench::kVerdict});
+  gate.check(noise_grows && fuzzable < static_cast<int>(std::size(apps)),
+             "shape check: noise ratio grows with dependency count; fuzzing limited "
+             "to spec-bearing services");
+  return gate.exit_code();
 }

@@ -4,9 +4,11 @@
 // Measures (a) Falco-style per-event evaluation cost as the rule set
 // grows, (b) sandbox enforcement cost, and (c) the false-positive rate
 // across tuning rounds, checking that tuning does not lose true positives.
-#include <benchmark/benchmark.h>
-
+// Each timing row is the median [q1, q3] time per call over kRowReps timed
+// blocks.
 #include <cstdio>
+
+#include "bench_util.hpp"
 
 #include "genio/appsec/events.hpp"
 #include "genio/appsec/falco.hpp"
@@ -16,6 +18,7 @@
 
 namespace gc = genio::common;
 namespace as = genio::appsec;
+namespace gb = genio::bench;
 
 namespace {
 
@@ -34,37 +37,37 @@ as::FalcoMonitor make_monitor_with_rules(int rule_count) {
   return monitor;
 }
 
-void BM_FalcoPerEventOverhead(benchmark::State& state) {
-  auto monitor = make_monitor_with_rules(static_cast<int>(state.range(0)));
+void time_falco_per_event() {
   const auto trace = as::traces::benign_web_app("tenant-a/web", 100);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(monitor.process(trace[i % trace.size()]));
-    ++i;
+  for (const int rules : {7, 50, 200, 1000}) {
+    auto monitor = make_monitor_with_rules(rules);
+    const int calls = rules >= 1000 ? 2000 : 20000;
+    const auto per_call = gb::time_calls(1000, gb::kRowReps, calls, [&](int k) {
+      gb::keep(monitor.process(trace[static_cast<std::size_t>(k) % trace.size()]));
+    });
+    gb::print_row("falco_per_event/" + std::to_string(rules), per_call,
+                  std::to_string(rules) + " rules, " + gb::rate(1, per_call, "events", 0));
   }
-  state.SetLabel(std::to_string(state.range(0)) + " rules");
-  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FalcoPerEventOverhead)->Arg(7)->Arg(50)->Arg(200)->Arg(1000);
 
-void BM_SandboxPerEventOverhead(benchmark::State& state) {
-  as::SandboxEnforcer enforcer;
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    enforcer.add_policy(
-        as::make_web_workload_policy("tenant-" + std::to_string(i) + "/*"));
-  }
+void time_sandbox_per_event() {
   const as::SyscallEvent event{gc::SimTime{}, "tenant-0/web", as::SyscallKind::kOpen,
                                "/app/data/cache.db", {{"mode", "w"}}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(enforcer.evaluate(event));
+  for (const int policies : {1, 16, 128}) {
+    as::SandboxEnforcer enforcer;
+    for (int i = 0; i < policies; ++i) {
+      enforcer.add_policy(as::make_web_workload_policy("tenant-" + std::to_string(i) + "/*"));
+    }
+    const auto per_call =
+        gb::time_calls(1000, gb::kRowReps, 20000, [&] { gb::keep(enforcer.evaluate(event)); });
+    gb::print_row("sandbox_per_event/" + std::to_string(policies), per_call,
+                  std::to_string(policies) + " policies");
   }
-  state.SetLabel(std::to_string(state.range(0)) + " policies");
 }
-BENCHMARK(BM_SandboxPerEventOverhead)->Arg(1)->Arg(16)->Arg(128);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::printf("=== E-L8: runtime monitoring tuning and overhead ===\n\n");
 
   // False-positive tuning study. Workload mix: ordinary tenants plus
@@ -126,11 +129,13 @@ int main(int argc, char** argv) {
     if (tp_alerts.size() < 4) tp_kept_all = false;
   }
   std::printf("%s\n", table.render().c_str());
-  std::printf("shape check: tuning rounds drive FPs to zero without losing "
-              "true-positive detections — %s\n\n",
-              (fp_monotone && tp_kept_all && last_fp == 0) ? "holds" : "VIOLATED");
+  gb::Gate gate({gb::kVerdict});
+  gate.check(fp_monotone && tp_kept_all && last_fp == 0,
+             "shape check: tuning rounds drive FPs to zero without losing "
+             "true-positive detections");
+  std::printf("\n");
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  time_falco_per_event();
+  time_sandbox_per_event();
+  return gate.exit_code();
 }

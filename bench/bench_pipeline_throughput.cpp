@@ -25,9 +25,7 @@
 // Writes a machine-readable summary to BENCH_pipeline.json (or --out
 // PATH). `--smoke` runs a reduced corpus for CI.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,12 +50,8 @@ namespace core = genio::core;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using genio::bench::Clock;
 using genio::bench::lpt_makespan;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
 
 struct CorpusSpec {
   int images = 24;
@@ -170,12 +164,7 @@ struct RoundResult {
   bool all_deployed = true;
 
   double percentile(double p) const {
-    if (admit_ms.empty()) return 0.0;
-    std::vector<double> sorted = admit_ms;
-    std::sort(sorted.begin(), sorted.end());
-    const auto rank = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(rank, sorted.size() - 1)];
+    return admit_ms.empty() ? 0.0 : genio::bench::quantile(admit_ms, p);
   }
   double admissions_per_sec() const {
     return total_ms <= 0.0 ? 0.0
@@ -194,7 +183,7 @@ RoundResult run_round(Site& site, const std::vector<as::ContainerImage>& corpus,
     request.limits = {0.02, 16};  // hundreds of pods fit one node
     const auto start = Clock::now();
     const auto report = site.pipeline.deploy(request);
-    result.admit_ms.push_back(ms_since(start));
+    result.admit_ms.push_back(1e3 * genio::bench::seconds_since(start));
     result.total_ms += result.admit_ms.back();
     result.all_deployed &= report.deployed;
     result.rendered.push_back(render(report));
@@ -213,13 +202,7 @@ RoundResult run_round(Site& site, const std::vector<as::ContainerImage>& corpus,
 std::vector<double> measure_leaf_tasks(const as::ContainerImage& image,
                                        Site& site) {
   const auto best_of_3 = [](const std::function<void()>& fn) {
-    double best = 1e18;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto start = Clock::now();
-      fn();
-      best = std::min(best, ms_since(start));
-    }
-    return best;
+    return 1e3 * genio::bench::time_calls(0, 3, 1, fn).min;
   };
 
   std::vector<double> tasks;
@@ -254,94 +237,62 @@ struct ArmSummary {
   double modeled_ms = 0.0;  // Σ per-image LPT makespan; 0 = not modeled
 };
 
-void write_json(const char* path, bool smoke, const CorpusSpec& spec,
-                unsigned hw, const std::vector<ArmSummary>& arms,
-                const RoundResult& cold, const RoundResult& warm,
-                double modeled_serial_ms, bool determinism_ok,
-                double modeled_speedup_4, double wall_speedup_4,
-                double warm_speedup, bool invariants_hold) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"pipeline_throughput\",\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
-  std::fprintf(f, "  \"warmup\": \"one throwaway site + admission before timing\",\n");
-  std::fprintf(f,
-               "  \"corpus\": {\"images\": %d, \"files_per_image\": %d, "
-               "\"lines_per_file\": %d, \"packages_per_image\": %d, "
-               "\"cve_records\": %d},\n",
-               spec.images, spec.files_per_image, spec.lines_per_file,
-               spec.packages_per_image, spec.package_pool * spec.cves_per_package);
-  std::fprintf(f, "  \"arms\": [\n");
-  for (std::size_t i = 0; i < arms.size(); ++i) {
-    const ArmSummary& arm = arms[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"workers\": %zu, "
-                 "\"wall_total_ms\": %.3f, \"wall_p50_ms\": %.3f, "
-                 "\"wall_p99_ms\": %.3f, \"admissions_per_sec\": %.1f",
-                 arm.name.c_str(), arm.workers, arm.round.total_ms,
-                 arm.round.percentile(0.50), arm.round.percentile(0.99),
-                 arm.round.admissions_per_sec());
+void write_json(const genio::bench::Args& args, const CorpusSpec& spec, unsigned hw,
+                const std::vector<ArmSummary>& arms, const RoundResult& cold,
+                const RoundResult& warm, double modeled_serial_ms, bool determinism_ok,
+                double modeled_speedup_4, double wall_speedup_4, double warm_speedup,
+                bool invariants_hold) {
+  genio::bench::Json json(args.out, "pipeline_throughput", args.smoke);
+  json.field("warmup", "one throwaway site + admission before timing");
+  json.object("corpus").field("images", spec.images).field("files_per_image", spec.files_per_image)
+      .field("lines_per_file", spec.lines_per_file)
+      .field("packages_per_image", spec.packages_per_image)
+      .field("cve_records", spec.package_pool * spec.cves_per_package).close();
+  json.array("arms");
+  for (const ArmSummary& arm : arms) {
+    json.object().field("name", arm.name).field("workers", arm.workers)
+        .field("wall_total_ms", arm.round.total_ms, 3)
+        .field("wall_p50_ms", arm.round.percentile(0.50), 3)
+        .field("wall_p99_ms", arm.round.percentile(0.99), 3)
+        .field("admissions_per_sec", arm.round.admissions_per_sec(), 1);
     if (arm.modeled_ms > 0.0) {
-      std::fprintf(f,
-                   ", \"modeled_makespan_ms\": %.3f, \"modeled_speedup\": %.2f, "
-                   "\"modeled_admissions_per_sec\": %.1f",
-                   arm.modeled_ms, modeled_serial_ms / arm.modeled_ms,
-                   1000.0 * static_cast<double>(arm.round.admit_ms.size()) /
-                       arm.modeled_ms);
+      json.field("modeled_makespan_ms", arm.modeled_ms, 3)
+          .field("modeled_speedup", modeled_serial_ms / arm.modeled_ms, 2)
+          .field("modeled_admissions_per_sec",
+                 1000.0 * static_cast<double>(arm.round.admit_ms.size()) / arm.modeled_ms, 1);
     }
-    std::fprintf(f, "}%s\n", i + 1 < arms.size() ? "," : "");
+    json.close();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"cache\": {\"cold_total_ms\": %.3f, \"warm_total_ms\": %.3f, "
-               "\"cold_p50_ms\": %.3f, \"warm_p50_ms\": %.3f, "
-               "\"warm_admissions_per_sec\": %.1f, \"warm_speedup_wall\": %.2f},\n",
-               cold.total_ms, warm.total_ms, cold.percentile(0.50),
-               warm.percentile(0.50), warm.admissions_per_sec(), warm_speedup);
-  std::fprintf(f, "  \"determinism_identical\": %s,\n",
-               determinism_ok ? "true" : "false");
-  std::fprintf(f, "  \"modeled_speedup_at_4_workers\": %.2f,\n", modeled_speedup_4);
-  std::fprintf(f, "  \"wall_speedup_at_4_workers\": %.2f,\n", wall_speedup_4);
-  std::fprintf(f, "  \"warm_cache_speedup\": %.2f,\n", warm_speedup);
+  json.close();
+  json.object("cache")
+      .field("cold_total_ms", cold.total_ms, 3).field("warm_total_ms", warm.total_ms, 3)
+      .field("cold_p50_ms", cold.percentile(0.50), 3).field("warm_p50_ms", warm.percentile(0.50), 3)
+      .field("warm_admissions_per_sec", warm.admissions_per_sec(), 1)
+      .field("warm_speedup_wall", warm_speedup, 2).close();
+  json.field("determinism_identical", determinism_ok);
+  json.field("modeled_speedup_at_4_workers", modeled_speedup_4, 2);
+  json.field("wall_speedup_at_4_workers", wall_speedup_4, 2);
+  json.field("warm_cache_speedup", warm_speedup, 2);
   // Headline admissions/sec comparison. On hosts with >= 4 cores the wall
   // numbers carry the claim; on smaller hosts the LPT model over measured
   // leaf-task costs stands in, and the basis field says so.
   const bool wall_basis = hw >= 4;
-  std::fprintf(f,
-               "  \"summary\": {\"admissions_per_sec_serial\": %.1f, "
-               "\"admissions_per_sec_4_workers\": %.1f, "
-               "\"admissions_per_sec_warm_cache\": %.1f, "
-               "\"speedup_at_4_workers\": %.2f, \"speedup_basis\": \"%s\"},\n",
-               arms.empty() ? 0.0 : arms.front().round.admissions_per_sec(),
-               wall_basis ? wall_speedup_4 *
-                                (arms.empty() ? 0.0
-                                              : arms.front().round.admissions_per_sec())
-                          : modeled_speedup_4 *
-                                (arms.empty() ? 0.0
-                                              : arms.front().round.admissions_per_sec()),
-               warm.admissions_per_sec(),
-               wall_basis ? wall_speedup_4 : modeled_speedup_4,
-               wall_basis ? "wall-clock" : "modeled-lpt (host has < 4 cores)");
-  std::fprintf(f, "  \"invariants_hold\": %s\n", invariants_hold ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  const double serial = arms.empty() ? 0.0 : arms.front().round.admissions_per_sec();
+  const double speedup = wall_basis ? wall_speedup_4 : modeled_speedup_4;
+  json.object("summary").field("admissions_per_sec_serial", serial, 1)
+      .field("admissions_per_sec_4_workers", speedup * serial, 1)
+      .field("admissions_per_sec_warm_cache", warm.admissions_per_sec(), 1)
+      .field("speedup_at_4_workers", speedup, 2)
+      .field("speedup_basis", wall_basis ? "wall-clock" : "modeled-lpt (host has < 4 cores)")
+      .close();
+  json.field("invariants_hold", invariants_hold);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* out_path = "BENCH_pipeline.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const auto args = genio::bench::parse_args(argc, argv, "BENCH_pipeline.json");
+  const bool smoke = args.smoke;
 
   CorpusSpec spec;
   if (smoke) {
@@ -463,31 +414,24 @@ int main(int argc, char** argv) {
               modeled_speedup_4, wall_speedup_4, hw);
 
   // -- invariants ------------------------------------------------------------
-  bool invariants_hold = true;
-  const auto check = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "INVARIANT VIOLATED: %s\n", what);
-      invariants_hold = false;
-    }
-  };
-  check(determinism_ok,
-        "serial and parallel reports render byte-identically and all deploy");
-  check(cold.all_deployed && warm.all_deployed, "cached rounds all deploy");
-  check(warm.rendered.size() == cold.rendered.size(), "cache round sizes match");
-  check(cache_stats.hits >= corpus.size(), "warm round served from cache");
-  check(modeled_speedup_4 >= 2.0, "modeled speedup at 4 workers >= 2x");
-  check(warm_speedup >= (smoke ? 3.0 : 5.0),
-        smoke ? "warm cache >= 3x (smoke)" : "warm cache >= 5x");
+  genio::bench::Gate gate({genio::bench::kInvariants});
+  gate.check(determinism_ok,
+             "serial and parallel reports render byte-identically and all deploy");
+  gate.check(cold.all_deployed && warm.all_deployed, "cached rounds all deploy");
+  gate.check(warm.rendered.size() == cold.rendered.size(), "cache round sizes match");
+  gate.check(cache_stats.hits >= corpus.size(), "warm round served from cache");
+  gate.check(modeled_speedup_4 >= 2.0, "modeled speedup at 4 workers >= 2x");
+  gate.check(warm_speedup >= (smoke ? 3.0 : 5.0),
+             smoke ? "warm cache >= 3x (smoke)" : "warm cache >= 5x");
   if (hw >= 4) {
-    check(wall_speedup_4 >= 2.0, "wall speedup at 4 workers >= 2x (hw >= 4)");
+    gate.check(wall_speedup_4 >= 2.0, "wall speedup at 4 workers >= 2x (hw >= 4)");
   } else {
     std::printf("note: wall-speedup invariant skipped — only %u hardware "
                 "thread(s); modeled makespan stands in\n",
                 hw);
   }
 
-  write_json(out_path, smoke, spec, hw, arms, cold, warm, modeled_serial_ms,
-             determinism_ok, modeled_speedup_4, wall_speedup_4, warm_speedup,
-             invariants_hold);
-  return invariants_hold ? 0 : 1;
+  write_json(args, spec, hw, arms, cold, warm, modeled_serial_ms, determinism_ok,
+             modeled_speedup_4, wall_speedup_4, warm_speedup, gate.ok());
+  return gate.exit_code();
 }

@@ -15,12 +15,11 @@
 //     byte-identically to the serial engine for every corpus file.
 // Writes a machine-readable summary to BENCH_sast.json (or --out PATH).
 // `--smoke` skips the timing loop (verdicts and gates always run).
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "sast_corpus.hpp"
 
 #include "genio/appsec/sast/taint.hpp"
@@ -34,7 +33,6 @@ namespace gc = genio::common;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using genio::bench::LabeledSource;
 
 /// Deterministic rendering of a full report, used both for the
@@ -101,64 +99,38 @@ Score score_engine(const sast::TaintAnalyzer& analyzer,
   return score;
 }
 
-/// Mean microseconds per corpus scan (all files, one engine).
+/// Mean microseconds per corpus scan (all files, one engine), over
+/// `rounds` scans after one warm-up scan.
 double time_engine_us(const sast::TaintAnalyzer& analyzer,
                       const std::vector<LabeledSource>& corpus, int rounds) {
-  // Warm-up round so allocator state doesn't skew the first sample.
-  for (const auto& entry : corpus) (void)analyzer.analyze(entry.file).flows.size();
-  const auto start = Clock::now();
-  for (int r = 0; r < rounds; ++r) {
-    for (const auto& entry : corpus) {
-      (void)analyzer.analyze(entry.file).flows.size();
-    }
-  }
-  const double total_us =
-      std::chrono::duration<double, std::micro>(Clock::now() - start).count();
-  return total_us / rounds;
+  return 1e6 * genio::bench::time_calls(1, 1, rounds, [&] {
+                 for (const auto& entry : corpus) {
+                   (void)analyzer.analyze(entry.file).flows.size();
+                 }
+               }).median;
 }
 
-void write_json(const char* path, bool smoke, const Score& legacy,
-                const Score& flow, double flow_us, bool parallel_identical,
-                bool invariants_hold) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
+void write_json(const genio::bench::Args& args, const Score& legacy, const Score& flow,
+                double flow_us, bool parallel_identical, bool invariants_hold) {
+  genio::bench::Json json(args.out, "sast_precision", args.smoke);
+  json.field("tier", "confirmed (complete unsanitized trace)");
+  json.object("scores");
+  for (const auto& [key, s] : {std::pair{"flow_legacy", &legacy}, std::pair{"flow_flow", &flow}}) {
+    json.object(key).field("vulnerable", s->vulnerable).field("safe", s->safe)
+        .field("confirmed_recall", s->recall(), 2).field("confirmed_fp_rate", s->fp_rate(), 2)
+        .close();
   }
-  const auto emit_score = [f](const char* key, const Score& s, bool last) {
-    std::fprintf(f,
-                 "    \"%s\": {\"vulnerable\": %d, \"safe\": %d, "
-                 "\"confirmed_recall\": %.2f, \"confirmed_fp_rate\": %.2f}%s\n",
-                 key, s.vulnerable, s.safe, s.recall(), s.fp_rate(),
-                 last ? "" : ",");
-  };
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"sast_precision\",\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"tier\": \"confirmed (complete unsanitized trace)\",\n");
-  std::fprintf(f, "  \"scores\": {\n");
-  emit_score("flow_legacy", legacy, false);
-  emit_score("flow_flow", flow, true);
-  std::fprintf(f, "  },\n");
-  if (flow_us > 0.0) {
-    std::fprintf(f, "  \"timing\": {\"flow_corpus_scan_us\": %.1f},\n", flow_us);
-  }
-  std::fprintf(f, "  \"parallel_identical_to_serial\": %s,\n",
-               parallel_identical ? "true" : "false");
-  std::fprintf(f, "  \"invariants_hold\": %s\n", invariants_hold ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  json.close();
+  if (flow_us > 0.0) json.object("timing").field("flow_corpus_scan_us", flow_us, 1).close();
+  json.field("parallel_identical_to_serial", parallel_identical);
+  json.field("invariants_hold", invariants_hold);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* out_path = "BENCH_sast.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const auto args = genio::bench::parse_args(argc, argv, "BENCH_sast.json");
+  const bool smoke = args.smoke;
 
   const std::vector<LabeledSource> legacy = genio::bench::make_legacy_sast_corpus();
   const std::vector<LabeledSource> flow_corpus = genio::bench::make_flow_sast_corpus();
@@ -204,22 +176,16 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
   if (!smoke) std::printf("flow corpus scan: %.1f us\n", flow_us);
 
-  int failures = 0;
-  const auto check = [&failures](bool ok, const char* what) {
-    std::printf("%s %s\n", ok ? "PASS" : "FAIL", what);
-    if (!ok) ++failures;
-  };
-  check(flow_legacy.recall() == 1.0, "flow engine: legacy recall == 1.00");
-  check(flow_legacy.fp_rate() == 0.0, "flow engine: legacy FP rate == 0.00");
-  check(flow_flow.recall() == 1.0, "flow engine: flow-corpus recall == 1.00");
-  check(flow_flow.fp_rate() == 0.0, "flow engine: flow-corpus FP rate == 0.00");
-  check(parallel_identical, "parallel shard renders identically to serial");
+  genio::bench::Gate gate({genio::bench::kPassFail});
+  gate.check(flow_legacy.recall() == 1.0, "flow engine: legacy recall == 1.00");
+  gate.check(flow_legacy.fp_rate() == 0.0, "flow engine: legacy FP rate == 0.00");
+  gate.check(flow_flow.recall() == 1.0, "flow engine: flow-corpus recall == 1.00");
+  gate.check(flow_flow.fp_rate() == 0.0, "flow engine: flow-corpus FP rate == 0.00");
+  gate.check(parallel_identical, "parallel shard renders identically to serial");
   if (!parallel_identical) {
     std::printf("  first divergence: %s\n", first_divergence.c_str());
   }
 
-  write_json(out_path, smoke, flow_legacy, flow_flow, flow_us, parallel_identical,
-             failures == 0);
-  std::printf("wrote %s\n", out_path);
-  return failures == 0 ? 0 : 1;
+  write_json(args, flow_legacy, flow_flow, flow_us, parallel_identical, gate.ok());
+  return gate.exit_code();
 }

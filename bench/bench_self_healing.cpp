@@ -21,9 +21,10 @@
 // counts, recovery trajectory) to BENCH_selfheal.json (or --out PATH).
 // `--smoke` runs a reduced sweep for CI.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
+
+#include "bench_util.hpp"
 
 #include "genio/common/strings.hpp"
 #include "genio/common/table.hpp"
@@ -217,74 +218,46 @@ double aggregate_mttr(const std::vector<ArmResult>& runs, Arm arm,
   return resolved == 0 ? 0.0 : weighted / static_cast<double>(resolved);
 }
 
-void write_json(const char* path, const std::vector<ArmResult>& runs,
-                int fault_count, int storm_ticks, int drain_ticks,
-                bool invariants_hold) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"self_healing\",\n");
-  std::fprintf(f, "  \"faults_per_window\": %d,\n", fault_count);
-  std::fprintf(f, "  \"storm_ticks\": %d,\n", storm_ticks);
-  std::fprintf(f, "  \"drain_ticks\": %d,\n", drain_ticks);
-  std::fprintf(f, "  \"tick_seconds\": %.0f,\n", kTick.seconds());
-  std::fprintf(f, "  \"invariants_hold\": %s,\n", invariants_hold ? "true" : "false");
-  std::fprintf(f, "  \"arms\": {\n");
-  const Arm arms[] = {Arm::kChaosOnly, Arm::kPolicies, Arm::kSupervisor};
-  for (std::size_t a = 0; a < 3; ++a) {
+void write_json(const genio::bench::Args& args, const std::vector<ArmResult>& runs,
+                int fault_count, int storm_ticks, int drain_ticks, bool invariants_hold) {
+  genio::bench::Json json(args.out, "self_healing", args.smoke);
+  json.field("faults_per_window", fault_count).field("storm_ticks", storm_ticks);
+  json.field("drain_ticks", drain_ticks).field("tick_seconds", kTick.seconds(), 0);
+  json.field("invariants_hold", invariants_hold);
+  json.object("arms");
+  for (const Arm arm : {Arm::kChaosOnly, Arm::kPolicies, Arm::kSupervisor}) {
     std::size_t resolved = 0;
-    const double mttr = aggregate_mttr(runs, arms[a], &resolved);
-    std::fprintf(f, "    \"%s\": {\n", arm_name(arms[a]));
-    std::fprintf(f, "      \"aggregate_mttr_seconds\": %.1f,\n", mttr);
-    std::fprintf(f, "      \"aggregate_resolved\": %zu,\n", resolved);
-    std::fprintf(f, "      \"runs\": [\n");
-    bool first = true;
+    const double mttr = aggregate_mttr(runs, arm, &resolved);
+    json.object(arm_name(arm))
+        .field("aggregate_mttr_seconds", mttr, 1).field("aggregate_resolved", resolved)
+        .array("runs");
     for (const auto& r : runs) {
-      if (r.arm != arms[a]) continue;
-      if (!first) std::fprintf(f, ",\n");
-      first = false;
-      std::fprintf(f,
-                   "        {\"seed\": %llu, \"availability\": %.4f, "
-                   "\"mttr_seconds\": %.1f, \"episodes_total\": %zu, "
-                   "\"episodes_resolved\": %zu, \"episodes_open\": %zu, "
-                   "\"episodes_escalated\": %zu, \"failed_open\": %zu, "
-                   "\"vanished\": %zu, \"replayed_deployments\": %zu, "
-                   "\"steady_state\": %s",
-                   static_cast<unsigned long long>(r.seed), r.availability(),
-                   r.mttr_seconds, r.episodes_total, r.episodes_resolved,
-                   r.episodes_open, r.episodes_escalated, r.failed_open,
-                   r.vanished, r.replayed_deployments, r.steady ? "true" : "false");
+      if (r.arm != arm) continue;
+      json.object().field("seed", r.seed).field("availability", r.availability(), 4)
+          .field("mttr_seconds", r.mttr_seconds, 1).field("episodes_total", r.episodes_total)
+          .field("episodes_resolved", r.episodes_resolved).field("episodes_open", r.episodes_open)
+          .field("episodes_escalated", r.episodes_escalated).field("failed_open", r.failed_open)
+          .field("vanished", r.vanished).field("replayed_deployments", r.replayed_deployments)
+          .field("steady_state", r.steady);
       if (!r.trajectory.empty()) {
-        std::fprintf(f, ", \"trajectory\": [");
-        for (std::size_t i = 0; i < r.trajectory.size(); ++i) {
-          std::fprintf(f, "%s{\"t\": %.0f, \"unhealthy\": %zu, \"open\": %zu}",
-                       i == 0 ? "" : ", ", r.trajectory[i].t_seconds,
-                       r.trajectory[i].unhealthy, r.trajectory[i].open_episodes);
+        json.array("trajectory");
+        for (const auto& sample : r.trajectory) {
+          json.object().field("t", sample.t_seconds, 0).field("unhealthy", sample.unhealthy)
+              .field("open", sample.open_episodes).close();
         }
-        std::fprintf(f, "]");
+        json.close();
       }
-      std::fprintf(f, "}");
+      json.close();
     }
-    std::fprintf(f, "\n      ]\n");
-    std::fprintf(f, "    }%s\n", a + 1 < 3 ? "," : "");
+    json.close().close();
   }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* out_path = "BENCH_selfheal.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const auto args = genio::bench::parse_args(argc, argv, "BENCH_selfheal.json");
+  const bool smoke = args.smoke;
 
   const int fault_count = 12;  // baseline rate: ~12 random faults / h
   const int storm_ticks = smoke ? 60 : 120;
@@ -350,26 +323,16 @@ int main(int argc, char** argv) {
               "policies-only %.1fs over %zu repairs\n\n",
               sup_mttr, sup_resolved, pol_mttr, pol_resolved);
 
-  struct Invariant {
-    const char* text;
-    bool holds;
-  };
-  const Invariant invariants[] = {
-      {"supervisor arm converges to steady state after every storm",
-       supervisor_always_steady},
-      {"MTTR(supervisor) < MTTR(policies-only) at the baseline fault rate",
-       supervisor_faster},
-      {"zero gate bypasses during remediation (no fail-open, no skipped gate)",
-       no_gate_bypass},
-      {"chaos-only arm shows the damage the loop repairs", chaos_showed_damage},
-  };
-  bool all_hold = true;
-  for (const auto& inv : invariants) {
-    std::printf("  [%s] %s\n", inv.holds ? "ok" : "VIOLATED", inv.text);
-    all_hold &= inv.holds;
-  }
-  std::printf("\n%s\n", all_hold ? "all invariants hold"
-                                 : "INVARIANT VIOLATION — see rows above");
-  write_json(out_path, runs, fault_count, storm_ticks, drain_ticks, all_hold);
-  return all_hold ? 0 : 1;
+  genio::bench::Gate gate({genio::bench::kChecklist});
+  gate.check(supervisor_always_steady,
+             "supervisor arm converges to steady state after every storm");
+  gate.check(supervisor_faster,
+             "MTTR(supervisor) < MTTR(policies-only) at the baseline fault rate");
+  gate.check(no_gate_bypass,
+             "zero gate bypasses during remediation (no fail-open, no skipped gate)");
+  gate.check(chaos_showed_damage, "chaos-only arm shows the damage the loop repairs");
+  std::printf("\n%s\n", gate.ok() ? "all invariants hold"
+                                  : "INVARIANT VIOLATION — see rows above");
+  write_json(args, runs, fault_count, storm_ticks, drain_ticks, gate.ok());
+  return gate.exit_code();
 }

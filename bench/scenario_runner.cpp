@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
+
 #include "genio/common/strings.hpp"
 #include "genio/common/table.hpp"
 #include "genio/resilience/chaos.hpp"
@@ -43,28 +45,6 @@ const gr::FaultKind kAllFaultKinds[] = {
     gr::FaultKind::kTpmTransient,
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 struct Scorecard {
   std::size_t catalog_size = 0;
   std::size_t selected = 0;
@@ -84,74 +64,30 @@ struct Scorecard {
   std::vector<std::string> determinism_mismatches;
 };
 
-void write_json(const char* path, const Scorecard& card,
-                const std::vector<std::pair<std::string, bool>>& invariants,
-                bool invariants_hold, std::uint64_t seed, int repeat) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"scenario_fabric\",\n");
-  std::fprintf(f, "  \"seed\": %llu,\n", static_cast<unsigned long long>(seed));
-  std::fprintf(f, "  \"repeat\": %d,\n", repeat);
-  std::fprintf(f, "  \"catalog_size\": %zu,\n", card.catalog_size);
-  std::fprintf(f, "  \"selected\": %zu,\n", card.selected);
-  std::fprintf(f, "  \"executions\": %zu,\n", card.executions);
-  std::fprintf(f, "  \"passed\": %zu,\n", card.passed);
-  std::fprintf(f, "  \"failed\": %zu,\n", card.failed);
-  std::fprintf(f, "  \"timeouts\": %zu,\n", card.timeouts);
-  std::fprintf(f, "  \"gate_bypasses\": %llu,\n",
-               static_cast<unsigned long long>(card.gate_bypasses));
-  std::fprintf(f, "  \"events_captured\": %llu,\n",
-               static_cast<unsigned long long>(card.events_captured));
-  std::fprintf(f, "  \"determinism_checked\": %s,\n",
-               card.determinism_checked ? "true" : "false");
-  std::fprintf(f, "  \"determinism_ok\": %s,\n", card.determinism_ok ? "true" : "false");
-  std::fprintf(f, "  \"determinism_sampled\": %zu,\n", card.determinism_sampled);
-
-  std::fprintf(f, "  \"threat_contrasts\": {");
-  bool first = true;
-  for (const auto& [threat, passes] : card.threat_passes) {
-    std::fprintf(f, "%s\n    \"%s\": %zu", first ? "" : ",", threat.c_str(), passes);
-    first = false;
-  }
-  std::fprintf(f, "\n  },\n");
-
-  std::fprintf(f, "  \"fault_kind_coverage\": {");
-  first = true;
-  for (const auto& [kind, count] : card.fault_coverage) {
-    std::fprintf(f, "%s\n    \"%s\": %zu", first ? "" : ",", kind.c_str(), count);
-    first = false;
-  }
-  std::fprintf(f, "\n  },\n");
-
-  std::fprintf(f, "  \"failures\": [");
-  first = true;
+void write_json(const std::string& path, bool smoke, const Scorecard& card,
+                const genio::bench::Gate& gate, std::uint64_t seed, int repeat) {
+  genio::bench::Json json(path, "scenario_fabric", smoke);
+  json.field("seed", seed).field("repeat", repeat).field("catalog_size", card.catalog_size);
+  json.field("selected", card.selected).field("executions", card.executions);
+  json.field("passed", card.passed).field("failed", card.failed).field("timeouts", card.timeouts);
+  json.field("gate_bypasses", card.gate_bypasses).field("events_captured", card.events_captured);
+  json.field("determinism_checked", card.determinism_checked);
+  json.field("determinism_ok", card.determinism_ok);
+  json.field("determinism_sampled", card.determinism_sampled);
+  json.object("threat_contrasts");
+  for (const auto& [threat, passes] : card.threat_passes) json.field(threat, passes);
+  json.close().object("fault_kind_coverage");
+  for (const auto& [kind, count] : card.fault_coverage) json.field(kind, count);
+  json.close().array("failures");
   for (const auto* v : card.failures) {
-    std::fprintf(f,
-                 "%s\n    {\"name\": \"%s\", \"outcome\": \"%s\", \"error\": \"%s\", "
-                 "\"repro\": \"%s\"}",
-                 first ? "" : ",", json_escape(v->name).c_str(),
-                 gs::to_string(v->outcome).c_str(), json_escape(v->error).c_str(),
-                 json_escape(v->repro()).c_str());
-    first = false;
+    json.object()
+        .field("name", v->name).field("outcome", gs::to_string(v->outcome)).field("error", v->error)
+        .field("repro", v->repro()).close();
   }
-  std::fprintf(f, "\n  ],\n");
-
-  std::fprintf(f, "  \"invariants\": {");
-  first = true;
-  for (const auto& [name, ok] : invariants) {
-    std::fprintf(f, "%s\n    \"%s\": %s", first ? "" : ",", json_escape(name).c_str(),
-                 ok ? "true" : "false");
-    first = false;
-  }
-  std::fprintf(f, "\n  },\n");
-  std::fprintf(f, "  \"invariants_hold\": %s\n", invariants_hold ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  json.close().object("invariants");
+  for (const auto& [name, ok] : gate.checks()) json.field(name, ok);
+  json.close();
+  json.field("invariants_hold", gate.ok());
 }
 
 }  // namespace
@@ -160,7 +96,7 @@ int main(int argc, char** argv) {
   gs::RunOptions options;
   bool list_only = false;
   bool determinism_check = true;
-  const char* out_path = "BENCH_scenarios.json";
+  std::string out_path = "BENCH_scenarios.json";
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--list") == 0) list_only = true;
@@ -264,43 +200,33 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // -- scorecard -------------------------------------------------------------
-  std::vector<std::pair<std::string, bool>> invariants;
-  bool invariants_hold = true;
-  const auto check = [&](const std::string& what, bool ok) {
-    invariants.emplace_back(what, ok);
-    if (!ok) {
-      std::fprintf(stderr, "INVARIANT VIOLATED: %s\n", what.c_str());
-      invariants_hold = false;
-    }
-    std::printf("  [%s] %s\n", ok ? "ok" : "VIOLATED", what.c_str());
-  };
-
-  check("every selected scenario passed (zero failures)", card.failed == 0);
-  check("zero watchdog timeouts", card.timeouts == 0);
-  check("zero gate bypasses across every audited report", card.gate_bypasses == 0);
+  genio::bench::Gate gate({genio::bench::kInvariants, genio::bench::kChecklist});
+  gate.check(card.failed == 0, "every selected scenario passed (zero failures)");
+  gate.check(card.timeouts == 0, "zero watchdog timeouts");
+  gate.check(card.gate_bypasses == 0, "zero gate bypasses across every audited report");
   if (card.determinism_checked) {
-    check("parallel verdicts byte-identical to serial re-run", card.determinism_ok);
+    gate.check(card.determinism_ok, "parallel verdicts byte-identical to serial re-run");
   }
   if (card.full_catalog) {
-    check("catalog holds at least " + std::to_string(kCatalogFloor) + " scenarios",
-          card.catalog_size >= kCatalogFloor);
+    gate.check(card.catalog_size >= kCatalogFloor,
+               "catalog holds at least " + std::to_string(kCatalogFloor) + " scenarios");
     for (int t = 1; t <= 8; ++t) {
       const std::string threat = "T" + std::to_string(t);
       const auto it = card.threat_passes.find(threat);
-      check("threat " + threat + " contrast exercised and held",
-            it != card.threat_passes.end() && it->second > 0);
+      gate.check(it != card.threat_passes.end() && it->second > 0,
+                 "threat " + threat + " contrast exercised and held");
     }
     for (const auto kind : kAllFaultKinds) {
       const std::string tag = gr::to_string(kind);
       const auto it = card.fault_coverage.find(tag);
-      check("fault kind " + tag + " exercised by the catalog",
-            it != card.fault_coverage.end() && it->second > 0);
+      gate.check(it != card.fault_coverage.end() && it->second > 0,
+                 "fault kind " + tag + " exercised by the catalog");
     }
   }
   std::printf("\n");
 
-  write_json(out_path, card, invariants, invariants_hold, options.seed, options.repeat);
-  if (!invariants_hold) {
+  write_json(out_path, options.filter == "smoke", card, gate, options.seed, options.repeat);
+  if (!gate.ok()) {
     for (const auto& name : card.determinism_mismatches) {
       std::fprintf(stderr, "determinism mismatch: %s\n", name.c_str());
     }

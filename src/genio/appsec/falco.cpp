@@ -38,9 +38,7 @@ std::vector<FalcoAlert> FalcoMonitor::process(const SyscallEvent& event) {
     }
     if (excepted) continue;
     if (rule.condition(event)) {
-      FalcoAlert alert{rule.name, rule.priority, event};
-      alerts.push_back(alert);
-      alert_log_.push_back(std::move(alert));
+      alerts.push_back({rule.name, rule.priority, event});
       ++stats_.alerts_emitted;
     }
   }

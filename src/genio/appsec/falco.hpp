@@ -58,12 +58,10 @@ class FalcoMonitor {
   std::vector<FalcoAlert> process_trace(const std::vector<SyscallEvent>& trace);
 
   const MonitorStats& stats() const { return stats_; }
-  const std::vector<FalcoAlert>& alert_log() const { return alert_log_; }
 
  private:
   std::vector<FalcoRule> rules_;
   MonitorStats stats_;
-  std::vector<FalcoAlert> alert_log_;
 };
 
 /// The GENIO default detection rulepack: unexpected shell execution,

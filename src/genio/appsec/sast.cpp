@@ -69,11 +69,12 @@ std::vector<SastFinding> SastEngine::analyze(const SourceFile& file) const {
     }
     for (const int line : report.unanalyzed_lines) {
       SastFinding finding{"TAINT-DEPTH",
-                          "Calls nest too deeply to analyze; file fails closed",
+                          "Calls or blocks nest too deeply to analyze; file fails closed",
                           "critical", file.path, line};
       finding.detail = "calls nest deeper than " +
-                       std::to_string(sast::kMaxCallNesting) +
-                       " levels; the deeper calls were not analyzed";
+                       std::to_string(sast::kMaxCallNesting) + " or blocks deeper than " +
+                       std::to_string(sast::kMaxBlockNesting) +
+                       " levels; the deeper code was not analyzed";
       findings.push_back(std::move(finding));
     }
   }

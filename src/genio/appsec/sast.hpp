@@ -5,9 +5,10 @@
 //     summaries (M14v3). Findings carry a full taint trace and
 //     Confidence::kHigh; flows killed by a sanitizer or parameter binding
 //     surface as Confidence::kAudit entries that the gate never counts
-//     actionable. A statement whose calls nest deeper than the parser
-//     follows (sast::kMaxCallNesting) yields a critical TAINT-DEPTH
-//     finding, so the gate fails closed on a file it could not analyze.
+//     actionable. A statement whose calls or enclosing blocks nest deeper
+//     than the parser follows (sast::kMaxCallNesting, kMaxBlockNesting)
+//     yields a critical TAINT-DEPTH finding, so the gate fails closed on a
+//     file it could not analyze.
 //   Pass 2 — legacy Semgrep/Bandit-style line regexes (kept so historic
 //     rule IDs and benchmarks stay comparable). Findings default to
 //     Confidence::kMedium and are downgraded to kLow when the dataflow

@@ -28,11 +28,16 @@ struct Node {
 
 /// Group a flat body into a tree by Statement::block depth. `i` advances
 /// past every statement at depth >= `depth`; deeper runs attach to the
-/// preceding node as children.
+/// preceding node as children. Statements past kMaxBlockNesting are
+/// skipped, so the tree, and every recursion over it, is at most that deep.
 std::vector<Node> build_tree(const std::vector<Statement>& body, std::size_t& i,
                              int depth) {
   std::vector<Node> out;
   while (i < body.size() && body[i].block >= depth) {
+    if (body[i].block > kMaxBlockNesting) {
+      ++i;
+      continue;
+    }
     if (body[i].block > depth) {
       std::vector<Node> kids = build_tree(body, i, body[i].block);
       if (out.empty()) {

@@ -305,6 +305,14 @@ std::vector<std::string> parse_params(const std::vector<Token>& toks,
   return params;
 }
 
+/// Block depth `depth`, held at kMaxBlockNesting + 1 past the cap. Depth
+/// grows one level at a time, so every region past the cap starts with a
+/// statement exactly one level past it; that statement is flagged.
+void set_block(Statement& stmt, int depth) {
+  stmt.block = std::min(depth, kMaxBlockNesting + 1);
+  stmt.truncated = stmt.truncated || depth == kMaxBlockNesting + 1;
+}
+
 /// Python block depth from indentation: a statement deeper than the one
 /// before it opens a nested block; dedenting pops back to the matching
 /// level. Depth 0 is the function's top level regardless of the absolute
@@ -315,7 +323,7 @@ void assign_python_blocks(FunctionDef& fn) {
     if (indents.empty()) indents.push_back(stmt.indent);
     while (indents.size() > 1 && stmt.indent < indents.back()) indents.pop_back();
     if (stmt.indent > indents.back()) indents.push_back(stmt.indent);
-    stmt.block = static_cast<int>(indents.size()) - 1;
+    set_block(stmt, static_cast<int>(indents.size()) - 1);
   }
 }
 
@@ -420,9 +428,11 @@ ParsedUnit parse(const SourceFile& file) {
     }
     for (auto& fn : unit.functions) assign_python_blocks(fn);
   } else {
-    // Brace scoping: kContainer (class) / kFunction / kBlock.
-    enum class Scope { kContainer, kFunction, kBlock };
-    std::vector<std::pair<Scope, std::size_t>> stack;  // (kind, function idx)
+    // Brace scoping: one entry per open class, method or control block,
+    // holding the function its body belongs to and the number of control
+    // blocks between that body and the function. A class keeps both of its
+    // parent's; a method starts at depth 0; a control block adds one.
+    std::vector<std::pair<std::size_t, int>> stack;  // (function idx, depth)
     for (const Span& span : spans) {
       const Token& first = toks[span.first];
       if (is_op(first, "}")) {
@@ -430,15 +440,8 @@ ParsedUnit parse(const SourceFile& file) {
         continue;
       }
       const bool opens_block = is_op(toks[span.second - 1], "{");
-      std::size_t current_fn = 0;
-      int block_depth = 0;  // kBlock scopes between here and the function
-      for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        if (it->first == Scope::kFunction) {
-          current_fn = it->second;
-          break;
-        }
-        if (it->first == Scope::kBlock) ++block_depth;
-      }
+      const std::size_t current_fn = stack.empty() ? 0 : stack.back().first;
+      const int block_depth = stack.empty() ? 0 : stack.back().second;
       if (opens_block) {
         bool is_container = false;
         for (std::size_t i = span.first; i < span.second; ++i) {
@@ -449,7 +452,7 @@ ParsedUnit parse(const SourceFile& file) {
           }
         }
         if (is_container) {
-          stack.emplace_back(Scope::kContainer, current_fn);
+          stack.emplace_back(current_fn, block_depth);
           continue;
         }
         // Method header: `modifiers Type name ( params ) {`, with no `=`
@@ -477,20 +480,20 @@ ParsedUnit parse(const SourceFile& file) {
               Brackets(toks, span).matching_close(open, span.second);
           fn.params = parse_params(toks, {open + 1, close}, false);
           unit.functions.push_back(std::move(fn));
-          stack.emplace_back(Scope::kFunction, unit.functions.size() - 1);
+          stack.emplace_back(unit.functions.size() - 1, 0);
           continue;
         }
         // Control block: statements inside still belong to current_fn, but
         // the header itself may carry calls (`if (isAdmin(user)) {`).
         Statement header = make_statement(toks, {span.first, span.second - 1});
-        header.block = block_depth;
+        set_block(header, block_depth);
         unit.functions[current_fn].body.push_back(std::move(header));
-        stack.emplace_back(Scope::kBlock, current_fn);
+        stack.emplace_back(current_fn, block_depth + 1);
         continue;
       }
       if (is_ident(first, "package") || is_ident(first, "import")) continue;
       Statement stmt = make_statement(toks, span);
-      stmt.block = block_depth;
+      set_block(stmt, block_depth);
       unit.functions[current_fn].body.push_back(std::move(stmt));
     }
   }

@@ -17,6 +17,14 @@ namespace genio::appsec::sast {
 /// fails the file closed instead of passing it unscanned.
 inline constexpr int kMaxCallNesting = 64;
 
+/// How deeply blocks nest inside a function before the CFG stops following
+/// them. Statements nested deeper are left out of the CFG, so every
+/// recursion over the block tree (grouping, lowering, destruction) stays
+/// within the cap. Those exactly one level past it are marked `truncated`,
+/// so the gate fails the file closed; deeper ones add no finding of their
+/// own.
+inline constexpr int kMaxBlockNesting = 64;
+
 /// One top-level argument of a call, flattened to what taint tracking
 /// needs: which identifiers feed it and which calls wrap them.
 struct ArgInfo {
@@ -65,8 +73,10 @@ struct Statement {
   bool concatenated = false;  // value expression joins strings/vars
   std::vector<std::string> rhs_idents;  // all operand idents (recursively)
   std::vector<CallRef> calls;           // nested calls before their caller
-  /// Calls nest deeper than kMaxCallNesting: the ones below the cap are
-  /// missing from `calls` and `rhs_idents`.
+  /// Calls nest deeper than kMaxCallNesting (the ones below the cap are
+  /// missing from `calls` and `rhs_idents`), or the statement opens a
+  /// region nested deeper than kMaxBlockNesting blocks, which the CFG
+  /// leaves out (every statement in it has `block` kMaxBlockNesting + 1).
   bool truncated = false;
 };
 

@@ -101,8 +101,9 @@ struct TaintReport {
   /// tainted operand: dataflow evidence that a regex match on that line
   /// (e.g. a `%s` placeholder tripping the `%`-heuristic) is noise.
   std::set<int> constant_sink_lines;
-  /// Lines whose calls nest deeper than kMaxCallNesting. Calls below the
-  /// cap were not analyzed, so no verdict on this file is complete.
+  /// Lines whose calls nest deeper than kMaxCallNesting, or that open a
+  /// region nested deeper than kMaxBlockNesting blocks. What lies past a
+  /// cap was not analyzed, so no verdict on this file is complete.
   std::set<int> unanalyzed_lines;
 };
 

@@ -98,7 +98,6 @@ void SelfHealingSupervisor::add_playbooks() {
                return {.attempted = false};
              }
              const auto report = platform_->cluster().reschedule_failed();
-             reschedule_reports_.push_back(report);
              RemediationOutcome outcome;
              outcome.actions.push_back("reschedule sweep: " + report.summary());
              if (!report.fully_recovered()) {

@@ -66,9 +66,6 @@ class SelfHealingSupervisor {
   const std::vector<PipelineReport>& remediation_reports() const {
     return remediation_reports_;
   }
-  const std::vector<middleware::RescheduleReport>& reschedule_reports() const {
-    return reschedule_reports_;
-  }
 
   bool steady_state() const {
     return supervisor_.steady_state() && replay_queue_.empty();
@@ -98,7 +95,6 @@ class SelfHealingSupervisor {
   std::deque<DeploymentRequest> replay_queue_;
   std::uint64_t total_enqueued_ = 0;
   std::vector<PipelineReport> remediation_reports_;
-  std::vector<middleware::RescheduleReport> reschedule_reports_;
   /// Per-serial: false between a churn injection and the re-auth handshake
   /// (reattachment alone must not resolve the episode).
   std::map<std::string, bool> onu_session_fresh_;

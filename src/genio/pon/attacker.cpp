@@ -13,10 +13,7 @@ void FiberTap::account(const GemFrame& frame) {
   }
 }
 
-void FiberTap::observe_downstream(const GemFrame& frame) {
-  downstream_.push_back(frame);
-  account(frame);
-}
+void FiberTap::observe_downstream(const GemFrame& frame) { account(frame); }
 
 void FiberTap::observe_upstream(const GemFrame& frame) {
   upstream_.push_back(frame);
@@ -140,7 +137,6 @@ void DownstreamHijacker::inject(std::uint16_t victim_onu_id, std::uint16_t port,
   frame.payload = std::move(payload);
   frame.seal_fcs();  // the attacker can compute CRCs; CRC is not security
   odn_->downstream(frame);
-  ++injected_;
 }
 
 }  // namespace genio::pon

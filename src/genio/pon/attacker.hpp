@@ -15,14 +15,14 @@
 namespace genio::pon {
 
 /// Passive fiber tap (T1: "physically tapping fiber connections").
-/// Records every frame on the tree and measures how much plaintext the
-/// adversary actually recovers — the quantity M3 drives to zero.
+/// Measures how much plaintext the adversary recovers from every frame on
+/// the tree — the quantity M3 drives to zero — and keeps the upstream
+/// frames for the replay attacker.
 class FiberTap final : public Tap {
  public:
   void observe_downstream(const GemFrame& frame) override;
   void observe_upstream(const GemFrame& frame) override;
 
-  const std::vector<GemFrame>& captured_downstream() const { return downstream_; }
   const std::vector<GemFrame>& captured_upstream() const { return upstream_; }
 
   /// Bytes of user-data payload captured in the clear (data ports only).
@@ -36,7 +36,6 @@ class FiberTap final : public Tap {
  private:
   void account(const GemFrame& frame);
 
-  std::vector<GemFrame> downstream_;
   std::vector<GemFrame> upstream_;
   std::uint64_t plaintext_bytes_ = 0;
   std::uint64_t ciphertext_bytes_ = 0;
@@ -113,11 +112,8 @@ class DownstreamHijacker {
               std::uint32_t superframe_guess, Bytes payload,
               bool mark_encrypted = false);
 
-  std::size_t injected_count() const { return injected_; }
-
  private:
   Odn* odn_;
-  std::size_t injected_ = 0;
 };
 
 }  // namespace genio::pon

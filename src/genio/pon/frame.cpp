@@ -60,11 +60,6 @@ GemHeader GemFrame::header() const {
   return out;
 }
 
-Bytes GemFrame::header_bytes() const {
-  const GemHeader hdr = header();
-  return Bytes(hdr.begin(), hdr.end());
-}
-
 namespace {
 
 std::uint32_t frame_crc(const GemFrame& frame) {

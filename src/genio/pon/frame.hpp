@@ -57,9 +57,6 @@ struct GemFrame {
   /// GCM AAD and as the first FCS chunk. Stack-only, no allocation.
   GemHeader header() const;
 
-  /// Heap-allocating form of header() kept for existing callers.
-  Bytes header_bytes() const;
-
   bool operator==(const GemFrame& other) const = default;
 };
 

@@ -19,11 +19,6 @@ SecTag encode_sectag(std::uint64_t sci, std::uint32_t pn) {
 
 SecTag MacsecFrame::sectag() const { return encode_sectag(sci, pn); }
 
-Bytes MacsecFrame::sectag_bytes() const {
-  const SecTag tag = sectag();
-  return Bytes(tag.begin(), tag.end());
-}
-
 MacsecSecY::MacsecSecY(std::uint64_t sci, const AesKey& sak, std::uint32_t replay_window)
     : sci_(sci), ctx_(sak), replay_window_(replay_window) {}
 

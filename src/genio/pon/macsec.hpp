@@ -27,9 +27,6 @@ struct MacsecFrame {
 
   /// SecTag used as GCM AAD — fixed-size, stack-only.
   SecTag sectag() const;
-
-  /// Heap-allocating form of sectag() kept for existing callers.
-  Bytes sectag_bytes() const;
 };
 
 /// Counters a SecY exposes for monitoring (consumed by Lesson 8 benches and

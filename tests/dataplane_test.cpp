@@ -80,7 +80,8 @@ TEST(Dataplane, SealOpenByteIdentityOver200Frames) {
 
     // FCS: fast streaming CRC vs the byte-at-a-time oracle over the same
     // header||payload bytes.
-    gc::Bytes fcs_input = frame.header_bytes();
+    const pon::GemHeader header = frame.header();
+    gc::Bytes fcs_input(header.begin(), header.end());
     fcs_input.insert(fcs_input.end(), frame.payload.begin(), frame.payload.end());
     EXPECT_EQ(frame.fcs, cr::crc32_reference(fcs_input)) << "frame " << i;
     EXPECT_TRUE(frame.fcs_valid());

@@ -4,9 +4,10 @@
 // worklist dataflow verdicts (branch-dependent sanitization, loop-carried
 // taint, multi-hop chains, recursion), dotted-segment callee matching, the
 // audit confidence tier, serial/parallel determinism, and the fail-closed
-// cap on call nesting.
+// caps on call and block nesting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -441,6 +442,20 @@ as::SourceFile nested_source_file(int depth) {
   return py(content);
 }
 
+/// A Java method whose tainted query runs inside `depth` nested
+/// `if (a) {` blocks, on line depth + 4.
+as::SourceFile nested_blocks_file(int depth) {
+  std::string content =
+      "class Lookup {\n"
+      "  ResultSet find(HttpServletRequest req) {\n"
+      "    String q = req.getParameter(\"q\");\n";
+  for (int i = 0; i < depth; ++i) content += "if (a) {\n";
+  content += "stmt.executeQuery(\"SELECT * FROM t WHERE q='\" + q + \"'\");\n";
+  content.append(static_cast<std::size_t>(depth), '}');
+  content += "\n  }\n}\n";
+  return java(content);
+}
+
 const as::SastFinding* find_rule(const std::vector<as::SastFinding>& findings,
                                  const std::string& rule_id) {
   for (const auto& f : findings) {
@@ -480,4 +495,41 @@ TEST(SastFlow, HundredThousandNestedCallsReturnAndBlockTheGate) {
   EXPECT_EQ(depth->line, 2);
   EXPECT_EQ(depth->severity, "critical");
   EXPECT_TRUE(as::SastEngine::is_actionable(*depth));
+}
+
+TEST(SastFlow, BlockNestingIsLoweredUpToTheCapAndFlaggedPastIt) {
+  // The sink sits kMaxBlockNesting blocks deep: it is lowered into the CFG
+  // and the flow is confirmed.
+  const auto at_cap = sast::TaintAnalyzer().analyze(nested_blocks_file(sast::kMaxBlockNesting));
+  EXPECT_TRUE(has_confirmed(at_cap)) << render_flows(at_cap);
+  EXPECT_TRUE(at_cap.unanalyzed_lines.empty());
+
+  // One block deeper the sink is past the cap: it is left out of the CFG,
+  // and its statement is flagged rather than silently dropped.
+  const int deeper = sast::kMaxBlockNesting + 1;
+  const auto past = sast::TaintAnalyzer().analyze(nested_blocks_file(deeper));
+  EXPECT_FALSE(has_confirmed(past));
+  EXPECT_EQ(past.unanalyzed_lines, std::set<int>{deeper + 4});
+  const auto findings =
+      as::make_default_sast_engine().analyze(nested_blocks_file(deeper));
+  const as::SastFinding* depth = find_rule(findings, "TAINT-DEPTH");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->line, deeper + 4);
+}
+
+TEST(SastFlow, HundredThousandNestedBlocksReturnAndBlockTheGate) {
+  // 100,000 nested blocks (about 1 MB). Building, lowering or destroying the
+  // block tree one recursion per level would overflow the stack; capped, the
+  // scan returns, and the file gets a critical actionable finding, so the
+  // SAST gate fails closed.
+  const auto findings = as::make_default_sast_engine().analyze(nested_blocks_file(100000));
+  const as::SastFinding* depth = find_rule(findings, "TAINT-DEPTH");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->severity, "critical");
+  EXPECT_TRUE(as::SastEngine::is_actionable(*depth));
+  // One finding for the region past the cap: the `if` one level past it.
+  EXPECT_EQ(depth->line, sast::kMaxBlockNesting + 5);
+  EXPECT_EQ(std::count_if(findings.begin(), findings.end(),
+                          [](const as::SastFinding& f) { return f.rule_id == "TAINT-DEPTH"; }),
+            1);
 }

@@ -26,6 +26,13 @@ run_suite() {
 if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
   echo "== plain build (warnings are errors) + tier-1 tests =="
   run_suite "${repo_root}/build" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+  echo "== paper figure and lesson benches (E-FIG1-3, E-L1-8, ablation; a violated shape check fails CI) =="
+  for bench in bench_fig1_deployment bench_fig2_architecture bench_fig3_coverage \
+    bench_lesson1_onl bench_lesson2_encryption bench_lesson3_integrity \
+    bench_lesson4_scanning bench_lesson5_rbac bench_lesson6_feeds \
+    bench_lesson7_sca bench_lesson8_runtime bench_ablation_gates; do
+    "${repo_root}/build/bench/${bench}"
+  done
   echo "== chaos/resilience bench smoke =="
   "${repo_root}/build/bench/bench_chaos_resilience" --smoke
   echo "== self-healing bench smoke =="
