@@ -1,4 +1,4 @@
-// PON data-plane crypto fast-path sweep, round 3. A seeded corpus of
+// PON data-plane crypto fast-path sweep, round 4. A seeded corpus of
 // GEM-shaped frames (G.987.3 nonces, 9-byte headers as AAD) is swept over
 // payload sizes from 64 B to 9 KB jumbo, measuring frames/sec and MB/s for:
 //   seal   AES-GCM encrypt+tag     reference: a local bitwise oracle
@@ -20,13 +20,17 @@
 //            for 1/2/4/8 workers (CI hosts pin hardware_concurrency to 1,
 //            so scaling is modeled from measured leaves, while a real pool
 //            run checks byte identity against a serial loop).
-// Round-3 arm, the data-plane backends (DataplaneKernel):
-//   backends  seal+open and CRC of 1 KB frames on the AES-NI/PCLMULQDQ
-//             backend and on the portable one (T-table AES, Shoup GHASH,
-//             slicing-by-8), timed alternately in one process; the median
-//             of the per-repetition ratios is gated, so the floor does not
-//             move with the host's speed. Skipped on a CPU without the
-//             backend.
+// Round-3 and round-4 arms, the data-plane backends (DataplaneKernel), each
+// against the one below it:
+//   backends       seal+open and CRC of 1 KB frames on the AES-NI/PCLMULQDQ
+//                  backend and on the portable one (T-table AES, Shoup
+//                  GHASH, slicing-by-8);
+//   vaes_backends  the same at 4 KB on the VAES/VPCLMULQDQ backend and on
+//                  the AES-NI/PCLMULQDQ one, a size where sixteen-block
+//                  passes carry nearly all of a frame.
+//   Both sides are timed alternately in one process; the median of the
+//   per-repetition ratios is gated, so the floor does not move with the
+//   host's speed. An arm is skipped on a CPU without its faster backend.
 // Before any timing, every corpus frame is cross-checked on every backend
 // the CPU has: ciphertext, tag, and CRC must be byte-identical to the
 // bitwise reference AND to the gcm_seal free functions, opens must
@@ -37,8 +41,11 @@
 //     every backend, and CRC identity at every length (always enforced);
 //   * seal+open frames/sec at 1 KB payloads >= 9x the bitwise reference;
 //   * AES-NI/PCLMULQDQ over portable: seal+open at 1 KB >= 8x, CRC at
-//     1 KB >= 4x (when the CPU has the backend; about half of the 15x and
-//     8x a full run measures on a 4-vCPU Xeon with both);
+//     1 KB >= 4x (about half of the 15x and 8x a full run measures on a
+//     4-vCPU Xeon with both);
+//   * VAES/VPCLMULQDQ over AES-NI/PCLMULQDQ: seal+open at 4 KB >= 1.3x,
+//     CRC at 4 KB >= 1.5x (about half of what a full run measures on a
+//     4-vCPU Xeon with both; EXPERIMENTS.md E-DATAPLANE4);
 //   * with --baseline PATH, per-size fast-path MB/s >= 0.8x the committed
 //     numbers (the >20%-regression CI gate).
 // Floors are enforced only on uninstrumented builds (bench_util.hpp's
@@ -49,7 +56,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,7 +84,12 @@ using genio::bench::Spread;
 using genio::bench::spread;
 
 const char* kernel_name(DpKernel kernel) {
-  return kernel == DpKernel::kAesPclmul ? "aes_pclmul" : "portable";
+  switch (kernel) {
+    case DpKernel::kPortable: return "portable";
+    case DpKernel::kAesPclmul: return "aes_pclmul";
+    case DpKernel::kVaesAvx512: return "vaes_avx512";
+  }
+  return "unknown";
 }
 
 // ------------------------------------------------ bitwise reference oracle
@@ -362,28 +373,42 @@ SizeResult run_size(gc::Rng& rng, const cr::AesKey& key,
 
 // ------------------------------------------------------------ backends arm
 
-// AES-NI/PCLMULQDQ against portable at 1 KB, in ns per frame.
+// One backend against the one below it at one payload size, in ns per
+// frame; the iteration counts keep each timed section near a millisecond.
+struct BackendArm {
+  const char* name;  // JSON block
+  DpKernel fast, slow;
+  std::size_t payload_bytes;
+  double sealopen_floor, crc_floor;
+  int sealopen_iters_fast, sealopen_iters_slow, crc_iters_fast, crc_iters_slow;
+};
+
+constexpr BackendArm kArms[] = {
+    {"backends", DpKernel::kAesPclmul, DpKernel::kPortable, 1024, 8.0, 4.0, 4000, 200, 20000,
+     4000},
+    {"vaes_backends", DpKernel::kVaesAvx512, DpKernel::kAesPclmul, 4096, 1.3, 1.5, 2000, 800,
+     20000, 8000},
+};
+
 struct BackendRatio {
-  std::size_t payload_bytes = 1024;
+  const BackendArm* arm;
   int reps = 0;
-  Spread sealopen_hw, sealopen_portable, crc_hw, crc_portable;
-  double sealopen_ratio = 0.0;  // median of per-repetition portable/hw
+  Spread sealopen_fast, sealopen_slow, crc_fast, crc_slow;
+  double sealopen_ratio = 0.0;  // median of per-repetition slow/fast
   double crc_ratio = 0.0;
 };
 
-constexpr double kSealOpenRatioFloor = 8.0;
-constexpr double kCrcRatioFloor = 4.0;
-
-// Both backends in one process: each repetition times the AES-NI context
-// and then the portable one on the same frames (and the CRC fold and then
-// slicing-by-8), so a host that slows down mid-run slows both sides of
-// most ratios.
-BackendRatio run_backends(gc::Rng& rng, const cr::AesKey& key, bool smoke) {
-  BackendRatio r;
-  const cr::GcmContext hw(key, DpKernel::kAesPclmul);
-  const cr::GcmContext portable(key, DpKernel::kPortable);
-  const auto corpus = make_corpus(rng, key, r.payload_bytes, 8);
-  gc::Bytes buf(r.payload_bytes + 16);
+// Both backends in one process: each repetition times the faster context
+// and then the slower one on the same frames (and the faster CRC and then
+// the slower), so a host that slows down mid-run slows both sides of most
+// ratios.
+BackendRatio run_backends(gc::Rng& rng, const cr::AesKey& key, const BackendArm& arm,
+                          bool smoke) {
+  BackendRatio r{&arm};
+  const cr::GcmContext fast(key, arm.fast);
+  const cr::GcmContext slow(key, arm.slow);
+  const auto corpus = make_corpus(rng, key, arm.payload_bytes, 8);
+  gc::Bytes buf(arm.payload_bytes + 16);
   volatile std::uint32_t sink = 0;
 
   const auto sealopen_ns = [&](const cr::GcmContext& ctx, int iters) {
@@ -403,19 +428,19 @@ BackendRatio run_backends(gc::Rng& rng, const cr::AesKey& key, bool smoke) {
   };
 
   r.reps = smoke ? 9 : 21;
-  std::vector<double> so_hw, so_portable, so_ratio, crc_hw, crc_portable, crc_ratio;
+  std::vector<double> so_fast, so_slow, so_ratio, crc_fast, crc_slow, crc_ratio;
   for (int rep = 0; rep < r.reps; ++rep) {
-    so_hw.push_back(sealopen_ns(hw, 4000));
-    so_portable.push_back(sealopen_ns(portable, 200));
-    so_ratio.push_back(so_portable.back() / so_hw.back());
-    crc_hw.push_back(crc_ns(DpKernel::kAesPclmul, 20000));
-    crc_portable.push_back(crc_ns(DpKernel::kPortable, 4000));
-    crc_ratio.push_back(crc_portable.back() / crc_hw.back());
+    so_fast.push_back(sealopen_ns(fast, arm.sealopen_iters_fast));
+    so_slow.push_back(sealopen_ns(slow, arm.sealopen_iters_slow));
+    so_ratio.push_back(so_slow.back() / so_fast.back());
+    crc_fast.push_back(crc_ns(arm.fast, arm.crc_iters_fast));
+    crc_slow.push_back(crc_ns(arm.slow, arm.crc_iters_slow));
+    crc_ratio.push_back(crc_slow.back() / crc_fast.back());
   }
-  r.sealopen_hw = spread(so_hw);
-  r.sealopen_portable = spread(so_portable);
-  r.crc_hw = spread(crc_hw);
-  r.crc_portable = spread(crc_portable);
+  r.sealopen_fast = spread(so_fast);
+  r.sealopen_slow = spread(so_slow);
+  r.crc_fast = spread(crc_fast);
+  r.crc_slow = spread(crc_slow);
   r.sealopen_ratio = spread(so_ratio).median;
   r.crc_ratio = spread(crc_ratio).median;
   return r;
@@ -561,10 +586,10 @@ bool within_committed_sizes(const std::string& path, const std::vector<SizeResul
 }
 
 void write_json(const genio::bench::Args& args, const std::vector<SizeResult>& results,
-                const ShardedResult& sharded, const BackendRatio* backends,
+                const ShardedResult& sharded, const std::vector<BackendRatio>& ratios,
                 double speedup_1k, bool identity_ok, bool invariants_hold) {
   genio::bench::Json json(args.out, "dataplane", args.smoke);
-  json.field("round", 3).field("dataplane_kernel", kernel_name(cr::dispatched_dataplane_kernel()));
+  json.field("round", 4).field("dataplane_kernel", kernel_name(cr::dispatched_dataplane_kernel()));
   json.field("warmup", "~1/10 of timed iterations per section");
   json.array("sizes");
   for (const SizeResult& r : results) {
@@ -589,19 +614,24 @@ void write_json(const genio::bench::Args& args, const std::vector<SizeResult>& r
     json.object().field("workers", workers).field("modeled_MBps", mbps, 2).close();
   }
   json.close().close();
-  if (backends != nullptr) {
-    const BackendRatio& b = *backends;
-    json.object("backends").field("payload_bytes", b.payload_bytes).field("reps", b.reps);
+  for (const BackendArm& arm : kArms) {
+    const auto ran = std::find_if(ratios.begin(), ratios.end(),
+                                  [&](const BackendRatio& r) { return r.arm == &arm; });
+    if (ran == ratios.end()) {
+      json.null(arm.name);
+      continue;
+    }
+    const BackendRatio& b = *ran;
+    const char* fast = kernel_name(arm.fast);
+    const char* slow = kernel_name(arm.slow);
+    json.object(arm.name).field("payload_bytes", arm.payload_bytes).field("reps", b.reps);
     json.object("sealopen_ns")
-        .field("aes_pclmul", b.sealopen_hw, 1).field("portable", b.sealopen_portable, 1).close();
-    json.object("crc_ns")
-        .field("aes_pclmul", b.crc_hw, 1).field("portable", b.crc_portable, 1).close();
+        .field(fast, b.sealopen_fast, 1).field(slow, b.sealopen_slow, 1).close();
+    json.object("crc_ns").field(fast, b.crc_fast, 1).field(slow, b.crc_slow, 1).close();
     json.field("sealopen_ratio", b.sealopen_ratio, 2)
-        .field("sealopen_ratio_floor", kSealOpenRatioFloor, 1).field("crc_ratio", b.crc_ratio, 2)
-        .field("crc_ratio_floor", kCrcRatioFloor, 1).field("ratio_floors_enforced", !kSanitized)
+        .field("sealopen_ratio_floor", arm.sealopen_floor, 1).field("crc_ratio", b.crc_ratio, 2)
+        .field("crc_ratio_floor", arm.crc_floor, 1).field("ratio_floors_enforced", !kSanitized)
         .close();
-  } else {
-    json.null("backends");
   }
   json.object("summary")
       .field("sealopen_speedup_at_1k", speedup_1k, 2).field("byte_identity", identity_ok)
@@ -619,21 +649,26 @@ int main(int argc, char** argv) {
   gc::Rng rng(0x90247);
   const cr::AesKey key = cr::make_aes_key(rng.bytes(16));
   const cr::GcmContext ctx(key);  // built once, as GponCipher holds it
-  const bool has_hw = cr::supports_dataplane_kernel(DpKernel::kAesPclmul);
-  std::vector<DpKernel> kernels = {DpKernel::kPortable};
-  if (has_hw) kernels.push_back(DpKernel::kAesPclmul);
+  std::vector<DpKernel> kernels;
+  for (const DpKernel kernel :
+       {DpKernel::kPortable, DpKernel::kAesPclmul, DpKernel::kVaesAvx512}) {
+    if (cr::supports_dataplane_kernel(kernel)) kernels.push_back(kernel);
+  }
   std::vector<cr::GcmContext> backends;
   for (const DpKernel kernel : kernels) backends.emplace_back(key, kernel);
 
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{64, 1024, 9000}
             : std::vector<std::size_t>{64, 256, 1024, 4096, 9000};
-  std::printf("=== data-plane crypto fast path (round 3): %zu payload sizes, "
+  std::printf("=== data-plane crypto fast path (round 4): %zu payload sizes, "
               "dispatched backend %s, %u hardware threads%s ===\n\n",
               sizes.size(), kernel_name(ctx.kernel()), hw, smoke ? " (smoke)" : "");
-  if (!has_hw) {
-    std::printf("note: this CPU has no AES-NI and PCLMULQDQ: the aes_pclmul identity and "
-                "ratio arms are skipped\n\n");
+  for (const BackendArm& arm : kArms) {
+    if (!cr::supports_dataplane_kernel(arm.fast)) {
+      std::printf("note: this CPU lacks the %s backend: its identity pass and the %s ratio "
+                  "arm are skipped\n\n",
+                  kernel_name(arm.fast), arm.name);
+    }
   }
 
   bool identity_ok = crc_lengths_identity(rng, kernels);
@@ -643,8 +678,12 @@ int main(int argc, char** argv) {
   }
   const ShardedResult sharded = run_sharded(rng, smoke);
   identity_ok = identity_ok && sharded.identity;
-  std::optional<BackendRatio> ratio;
-  if (has_hw) ratio = run_backends(rng, key, smoke);
+  std::vector<BackendRatio> ratios;
+  for (const BackendArm& arm : kArms) {
+    if (cr::supports_dataplane_kernel(arm.fast)) {
+      ratios.push_back(run_backends(rng, key, arm, smoke));
+    }
+  }
 
   gc::Table table({"payload B", "seal ref f/s", "seal fast f/s", "open ref f/s",
                    "open fast f/s", "fast seal MB/s", "crc speedup",
@@ -673,13 +712,14 @@ int main(int argc, char** argv) {
   }
   std::printf("seal+open speedup at 1 KB payloads: %.2fx (target >= 9x)\n",
               speedup_1k);
-  if (ratio) {
-    std::printf("1 KB aes_pclmul over portable, median of %d alternating repetitions: "
-                "seal+open %.0f ns vs %.0f ns = %.1fx (floor %.0fx), "
-                "crc %.0f ns vs %.0f ns = %.1fx (floor %.0fx)\n",
-                ratio->reps, ratio->sealopen_hw.median, ratio->sealopen_portable.median,
-                ratio->sealopen_ratio, kSealOpenRatioFloor, ratio->crc_hw.median,
-                ratio->crc_portable.median, ratio->crc_ratio, kCrcRatioFloor);
+  for (const BackendRatio& r : ratios) {
+    std::printf("%zu B %s over %s, median of %d alternating repetitions: "
+                "seal+open %.0f ns vs %.0f ns = %.1fx (floor %.1fx), "
+                "crc %.0f ns vs %.0f ns = %.1fx (floor %.1fx)\n",
+                r.arm->payload_bytes, kernel_name(r.arm->fast), kernel_name(r.arm->slow), r.reps,
+                r.sealopen_fast.median, r.sealopen_slow.median, r.sealopen_ratio,
+                r.arm->sealopen_floor, r.crc_fast.median, r.crc_slow.median, r.crc_ratio,
+                r.arm->crc_floor);
   }
   std::printf("\n");
 
@@ -690,10 +730,15 @@ int main(int argc, char** argv) {
                 "instrumentation distorts relative path costs\n");
   } else {
     gate.check(speedup_1k >= 9.0, "seal+open >= 9x reference at 1 KB payloads");
-    if (ratio) {
-      gate.check(ratio->sealopen_ratio >= kSealOpenRatioFloor,
-                 "aes_pclmul seal+open >= 8x portable at 1 KB payloads");
-      gate.check(ratio->crc_ratio >= kCrcRatioFloor, "aes_pclmul crc >= 4x portable at 1 KB");
+    for (const BackendRatio& r : ratios) {
+      const std::string over = std::string(kernel_name(r.arm->slow)) + " at " +
+                               std::to_string(r.arm->payload_bytes) + " B";
+      const std::string fast = kernel_name(r.arm->fast);
+      gate.check(r.sealopen_ratio >= r.arm->sealopen_floor,
+                 fast + " seal+open >= " + gc::format_double(r.arm->sealopen_floor, 1) + "x " +
+                     over);
+      gate.check(r.crc_ratio >= r.arm->crc_floor,
+                 fast + " crc >= " + gc::format_double(r.arm->crc_floor, 1) + "x " + over);
     }
     if (!args.baseline.empty()) {
       gate.check(within_committed_sizes(args.baseline, results),
@@ -701,7 +746,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  write_json(args, results, sharded, ratio ? &*ratio : nullptr, speedup_1k, identity_ok,
-             gate.ok());
+  write_json(args, results, sharded, ratios, speedup_1k, identity_ok, gate.ok());
   return gate.exit_code();
 }

@@ -230,7 +230,8 @@ class Json {
     field("hardware_concurrency", std::thread::hardware_concurrency());
     object("cpu").field("aes_pclmul", crypto::cpu::has_aes_pclmul());
     field("sha_ni", crypto::cpu::has_sha_ni());
-    field("avx512f", crypto::cpu::has_avx512f()).close();
+    field("avx512f", crypto::cpu::has_avx512f());
+    field("vaes_avx512", crypto::cpu::has_vaes_avx512()).close();
     object("build").field("optimized", kOptimized).field("sanitized", kSanitized).close();
   }
   ~Json() {

@@ -134,13 +134,90 @@ __attribute__((target("aes,sse4.1"))) void ctr_xor_aesni(
   }
   std::memcpy(data, tail, n);
 }
+
+// ------------------------------------------------------------ VAES CTR
+// Four counter blocks per ZMM register, N registers per pass. The counters
+// are held byte-reversed: reversing a block's 16 bytes puts its big-endian
+// counter (bytes 12..15) in dword 0 as a native integer, so one vpaddd
+// steps four blocks' counters mod 2^32, as inc32 does, and never carries
+// into the IV prefix. One vpshufb per register restores the byte order
+// before the rounds. Target-attributed functions rather than lambdas, as in
+// gcm.cpp.
+
+__attribute__((target("avx512f,avx512bw"))) inline __m512i reverse_block_bytes(__m512i x) {
+  const __m512i reverse =
+      _mm512_set_epi64(0x0001020304050607, 0x08090a0b0c0d0e0f, 0x0001020304050607,
+                       0x08090a0b0c0d0e0f, 0x0001020304050607, 0x08090a0b0c0d0e0f,
+                       0x0001020304050607, 0x08090a0b0c0d0e0f);
+  return _mm512_shuffle_epi8(x, reverse);
+}
+
+// The first `bytes` of a register's 64 (all of them from 64 up).
+inline __mmask64 byte_mask(std::size_t bytes) {
+  return bytes >= 64 ? ~__mmask64{0} : (__mmask64{1} << bytes) - 1;
+}
+
+// N registers of keystream XORed into the `n` <= 64*N bytes at `data`
+// through masked loads and stores, so nothing past `n` is read or written.
+// `ctr` is the byte-reversed counters of the first register; returns
+// those of the register after the last.
+template <int N>
+__attribute__((target("vaes,avx512f,avx512bw"))) inline __m512i vaes_ctr_blocks(
+    const __m512i* rk, __m512i ctr, std::uint8_t* data, std::size_t n) {
+  const __m512i four = _mm512_set_epi32(0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4);
+  __m512i b[N];
+#pragma GCC unroll 4
+  for (int i = 0; i < N; ++i) {
+    b[i] = _mm512_xor_si512(reverse_block_bytes(ctr), rk[0]);
+    ctr = _mm512_add_epi32(ctr, four);
+  }
+  for (int r = 1; r < 10; ++r) {
+#pragma GCC unroll 4
+    for (int i = 0; i < N; ++i) b[i] = _mm512_aesenc_epi128(b[i], rk[r]);
+  }
+#pragma GCC unroll 4
+  for (int i = 0; i < N; ++i) {
+    const std::size_t at = 64 * static_cast<std::size_t>(i);
+    const __mmask64 mask = byte_mask(n - at);
+    const __m512i x = _mm512_maskz_loadu_epi8(mask, data + at);
+    _mm512_mask_storeu_epi8(data + at, mask,
+                            _mm512_xor_si512(x, _mm512_aesenclast_epi128(b[i], rk[10])));
+  }
+  return ctr;
+}
+
+// VAES CTR: sixteen blocks per pass, then a tail of under 256 bytes on as
+// many masked registers as it needs.
+__attribute__((target("vaes,avx512f,avx512bw"))) void ctr_xor_vaes(
+    const std::array<std::array<std::uint8_t, 16>, 11>& round_keys, const AesBlock& iv,
+    std::uint8_t* data, std::size_t n) {
+  __m512i rk[11];
+  for (std::size_t r = 0; r < 11; ++r) {
+    rk[r] = _mm512_maskz_broadcast_i32x4(
+        0xffff, _mm_loadu_si128(reinterpret_cast<const __m128i*>(round_keys[r].data())));
+  }
+  // Lane i of the first register counts from the IV's counter plus i.
+  const __m512i lane_offsets = _mm512_set_epi32(0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0);
+  __m512i ctr = _mm512_add_epi32(
+      reverse_block_bytes(_mm512_maskz_broadcast_i32x4(
+          0xffff, _mm_loadu_si128(reinterpret_cast<const __m128i*>(iv.data())))),
+      lane_offsets);
+  for (; n >= 256; data += 256, n -= 256) ctr = vaes_ctr_blocks<4>(rk, ctr, data, 256);
+  switch ((n + 63) / 64) {
+    case 4: vaes_ctr_blocks<4>(rk, ctr, data, n); break;
+    case 3: vaes_ctr_blocks<3>(rk, ctr, data, n); break;
+    case 2: vaes_ctr_blocks<2>(rk, ctr, data, n); break;
+    case 1: vaes_ctr_blocks<1>(rk, ctr, data, n); break;
+    default: break;
+  }
+}
 #endif
 
 }  // namespace
 
 Aes128::Aes128(const AesKey& key, DataplaneKernel kernel) : kernel_(kernel) {
   if (!supports_dataplane_kernel(kernel)) {
-    throw std::invalid_argument("AES: this CPU has no AES-NI and PCLMULQDQ");
+    throw std::invalid_argument("AES: this CPU lacks the requested data-plane backend");
   }
   // Key expansion (AES-128: 11 round keys of 16 bytes).
   std::array<std::uint8_t, 176> w;
@@ -228,6 +305,10 @@ void Aes128::ctr_xor_in_place(const AesBlock& iv, std::span<std::uint8_t> data) 
 
 void Aes128::ctr_xor_wide(const AesBlock& iv, std::span<std::uint8_t> data) const {
 #if defined(__x86_64__)
+  if (kernel_ == DataplaneKernel::kVaesAvx512) {
+    ctr_xor_vaes(round_keys_, iv, data.data(), data.size());
+    return;
+  }
   if (kernel_ == DataplaneKernel::kAesPclmul) {
     ctr_xor_aesni(round_keys_, iv, data.data(), data.size());
     return;

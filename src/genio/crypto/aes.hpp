@@ -8,10 +8,10 @@
 // hold one instance per key and rebuild it only on rekey; the key-taking
 // free functions remain for one-shot use.
 //
-// `ctr_xor_wide` runs on the data-plane backend CPUID selects (AES-NI when
-// the CPU has it, else T-tables); `encrypt_block` and `ctr_xor_in_place`
-// stay byte-wise on every CPU, as the oracle the wide path is tested
-// against.
+// `ctr_xor_wide` runs on the data-plane backend CPUID selects (VAES or
+// AES-NI when the CPU has it, else T-tables); `encrypt_block` and
+// `ctr_xor_in_place` stay byte-wise on every CPU, as the oracle the wide
+// path is tested against.
 #pragma once
 
 #include <array>
@@ -51,8 +51,10 @@ class Aes128 {
   void ctr_xor_in_place(const AesBlock& iv, std::span<std::uint8_t> data) const;
 
   /// Wide AES-CTR on this instance's backend, byte-for-byte identical to
-  /// ctr_xor_in_place for every length. kAesPclmul keeps eight blocks of
-  /// aesenc rounds in flight; kPortable interleaves four blocks' rounds over
+  /// ctr_xor_in_place for every length. kVaesAvx512 runs sixteen blocks per
+  /// pass in four ZMM registers, and a tail on as many masked registers as
+  /// it needs; kAesPclmul keeps eight blocks of aesenc rounds in flight;
+  /// kPortable interleaves four blocks' rounds over
   /// T-tables and the round-key-major u32 schedule, and hands tails shorter
   /// than 64 bytes to the single-block path. One block of zeros through it
   /// is E_K(iv), which is how GcmContext gets H and E_K(J0) on its backend.

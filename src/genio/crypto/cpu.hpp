@@ -61,6 +61,24 @@ inline bool has_avx512f() {
 #endif
 }
 
+/// VAES (CPUID leaf 7 ECX bit 9) and VPCLMULQDQ (ECX bit 10) on ZMM
+/// registers, with AVX-512F (EBX bit 16) and the AVX-512BW (EBX bit 30)
+/// byte shuffles and masked byte loads and stores. Needs the XCR0 state
+/// has_avx512f checks and everything has_aes_pclmul checks, since the
+/// kernels finish on the XMM code.
+inline bool has_vaes_avx512() {
+#if defined(__x86_64__)
+  if (!has_aes_pclmul() || !has_avx512f()) return false;
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  constexpr unsigned kEbx = (1u << 16) | (1u << 30);
+  constexpr unsigned kEcx = (1u << 9) | (1u << 10);
+  return (ebx & kEbx) == kEbx && (ecx & kEcx) == kEcx;
+#else
+  return false;
+#endif
+}
+
 }  // namespace genio::crypto::cpu
 
 namespace genio::crypto {
@@ -69,21 +87,26 @@ namespace genio::crypto {
 /// GHASH (GcmContext) and CRC-32 (crc32_update). Every backend yields the
 /// same bytes. kPortable (T-table AES, Shoup-table GHASH, slicing-by-8
 /// CRC) runs anywhere and is the oracle; kAesPclmul runs on AES-NI and
-/// PCLMULQDQ.
-enum class DataplaneKernel { kPortable, kAesPclmul };
+/// PCLMULQDQ; kVaesAvx512 runs AES-CTR and GHASH sixteen blocks per pass
+/// in ZMM registers on VAES and VPCLMULQDQ, tails included, and folds the
+/// CRC 256 bytes per pass, leaving shorter inputs and the fold's last steps
+/// to kAesPclmul's code. Each backend needs everything the ones before it
+/// need.
+enum class DataplaneKernel { kPortable, kAesPclmul, kVaesAvx512 };
 
-/// kAesPclmul when CPUID reports it, else kPortable. Resolved on first call
-/// and shared by all three kernels.
+/// The last backend CPUID reports. Resolved on first call and shared by
+/// all three kernels.
 inline DataplaneKernel dispatched_dataplane_kernel() {
-  static const DataplaneKernel kernel =
-      cpu::has_aes_pclmul() ? DataplaneKernel::kAesPclmul : DataplaneKernel::kPortable;
+  static const DataplaneKernel kernel = cpu::has_vaes_avx512() ? DataplaneKernel::kVaesAvx512
+                                        : cpu::has_aes_pclmul() ? DataplaneKernel::kAesPclmul
+                                                                : DataplaneKernel::kPortable;
   return kernel;
 }
 
-/// Whether `kernel` can run on this CPU (kPortable always can).
+/// Whether `kernel` can run on this CPU: it is at or below the dispatched
+/// backend (kPortable always can).
 inline bool supports_dataplane_kernel(DataplaneKernel kernel) {
-  return kernel == DataplaneKernel::kPortable ||
-         dispatched_dataplane_kernel() == DataplaneKernel::kAesPclmul;
+  return kernel <= dispatched_dataplane_kernel();
 }
 
 }  // namespace genio::crypto

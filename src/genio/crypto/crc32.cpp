@@ -75,10 +75,14 @@ std::uint32_t crc32_slicing(std::uint32_t crc, const std::uint8_t* p, std::size_
 // Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), with the
 // bit-reflected constants for 0xEDB88320: each is x^k mod P for the
 // distance k a fold moves data, reflected into 33 bits.
-//   R1, R2  fold a 128-bit lane 512 bits forward (four-lane stride);
+//   K1, K2  fold a 128-bit lane 2048 bits forward (the 16-lane ZMM stride):
+//           x^2080 and x^2016 mod P;
+//   R1, R2  fold it 512 bits forward (four-lane stride);
 //   R3, R4  fold it 128 bits forward (lane into lane);
 //   R5      folds 64 bits down to 32 + 32;
 //   P', mu  the polynomial and its quotient for the Barrett reduction.
+constexpr std::uint64_t kK1 = 0x11542778a;
+constexpr std::uint64_t kK2 = 0x1322d1430;
 constexpr std::uint64_t kR1 = 0x154442bd4;
 constexpr std::uint64_t kR2 = 0x1c6e41596;
 constexpr std::uint64_t kR3 = 0x1751997d0;
@@ -97,6 +101,35 @@ __attribute__((target("pclmul"))) inline __m128i fold(__m128i x, __m128i k, __m1
   return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
                                      _mm_clmulepi64_si128(x, k, 0x11)),
                        next);
+}
+
+// The CRC state after four lanes of 64 consecutive bytes, x0 first, and
+// then `n` more bytes at `p` (a multiple of 16): the lanes fold into one,
+// which takes in the rest 16 bytes at a time and is reduced to 32 bits.
+// Always inlined, so the ZMM fold runs it VEX-encoded: a call into legacy
+// SSE code with the ZMM upper halves dirty pays a merge on every
+// instruction.
+__attribute__((target("pclmul,sse4.1"), always_inline)) inline std::uint32_t crc32_fold_finish(
+    __m128i x0, __m128i x1, __m128i x2, __m128i x3, const std::uint8_t* p, std::size_t n) {
+  const __m128i k34 = _mm_set_epi64x(static_cast<long long>(kR4), static_cast<long long>(kR3));
+  x0 = fold(x0, k34, x1);
+  x0 = fold(x0, k34, x2);
+  x0 = fold(x0, k34, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = fold(x0, k34, load128(p));
+
+  // 128 -> 64 bits: the low half times R4 into the high half.
+  const __m128i mask32 = _mm_setr_epi32(-1, 0, -1, 0);
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), _mm_clmulepi64_si128(x0, k34, 0x10));
+  // 64 -> 32 + 32 bits: the low 32 times R5 into the rest.
+  const __m128i k5 = _mm_set_epi64x(0, static_cast<long long>(kR5));
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), k5, 0x00));
+  // Barrett: q = (low 32 * mu) mod x^32, crc = (x ^ q * P) bits 32..63.
+  const __m128i poly = _mm_set_epi64x(static_cast<long long>(kPolyMu),
+                                      static_cast<long long>(kPolyP));
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), poly, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, mask32), poly, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, q), 1));
 }
 
 // CRC state after `n` bytes at `p`; n is a multiple of 16 and at least 64.
@@ -119,26 +152,45 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_fold(std::uint32_t 
     x2 = fold(x2, k12, load128(p + 32));
     x3 = fold(x3, k12, load128(p + 48));
   }
+  return crc32_fold_finish(x0, x1, x2, x3, p, n);
+}
 
-  const __m128i k34 = _mm_set_epi64x(static_cast<long long>(kR4), static_cast<long long>(kR3));
-  x0 = fold(x0, k34, x1);
-  x0 = fold(x0, k34, x2);
-  x0 = fold(x0, k34, x3);
-  for (; n >= 16; p += 16, n -= 16) x0 = fold(x0, k34, load128(p));
+// fold() on each of a ZMM register's four lanes (0x96: a three-way XOR).
+__attribute__((target("vpclmulqdq,avx512f"))) inline __m512i fold_z(__m512i x, __m512i k,
+                                                                    __m512i next) {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                   _mm512_clmulepi64_epi128(x, k, 0x11), next, 0x96);
+}
 
-  // 128 -> 64 bits: the low half times R4 into the high half.
-  const __m128i mask32 = _mm_setr_epi32(-1, 0, -1, 0);
-  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), _mm_clmulepi64_si128(x0, k34, 0x10));
-  // 64 -> 32 + 32 bits: the low 32 times R5 into the rest.
-  const __m128i k5 = _mm_set_epi64x(0, static_cast<long long>(kR5));
-  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
-                     _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), k5, 0x00));
-  // Barrett: q = (low 32 * mu) mod x^32, crc = (x ^ q * P) bits 32..63.
-  const __m128i poly = _mm_set_epi64x(static_cast<long long>(kPolyMu),
-                                      static_cast<long long>(kPolyP));
-  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), poly, 0x10);
-  q = _mm_clmulepi64_si128(_mm_and_si128(q, mask32), poly, 0x00);
-  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, q), 1));
+// crc32_fold on VPCLMULQDQ: four ZMM registers take in 256 bytes per pass
+// (K1, K2) and fold into one (R1, R2), which takes in the rest 64 bytes at
+// a time before its lanes go to crc32_fold_finish. n is a multiple of 16
+// and at least 256.
+__attribute__((target("vpclmulqdq,avx512f,pclmul,sse4.1"))) std::uint32_t crc32_fold_vpclmul(
+    std::uint32_t crc, const std::uint8_t* p, std::size_t n) {
+  __m512i x[4];
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) x[i] = _mm512_loadu_si512(p + 64 * i);
+  x[0] = _mm512_xor_si512(x[0], _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(crc))));
+  p += 256;
+  n -= 256;
+
+  const __m512i kk = _mm512_maskz_broadcast_i32x4(
+      0xffff, _mm_set_epi64x(static_cast<long long>(kK2), static_cast<long long>(kK1)));
+  for (; n >= 256; p += 256, n -= 256) {
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) x[i] = fold_z(x[i], kk, _mm512_loadu_si512(p + 64 * i));
+  }
+  const __m512i kr = _mm512_maskz_broadcast_i32x4(
+      0xffff, _mm_set_epi64x(static_cast<long long>(kR2), static_cast<long long>(kR1)));
+  __m512i acc = fold_z(x[0], kr, x[1]);
+  acc = fold_z(acc, kr, x[2]);
+  acc = fold_z(acc, kr, x[3]);
+  for (; n >= 64; p += 64, n -= 64) acc = fold_z(acc, kr, _mm512_loadu_si512(p));
+  return crc32_fold_finish(_mm512_maskz_extracti32x4_epi32(0xf, acc, 0),
+                           _mm512_maskz_extracti32x4_epi32(0xf, acc, 1),
+                           _mm512_maskz_extracti32x4_epi32(0xf, acc, 2),
+                           _mm512_maskz_extracti32x4_epi32(0xf, acc, 3), p, n);
 }
 #endif
 
@@ -148,14 +200,16 @@ std::uint32_t crc32_update(std::uint32_t state, common::BytesView data,
                            DataplaneKernel kernel) {
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
-  if (kernel == DataplaneKernel::kAesPclmul) {
+  if (kernel != DataplaneKernel::kPortable) {
     if (!supports_dataplane_kernel(kernel)) {
-      throw std::invalid_argument("CRC-32: this CPU has no PCLMULQDQ");
+      throw std::invalid_argument("CRC-32: this CPU lacks the requested data-plane backend");
     }
 #if defined(__x86_64__)
     if (n >= 64) {
       const std::size_t bulk = n & ~std::size_t{15};
-      state = crc32_fold(state, p, bulk);
+      state = kernel == DataplaneKernel::kVaesAvx512 && bulk >= 256
+                  ? crc32_fold_vpclmul(state, p, bulk)
+                  : crc32_fold(state, p, bulk);
       p += bulk;
       n -= bulk;
     }

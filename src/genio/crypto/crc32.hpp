@@ -3,7 +3,11 @@
 // scenarios demonstrate that CRC alone does NOT stop deliberate tampering,
 // which is exactly why MACsec (M3) is needed.
 //
-// Three implementations are compiled in:
+// Four implementations are compiled in:
+//   * crc32_update() on kVaesAvx512 — inputs of 256 bytes or more fold their
+//                         16-byte-multiple bulk with VPCLMULQDQ (four ZMM
+//                         accumulators over 256-byte strides), then finish
+//                         as kAesPclmul does; shorter inputs run kAesPclmul;
 //   * crc32_update() on kAesPclmul — inputs of 64 bytes or more fold their
 //                         16-byte-multiple bulk with PCLMULQDQ (four 128-bit
 //                         accumulators over 64-byte strides, then Barrett

@@ -1,5 +1,6 @@
 #include "genio/crypto/gcm.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <initializer_list>
 
@@ -317,24 +318,125 @@ __attribute__((target("pclmul,ssse3"))) __m128i ghash_clmul(__m128i y, const __m
   return reduce(w);
 }
 
-// H^2..H^4 from H, stored back in GCM byte order.
-__attribute__((target("pclmul,ssse3"))) void h_powers_clmul(std::array<AesBlock, 4>& h_pows) {
-  const __m128i h = load_reflected(h_pows[0].data());
+// H^2..H^count from H = h_pows.back(), stored highest first in GCM byte
+// order: h_pows[size - p] = H^p.
+__attribute__((target("pclmul,ssse3"))) void h_powers_clmul(std::span<AesBlock> h_pows,
+                                                            std::size_t count) {
+  const __m128i h = load_reflected(h_pows.back().data());
   __m128i hp = h;
-  for (std::size_t p = 1; p < 4; ++p) {
+  for (std::size_t p = 2; p <= count; ++p) {
     hp = gf_mult_clmul(hp, h);
-    store_reflected(h_pows[p].data(), hp);
+    store_reflected(h_pows[h_pows.size() - p].data(), hp);
   }
 }
 
 // GHASH over `parts` in turn, each zero-padded to whole blocks, with the
-// running hash kept in one register.
+// running hash kept in one register. `h_low` points at H^4, H^3, H^2, H.
 __attribute__((target("pclmul,ssse3"))) AesBlock ghash_parts_clmul(
-    const std::array<AesBlock, 4>& h_pows, std::initializer_list<BytesView> parts) {
+    const AesBlock* h_low, std::initializer_list<BytesView> parts) {
   __m128i h[4];
-  for (std::size_t p = 0; p < 4; ++p) h[p] = load_reflected(h_pows[p].data());
+  for (std::size_t p = 0; p < 4; ++p) h[p] = load_reflected(h_low[3 - p].data());
   __m128i y = _mm_setzero_si128();
   for (const BytesView part : parts) y = ghash_clmul(y, h, part.data(), part.size());
+  AesBlock out;
+  store_reflected(out.data(), y);
+  return out;
+}
+
+// -------------------------------------------------- VPCLMULQDQ GHASH
+// Sixteen blocks per reduction, four per ZMM register. A pass multiplies
+// block j by H^(16-j): with the powers stored highest first, register r's
+// powers are the four stored at 4r, and a k-block tail's are the four at
+// 16 - k + 4r. Each 128-bit lane is the XMM kernel's reflected block, so
+// the lanes' unreduced products XOR into one Wide and the XMM reduce()
+// finishes the pass.
+//
+// GCC 12 warns (-Wuninitialized, its bug 105593) inside the unmasked
+// _mm512_broadcast_i32x4, _mm512_extracti32x4_epi32,
+// _mm512_extracti64x4_epi64, _mm512_shuffle_i32x4 and
+// _mm512_castsi512_si128; their _mm512_maskz_* forms with a full mask are
+// the same instructions and compile clean.
+
+__attribute__((target("avx512f,avx512bw"))) inline __m512i reflect_lanes(__m512i x) {
+  const __m512i reverse =
+      _mm512_set_epi64(0x0001020304050607, 0x08090a0b0c0d0e0f, 0x0001020304050607,
+                       0x08090a0b0c0d0e0f, 0x0001020304050607, 0x08090a0b0c0d0e0f,
+                       0x0001020304050607, 0x08090a0b0c0d0e0f);
+  return _mm512_shuffle_epi8(x, reverse);
+}
+
+struct WideZ {
+  __m512i lo, mid, hi;
+};
+
+__attribute__((target("vpclmulqdq,avx512f"))) inline void clmul_acc_z(WideZ& acc, __m512i a,
+                                                                       __m512i b) {
+  acc.lo = _mm512_xor_si512(acc.lo, _mm512_clmulepi64_epi128(a, b, 0x00));
+  acc.hi = _mm512_xor_si512(acc.hi, _mm512_clmulepi64_epi128(a, b, 0x11));
+  acc.mid = _mm512_xor_si512(acc.mid, _mm512_clmulepi64_epi128(a, b, 0x01));
+  acc.mid = _mm512_xor_si512(acc.mid, _mm512_clmulepi64_epi128(a, b, 0x10));
+}
+
+// XOR of a register's four lanes.
+__attribute__((target("avx512f"))) inline __m128i xor_lanes(__m512i x) {
+  const __m256i half = _mm256_xor_si256(_mm512_maskz_extracti64x4_epi64(0xf, x, 0),
+                                        _mm512_maskz_extracti64x4_epi64(0xf, x, 1));
+  return _mm_xor_si128(_mm256_extracti128_si256(half, 0), _mm256_extracti128_si256(half, 1));
+}
+
+// The lanes' products summed into one unreduced XMM product.
+__attribute__((target("avx512f"))) inline Wide sum_lanes(const WideZ& w) {
+  return {xor_lanes(w.lo), xor_lanes(w.mid), xor_lanes(w.hi)};
+}
+
+// The first `bytes` of a register's 64 (all of them from 64 up).
+inline __mmask64 byte_mask(std::size_t bytes) {
+  return bytes >= 64 ? ~__mmask64{0} : (__mmask64{1} << bytes) - 1;
+}
+
+// y absorbs `n` bytes at `p`, zero-padded to whole blocks, sixteen blocks
+// per reduction; a last group of k < 16 blocks folds against H^k..H^1
+// through masked loads, which read nothing past `n` or past H.
+__attribute__((target("vpclmulqdq,avx512f,avx512bw,pclmul,ssse3"))) __m128i ghash_vpclmul(
+    __m128i y, const AesBlock* h_desc, const std::uint8_t* p, std::size_t n) {
+  if (n >= 256) {
+    __m512i h[4];
+    for (int r = 0; r < 4; ++r) {
+      h[r] = reflect_lanes(_mm512_loadu_si512(h_desc[4 * r].data()));
+    }
+    // (y ^ B0) * H^16 = y * H^16 ^ B0 * H^16: the sixteen block products
+    // and their lane sum do not wait for y, and only one XMM multiply and
+    // the reduction stand between one pass's y and the next.
+    const __m128i h16 = load_reflected(h_desc[0].data());
+    for (; n >= 256; p += 256, n -= 256) {
+      WideZ w = {_mm512_setzero_si512(), _mm512_setzero_si512(), _mm512_setzero_si512()};
+      clmul_acc_z(w, reflect_lanes(_mm512_loadu_si512(p)), h[0]);
+      clmul_acc_z(w, reflect_lanes(_mm512_loadu_si512(p + 64)), h[1]);
+      clmul_acc_z(w, reflect_lanes(_mm512_loadu_si512(p + 128)), h[2]);
+      clmul_acc_z(w, reflect_lanes(_mm512_loadu_si512(p + 192)), h[3]);
+      Wide sum = sum_lanes(w);
+      clmul_acc(sum, y, h16);
+      y = reduce(sum);
+    }
+  }
+  if (n == 0) return y;
+  const std::size_t blocks = (n + 15) / 16;
+  const AesBlock* h_tail = h_desc + (16 - blocks);
+  WideZ w = {_mm512_setzero_si512(), _mm512_setzero_si512(), _mm512_setzero_si512()};
+  for (std::size_t r = 0; 4 * r < blocks; ++r) {
+    const std::size_t lanes = std::min<std::size_t>(4, blocks - 4 * r);
+    const auto lane_mask = static_cast<__mmask8>((1u << (2 * lanes)) - 1);
+    __m512i d = reflect_lanes(_mm512_maskz_loadu_epi8(byte_mask(n - 64 * r), p + 64 * r));
+    if (r == 0) d = _mm512_xor_si512(d, _mm512_maskz_broadcast_i32x4(0x000f, y));
+    clmul_acc_z(w, d, reflect_lanes(_mm512_maskz_loadu_epi64(lane_mask, h_tail[4 * r].data())));
+  }
+  return reduce(sum_lanes(w));
+}
+
+__attribute__((target("vpclmulqdq,avx512f,avx512bw,pclmul,ssse3"))) AesBlock ghash_parts_vpclmul(
+    const AesBlock* h_desc, std::initializer_list<BytesView> parts) {
+  __m128i y = _mm_setzero_si128();
+  for (const BytesView part : parts) y = ghash_vpclmul(y, h_desc, part.data(), part.size());
   AesBlock out;
   store_reflected(out.data(), y);
   return out;
@@ -364,19 +466,20 @@ Result<Bytes> gcm_open(const AesKey& key, const GcmNonce& nonce, BytesView ciphe
 // ----------------------------------------------------------- GcmContext
 
 GcmContext::GcmContext(const AesKey& key, DataplaneKernel kernel) : cipher_(key, kernel) {
-  cipher_.ctr_xor_wide(AesBlock{}, h_pows_[0]);  // H = E_K(0^128)
+  cipher_.ctr_xor_wide(AesBlock{}, h_pows_.back());  // H = E_K(0^128)
 #if defined(__x86_64__)
-  if (kernel == DataplaneKernel::kAesPclmul) {
-    h_powers_clmul(h_pows_);
+  if (kernel != DataplaneKernel::kPortable) {
+    h_powers_clmul(h_pows_, static_cast<std::size_t>(h_powers()));
     return;
   }
 #endif
   auto tables = std::make_shared<GhashTables>();
-  build_shoup_table(h_pows_[0], tables->hi[0], tables->lo[0]);
+  build_shoup_table(h(), tables->hi[0], tables->lo[0]);
   // Higher powers chain through the H^1 table: H^p = H^(p-1) * H.
-  for (std::size_t p = 1; p < 4; ++p) {
-    h_pows_[p] = shoup_mult(*tables, 1, h_pows_[p - 1]);
-    build_shoup_table(h_pows_[p], tables->hi[p], tables->lo[p]);
+  for (int p = 2; p <= 4; ++p) {
+    const auto t = static_cast<std::size_t>(p - 1);
+    h_pows_[static_cast<std::size_t>(kMaxHPowers - p)] = shoup_mult(*tables, 1, h_pow(p - 1));
+    build_shoup_table(h_pow(p), tables->hi[t], tables->lo[t]);
   }
   tables_ = std::move(tables);
 }
@@ -385,7 +488,8 @@ AesBlock GcmContext::ghash(BytesView data) const { return ghash_parts({data}); }
 
 AesBlock GcmContext::ghash_parts(std::initializer_list<BytesView> parts) const {
 #if defined(__x86_64__)
-  if (kernel() == DataplaneKernel::kAesPclmul) return ghash_parts_clmul(h_pows_, parts);
+  if (kernel() == DataplaneKernel::kVaesAvx512) return ghash_parts_vpclmul(h_pows_.data(), parts);
+  if (kernel() == DataplaneKernel::kAesPclmul) return ghash_parts_clmul(&h_pow(4), parts);
 #endif
   AesBlock y{};
   for (const BytesView part : parts) ghash_fold_shoup(*tables_, y, part);

@@ -6,16 +6,18 @@
 // bitwise GHASH oracle (the free `ghash()` function) that tests and the
 // data-plane bench pin it against:
 //   * GcmContext — the data-plane path: construction expands the AES round
-//     keys and the hash-subkey powers H^1..H^4 once, so GHASH folds four
-//     blocks per reduction (four independent products instead of one
-//     serial multiply per block); seal/open operate in place on the
-//     caller's buffer. It runs on the backend CPUID selects (DataplaneKernel
-//     in cpu.hpp). On kAesPclmul the CTR keystream, H and E_K(J0) come from
-//     AES-NI and each multiply is four PCLMULQDQs, so the context is round
-//     keys and H powers, under 512 bytes. On kPortable the keystream runs
-//     through the 4-wide T-table path and each power gets an 8-bit Shoup
-//     table (16 KB in all), built at construction and held behind a
-//     shared pointer, so copies of a context share them.
+//     keys and the hash-subkey powers once, so GHASH folds several blocks
+//     per reduction (independent products instead of one serial multiply
+//     per block); seal/open operate in place on the caller's buffer. It
+//     runs on the backend CPUID selects (DataplaneKernel in cpu.hpp).
+//     kVaesAvx512 folds sixteen blocks per reduction against H^16..H^1 in
+//     ZMM registers; kAesPclmul and kPortable fold four against H^4..H^1.
+//     On both hardware backends the CTR keystream, H and E_K(J0) come from
+//     the backend's AES and each multiply is carry-less, so the context is
+//     round keys and H powers, 632 bytes. On kPortable the keystream runs
+//     through the 4-wide T-table path and each of the four powers gets an
+//     8-bit Shoup table (16 KB in all), built at construction and held
+//     behind a shared pointer, so copies of a context share them.
 //   * gcm_seal/gcm_open free functions construct a stack GcmContext —
 //     same bytes as always (pinned by NIST vectors and the bitwise GHASH
 //     oracle), but no longer a duplicated CTR/GHASH implementation.
@@ -66,8 +68,9 @@ AesBlock ghash(const AesBlock& h, BytesView data);
 struct GhashTables;
 
 /// Precomputed per-key GCM state: AES round keys and the hash-subkey powers
-/// H^1..H^4 (plus their Shoup tables on the portable backend). Build once
-/// per key, rebuild only on rekey, share read-only thereafter.
+/// its backend folds with (plus their Shoup tables on the portable
+/// backend). Build once per key, rebuild only on rekey, share read-only
+/// thereafter.
 class GcmContext {
  public:
   /// `kernel` lets tests run the backends side by side. Throws
@@ -96,12 +99,15 @@ class GcmContext {
   AesBlock ghash(BytesView data) const;
 
   /// The hash subkey H = E_K(0^128) (for tests).
-  const AesBlock& h() const { return h_pows_[0]; }
+  const AesBlock& h() const { return h_pow(1); }
 
-  /// H^power for power in 1..4, in GCM byte order on every backend (for
-  /// tests pinning the aggregation powers).
+  /// How many powers of H this context holds: 16 on kVaesAvx512, else 4.
+  int h_powers() const { return kernel() == DataplaneKernel::kVaesAvx512 ? 16 : 4; }
+
+  /// H^power for power in 1..h_powers(), in GCM byte order on every backend
+  /// (for tests pinning the aggregation powers).
   const AesBlock& h_pow(int power) const {
-    return h_pows_[static_cast<std::size_t>(power - 1)];
+    return h_pows_[static_cast<std::size_t>(kMaxHPowers - power)];
   }
 
   /// The underlying cached-schedule cipher (CTR reuse, tests).
@@ -115,12 +121,15 @@ class GcmContext {
   AesBlock ghash_parts(std::initializer_list<BytesView> parts) const;
   GcmTag compute_tag(const AesBlock& j0, BytesView aad, BytesView ciphertext) const;
 
+  static constexpr int kMaxHPowers = 16;
+
   Aes128 cipher_;
-  // h_pows_[p-1] = H^p; H^1 is the classic subkey, H^2..H^4 feed the
-  // aggregated fold (four independent products, one reduction per
-  // 4-block group).
-  std::array<AesBlock, 4> h_pows_{};
-  // Null on kAesPclmul, which multiplies with PCLMULQDQ instead.
+  // h_pows_[16 - p] = H^p, highest power first: the order in which a
+  // 16-block fold multiplies its blocks, so the ZMM kernel loads a pass's
+  // powers straight, and a k-block tail's as the last k entries. Only the
+  // last h_powers() entries are built.
+  std::array<AesBlock, kMaxHPowers> h_pows_{};
+  // Null on the hardware backends, which multiply carry-lessly instead.
   std::shared_ptr<const GhashTables> tables_;
 };
 

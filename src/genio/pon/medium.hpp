@@ -98,8 +98,9 @@ class Odn {
   /// Returns the frame to deliver: the original by reference on the clean
   /// path (no copy), or `scratch` filled with a corrupted copy under an
   /// active bit-error burst (taps observe the corrupted wire view too).
-  /// Corruption flips a payload bit, so the frame's FCS — computed with
-  /// the slicing-by-8 CRC — no longer matches and receivers detect it.
+  /// Corruption flips a payload bit, so the frame's FCS — crc32 on the
+  /// dispatched data-plane backend — no longer matches and receivers
+  /// detect it.
   const GemFrame& transit(const GemFrame& frame, GemFrame& scratch);
 
   common::SimTime propagation_;

@@ -108,6 +108,18 @@ void Olt::handle_control(const GemFrame& frame) {
         // impersonation; deactivate the claimant and re-run activation.
         emit("pon.security.duplicate_serial", {{"serial", serial}});
       }
+      // IDs go out in order from 1 and no record is ever removed, so every
+      // ID below next_onu_id_ is taken and the space is full once it
+      // reaches the broadcast ID: stopping there, rather than wrapping,
+      // never hands out 1023 and never overwrites a live record.
+      if (next_onu_id_ >= kBroadcastOnuId) {
+        if (logger_) {
+          logger_->warn("pon.olt." + id_, "rejected serial '" + serial +
+                                              "' in discovery: every ONU-ID is taken");
+        }
+        emit("pon.security.onu_id_exhausted", {{"serial", serial}});
+        return;
+      }
       const std::uint16_t onu_id = next_onu_id_++;
       OnuRecord record;
       record.serial = serial;

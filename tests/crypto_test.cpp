@@ -1089,17 +1089,25 @@ namespace {
 using DpKernel = cr::DataplaneKernel;
 
 const char* dp_kernel_name(const testing::TestParamInfo<DpKernel>& info) {
-  return info.param == DpKernel::kPortable ? "Portable" : "AesPclmul";
+  switch (info.param) {
+    case DpKernel::kPortable: return "Portable";
+    case DpKernel::kAesPclmul: return "AesPclmul";
+    case DpKernel::kVaesAvx512: return "VaesAvx512";
+  }
+  return "Unknown";
 }
 
+const auto kDpKernels =
+    testing::Values(DpKernel::kPortable, DpKernel::kAesPclmul, DpKernel::kVaesAvx512);
+
 // Runs each test once per data-plane backend, straight through the
-// kernel-taking constructors; the AES-NI/PCLMULQDQ run skips on CPUs
-// without them.
+// kernel-taking constructors; a hardware backend's run skips on CPUs
+// without it.
 class DataplaneKernels : public testing::TestWithParam<DpKernel> {
  protected:
   void SetUp() override {
     if (!cr::supports_dataplane_kernel(GetParam())) {
-      GTEST_SKIP() << "CPU has no AES-NI and PCLMULQDQ";
+      GTEST_SKIP() << "CPU lacks this data-plane backend";
     }
   }
 };
@@ -1148,71 +1156,92 @@ cr::GcmSealed bitwise_seal(const cr::AesKey& key, const cr::GcmNonce& nonce,
 
 }  // namespace
 
-TEST(DataplaneKernel, DispatchPicksAesPclmulWhenCpuidReportsIt) {
+TEST(DataplaneKernel, DispatchPicksTheLastBackendCpuidReports) {
 #if defined(__x86_64__)
-  const bool cpu_has = __builtin_cpu_supports("aes") && __builtin_cpu_supports("pclmul") &&
-                       __builtin_cpu_supports("ssse3") && __builtin_cpu_supports("sse4.1");
+  const bool has_aes_pclmul = __builtin_cpu_supports("aes") && __builtin_cpu_supports("pclmul") &&
+                              __builtin_cpu_supports("ssse3") && __builtin_cpu_supports("sse4.1");
+  const bool has_vaes = has_aes_pclmul && __builtin_cpu_supports("vaes") &&
+                        __builtin_cpu_supports("vpclmulqdq") &&
+                        __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
 #else
-  const bool cpu_has = false;
+  const bool has_aes_pclmul = false;
+  const bool has_vaes = false;
 #endif
-  EXPECT_EQ(cr::dispatched_dataplane_kernel(),
-            cpu_has ? DpKernel::kAesPclmul : DpKernel::kPortable);
-  EXPECT_EQ(cr::supports_dataplane_kernel(DpKernel::kAesPclmul), cpu_has);
+  EXPECT_EQ(cr::dispatched_dataplane_kernel(), has_vaes         ? DpKernel::kVaesAvx512
+                                               : has_aes_pclmul ? DpKernel::kAesPclmul
+                                                                : DpKernel::kPortable);
+  EXPECT_EQ(cr::supports_dataplane_kernel(DpKernel::kVaesAvx512), has_vaes);
+  EXPECT_EQ(cr::supports_dataplane_kernel(DpKernel::kAesPclmul), has_aes_pclmul);
   EXPECT_TRUE(cr::supports_dataplane_kernel(DpKernel::kPortable));
   const auto key = cr::make_aes_key(gc::Bytes(16, 1));
   EXPECT_EQ(cr::Aes128(key).kernel(), cr::dispatched_dataplane_kernel());
   EXPECT_EQ(cr::GcmContext(key).kernel(), cr::dispatched_dataplane_kernel());
-  if (!cpu_has) {
-    EXPECT_THROW(cr::Aes128(key, DpKernel::kAesPclmul), std::invalid_argument);
-    EXPECT_THROW(cr::GcmContext(key, DpKernel::kAesPclmul), std::invalid_argument);
-    EXPECT_THROW(cr::crc32_update(cr::crc32_init(), {}, DpKernel::kAesPclmul),
-                 std::invalid_argument);
+  for (const DpKernel kernel : {DpKernel::kAesPclmul, DpKernel::kVaesAvx512}) {
+    if (cr::supports_dataplane_kernel(kernel)) continue;
+    EXPECT_THROW(cr::Aes128(key, kernel), std::invalid_argument);
+    EXPECT_THROW(cr::GcmContext(key, kernel), std::invalid_argument);
+    EXPECT_THROW(cr::crc32_update(cr::crc32_init(), {}, kernel), std::invalid_argument);
   }
 }
 
 TEST_P(AesKernels, CtrWideMatchesSingleBlockPath) {
+  // Lengths 0..1100 run every tail behind one to four 256-byte passes;
+  // 4096 and 9000 run many. CTR over a prefix is the prefix of the
+  // keystream, so one single-block keystream per IV is the oracle for
+  // every length, at each start offset into the buffer.
   const auto key = cr::make_aes_key(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
   const cr::Aes128 cipher(key, GetParam());
   const cr::Aes128 oracle(key, DpKernel::kPortable);
   gc::Rng rng(7101);
-  for (std::size_t len = 0; len < 160; ++len) {
+  std::vector<std::size_t> lengths(1101);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.insert(lengths.end(), {4096, 9000});
+  const gc::Bytes data = rng.bytes(9000 + 16);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
     cr::AesBlock iv{};
     for (auto& b : iv) b = static_cast<std::uint8_t>(rng.index(256));
-    const gc::Bytes data = rng.bytes(len);
-    gc::Bytes wide = data;
-    gc::Bytes narrow = data;
-    cipher.ctr_xor_wide(iv, wide);
-    oracle.ctr_xor_in_place(iv, narrow);
-    ASSERT_EQ(wide, narrow) << "len=" << len;
+    gc::Bytes expect = data;
+    oracle.ctr_xor_in_place(iv, std::span<std::uint8_t>(expect.data() + offset, 9000));
+    gc::Bytes buf;
+    for (const std::size_t len : lengths) {
+      buf = data;
+      cipher.ctr_xor_wide(iv, std::span<std::uint8_t>(buf.data() + offset, len));
+      const auto end = static_cast<std::ptrdiff_t>(offset + len);
+      // The keystream over [offset, end), and nothing past the end touched.
+      ASSERT_TRUE(std::equal(buf.begin(), buf.begin() + end, expect.begin()))
+          << "offset=" << offset << " len=" << len;
+      ASSERT_TRUE(std::equal(buf.begin() + end, buf.end(), data.begin() + end))
+          << "offset=" << offset << " len=" << len;
+    }
   }
 }
 
 TEST_P(AesKernels, CtrWideWrapsTheCounterMod2To32) {
-  // Counters from 0xfffffff0 to 0xfffffffe: every block group and tail
-  // position meets the wrap, which leaves bytes 0..11 alone.
+  // Counters from 0xfffffff0 to 0xffffffff: every block group, tail
+  // position and, from 512 bytes, every lane of a 16-block pass meets the
+  // wrap, which leaves bytes 0..11 alone.
   const auto key = cr::make_aes_key(gc::Bytes(16, 0x3c));
   const cr::Aes128 cipher(key, GetParam());
   const cr::Aes128 oracle(key, DpKernel::kPortable);
   gc::Rng rng(7102);
-  for (std::uint8_t start = 0xf0; start <= 0xfe; ++start) {
+  for (unsigned start = 0xf0; start <= 0xff; ++start) {
     cr::AesBlock iv{};
     iv[11] = 0x7f;
     iv[12] = iv[13] = iv[14] = 0xff;
-    iv[15] = start;
-    for (const std::size_t len : {16u, 64u, 127u, 128u, 200u, 16u * 20 + 3}) {
+    iv[15] = static_cast<std::uint8_t>(start);
+    for (const std::size_t len :
+         {16u, 64u, 127u, 128u, 200u, 16u * 20 + 3, 512u, 16u * 40 + 5, 1024u, 16u * 70 + 9}) {
       const gc::Bytes data = rng.bytes(len);
       gc::Bytes wide = data;
       gc::Bytes narrow = data;
       cipher.ctr_xor_wide(iv, wide);
       oracle.ctr_xor_in_place(iv, narrow);
-      ASSERT_EQ(wide, narrow) << "start=" << int{start} << " len=" << len;
+      ASSERT_EQ(wide, narrow) << "start=" << start << " len=" << len;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Cpu, AesKernels,
-                         testing::Values(DpKernel::kPortable, DpKernel::kAesPclmul),
-                         dp_kernel_name);
+INSTANTIATE_TEST_SUITE_P(Cpu, AesKernels, kDpKernels, dp_kernel_name);
 
 TEST_P(GcmKernels, NistVectors) {
   struct Case {
@@ -1266,9 +1295,9 @@ TEST_P(GcmKernels, SealAndOpenMatchBitwiseOracle) {
   const auto key = cr::make_aes_key(from_hex("000102030405060708090a0b0c0d0e0f"));
   const cr::GcmContext ctx(key, GetParam());
   gc::Rng rng(7103);
-  std::vector<std::size_t> lengths(301);
+  std::vector<std::size_t> lengths(1101);
   std::iota(lengths.begin(), lengths.end(), std::size_t{0});
-  lengths.insert(lengths.end(), {576, 1500, 9000});
+  lengths.insert(lengths.end(), {1500, 4096, 9000});
   for (const std::size_t aad_len : {9u, 23u}) {
     const gc::Bytes aad = rng.bytes(aad_len);
     for (const std::size_t len : lengths) {
@@ -1334,16 +1363,15 @@ TEST_P(GcmKernels, HPowersMatchBitwiseSquaring) {
   const auto key = cr::make_aes_key(from_hex("feffe9928665731c6d6a8f9467308308"));
   const cr::GcmContext ctx(key, GetParam());
   EXPECT_EQ(ctx.h(), cr::Aes128(key, DpKernel::kPortable).encrypt_block(cr::AesBlock{}));
-  for (int p = 1; p < 4; ++p) {
+  EXPECT_EQ(ctx.h_powers(), GetParam() == DpKernel::kVaesAvx512 ? 16 : 4);
+  for (int p = 1; p < ctx.h_powers(); ++p) {
     const cr::AesBlock& hp = ctx.h_pow(p);
     EXPECT_EQ(ctx.h_pow(p + 1), cr::ghash(ctx.h(), gc::BytesView(hp.data(), hp.size())))
         << "power=" << p + 1;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Cpu, GcmKernels,
-                         testing::Values(DpKernel::kPortable, DpKernel::kAesPclmul),
-                         dp_kernel_name);
+INSTANTIATE_TEST_SUITE_P(Cpu, GcmKernels, kDpKernels, dp_kernel_name);
 
 TEST_P(Crc32Kernels, MatchesReferenceAtEveryLengthAndOffset) {
   gc::Rng rng(7106);
@@ -1372,6 +1400,4 @@ TEST_P(Crc32Kernels, StreamingSplitsMatchReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Cpu, Crc32Kernels,
-                         testing::Values(DpKernel::kPortable, DpKernel::kAesPclmul),
-                         dp_kernel_name);
+INSTANTIATE_TEST_SUITE_P(Cpu, Crc32Kernels, kDpKernels, dp_kernel_name);

@@ -442,6 +442,41 @@ TEST(Activation, ForgedOnuIdAssignmentIsDropped) {
   EXPECT_EQ(onu->onu_id(), 5);
 }
 
+// A replayed sn_response for an allowlisted serial gets a fresh ONU-ID
+// each time. Once [1, 1022] is used up the OLT rejects it: it neither
+// hands out the broadcast ID nor wraps round onto the live ONU's record.
+TEST(Activation, ReplayedSerialResponsesCannotExhaustOrWrapOnuIds) {
+  PonFixture f;
+  auto olt = f.make_olt({.enforce_serial_allowlist = true});
+  (void)olt->register_serial("GNIO0001");
+  (void)olt->register_serial("GNIO0002");
+  auto onu = f.make_onu("GNIO0001");
+  olt->start_discovery();
+  ASSERT_EQ(onu->state(), pon::OnuState::kOperational);
+  ASSERT_EQ(olt->onu_id_for("GNIO0001"), std::optional<std::uint16_t>(1));
+
+  std::size_t exhausted = 0;
+  f.bus.subscribe("pon.security.onu_id_exhausted", [&](const gc::Event&) { ++exhausted; });
+  pon::ControlMessage response;
+  response.type = pon::ControlType::kSerialNumberResponse;
+  response.fields = {{"serial", "GNIO0002"}};
+  pon::GemFrame replay;
+  replay.port_id = pon::kControlPort;
+  replay.payload = response.encode();
+  replay.seal_fcs();
+  for (int i = 0; i < 70000; ++i) f.odn.upstream(replay);
+
+  const auto& records = olt->onus();
+  EXPECT_EQ(records.size(), 1022u);
+  EXPECT_EQ(records.begin()->first, 1);
+  EXPECT_EQ(records.rbegin()->first, pon::kBroadcastOnuId - 1);
+  EXPECT_EQ(records.at(1).serial, "GNIO0001");
+  EXPECT_TRUE(records.at(1).ranged);
+  EXPECT_EQ(exhausted, 70000u - 1021u);
+  EXPECT_EQ(onu->state(), pon::OnuState::kOperational);
+  EXPECT_EQ(onu->onu_id(), 1);
+}
+
 TEST(Activation, UnknownSerialRejectedByAllowlist) {
   PonFixture f;
   auto olt = f.make_olt({.enforce_serial_allowlist = true});
