@@ -2,10 +2,15 @@
 // carrier-scale PON fabric built on it.
 //   scheduler  raw EventQueue drain: a seeded mixed workload (near-term
 //              events, far-future events, cancellations, zero-delay
-//              self-reschedules) measured as events/sec. The executed
-//              (timestamp, index) trace is FNV-digested and must equal the
-//              digest recorded when a calendar-queue backend still
-//              cross-checked the heap.
+//              self-reschedules), run on EventQueue and on two compiled-in
+//              reference queues (a textbook binary heap and a
+//              std::multimap) taking turns batch by batch in one process.
+//              EventQueue's speed relative to the heap reference is gated,
+//              so the floor does not move with the host's speed; the
+//              multimap ratio is reported. All three executed (timestamp,
+//              index) traces are FNV-digested and must equal the digest
+//              recorded when a calendar-queue backend still cross-checked
+//              the heap.
 //   carrier    the headline scale point: 100 OLT sites x 100 ONUs = 10k
 //              subscribers with per-ONU Poisson generators and per-site
 //              125 us DBA cycles, all events on one queue. Measures
@@ -22,32 +27,36 @@
 //              measured leaves); a real work-stealing pool run must
 //              reproduce the serial runs' delivery digests.
 // Invariants (exit nonzero if any breaks):
-//   * scheduler trace digest == the recorded digest;
+//   * all three scheduler trace digests == the recorded digest;
 //   * identity arm: delivered digest and count == the recorded ones;
 //   * sharded arm: pool-run digests == serial-run digests;
 //   * carrier arm covers >= 100 OLTs and >= 10,000 ONUs;
 // and on uninstrumented builds (bench_util.hpp's kSanitized) additionally:
+//   * EventQueue drains the scheduler workload >= kQueueOverHeapReference
+//     times as fast as the heap reference (median over passes);
 //   * carrier drain >= 100k events/sec;
 //   * modeled footprint <= 2 KB per ONU (~0.8 KB measured: a 656-byte
 //     Onu plus its arena share; the 16.8 KB GCM context sits out of line
 //     and only ONUs with an active session key allocate one, so inlining
 //     it again fails here); arena reuse ratio >= 0.5;
-//   * with --baseline PATH, heap_eps and carrier_eps >= 0.8x the
-//     committed numbers (the >20%-regression CI gate).
-// Each timed section warms up with ~1/10 of its timed work first, and the
-// two baseline-gated numbers (heap_eps, carrier_eps) are best-of-N
-// (5 scheduler passes, 3 carrier segments) — host interference only ever
-// slows a run down, so the max over repeats is the jitter-stable estimator
-// the 0.8x gate compares. Writes
+//   * with --baseline PATH, carrier_eps >= 0.8x the committed number (the
+//     >20%-regression CI gate).
+// Each timed section warms up with ~1/10 of its timed work first.
+// carrier_eps is best-of-3 segments — host interference only ever slows a
+// run down, so the max over repeats is the jitter-stable estimator the
+// 0.8x gate compares; heap_eps (EventQueue's best pass) is informational.
+// Writes
 // BENCH_des.json (or --out PATH); `--smoke` shrinks event counts and sim
 // horizons for CI.
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <string>
 #include <thread>
-#include <tuple>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -69,6 +78,8 @@ namespace {
 using genio::bench::Clock;
 using genio::bench::kSanitized;
 using genio::bench::seconds_since;
+using genio::bench::Spread;
+using genio::bench::spread;
 
 std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
@@ -84,72 +95,258 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
 constexpr std::uint64_t kSmokeTraceDigest = 0x75bbdd280a804ff8ull;
 constexpr std::uint64_t kFullTraceDigest = 0x1d38d61508a9e919ull;
 
+// EventQueue must drain the scheduler workload at least this many times as
+// fast as HeapReference. On a 4-vCPU Xeon (GCC 12, -O2 -g) it reads
+// 0.95-0.98x in smoke runs. The sift is about half of EventQueue's time,
+// and a copy with a 25 % slower sift read 0.84-0.88x.
+constexpr double kQueueOverHeapReference = 0.92;
+
+// Two compiled-in yardsticks for EventQueue, each with its
+// schedule/cancel/drain contract and its lazy cancellation: cancel() only
+// forgets the seq, and the record is dropped when it reaches the front.
+//   HeapReference      the textbook binary heap on (time, seq) that
+//                      EventQueue implements. It has EventQueue's memory
+//                      behaviour, so host effects cancel in the ratio and
+//                      the gate can sit close to it.
+//   MultimapReference  a std::multimap on time (equal keys keep insertion
+//                      order, so ties run in schedule order), the simpler
+//                      alternative. Reported, not gated: EventQueue is only
+//                      about as fast as it (0.93-1.02x), and that ratio
+//                      moves from run to run by about as much as a 25 %
+//                      slower sift moves it.
+class HeapReference {
+ public:
+  using EventId = gc::EventQueue::EventId;
+
+  explicit HeapReference(gc::SimClock* clock) : clock_(clock) {}
+
+  EventId schedule_after(gc::SimTime delay, std::function<void()> fn) {
+    const std::uint64_t seq = next_seq_++;
+    pending_.insert(seq);
+    heap_.push_back({(clock_->now() + std::max(delay, gc::SimTime{})).nanos(), seq,
+                     std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), after);
+    return {seq};
+  }
+
+  bool cancel(EventId id) { return id.valid() && pending_.erase(id.seq) != 0; }
+
+  std::size_t run_for(gc::SimTime dt) {
+    const gc::SimTime until = clock_->now() + dt;
+    std::size_t executed = 0;
+    while (!heap_.empty()) {
+      const bool live = pending_.contains(heap_.front().seq);
+      if (live && heap_.front().at > until.nanos()) break;
+      std::pop_heap(heap_.begin(), heap_.end(), after);
+      Event event = std::move(heap_.back());
+      heap_.pop_back();
+      if (!live) continue;  // cancelled: swept at the top
+      pending_.erase(event.seq);
+      clock_->advance_to(std::max(gc::SimTime(event.at), clock_->now()));
+      ++executed;
+      event.fn();
+    }
+    clock_->advance_to(std::max(until, clock_->now()));
+    return executed;
+  }
+
+ private:
+  struct Event {
+    std::int64_t at;
+    std::uint64_t seq;
+    std::function<void()> fn;
+  };
+  static bool after(const Event& a, const Event& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
+  gc::SimClock* clock_;
+  std::uint64_t next_seq_ = 1;
+  std::unordered_set<std::uint64_t> pending_;
+  std::vector<Event> heap_;
+};
+
+class MultimapReference {
+ public:
+  using EventId = gc::EventQueue::EventId;
+
+  explicit MultimapReference(gc::SimClock* clock) : clock_(clock) {}
+
+  EventId schedule_after(gc::SimTime delay, std::function<void()> fn) {
+    const std::uint64_t seq = next_seq_++;
+    pending_.insert(seq);
+    events_.emplace((clock_->now() + std::max(delay, gc::SimTime{})).nanos(),
+                    Entry{seq, std::move(fn)});
+    return {seq};
+  }
+
+  bool cancel(EventId id) { return id.valid() && pending_.erase(id.seq) != 0; }
+
+  std::size_t run_for(gc::SimTime dt) {
+    const gc::SimTime until = clock_->now() + dt;
+    std::size_t executed = 0;
+    while (!events_.empty()) {
+      const auto front = events_.begin();
+      const bool live = pending_.contains(front->second.seq);
+      if (live && front->first > until.nanos()) break;
+      auto node = events_.extract(front);
+      if (!live) continue;  // cancelled: swept at the front
+      pending_.erase(node.mapped().seq);
+      clock_->advance_to(std::max(gc::SimTime(node.key()), clock_->now()));
+      ++executed;
+      node.mapped().fn();
+    }
+    clock_->advance_to(std::max(until, clock_->now()));
+    return executed;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t seq;
+    std::function<void()> fn;
+  };
+  gc::SimClock* clock_;
+  std::uint64_t next_seq_ = 1;
+  std::unordered_set<std::uint64_t> pending_;
+  std::multimap<std::int64_t, Entry> events_;
+};
+
+// The scheduler workload on one `Queue`, one batch at a time: each batch
+// schedules a seeded mix of near-term and far-future events, cancellations
+// and zero-delay self-reschedules, then drains 4 ms of sim time. Every
+// executed callback folds (timestamp, index) into the trace digest.
+template <typename Queue>
+class SchedulerWorkload {
+ public:
+  SchedulerWorkload(std::uint64_t seed, int events_per_batch)
+      : queue_(&clock_), rng_(seed), events_per_batch_(events_per_batch) {
+    live_.reserve(static_cast<std::size_t>(events_per_batch));
+  }
+
+  void run_batch() {
+    for (int i = 0; i < events_per_batch_; ++i) {
+      const double draw = rng_.uniform01();
+      if (draw < 0.60) {
+        // Near-term: within ~10 ms, frequent timestamp collisions.
+        live_.push_back(queue_.schedule_after(
+            gc::SimTime(static_cast<std::int64_t>(rng_.uniform(10'000'000))), record()));
+      } else if (draw < 0.72) {
+        // Far future: seconds out, far past the near-term traffic.
+        live_.push_back(queue_.schedule_after(
+            gc::SimTime::from_seconds(static_cast<double>(rng_.uniform(100)) + 1.0),
+            record()));
+      } else if (draw < 0.87 && !live_.empty()) {
+        (void)queue_.cancel(live_[rng_.index(live_.size())]);
+      } else {
+        // Zero-delay self-reschedule: two pops for one schedule call.
+        live_.push_back(queue_.schedule_after(
+            gc::SimTime(static_cast<std::int64_t>(rng_.uniform(5'000'000))),
+            [this] { (void)queue_.schedule_after(gc::SimTime{}, record()); }));
+      }
+    }
+    (void)queue_.run_for(gc::SimTime::from_millis(4));
+    live_.clear();  // ids past their window are dead weight; forget them
+  }
+
+  void drain_tail() { (void)queue_.run_for(gc::SimTime::from_seconds(200)); }
+
+  std::uint64_t executed() const { return executed_; }
+  std::uint64_t digest() const { return digest_; }
+
+ private:
+  // One pointer of capture: the callback fits std::function's inline
+  // buffer, so the queues, not the allocator, dominate the timing.
+  auto record() {
+    return [this] {
+      digest_ = fnv_mix(digest_, static_cast<std::uint64_t>(clock_.now().nanos()));
+      digest_ = fnv_mix(digest_, executed_++);
+    };
+  }
+
+  gc::SimClock clock_;
+  Queue queue_;
+  gc::Rng rng_;
+  int events_per_batch_;
+  std::uint64_t digest_ = 14695981039346656037ull;
+  std::uint64_t executed_ = 0;
+  std::vector<typename Queue::EventId> live_;
+};
+
+struct SchedulerPass {
+  double queue_ms = 0.0;  // EventQueue
+  double heap_ms = 0.0;   // HeapReference
+  double multimap_ms = 0.0;
+  std::uint64_t events = 0;
+  bool digest_match = false;  // all three traces == the recorded digest
+};
+
+// One pass of the workload on a fresh EventQueue and fresh reference
+// queues, taking turns batch by batch, so all three see the same host
+// conditions down to a millisecond or so.
+SchedulerPass drive_scheduler(std::uint64_t seed, int batches, int events_per_batch,
+                              std::uint64_t expected_digest) {
+  SchedulerWorkload<gc::EventQueue> queue(seed, events_per_batch);
+  SchedulerWorkload<HeapReference> heap(seed, events_per_batch);
+  SchedulerWorkload<MultimapReference> multimap(seed, events_per_batch);
+  const auto turn = [&](auto& workload, int batch) {
+    const auto start = Clock::now();
+    if (batch < batches) {
+      workload.run_batch();
+    } else {
+      workload.drain_tail();  // the far-future tail, once at the end
+    }
+    return seconds_since(start) * 1e3;
+  };
+  SchedulerPass pass;
+  for (int batch = 0; batch <= batches; ++batch) {
+    pass.queue_ms += turn(queue, batch);
+    pass.heap_ms += turn(heap, batch);
+    pass.multimap_ms += turn(multimap, batch);
+  }
+  pass.events = queue.executed();
+  pass.digest_match = queue.digest() == expected_digest && heap.digest() == expected_digest &&
+                      multimap.digest() == expected_digest &&
+                      heap.executed() == pass.events && multimap.executed() == pass.events;
+  return pass;
+}
+
 struct SchedulerResult {
-  std::uint64_t events = 0;  // executed per run
-  double heap_eps = 0.0;
+  std::uint64_t events = 0;  // executed per pass
+  double queue_eps = 0.0;    // best EventQueue pass (informational)
+  Spread queue_ms, heap_ms, multimap_ms;
+  // Medians over passes of the reference's time over EventQueue's.
+  double over_heap = 0.0;  // gated
+  double over_multimap = 0.0;
   bool digest_match = false;
 };
 
-// One full schedule+drain pass of the mixed workload. Returns (executed
-// events, trace digest); wall time is measured by the caller.
-std::pair<std::uint64_t, std::uint64_t> drive_scheduler(std::uint64_t seed, int batches,
-                                                        int events_per_batch) {
-  gc::SimClock clock;
-  gc::EventQueue queue(&clock);
-  gc::Rng rng(seed);
-  std::uint64_t digest = 14695981039346656037ull;
-  std::uint64_t executed = 0;
-  const auto record = [&] {
-    digest = fnv_mix(digest, static_cast<std::uint64_t>(clock.now().nanos()));
-    digest = fnv_mix(digest, executed++);
-  };
-  std::vector<gc::EventQueue::EventId> live;
-  live.reserve(static_cast<std::size_t>(events_per_batch));
-  for (int batch = 0; batch < batches; ++batch) {
-    for (int i = 0; i < events_per_batch; ++i) {
-      const double draw = rng.uniform01();
-      if (draw < 0.60) {
-        // Near-term: within ~10 ms, frequent timestamp collisions.
-        live.push_back(queue.schedule_after(
-            gc::SimTime(static_cast<std::int64_t>(rng.uniform(10'000'000))),
-            record));
-      } else if (draw < 0.72) {
-        // Far future: seconds out, far past the near-term traffic.
-        live.push_back(queue.schedule_after(
-            gc::SimTime::from_seconds(static_cast<double>(rng.uniform(100)) + 1.0),
-            record));
-      } else if (draw < 0.87 && !live.empty()) {
-        (void)queue.cancel(live[rng.index(live.size())]);
-      } else {
-        // Zero-delay self-reschedule: two pops for one schedule call.
-        auto* q = &queue;
-        live.push_back(queue.schedule_after(
-            gc::SimTime(static_cast<std::int64_t>(rng.uniform(5'000'000))),
-            [q, &record] { (void)q->schedule_after(gc::SimTime{}, record); }));
-      }
-    }
-    (void)queue.run_for(gc::SimTime::from_millis(4));
-    live.clear();  // ids past their window are dead weight; forget them
-  }
-  (void)queue.run_for(gc::SimTime::from_seconds(200));  // drain the far tail
-  return {executed, digest};
-}
-
 SchedulerResult run_scheduler(bool smoke) {
-  SchedulerResult r;
-  // Even smoke needs a timed region long enough (~100 ms) that host
-  // scheduling noise can't swing the gated events/sec by 20%.
   const int batches = smoke ? 64 : 120;
   const int per_batch = 4000;
+  // Sanitized builds check the digests but not the ratio: one pass.
+  const int passes = kSanitized ? 1 : smoke ? 7 : 15;
   const std::uint64_t seed = 0xde5;
+  const std::uint64_t expected = smoke ? kSmokeTraceDigest : kFullTraceDigest;
 
-  (void)drive_scheduler(seed, batches / 8 + 1, per_batch);  // warm-up
-  std::uint64_t digest = 0;  // same seed: identical across reps
-  const auto wall = genio::bench::time_calls(0, 5, 1, [&] {
-    std::tie(r.events, digest) = drive_scheduler(seed, batches, per_batch);
-  });
-  r.heap_eps = static_cast<double>(r.events) / wall.min;  // best-of-5: see header
-  r.digest_match = digest == (smoke ? kSmokeTraceDigest : kFullTraceDigest);
+  (void)drive_scheduler(seed, batches / 8 + 1, per_batch, expected);  // warm-up
+  SchedulerResult r;
+  r.digest_match = true;
+  std::vector<double> queue_ms, heap_ms, multimap_ms, over_heap, over_multimap;
+  for (int i = 0; i < passes; ++i) {
+    const SchedulerPass pass = drive_scheduler(seed, batches, per_batch, expected);
+    queue_ms.push_back(pass.queue_ms);
+    heap_ms.push_back(pass.heap_ms);
+    multimap_ms.push_back(pass.multimap_ms);
+    over_heap.push_back(pass.heap_ms / pass.queue_ms);
+    over_multimap.push_back(pass.multimap_ms / pass.queue_ms);
+    r.events = pass.events;
+    r.digest_match = r.digest_match && pass.digest_match;
+  }
+  r.queue_ms = spread(queue_ms);
+  r.heap_ms = spread(heap_ms);
+  r.multimap_ms = spread(multimap_ms);
+  r.queue_eps = static_cast<double>(r.events) / (r.queue_ms.min / 1e3);
+  r.over_heap = spread(over_heap).median;
+  r.over_multimap = spread(over_multimap).median;
   return r;
 }
 
@@ -218,11 +415,12 @@ CarrierResult run_carrier(bool smoke) {
 
 // -------------------------------------------------------------- identity arm
 
-// Delivered digest and frame count of the identity fabric, recorded from a
-// build where the calendar and heap backends agreed on them.
-constexpr std::uint64_t kSmokeIdentityDigest = 0x9d401b5b7afde582ull;
+// Delivered digest and frame count of the identity fabric: the delivery
+// stream recorded when the calendar and heap backends agreed on it, as
+// folded by sim::fold_delivery.
+constexpr std::uint64_t kSmokeIdentityDigest = 0xa6ffab4d10f4a5a4ull;
 constexpr std::uint64_t kSmokeIdentityFrames = 1298;
-constexpr std::uint64_t kFullIdentityDigest = 0x91c33df3b27e3a3full;
+constexpr std::uint64_t kFullIdentityDigest = 0x22ad23e5a40a8ebcull;
 constexpr std::uint64_t kFullIdentityFrames = 5180;
 
 struct IdentityResult {
@@ -328,7 +526,12 @@ void write_json(const genio::bench::Args& args, const SchedulerResult& sched,
                 const ShardedResult& sharded, bool invariants_hold) {
   genio::bench::Json json(args.out, "des", args.smoke);
   json.field("warmup", "~1/10 of timed work per section");
-  json.object("scheduler").field("events", sched.events).field("heap_eps", sched.heap_eps, 1)
+  json.object("scheduler").field("events", sched.events).field("heap_eps", sched.queue_eps, 1)
+      .field("queue_ms", sched.queue_ms, 3).field("heap_reference_ms", sched.heap_ms, 3)
+      .field("multimap_reference_ms", sched.multimap_ms, 3)
+      .field("speed_vs_heap_reference", sched.over_heap, 3)
+      .field("speed_floor", kQueueOverHeapReference, 2)
+      .field("speed_vs_multimap_reference", sched.over_multimap, 3)
       .field("trace_digest_match", sched.digest_match).close();
   json.object("carrier").field("olts", carrier.olts).field("onus", carrier.onus)
       .field("sim_millis", carrier.sim_millis, 1).field("wall_seconds", carrier.wall_seconds, 3)
@@ -367,9 +570,9 @@ int main(int argc, char** argv) {
   const ShardedResult sharded = run_sharded(smoke);
 
   gc::Table table({"arm", "scale", "events/sec", "notes"});
-  table.add_row({"scheduler/heap", std::to_string(sched.events) + " events",
-                 gc::format_double(sched.heap_eps, 0),
-                 sched.digest_match ? "trace digest pinned" : "TRACE DIVERGED"});
+  table.add_row({"scheduler/EventQueue", std::to_string(sched.events) + " events",
+                 gc::format_double(sched.queue_eps, 0),
+                 sched.digest_match ? "trace digests pinned" : "TRACE DIVERGED"});
   table.add_row({"carrier",
                  std::to_string(carrier.olts) + " OLT x " +
                      std::to_string(carrier.onus / carrier.olts) + " ONU",
@@ -382,6 +585,13 @@ int main(int argc, char** argv) {
                  "serial " + gc::format_double(sharded.serial_seconds, 2) + "s"});
   std::printf("%s\n", table.render().c_str());
 
+  std::printf("scheduler pass: EventQueue %.2f ms [%.2f, %.2f], heap reference %.2f ms "
+              "[%.2f, %.2f] (%.3fx, floor %.2fx), multimap reference %.2f ms [%.2f, %.2f] "
+              "(%.3fx)\n",
+              sched.queue_ms.median, sched.queue_ms.q1, sched.queue_ms.q3, sched.heap_ms.median,
+              sched.heap_ms.q1, sched.heap_ms.q3, sched.over_heap, kQueueOverHeapReference,
+              sched.multimap_ms.median, sched.multimap_ms.q1, sched.multimap_ms.q3,
+              sched.over_multimap);
   std::printf("identity: %llu frames delivered, digest %s\n",
               static_cast<unsigned long long>(identity.delivered_frames),
               identity.digest_match && identity.frames_match ? "MATCH" : "DIVERGE");
@@ -392,7 +602,8 @@ int main(int argc, char** argv) {
   std::printf(" events/sec\n\n");
 
   genio::bench::Gate gate({genio::bench::kInvariants});
-  gate.check(sched.digest_match, "scheduler trace digest == recorded digest");
+  gate.check(sched.digest_match,
+             "EventQueue and reference scheduler trace digests == recorded digest");
   gate.check(identity.digest_match && identity.frames_match,
              "fabric delivery digest and count == recorded ones");
   gate.check(sharded.digest_match, "pool-run digests match serial runs");
@@ -403,18 +614,19 @@ int main(int argc, char** argv) {
     std::printf("note: throughput floors reported but not enforced — sanitizer "
                 "instrumentation distorts event costs\n");
   } else {
+    char what[96];
+    std::snprintf(what, sizeof(what), "EventQueue >= %.2fx the heap reference's speed (got %.3fx)",
+                  kQueueOverHeapReference, sched.over_heap);
+    gate.check(sched.over_heap >= kQueueOverHeapReference, what);
     gate.check(carrier.carrier_eps >= 100'000.0, "carrier drain >= 100k events/sec");
     gate.check(carrier.bytes_per_onu <= 2'048.0, "modeled footprint <= 2 KB/ONU");
     gate.check(carrier.arena_reuse >= 0.5, "arena reuse ratio >= 0.5 at steady state");
     if (!args.baseline.empty()) {
-      // Both keys are read even when the first regresses.
       const auto baseline = genio::bench::Baseline::load(args.baseline);
-      const bool heap_ok = genio::bench::within_baseline(
-          baseline, "scheduler.heap_eps", sched.heap_eps, "heap_eps", "events/sec", 0);
-      const bool carrier_ok =
-          genio::bench::within_baseline(baseline, "carrier.carrier_eps", carrier.carrier_eps,
-                                        "carrier_eps", "events/sec", 0);
-      gate.check(heap_ok && carrier_ok, "events/sec within 20% of committed baseline");
+      gate.check(genio::bench::within_baseline(baseline, "carrier.carrier_eps",
+                                               carrier.carrier_eps, "carrier_eps",
+                                               "events/sec", 0),
+                 "carrier events/sec within 20% of committed baseline");
     }
   }
 

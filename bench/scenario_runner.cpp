@@ -3,7 +3,9 @@
 // work-stealing pool with its own derived seed and sim-time watchdog; a
 // serial re-run of a sample proves parallel verdicts are byte-identical.
 // Exits nonzero when any scorecard invariant is violated, and writes
-// BENCH_scenarios.json (or --out PATH) for CI artifacts.
+// BENCH_scenarios.json (or --out PATH) for CI artifacts. It also prints the
+// 10 slowest executions by wall time and records them, with the summed
+// wall time, as informational fields (host-dependent, never gated).
 //
 //   scenario_runner --all                 run the full catalog
 //   scenario_runner --list [--filter F]   print matching scenario names
@@ -36,6 +38,7 @@ namespace gr = genio::resilience;
 namespace {
 
 constexpr std::size_t kCatalogFloor = 119;
+constexpr std::size_t kSlowestShown = 10;
 
 const gr::FaultKind kAllFaultKinds[] = {
     gr::FaultKind::kPonLinkFlap,    gr::FaultKind::kPonBitErrorBurst,
@@ -62,6 +65,8 @@ struct Scorecard {
   std::map<std::string, std::size_t> fault_coverage;  // fault tag -> scenarios
   std::vector<const gs::ScenarioVerdict*> failures;
   std::vector<std::string> determinism_mismatches;
+  double wall_ms_total = 0.0;                      // sum over executions
+  std::vector<const gs::ScenarioVerdict*> slowest;  // by wall_ms, descending
 };
 
 void write_json(const std::string& path, bool smoke, const Scorecard& card,
@@ -83,6 +88,10 @@ void write_json(const std::string& path, bool smoke, const Scorecard& card,
     json.object()
         .field("name", v->name).field("outcome", gs::to_string(v->outcome)).field("error", v->error)
         .field("repro", v->repro()).close();
+  }
+  json.close().field("wall_ms_total", card.wall_ms_total, 1).array("slowest");
+  for (const auto* v : card.slowest) {
+    json.object().field("name", v->name).field("wall_ms", v->wall_ms, 1).close();
   }
   json.close().object("invariants");
   for (const auto& [name, ok] : gate.checks()) json.field(name, ok);
@@ -149,8 +158,16 @@ int main(int argc, char** argv) {
   card.full_catalog = options.filter.empty();
   for (const auto& verdict : summary.verdicts) {
     card.events_captured += verdict.events_captured;
+    card.wall_ms_total += verdict.wall_ms;
+    card.slowest.push_back(&verdict);
     if (!verdict.passed()) card.failures.push_back(&verdict);
   }
+  const std::size_t shown = std::min(kSlowestShown, card.slowest.size());
+  const auto slower = [](const auto* a, const auto* b) { return a->wall_ms > b->wall_ms; };
+  std::partial_sort(card.slowest.begin(),
+                    card.slowest.begin() + static_cast<std::ptrdiff_t>(shown),
+                    card.slowest.end(), slower);
+  card.slowest.resize(shown);
 
   // Coverage maps come from the selection, pass counts from the verdicts.
   std::map<std::string, const gs::ScenarioDef*> by_name;
@@ -196,6 +213,11 @@ int main(int argc, char** argv) {
                     inv.detail.empty() ? "" : ": ", inv.detail.c_str());
       }
     }
+  }
+  std::printf("\nslowest %zu executions (wall ms, summed over all: %.1f):\n",
+              card.slowest.size(), card.wall_ms_total);
+  for (const auto* v : card.slowest) {
+    std::printf("  %9.1f  %s\n", v->wall_ms, v->name.c_str());
   }
   std::printf("\n");
 

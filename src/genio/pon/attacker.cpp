@@ -56,9 +56,10 @@ void RogueOnu::forge_credentials(crypto::SigningKey key,
                        attacker_trust, rng);
 }
 
-void RogueOnu::on_downstream(const GemFrame& frame) {
+void RogueOnu::on_downstream(const DownstreamView& view) {
+  const GemFrame& frame = view.frame();
   if (frame.port_id == kControlPort) {
-    auto msg = ControlMessage::decode(frame.payload);
+    const auto& msg = view.control();
     if (!msg) return;
     if (msg->type == ControlType::kSerialNumberRequest) {
       // Answer the discovery window with the stolen identity.

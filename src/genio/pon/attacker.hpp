@@ -72,7 +72,7 @@ class RogueOnu final : public OnuDevice, public AuthTransport {
                          std::vector<crypto::Certificate> chain,
                          const crypto::TrustStore* attacker_trust, common::Rng rng);
 
-  void on_downstream(const GemFrame& frame) override;
+  void on_downstream(const DownstreamView& view) override;
 
   // AuthTransport: responds with forged credentials if present, else fails.
   common::Result<AuthResponse> auth_respond(const AuthHello& hello,

@@ -1,6 +1,7 @@
 // PLOAM-like control messages between OLT and ONUs, carried in GEM frames
 // on port 0. Text-encoded ("type;key=value;...") so traces are readable in
-// tests and the runtime monitor can pattern-match them.
+// tests and logs. Downstream, the ODN decodes each control frame once for
+// every ONU on the tree (see DownstreamView in medium.hpp).
 #pragma once
 
 #include <cstdint>

@@ -24,8 +24,10 @@ void Odn::downstream(const GemFrame& frame) {
   ++stats_.downstream_frames;
   stats_.downstream_bytes += delivered.payload.size();
   for (Tap* tap : taps_) tap->observe_downstream(delivered);
-  // PON physics: every ONU on the tree receives every downstream frame.
-  for (OnuDevice* onu : onus_) onu->on_downstream(delivered);
+  // PON physics: every ONU on the tree receives every downstream frame,
+  // so they share one FCS verdict and one control decode.
+  const DownstreamView view(delivered);
+  for (OnuDevice* onu : onus_) onu->on_downstream(view);
 }
 
 void Odn::upstream(const GemFrame& frame) {

@@ -11,17 +11,57 @@
 #include <optional>
 #include <vector>
 
+#include "genio/common/result.hpp"
 #include "genio/common/rng.hpp"
 #include "genio/common/sim_clock.hpp"
+#include "genio/pon/control.hpp"
 #include "genio/pon/frame.hpp"
 
 namespace genio::pon {
+
+/// One downstream frame as every receiver on the tree gets it. Downstream
+/// is broadcast, so all receivers see the same delivered bytes, and the
+/// FCS verdict and (on kControlPort) the decoded control message are the
+/// same for each of them. The view computes each once, on first use, and
+/// shares the result; every receiver still decides for itself whether the
+/// frame is addressed to it, and counts and logs its own drops.
+///
+/// Odn::downstream builds one view per call, on its own stack, so a
+/// nested call (a receiver's reply makes the OLT send again) gets its own.
+/// A view is valid only during that one delivery: receivers must not keep
+/// it, or anything it returns, after on_downstream returns.
+class DownstreamView {
+ public:
+  explicit DownstreamView(const GemFrame& frame) : frame_(frame) {}
+  DownstreamView(const DownstreamView&) = delete;
+  DownstreamView& operator=(const DownstreamView&) = delete;
+
+  const GemFrame& frame() const { return frame_; }
+
+  /// The frame's FCS verdict, checked on first use.
+  bool fcs_valid() const {
+    if (!fcs_valid_) fcs_valid_ = frame_.fcs_valid();
+    return *fcs_valid_;
+  }
+
+  /// ControlMessage::decode of the payload, parsed on first use. Only
+  /// meaningful for a frame on kControlPort.
+  const common::Result<ControlMessage>& control() const {
+    if (!control_) control_.emplace(ControlMessage::decode(frame_.payload));
+    return *control_;
+  }
+
+ private:
+  const GemFrame& frame_;
+  mutable std::optional<bool> fcs_valid_;
+  mutable std::optional<common::Result<ControlMessage>> control_;
+};
 
 /// Receiver interface for ONU-side devices (honest ONUs, rogue ONUs).
 class OnuDevice {
  public:
   virtual ~OnuDevice() = default;
-  virtual void on_downstream(const GemFrame& frame) = 0;
+  virtual void on_downstream(const DownstreamView& view) = 0;
 };
 
 /// Receiver interface for the OLT side.
@@ -71,6 +111,7 @@ class Odn {
   void add_tap(Tap* tap) { taps_.push_back(tap); }
 
   /// Broadcast a frame from the OLT to every attached ONU (and every tap).
+  /// All ONUs get the same DownstreamView of the delivered frame.
   void downstream(const GemFrame& frame);
 
   /// Carry a frame from an ONU (or an injector) up to the OLT.

@@ -40,7 +40,8 @@ void Onu::send_control(ControlType type, std::map<std::string, std::string> fiel
   odn_->upstream(frame);
 }
 
-void Onu::on_downstream(const GemFrame& frame) {
+void Onu::on_downstream(const DownstreamView& view) {
+  const GemFrame& frame = view.frame();
   const bool broadcast = frame.onu_id == kBroadcastOnuId;
   const bool mine = state_ != OnuState::kInitial && frame.onu_id == onu_id_;
   if (!broadcast && !mine) {
@@ -48,29 +49,28 @@ void Onu::on_downstream(const GemFrame& frame) {
     ++stats_.foreign_frames_seen;
     return;
   }
-  if (!frame.fcs_valid()) {
+  if (!view.fcs_valid()) {
     ++stats_.fcs_drops;
     if (logger_) logger_->warn("pon.onu." + serial_, "dropped frame with bad FCS");
     return;
   }
   if (frame.port_id == kControlPort) {
-    handle_control(frame);
+    const auto& msg = view.control();
+    if (!msg) {
+      if (logger_) {
+        logger_->warn("pon.onu." + serial_,
+                      "undecodable control message: " + msg.error().message());
+      }
+      return;
+    }
+    handle_control(*msg);
   } else if (mine) {
     handle_data(frame);
   }
 }
 
-void Onu::handle_control(const GemFrame& frame) {
-  auto msg = ControlMessage::decode(frame.payload);
-  if (!msg) {
-    if (logger_) {
-      logger_->warn("pon.onu." + serial_,
-                    "undecodable control message: " + msg.error().message());
-    }
-    return;
-  }
-
-  switch (msg->type) {
+void Onu::handle_control(const ControlMessage& msg) {
+  switch (msg.type) {
     case ControlType::kSerialNumberRequest:
       if (state_ == OnuState::kInitial) {
         // Transition BEFORE transmitting: the medium delivers synchronously,
@@ -82,8 +82,8 @@ void Onu::handle_control(const GemFrame& frame) {
       break;
 
     case ControlType::kAssignOnuId:
-      if (state_ == OnuState::kAwaitingAssignment && msg->field("serial") == serial_) {
-        const auto id = parse_onu_id(msg->field("onu_id"));
+      if (state_ == OnuState::kAwaitingAssignment && msg.field("serial") == serial_) {
+        const auto id = parse_onu_id(msg.field("onu_id"));
         if (!id) {
           if (logger_) logger_->warn("pon.onu." + serial_, id.error().message());
           break;
@@ -94,13 +94,13 @@ void Onu::handle_control(const GemFrame& frame) {
       break;
 
     case ControlType::kRangingRequest:
-      if (state_ == OnuState::kRanging && msg->field("serial") == serial_) {
+      if (state_ == OnuState::kRanging && msg.field("serial") == serial_) {
         send_control(ControlType::kRangingResponse, {{"serial", serial_}});
       }
       break;
 
     case ControlType::kRangingTime:
-      if (state_ == OnuState::kRanging && msg->field("serial") == serial_) {
+      if (state_ == OnuState::kRanging && msg.field("serial") == serial_) {
         state_ = OnuState::kOperational;
         if (logger_) logger_->info("pon.onu." + serial_, "operational");
       }
@@ -116,7 +116,7 @@ void Onu::handle_control(const GemFrame& frame) {
       break;
 
     case ControlType::kDeactivate:
-      if (msg->field("serial") == serial_ || msg->field("serial").empty()) {
+      if (msg.field("serial") == serial_ || msg.field("serial").empty()) {
         state_ = OnuState::kInitial;
         onu_id_ = 0;
         cipher_.reset();

@@ -66,7 +66,7 @@ class Onu : public OnuDevice, public AuthTransport {
   bool session_active() const { return cipher_ != nullptr; }
 
   // -- medium callbacks -----------------------------------------------------
-  void on_downstream(const GemFrame& frame) override;
+  void on_downstream(const DownstreamView& view) override;
 
   // -- auth transport (called in-band by the OLT) ---------------------------
   common::Result<AuthResponse> auth_respond(const AuthHello& hello,
@@ -93,7 +93,7 @@ class Onu : public OnuDevice, public AuthTransport {
   const OnuStats& stats() const { return stats_; }
 
  private:
-  void handle_control(const GemFrame& frame);
+  void handle_control(const ControlMessage& msg);
   void handle_data(const GemFrame& frame);
   void send_control(ControlType type, std::map<std::string, std::string> fields);
 

@@ -1,6 +1,7 @@
 #include "genio/scenario/runner.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 
 #if defined(__GLIBC__)
@@ -36,6 +37,7 @@ ScenarioVerdict run_scenario(const ScenarioDef& def, std::uint64_t run_seed,
                              common::SimTime default_budget) {
   const common::SimTime budget =
       def.budget > common::SimTime{} ? def.budget : default_budget;
+  const auto start = std::chrono::steady_clock::now();
   ScenarioVerdict verdict = run_in_context(def, run_seed, budget);
 #if defined(__GLIBC__)
   // The scenario's platform is gone, but glibc keeps its freed pages in
@@ -45,6 +47,9 @@ ScenarioVerdict run_scenario(const ScenarioDef& def, std::uint64_t run_seed,
   // run rather than with what any one of them holds.
   malloc_trim(0);
 #endif
+  verdict.wall_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
   return verdict;
 }
 

@@ -35,7 +35,8 @@ struct RunSummary {
 
 /// Run one scenario to a verdict. ScenarioTimeout becomes kTimeout; any
 /// other exception becomes kFail with the exception text — a throwing
-/// scenario is a failed scenario, never a dead process.
+/// scenario is a failed scenario, never a dead process. The verdict's
+/// wall_ms is the host time the whole call took.
 ScenarioVerdict run_scenario(const ScenarioDef& def, std::uint64_t run_seed,
                              common::SimTime default_budget);
 

@@ -49,13 +49,14 @@ struct ScenarioVerdict {
   std::uint64_t gate_bypasses = 0;    // fail-open stages seen in audited reports
   std::uint64_t events_captured = 0;  // bus events observed across platforms
   common::SimTime sim_consumed{};     // sim time charged against the budget
+  double wall_ms = 0.0;               // host wall time of the run; not in canonical()
 
   bool passed() const { return outcome == Outcome::kPass; }
   /// Exact reproduction command for a failed scenario.
   std::string repro() const;
   /// Canonical digest string: two verdicts compare equal iff every
-  /// deterministic field matches. This is what the serial-vs-parallel
-  /// identity check compares.
+  /// deterministic field matches (all but wall_ms). This is what the
+  /// serial-vs-parallel identity check compares.
   std::string canonical() const;
 };
 

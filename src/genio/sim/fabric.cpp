@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "genio/crypto/crc32.hpp"
+
 namespace genio::sim {
 
 namespace {
@@ -9,11 +11,22 @@ namespace {
 constexpr std::uint16_t kDataPort = 1;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-std::uint64_t fnv_byte(std::uint64_t h, std::uint8_t b) {
-  return (h ^ b) * kFnvPrime;
+// FNV-1a over the low `bytes` bytes of `value`, least significant first.
+std::uint64_t fnv_le(std::uint64_t h, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    h = (h ^ static_cast<std::uint8_t>(value >> (8 * i))) * kFnvPrime;
+  }
+  return h;
 }
 
 }  // namespace
+
+std::uint64_t fold_delivery(std::uint64_t state, std::uint16_t onu_id,
+                            common::BytesView payload) {
+  state = fnv_le(state, onu_id, 2);
+  state = fnv_le(state, payload.size(), 4);
+  return fnv_le(state, crypto::crc32(payload), 4);
+}
 
 PonFabric::PonFabric(FabricConfig config)
     : config_(config), events_(&clock_) {
@@ -40,11 +53,7 @@ void PonFabric::build_site(int index) {
     ++stats_.delivered_frames;
     stats_.delivered_bytes += payload.size();
     raw->delivered_by_onu[onu_id] += payload.size();
-    std::uint64_t h = raw->digest;
-    h = fnv_byte(h, static_cast<std::uint8_t>(onu_id & 0xff));
-    h = fnv_byte(h, static_cast<std::uint8_t>(onu_id >> 8));
-    for (const std::uint8_t b : payload) h = fnv_byte(h, b);
-    raw->digest = h;
+    raw->digest = fold_delivery(raw->digest, onu_id, payload);
     raw->arena.recycle(std::move(payload));
   });
 
@@ -207,11 +216,7 @@ void PonFabric::attach_onu(int site, int onu_index) {
 
 std::uint64_t PonFabric::delivered_digest() const {
   std::uint64_t h = 14695981039346656037ull;
-  for (const auto& site : sites_) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h = fnv_byte(h, static_cast<std::uint8_t>((site->digest >> shift) & 0xff));
-    }
-  }
+  for (const auto& site : sites_) h = fnv_le(h, site->digest, 8);
   return h;
 }
 

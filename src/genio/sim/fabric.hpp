@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "genio/common/bytes.hpp"
 #include "genio/common/event_queue.hpp"
 #include "genio/common/rng.hpp"
 #include "genio/common/sim_clock.hpp"
@@ -45,6 +46,15 @@ struct FabricConfig {
   // Upstream queue cap per ONU; arrivals beyond it are dropped (counted).
   std::size_t onu_queue_cap = 256;
 };
+
+/// Fold one delivery into an order-sensitive 64-bit FNV-1a state: the
+/// bytes of the ONU-ID, the payload length and crypto::crc32 of the
+/// payload, each little-endian. Each site's sink folds every delivered
+/// payload through this; the CRC runs on the dispatched data-plane kernel,
+/// so the digest costs a few byte steps per frame, not one per payload
+/// byte.
+std::uint64_t fold_delivery(std::uint64_t state, std::uint16_t onu_id,
+                            common::BytesView payload);
 
 struct FabricStats {
   std::uint64_t arrivals = 0;           // payloads offered by the generators
@@ -92,9 +102,10 @@ class PonFabric {
 
   // -- accounting -------------------------------------------------------------
   const FabricStats& stats() const { return stats_; }
-  /// Order-sensitive FNV-1a digest over every delivered (onu_id, payload),
-  /// combined across sites in site order. Two runs match iff their
-  /// delivery streams are identical.
+  /// Order-sensitive FNV-1a digest over every delivered (onu_id, payload
+  /// length, payload CRC-32) (see fold_delivery), combined across sites in
+  /// site order. Two runs match iff their delivery streams match, up to a
+  /// CRC-32 collision between payloads of the same length.
   std::uint64_t delivered_digest() const;
   std::uint64_t delivered_bytes(int site, std::uint16_t onu_id) const;
   /// Modeled steady-state footprint per ONU: arena high-water plus the ONU
@@ -130,6 +141,7 @@ class PonFabric {
     pon::FrameArena arena;
     std::map<std::uint16_t, pon::Onu*> by_id;
     std::map<std::uint16_t, std::uint64_t> delivered_by_onu;
+    // fold_delivery state over this site's deliveries, in order.
     std::uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
 
     explicit Site(std::uint32_t budget) : dba(budget) {}

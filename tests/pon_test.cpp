@@ -845,3 +845,152 @@ TEST(AttackT1, BroadcastPhysicsExposeForeignFrames) {
   ASSERT_TRUE(olt->send_data(id1, 1, gc::to_bytes("tenant-1 data")).ok());
   EXPECT_GE(onu2->stats().foreign_frames_seen, 1u);
 }
+
+// ------------------------------------------------- one verdict per tree
+
+namespace {
+
+pon::GemFrame control_frame(std::uint16_t onu_id, const std::string& text) {
+  pon::GemFrame frame;
+  frame.onu_id = onu_id;
+  frame.port_id = pon::kControlPort;
+  frame.payload = gc::to_bytes(text);
+  frame.seal_fcs();
+  return frame;
+}
+
+// Records what it was handed for one delivery. With `rewrite` set, it
+// overwrites that frame once it has read it, so a receiver after it sees
+// new bytes unless the view kept what it had already computed.
+struct ProbeDevice final : pon::OnuDevice {
+  pon::GemFrame* rewrite = nullptr;
+  const pon::DownstreamView* view = nullptr;
+  const pon::ControlMessage* message = nullptr;
+  std::string serial;
+  bool fcs_valid = false;
+
+  void on_downstream(const pon::DownstreamView& delivery) override {
+    view = &delivery;
+    fcs_valid = delivery.fcs_valid();
+    message = &delivery.control().value();
+    serial = message->field("serial");
+    if (rewrite != nullptr) {
+      *rewrite = control_frame(pon::kBroadcastOnuId, "assign_onu_id;onu_id=9;serial=GNIO0009");
+      rewrite->fcs ^= 1;
+    }
+  }
+};
+
+// N honest ONUs, activated by an OLT, each logging to one memory sink.
+struct Tree {
+  gc::SimClock clock;
+  gc::MemorySink sink;
+  gc::Logger logger{&clock};
+  pon::Odn odn;
+  pon::Olt olt{"olt-1", &odn, &clock, nullptr, nullptr, {}};
+  std::vector<std::unique_ptr<pon::Onu>> onus;
+
+  explicit Tree(int n) {
+    logger.add_sink(&sink);
+    for (int i = 0; i < n; ++i) {
+      const std::string serial = "GNIO000" + std::to_string(i);
+      (void)olt.register_serial(serial);
+      onus.push_back(std::make_unique<pon::Onu>(serial, &odn, &clock, &logger));
+    }
+    olt.start_discovery();
+  }
+
+  std::size_t warnings(const std::string& text) const {
+    std::size_t count = 0;
+    for (const auto& record : sink.filter(gc::LogLevel::kWarn, "pon.onu.")) {
+      if (record.message.find(text) != std::string::npos) ++count;
+    }
+    return count;
+  }
+};
+
+}  // namespace
+
+// Downstream is broadcast: the ODN hands every receiver the same view,
+// which checks the FCS and decodes the control message once. The first
+// probe rewrites the frame after reading it; the second must still read
+// the first decode and verdict, which a view built per receiver would not.
+TEST(SharedView, EveryReceiverGetsTheSameViewAndDecode) {
+  pon::Odn odn;
+  ProbeDevice first;
+  ProbeDevice second;
+  odn.attach_onu(&first);
+  odn.attach_onu(&second);
+  pon::GemFrame frame =
+      control_frame(pon::kBroadcastOnuId, "assign_onu_id;onu_id=5;serial=GNIO0001");
+  first.rewrite = &frame;
+  odn.downstream(frame);
+
+  ASSERT_NE(first.view, nullptr);
+  EXPECT_EQ(second.view, first.view);
+  EXPECT_EQ(second.message, first.message);
+  EXPECT_EQ(first.serial, "GNIO0001");
+  EXPECT_EQ(second.serial, "GNIO0001");
+  EXPECT_TRUE(first.fcs_valid);
+  EXPECT_TRUE(second.fcs_valid);
+}
+
+// The verdict is shared but the drop is not: every ONU that checks a bad
+// FCS counts and logs its own drop, and an ONU a frame is not addressed
+// to never checks it.
+TEST(SharedView, BadFcsCountsOnceOnEveryOnuThatChecksIt) {
+  constexpr int kOnus = 5;
+  Tree tree(kOnus);
+  std::vector<std::uint64_t> foreign;  // activation's ranging frames
+  for (const auto& onu : tree.onus) {
+    ASSERT_EQ(onu->state(), pon::OnuState::kOperational);
+    ASSERT_EQ(onu->stats().fcs_drops, 0u);
+    foreign.push_back(onu->stats().foreign_frames_seen);
+  }
+
+  pon::GemFrame broadcast = control_frame(pon::kBroadcastOnuId, "sn_request");
+  broadcast.fcs ^= 1;
+  tree.odn.downstream(broadcast);
+  for (std::size_t i = 0; i < tree.onus.size(); ++i) {
+    EXPECT_EQ(tree.onus[i]->stats().fcs_drops, 1u) << i;
+    EXPECT_EQ(tree.onus[i]->stats().foreign_frames_seen, foreign[i]) << i;
+  }
+  EXPECT_EQ(tree.warnings("bad FCS"), static_cast<std::size_t>(kOnus));
+
+  const std::size_t target = 2;
+  pon::GemFrame addressed =
+      control_frame(tree.onus[target]->onu_id(), "ranging_time;serial=GNIO0002");
+  addressed.fcs ^= 1;
+  tree.odn.downstream(addressed);
+  for (std::size_t i = 0; i < tree.onus.size(); ++i) {
+    const bool mine = i == target;
+    EXPECT_EQ(tree.onus[i]->stats().fcs_drops, mine ? 2u : 1u) << i;
+    EXPECT_EQ(tree.onus[i]->stats().foreign_frames_seen, foreign[i] + (mine ? 0u : 1u)) << i;
+    EXPECT_EQ(tree.onus[i]->state(), pon::OnuState::kOperational) << i;
+  }
+  EXPECT_EQ(tree.warnings("bad FCS"), static_cast<std::size_t>(kOnus + 1));
+}
+
+// A payload that does not decode changes nothing on any receiver, and
+// every honest ONU logs it; the same frame without the bad field makes
+// the rogue answer, so the rogue's silence is the decode failing.
+TEST(SharedView, UndecodableBroadcastChangesNoReceiver) {
+  constexpr int kOnus = 4;
+  Tree tree(kOnus);
+  pon::RogueOnu rogue("GNIO0001", &tree.odn);
+  std::vector<std::uint16_t> ids;
+  for (const auto& onu : tree.onus) ids.push_back(onu->onu_id());
+  const std::uint64_t upstream_before = tree.odn.stats().upstream_frames;
+
+  tree.odn.downstream(control_frame(pon::kBroadcastOnuId, "sn_request;badfield"));
+  for (std::size_t i = 0; i < tree.onus.size(); ++i) {
+    EXPECT_EQ(tree.onus[i]->state(), pon::OnuState::kOperational) << i;
+    EXPECT_EQ(tree.onus[i]->onu_id(), ids[i]) << i;
+  }
+  EXPECT_FALSE(rogue.activated());
+  EXPECT_EQ(tree.odn.stats().upstream_frames, upstream_before);
+  EXPECT_EQ(tree.warnings("undecodable control message"), static_cast<std::size_t>(kOnus));
+
+  tree.odn.downstream(control_frame(pon::kBroadcastOnuId, "sn_request"));
+  EXPECT_GT(tree.odn.stats().upstream_frames, upstream_before);
+}

@@ -318,9 +318,9 @@ namespace {
 struct CountingOnu final : gp::OnuDevice {
   int frames = 0;
   gp::GemFrame last;
-  void on_downstream(const gp::GemFrame& frame) override {
+  void on_downstream(const gp::DownstreamView& view) override {
     ++frames;
-    last = frame;
+    last = view.frame();
   }
 };
 

@@ -2,14 +2,17 @@
 // scheme (format, capacity limits, SerialSpace collision handling, OLT
 // allowlist rejection), end-to-end byte conservation through generator ->
 // ONU queue -> DBA grant -> ODN -> OLT sink, same-seed determinism, a
-// fabric run pinned to its recorded delivery digest, arena reuse on the
-// steady-state data path, and the fault hooks (feeder, churn).
+// delivery fold that tells streams apart, a fabric run pinned to its
+// recorded delivery digest, arena reuse on the steady-state data path,
+// and the fault hooks (feeder, churn).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "genio/pon/serial.hpp"
 #include "genio/sim/fabric.hpp"
@@ -173,6 +176,31 @@ TEST(SimFabricTest, SameSeedProducesIdenticalDeliveryDigest) {
       << "different seeds must produce different delivery streams";
 }
 
+// The delivery digest folds (onu_id, length, CRC-32) per delivery, not
+// every payload byte; it must still tell apart the changes a broken data
+// path makes: reordering, a flipped bit, a wrong ONU, a grown payload.
+TEST(SimFabricTest, DeliveryFoldTellsStreamsApart) {
+  const gc::Bytes a(300, 0x5a);
+  gc::Bytes b(180, 0x11);
+  b[17] = 0x42;
+  const auto digest = [](const std::vector<std::pair<std::uint16_t, gc::Bytes>>& stream) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (const auto& [onu_id, payload] : stream) h = gs::fold_delivery(h, onu_id, payload);
+    return h;
+  };
+  const std::uint64_t base = digest({{3, a}, {4, b}});
+
+  EXPECT_NE(digest({{4, b}, {3, a}}), base) << "swapped deliveries";
+  gc::Bytes flipped = b;
+  flipped[99] ^= 0x08;
+  EXPECT_NE(digest({{3, a}, {4, flipped}}), base) << "one payload bit flipped";
+  EXPECT_NE(digest({{3, a}, {5, b}}), base) << "onu_id changed";
+  gc::Bytes longer = b;
+  longer.push_back(0);
+  EXPECT_NE(digest({{3, a}, {4, longer}}), base) << "one zero byte appended";
+  EXPECT_EQ(digest({{3, a}, {4, b}}), base);
+}
+
 // Every traffic, DBA, and discovery event of a staggered-activation run
 // must keep its order, so the delivered payload stream stays byte for byte
 // the one recorded when two scheduler backends still cross-checked it.
@@ -189,7 +217,7 @@ TEST(SimFabricTest, StaggeredActivationRunMatchesPinnedDigest) {
   fabric.start_traffic();
   (void)fabric.run_for(gc::SimTime::from_millis(300));
 
-  EXPECT_EQ(fabric.delivered_digest(), 0x6aba2c64631ab24eull);
+  EXPECT_EQ(fabric.delivered_digest(), 0x8579a2f1e3844000ull);
   EXPECT_EQ(fabric.stats().delivered_frames, 1050u);
   EXPECT_EQ(fabric.stats().arrivals, 1050u);
   EXPECT_EQ(fabric.stats().dba_cycles, 7200u);

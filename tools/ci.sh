@@ -48,7 +48,7 @@ if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
   echo "== admission-service overload bench smoke (shed/deadline invariants fail CI) =="
   "${repo_root}/build/bench/bench_admission_service" --smoke \
     --out "${repo_root}/build/BENCH_admission.json"
-  echo "== discrete-event core bench smoke (a trace or fabric digest off its recorded value, or heap/carrier events/sec >20% below the committed baseline fails CI) =="
+  echo "== discrete-event core bench smoke (a trace or fabric digest off its recorded value, an EventQueue pass < 0.92x as fast as the textbook binary-heap reference queue timed alongside it, or carrier events/sec >20% below the committed baseline fails CI) =="
   "${repo_root}/build/bench/bench_des" --smoke \
     --baseline "${repo_root}/BENCH_des.json" \
     --out "${repo_root}/build/BENCH_des.json"
