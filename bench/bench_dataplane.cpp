@@ -14,7 +14,7 @@
 //                                  crc32 on the dispatched backend
 // Round-2 arm on top of the sweep:
 //   sharded  8 links with independent key contexts, one leaf task per link
-//            on the work-stealing pool (ThreadPool::parallel_for), each
+//            on the thread pool (ThreadPool::parallel_for), each
 //            sealing and opening its frames one GponCipher::encrypt()/
 //            decrypt() at a time; per-link leaf times feed an LPT model
 //            for 1/2/4/8 workers (CI hosts pin hardware_concurrency to 1,

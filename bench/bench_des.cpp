@@ -24,7 +24,7 @@
 //              documented sharding model). Serial leaf times feed an LPT
 //              model for 1/2/4/8 workers (CI hosts pin
 //              hardware_concurrency to 1, so scaling is modeled from
-//              measured leaves); a real work-stealing pool run must
+//              measured leaves); a real thread-pool run must
 //              reproduce the serial runs' delivery digests.
 // Invariants (exit nonzero if any breaks):
 //   * all three scheduler trace digests == the recorded digest;
@@ -35,10 +35,10 @@
 //   * EventQueue drains the scheduler workload >= kQueueOverHeapReference
 //     times as fast as the heap reference (median over passes);
 //   * carrier drain >= 100k events/sec;
-//   * modeled footprint <= 2 KB per ONU (~0.8 KB measured: a 656-byte
-//     Onu plus its arena share; the 16.8 KB GCM context sits out of line
-//     and only ONUs with an active session key allocate one, so inlining
-//     it again fails here); arena reuse ratio >= 0.5;
+//   * modeled footprint <= 2 KB per ONU (smoke runs measure about 372 B:
+//     a 264-byte Onu plus its arena share; the 632-byte GponCipher sits
+//     out of line and only ONUs with an active session key allocate
+//     one); arena reuse ratio >= 0.5;
 //   * with --baseline PATH, carrier_eps >= 0.8x the committed number (the
 //     >20%-regression CI gate).
 // Each timed section warms up with ~1/10 of its timed work first.

@@ -2,9 +2,8 @@
 // images admit cleanly, so every arm performs the full five-gate scan) is
 // pushed through the deployment pipeline in three postures:
 //   serial        scan_workers=1, scan_cache_capacity=0 — the
-//                 pre-fabric baseline (parallel-w1 builds the same
-//                 size-1 pool);
-//   parallel-wK   work-stealing pool sized K in {1,2,4,8}, cache off;
+//                 pre-fabric baseline (a size-1 pool runs inline);
+//   parallel-wK   thread pool sized K in {2,4,8}, cache off;
 //   cached        pool of 4 with the content-addressed cache: a cold
 //                 round (every admit scans) then a warm round (every
 //                 admit replays its cached verdict span).
@@ -196,7 +195,7 @@ RoundResult run_round(Site& site, const std::vector<as::ContainerImage>& corpus,
 // (SAST), one per manifest package (CVE matching), plus the signature,
 // secrets and YARA gates. Each leaf is timed in isolation (best of 3) and
 // an LPT-greedy schedule — longest task to the least-loaded worker, the
-// same greedy the work-stealing pool approximates — prices the admission
+// same greedy the thread pool approximates — prices the admission
 // at every pool size.
 
 std::vector<double> measure_leaf_tasks(const as::ContainerImage& image,
@@ -350,7 +349,7 @@ int main(int argc, char** argv) {
   bool determinism_ok = serial_round.all_deployed;
   double wall_speedup_4 = 0.0;
   double modeled_speedup_4 = 0.0;
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+  for (const std::size_t workers : {2u, 4u, 8u}) {
     core::PlatformConfig config;
     config.scan_workers = static_cast<int>(workers);
     config.scan_cache_capacity = 0;

@@ -1,6 +1,6 @@
 // scenario_runner: executes the scenario catalog in parallel and enforces
 // the consolidated scorecard. Every registered scenario runs on the
-// work-stealing pool with its own derived seed and sim-time watchdog; a
+// thread pool with its own derived seed and sim-time watchdog; a
 // serial re-run of a sample proves parallel verdicts are byte-identical.
 // Exits nonzero when any scorecard invariant is violated, and writes
 // BENCH_scenarios.json (or --out PATH) for CI artifacts. It also prints the

@@ -5,7 +5,7 @@
 // recursion-safe function summaries to a fixpoint so multi-hop
 // source->helper->helper->sink chains trace end to end. The final
 // per-function extraction pass is embarrassingly parallel and shards on
-// the common/ work-stealing pool with a deterministic ordered merge
+// the common/ thread pool with a deterministic ordered merge
 // (byte-identical to the serial path).
 #include <algorithm>
 #include <map>

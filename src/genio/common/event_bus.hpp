@@ -3,10 +3,10 @@
 // security monitors (FIM, Falco-like) subscribe to the streams they audit.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "genio/common/sim_clock.hpp"
 
@@ -59,15 +59,15 @@ class EventBus {
     // Index-iterate over the subscriber count at entry: handlers may
     // subscribe (appends — delivered from the next event on) or
     // unsubscribe (tombstones) without invalidating the traversal. The
-    // handler is copied out before the call because invoking it can grow
-    // `subscribers_` and reallocate the element mid-execution.
+    // handler runs in place: a deque's push_back keeps references to its
+    // elements valid, and nothing is erased until the outermost publish.
     ++publish_depth_;
     const std::size_t count = subscribers_.size();
     for (std::size_t i = 0; i < count; ++i) {
-      if (!subscribers_[i].alive) continue;
-      if (event.topic.rfind(subscribers_[i].prefix, 0) != 0) continue;
-      Handler handler = subscribers_[i].handler;
-      handler(event);
+      const Subscriber& sub = subscribers_[i];
+      if (!sub.alive) continue;
+      if (event.topic.rfind(sub.prefix, 0) != 0) continue;
+      sub.handler(event);
     }
     if (--publish_depth_ == 0 && needs_compaction_) {
       std::erase_if(subscribers_, [](const Subscriber& s) { return !s.alive; });
@@ -86,7 +86,7 @@ class EventBus {
   };
 
   const SimClock* clock_;
-  std::vector<Subscriber> subscribers_;
+  std::deque<Subscriber> subscribers_;
   int next_id_ = 1;
   std::uint64_t published_ = 0;
   int publish_depth_ = 0;

@@ -1,8 +1,9 @@
-// Discrete-event core. Everything time-driven in the platform — the chaos
-// fault timeline, supervisor reconcile ticks, TDMA/DBA upstream cycles,
-// per-subscriber traffic generators — schedules callbacks here, and
-// advance_time() becomes "drain events until T" instead of fixed-step
-// polling. The scheduler is a binary heap on (time, seq).
+// Discrete-event core. Everything time-driven in the platform — chaos
+// fault injections and reversions (one event per edge), supervisor
+// reconcile ticks, TDMA/DBA upstream cycles, per-subscriber traffic
+// generators — schedules callbacks here, and advance_time() is "drain
+// events until T"; there is no second timeline and no fixed-step polling.
+// The scheduler is a binary heap on (time, seq).
 //
 // Determinism: same-timestamp events run in schedule order (FIFO via a
 // monotonic sequence number). Cancellation is O(1) lazy: the token's seq

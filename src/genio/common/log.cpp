@@ -1,7 +1,5 @@
 #include "genio/common/log.hpp"
 
-#include <cstdio>
-
 namespace genio::common {
 
 std::string to_string(LogLevel level) {
@@ -24,12 +22,6 @@ std::vector<LogRecord> MemorySink::filter(LogLevel min_level,
     out.push_back(r);
   }
   return out;
-}
-
-void StderrSink::write(const LogRecord& record) {
-  std::fprintf(stderr, "[%12s] %-8s %-20s %s\n", record.time.to_string().c_str(),
-               to_string(record.level).c_str(), record.component.c_str(),
-               record.message.c_str());
 }
 
 void Logger::log(LogLevel level, std::string component, std::string message) const {

@@ -1,6 +1,5 @@
 // Structured logging with an in-memory sink. Security components emit audit
-// records here; tests assert on them, and the Falco-like monitor consumes
-// them as one of its event sources.
+// records here, and tests attach a MemorySink to assert on them.
 #pragma once
 
 #include <functional>
@@ -42,12 +41,6 @@ class MemorySink final : public LogSink {
 
  private:
   std::vector<LogRecord> records_;
-};
-
-/// Writes human-readable lines to stderr; used by examples.
-class StderrSink final : public LogSink {
- public:
-  void write(const LogRecord& record) override;
 };
 
 /// Fan-out logger bound to a simulation clock. Non-owning: sinks and clock

@@ -1,6 +1,8 @@
 #include "genio/common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 namespace genio::common {
 
@@ -13,26 +15,22 @@ ThreadPool::ThreadPool(std::size_t workers) {
   size_ = workers == 0 ? recommended_workers() : workers;
   if (size_ <= 1) {
     size_ = 1;
-    return;  // inline mode: no queues, no threads
+    return;  // inline mode: no threads
   }
   const std::size_t thread_count = size_ - 1;  // the caller is the last worker
-  queues_.reserve(thread_count);
-  for (std::size_t i = 0; i < thread_count; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
   threads_.reserve(thread_count);
   for (std::size_t i = 0; i < thread_count; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   if (threads_.empty()) return;
   {
-    std::lock_guard<std::mutex> lk(wake_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
   }
-  wake_cv_.notify_all();
+  cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
@@ -41,54 +39,24 @@ void ThreadPool::submit(std::function<void()> task) {
     task();
     return;
   }
-  // Increment before publishing the task so a racing pop never underflows.
-  pending_.fetch_add(1);
   {
-    Queue& q = *queues_[next_queue_.fetch_add(1) % queues_.size()];
-    std::lock_guard<std::mutex> lk(q.mu);
-    q.tasks.push_back(std::move(task));
+    std::lock_guard<std::mutex> lk(mu_);
+    tasks_.push_back(std::move(task));
   }
-  // Serialize with the waiter's predicate-check-then-block window: once we
-  // hold wake_mu_, any sleeper either saw pending_ > 0 or is blocked and
-  // will receive the notify.
-  { std::lock_guard<std::mutex> lk(wake_mu_); }
-  wake_cv_.notify_one();
+  cv_.notify_one();
 }
 
-bool ThreadPool::pop_task(std::size_t self, std::function<void()>& task) {
-  {
-    Queue& q = *queues_[self];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.back());  // own work LIFO
-      q.tasks.pop_back();
-      pending_.fetch_sub(1);
-      return true;
-    }
-  }
-  for (std::size_t i = 1; i < queues_.size(); ++i) {
-    Queue& q = *queues_[(self + i) % queues_.size()];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.front());  // steal FIFO
-      q.tasks.pop_front();
-      pending_.fetch_sub(1);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
-    if (pop_task(self, task)) {
-      task();
-      continue;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [this] { return stop_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stopping, and every task has run
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lk(wake_mu_);
-    wake_cv_.wait(lk, [&] { return stop_ || pending_.load() > 0; });
-    if (stop_ && pending_.load() == 0) return;
+    task();
   }
 }
 

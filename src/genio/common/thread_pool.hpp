@@ -1,6 +1,7 @@
-// Work-stealing thread pool powering the admission-scan fabric. Each
-// worker owns a deque: it pops its own work LIFO (cache locality) and
-// steals FIFO from siblings when idle. The pool is built for deterministic
+// Thread pool powering the admission-scan fabric: background workers take
+// tasks FIFO from one shared queue. Every task parallel_for submits is an
+// interchangeable index-grabbing runner, so there is no locality for
+// per-worker queues to exploit. The pool is built for deterministic
 // data-parallel scanning: parallel_map writes results by index and
 // parallel_map_reduce folds them on the calling thread in index order, so
 // the merged output is byte-identical to a serial loop no matter how the
@@ -14,12 +15,10 @@
 // completion, nested parallel_for from inside a pool task cannot deadlock.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -68,23 +67,14 @@ class ThreadPool {
   }
 
  private:
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void worker_loop(std::size_t self);
-  /// Pop own queue LIFO, then steal FIFO round-robin from siblings.
-  bool pop_task(std::size_t self, std::function<void()>& task);
+  void worker_loop();
 
   std::size_t size_ = 1;
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> threads_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::atomic<std::size_t> pending_{0};  // queued, not yet popped
-  std::atomic<std::size_t> next_queue_{0};
-  bool stop_ = false;  // guarded by wake_mu_
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;  // guarded by mu_
+  bool stop_ = false;                        // guarded by mu_
+  std::vector<std::thread> threads_;         // after what the workers use
 };
 
 }  // namespace genio::common

@@ -1,7 +1,6 @@
 #include "genio/core/platform.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "genio/hardening/scap.hpp"
 #include "genio/pon/serial.hpp"
@@ -39,21 +38,12 @@ GenioPlatform::GenioPlatform(PlatformConfig config)
       bus_(&clock_),
       rng_(config.seed),
       events_(&clock_) {
-  logger_.add_sink(&sink_);
   build_pki();
   build_pon();
   build_host();
   build_middleware();
   build_resilience();
   if (config_.runtime_monitoring) falco_ = appsec::make_default_falco_monitor();
-}
-
-resilience::ChaosEngine& GenioPlatform::chaos() {
-  if (chaos_ == nullptr) {
-    throw std::logic_error(
-        "chaos engine not built (PlatformConfig::chaos_enabled = false)");
-  }
-  return *chaos_;
 }
 
 void GenioPlatform::advance_time(common::SimTime delta) {
@@ -110,8 +100,7 @@ void GenioPlatform::build_pon() {
                               &trust_, rng_.fork("olt-auth"));
 
   for (int i = 0; i < config_.onu_count; ++i) {
-    const std::string serial = pon::make_onu_serial(
-        static_cast<unsigned>(config_.olt_ordinal), static_cast<unsigned>(i));
+    const std::string serial = pon::make_onu_serial(0, static_cast<unsigned>(i));
     // Serials here are unique by construction (one ordinal, sequential
     // indices), so a rejection would be a scheme bug.
     (void)olt_->register_serial(serial);
@@ -237,12 +226,10 @@ void GenioPlatform::build_middleware() {
 void GenioPlatform::build_resilience() {
   feed_service_ = std::make_unique<vuln::FeedHealthService>(&cve_db_);
   feed_service_->mark_refreshed(clock_.now());
-  if (!config_.chaos_enabled) return;
-  chaos_ = std::make_unique<resilience::ChaosEngine>(&clock_, &bus_,
+  // Fault edges are events on the platform queue, so advance_time()
+  // processes chaos alongside every other event source.
+  chaos_ = std::make_unique<resilience::ChaosEngine>(&events_, &bus_,
                                                      rng_.fork("chaos"));
-  // Fault edges become events: the timeline rides the platform queue, so
-  // advance_time() processes chaos alongside every other event source.
-  chaos_->attach_queue(&events_);
   using resilience::FaultKind;
   using resilience::FaultSpec;
   resilience::ChaosEngine& chaos = *chaos_;

@@ -57,7 +57,7 @@ struct PlatformConfig {
   // policies. Off = legacy behavior (faults fail open / deployments lost).
   bool resilience_policies = true;
   // Admission-scan fabric: run the post-pull gates (and the per-file /
-  // per-package work inside SAST and SCA) on a work-stealing pool. Reports
+  // per-package work inside SAST and SCA) on a thread pool. Reports
   // are byte-identical to the serial path.
   int scan_workers = 0;  // pool size incl. caller; 0 = min(hw cores, 8); 1 = serial
   // Content-addressed scan cache keyed by (image digest, signature scope,
@@ -70,15 +70,7 @@ struct PlatformConfig {
   // sends every tenant back down the cold path at once.
   bool incremental_invalidation = true;
 
-  // Resilience wiring: when false the chaos engine is not built at all —
-  // time still advances through the event queue, but no fault targets
-  // exist and chaos() throws instead of dereferencing null.
-  bool chaos_enabled = true;
-
   int onu_count = 4;
-  // Position of this platform's OLT in the fleet-wide serial scheme
-  // (pon::make_onu_serial); 0 keeps the legacy single-site serial block.
-  int olt_ordinal = 0;
   std::uint64_t seed = 42;
 };
 
@@ -102,7 +94,6 @@ class GenioPlatform {
   // -- shared services --------------------------------------------------------
   common::SimClock& clock() { return clock_; }
   common::Logger& logger() { return logger_; }
-  common::MemorySink& log_sink() { return sink_; }
   common::EventBus& bus() { return bus_; }
   common::Rng& rng() { return rng_; }
   /// The platform's discrete-event queue. Everything time-driven — chaos
@@ -153,15 +144,12 @@ class GenioPlatform {
 
   // -- resilience ---------------------------------------------------------------
   /// The chaos engine, with every substrate fault target pre-registered.
-  /// Throws std::logic_error when the platform was built with
-  /// chaos_enabled = false — check has_chaos() first.
-  resilience::ChaosEngine& chaos();
-  bool has_chaos() const { return chaos_ != nullptr; }
+  /// Its fault edges are events on events().
+  resilience::ChaosEngine& chaos() { return *chaos_; }
   /// Advance the sim clock by `delta`, draining every due event (chaos
   /// fault edges, supervisor ticks, TDMA cycles) in timestamp order along
   /// the way. Retry backoffs sleep through this so faults can heal
-  /// mid-retry. Safe with resilience disabled: the queue advances time
-  /// whether or not a chaos engine exists.
+  /// mid-retry. advance_time(SimTime{}) runs what is due now.
   void advance_time(common::SimTime delta);
 
   // -- TDMA upstream scheduling -------------------------------------------------
@@ -188,7 +176,6 @@ class GenioPlatform {
 
   PlatformConfig config_;
   common::SimClock clock_;
-  common::MemorySink sink_;
   common::Logger logger_;
   common::EventBus bus_;
   common::Rng rng_;

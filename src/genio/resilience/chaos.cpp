@@ -2,11 +2,30 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "genio/common/strings.hpp"
 
 namespace genio::resilience {
+
+namespace {
+
+// One fault starting at now + U[0, horizon) and lasting Exp(mean_duration),
+// drawn from `rng` in that order.
+FaultSpec draw_fault(FaultKind kind, const std::string& target, Rng& rng, SimTime now,
+                     SimTime horizon, SimTime mean_duration) {
+  FaultSpec spec;
+  spec.kind = kind;
+  spec.target = target;
+  spec.at = now + SimTime(static_cast<std::int64_t>(
+                      rng.uniform01() * static_cast<double>(horizon.nanos())));
+  spec.duration = SimTime(static_cast<std::int64_t>(
+      rng.exponential(static_cast<double>(mean_duration.nanos()))));
+  if (kind == FaultKind::kPonBitErrorBurst) spec.magnitude = 0.05;
+  if (kind == FaultKind::kTpmTransient) spec.magnitude = 2.0;
+  return spec;
+}
+
+}  // namespace
 
 std::string to_string(FaultKind kind) {
   switch (kind) {
@@ -35,29 +54,14 @@ bool ChaosEngine::target_registered(FaultKind kind, const std::string& target) c
 int ChaosEngine::schedule(FaultSpec spec) {
   assert(target_registered(spec.kind, spec.target) && "unregistered fault target");
   spec.id = next_id_++;
+  const std::size_t index = schedule_.size();
   schedule_.push_back(spec);
   states_.push_back({});
-  if (queue_ != nullptr) post_wakes(schedule_.back(), states_.back());
+  (void)queue_->schedule_at(spec.at, [this, index] { inject(index); });
+  if (spec.duration > SimTime{}) {
+    (void)queue_->schedule_at(spec.at + spec.duration, [this, index] { revert(index); });
+  }
   return spec.id;
-}
-
-void ChaosEngine::post_wakes(const FaultSpec& spec, const FaultState& state) {
-  // One wake per outstanding edge. schedule_at clamps past times to "now",
-  // so a fault scheduled in the past is applied on the next drain step.
-  if (!state.applied) {
-    (void)queue_->schedule_at(spec.at, [this] { process_due(); });
-  }
-  if (spec.duration > SimTime{} && !state.reverted) {
-    (void)queue_->schedule_at(spec.at + spec.duration, [this] { process_due(); });
-  }
-}
-
-void ChaosEngine::attach_queue(common::EventQueue* queue) {
-  queue_ = queue;
-  if (queue_ == nullptr) return;
-  for (std::size_t i = 0; i < schedule_.size(); ++i) {
-    post_wakes(schedule_[i], states_[i]);
-  }
 }
 
 std::vector<int> ChaosEngine::schedule_random(int count, SimTime horizon,
@@ -69,17 +73,8 @@ std::vector<int> ChaosEngine::schedule_random(int count, SimTime horizon,
   if (keys.empty()) return ids;
   for (int i = 0; i < count; ++i) {
     const auto& [kind, target] = keys[rng_.index(keys.size())];
-    FaultSpec spec;
-    spec.kind = kind;
-    spec.target = target;
-    spec.at = clock_->now() +
-              SimTime(static_cast<std::int64_t>(rng_.uniform01() *
-                                                static_cast<double>(horizon.nanos())));
-    spec.duration = SimTime(static_cast<std::int64_t>(
-        rng_.exponential(static_cast<double>(mean_duration.nanos()))));
-    if (spec.kind == FaultKind::kPonBitErrorBurst) spec.magnitude = 0.05;
-    if (spec.kind == FaultKind::kTpmTransient) spec.magnitude = 2.0;
-    ids.push_back(schedule(spec));
+    ids.push_back(schedule(
+        draw_fault(kind, target, rng_, queue_->clock().now(), horizon, mean_duration)));
   }
   return ids;
 }
@@ -92,17 +87,8 @@ std::vector<int> ChaosEngine::schedule_storm(FaultKind kind, const std::string& 
   std::vector<int> ids;
   ids.reserve(static_cast<std::size_t>(std::max(count, 0)));
   for (int i = 0; i < count; ++i) {
-    FaultSpec spec;
-    spec.kind = kind;
-    spec.target = target;
-    spec.at = clock_->now() +
-              SimTime(static_cast<std::int64_t>(stream.uniform01() *
-                                                static_cast<double>(horizon.nanos())));
-    spec.duration = SimTime(static_cast<std::int64_t>(
-        stream.exponential(static_cast<double>(mean_duration.nanos()))));
-    if (spec.kind == FaultKind::kPonBitErrorBurst) spec.magnitude = 0.05;
-    if (spec.kind == FaultKind::kTpmTransient) spec.magnitude = 2.0;
-    ids.push_back(schedule(spec));
+    ids.push_back(schedule(
+        draw_fault(kind, target, stream, queue_->clock().now(), horizon, mean_duration)));
   }
   return ids;
 }
@@ -128,64 +114,6 @@ void ChaosEngine::revert(std::size_t index) {
   states_[index].reverted = true;
   ++stats_.reverted;
   if (bus_ != nullptr) bus_->publish("chaos.fault.reverted", event_attrs(spec));
-}
-
-void ChaosEngine::process_due() {
-  // Collect due edges and run them in chronological order (id breaks
-  // ties), injections before reversions at equal times.
-  struct Edge {
-    SimTime at;
-    bool is_revert;
-    std::size_t index;
-  };
-  std::vector<Edge> due;
-  const SimTime now = clock_->now();
-  for (std::size_t i = 0; i < schedule_.size(); ++i) {
-    const FaultSpec& spec = schedule_[i];
-    if (!states_[i].applied && spec.at <= now) {
-      due.push_back({spec.at, false, i});
-    }
-    if (!states_[i].reverted && spec.duration > SimTime{} &&
-        spec.at + spec.duration <= now) {
-      due.push_back({spec.at + spec.duration, true, i});
-    }
-  }
-  std::stable_sort(due.begin(), due.end(), [this](const Edge& a, const Edge& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.is_revert != b.is_revert) return !a.is_revert;
-    return schedule_[a.index].id < schedule_[b.index].id;
-  });
-  for (const Edge& edge : due) {
-    // A fault can be scheduled by a handler mid-loop; re-check state.
-    if (edge.is_revert) {
-      if (!states_[edge.index].reverted && states_[edge.index].applied) {
-        revert(edge.index);
-      }
-    } else if (!states_[edge.index].applied) {
-      inject(edge.index);
-    }
-  }
-}
-
-void ChaosEngine::run_until(SimTime t) {
-  process_due();
-  for (;;) {
-    SimTime next = SimTime(std::numeric_limits<std::int64_t>::max());
-    for (std::size_t i = 0; i < schedule_.size(); ++i) {
-      const FaultSpec& spec = schedule_[i];
-      if (!states_[i].applied && spec.at > clock_->now()) {
-        next = std::min(next, spec.at);
-      }
-      if (spec.duration > SimTime{} && !states_[i].reverted &&
-          spec.at + spec.duration > clock_->now()) {
-        next = std::min(next, spec.at + spec.duration);
-      }
-    }
-    if (next > t || next.nanos() == std::numeric_limits<std::int64_t>::max()) break;
-    clock_->advance_to(next);
-    process_due();
-  }
-  if (clock_->now() < t) clock_->advance_to(t);
 }
 
 std::vector<FaultSpec> ChaosEngine::active_faults() const {

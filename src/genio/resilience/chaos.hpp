@@ -1,11 +1,12 @@
 // Deterministic chaos/fault-injection engine. Faults are scheduled (or
-// drawn probabilistically from a seeded Rng) on the shared SimClock and
-// applied at registered substrate boundaries: PON link flaps and bit-error
-// bursts, ONU churn, node crashes and kubelet stalls, SDN controller
-// outages, registry/feed unavailability, TPM transient errors. Every fault
-// is revertible and every injection/reversion is published on the
-// EventBus ("chaos.fault.injected" / "chaos.fault.reverted"), so monitors
-// and tests observe the same timeline the substrates experienced.
+// drawn probabilistically from a seeded Rng) as ordinary events on the
+// platform's EventQueue and applied at registered substrate boundaries:
+// PON link flaps and bit-error bursts, ONU churn, node crashes and kubelet
+// stalls, SDN controller outages, registry/feed unavailability, TPM
+// transient errors. Every fault is revertible and every
+// injection/reversion is published on the EventBus ("chaos.fault.injected"
+// / "chaos.fault.reverted"), so monitors and tests observe the same
+// timeline the substrates experienced.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +23,8 @@
 namespace genio::resilience {
 
 using common::EventBus;
+using common::EventQueue;
 using common::Rng;
-using common::SimClock;
 using common::SimTime;
 
 enum class FaultKind {
@@ -50,7 +51,8 @@ struct FaultSpec {
 };
 
 /// Substrate-side handlers. `apply` flips the boundary into its failed
-/// state; `revert` restores it. Both must be idempotent per fault.
+/// state; `revert` restores it. Each runs once per fault, so when two
+/// faults overlap on one target the first revert heals it.
 struct FaultTarget {
   std::function<void(const FaultSpec&)> apply;
   std::function<void(const FaultSpec&)> revert;
@@ -63,14 +65,22 @@ class ChaosEngine {
     std::uint64_t reverted = 0;
   };
 
-  ChaosEngine(SimClock* clock, EventBus* bus, Rng rng)
-      : clock_(clock), bus_(bus), rng_(rng) {}
+  /// Fault edges are events on `queue`, at its clock. A pending edge calls
+  /// back into the engine, so the engine must outlive every edge the queue
+  /// may still run, and it is neither copied nor moved.
+  ChaosEngine(EventQueue* queue, EventBus* bus, Rng rng)
+      : queue_(queue), bus_(bus), rng_(rng) {}
+  ChaosEngine(const ChaosEngine&) = delete;
+  ChaosEngine& operator=(const ChaosEngine&) = delete;
 
   /// Register the failure surface for (kind, target). Scheduling a fault
   /// against an unregistered pair is an error.
   void register_target(FaultKind kind, const std::string& target, FaultTarget handlers);
 
-  /// Schedule one fault; returns its id.
+  /// Schedule one fault; returns its id. Posts one queue event that
+  /// injects it at `at` and, when duration > 0, one that reverts it at
+  /// `at + duration`. A time already past runs at the next drain, and
+  /// edges at equal times run in the queue's (time, seq) order.
   int schedule(FaultSpec spec);
 
   /// Draw `count` faults uniformly over registered targets, with start
@@ -89,24 +99,6 @@ class ChaosEngine {
                                   int count, SimTime horizon,
                                   SimTime mean_duration, std::uint64_t stream_seed);
 
-  /// Apply/revert every fault whose time has come (clock not advanced).
-  void process_due();
-
-  /// Advance the clock through every pending fault edge up to `t`,
-  /// processing each in chronological order, then settle at `t`.
-  /// Standalone driver for engines not attached to an event queue; the
-  /// platform path runs on EventQueue wakes instead (attach_queue).
-  void run_until(SimTime t);
-
-  /// Run the timeline on `queue` (which must share this engine's clock):
-  /// every schedule() call posts a process_due() wake at each fault edge
-  /// (injection, and reversion when duration > 0), and wakes for edges of
-  /// already-scheduled unfinished faults are posted immediately. Wakes are
-  /// idempotent — process_due() applies every due edge in the legacy order
-  /// — so the observable timeline is identical to run_until(), but the
-  /// engine no longer needs an O(schedule) scan per time step.
-  void attach_queue(common::EventQueue* queue);
-
   /// Faults currently applied and not yet reverted.
   std::vector<FaultSpec> active_faults() const;
   bool target_registered(FaultKind kind, const std::string& target) const;
@@ -121,12 +113,10 @@ class ChaosEngine {
 
   void inject(std::size_t index);
   void revert(std::size_t index);
-  void post_wakes(const FaultSpec& spec, const FaultState& state);
   std::map<std::string, std::string> event_attrs(const FaultSpec& spec) const;
 
-  SimClock* clock_;
+  EventQueue* queue_;
   EventBus* bus_;
-  common::EventQueue* queue_ = nullptr;
   Rng rng_;
   std::map<std::pair<FaultKind, std::string>, FaultTarget> targets_;
   std::vector<FaultSpec> schedule_;

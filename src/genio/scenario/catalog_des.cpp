@@ -1,8 +1,8 @@
 // Discrete-event / carrier-scale catalog: the PonFabric (many OLT sites on
 // one EventQueue) exercised end to end — a feeder cut isolated to one site
 // with frame-level accounting closed, a staggered 10k-ONU activation storm
-// with fleet-wide serial-collision checks, a cross-OLT chaos storm driven
-// through ChaosEngine::attach_queue with same-seed determinism, and DBA
+// with fleet-wide serial-collision checks, a cross-OLT chaos storm whose
+// fault edges are fabric queue events, with same-seed determinism, and DBA
 // class protection (fixed/assured floors) under a best-effort flood with
 // mid-run churn. Fabric scenarios advance sim time on the fabric's own
 // queue; ctx.advance() still charges the watchdog budget.
@@ -130,15 +130,15 @@ GENIO_SCENARIO("des.activation-storm.10k-onu", "des", "fabric", "scale") {
 }
 
 // A chaos storm spread across multiple OLT feeders, driven through the
-// fabric's event queue (ChaosEngine::attach_queue): fault edges interleave
-// with traffic and DBA events in timestamp order. Faults must actually
-// fire and revert, the fabric must keep delivering, and the whole run —
-// storm included — must be bit-reproducible: a second fabric and engine
-// built from the same seed produce the identical delivery digest.
+// fabric's event queue: fault edges interleave with traffic and DBA
+// events in timestamp order. Faults must actually fire and revert, the
+// fabric must keep delivering, and the whole run — storm included — must
+// be bit-reproducible: a second fabric and engine built from the same
+// seed produce the identical delivery digest.
 GENIO_SCENARIO("des.cross-olt.chaos-storm", "des", "fabric", "chaos",
                "fault:pon-link-flap") {
   const auto run_storm = [&](sim::PonFabric& fabric) {
-    gr::ChaosEngine chaos(&fabric.clock(), nullptr, gc::Rng(ctx.seed()));
+    gr::ChaosEngine chaos(&fabric.events(), nullptr, gc::Rng(ctx.seed()));
     for (int site = 0; site < fabric.site_count(); ++site) {
       const int s = site;
       chaos.register_target(
@@ -146,7 +146,6 @@ GENIO_SCENARIO("des.cross-olt.chaos-storm", "des", "fabric", "chaos",
           {.apply = [&fabric, s](const gr::FaultSpec&) { fabric.set_feeder(s, false); },
            .revert = [&fabric, s](const gr::FaultSpec&) { fabric.set_feeder(s, true); }});
     }
-    chaos.attach_queue(&fabric.events());
 
     (void)fabric.activate_all();
     fabric.start_traffic();

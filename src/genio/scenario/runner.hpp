@@ -1,4 +1,4 @@
-// Executes the scenario catalog on the work-stealing pool. Every scenario
+// Executes the scenario catalog on the thread pool. Every scenario
 // gets a fresh ScenarioContext (own platform, own derived seed), so the
 // pool may interleave them arbitrarily without changing any verdict —
 // verify_determinism() re-runs a sample serially and compares canonical

@@ -4,7 +4,6 @@
 // reproduction of the paper's Fig. 3.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -520,27 +519,18 @@ TEST(Scenarios, AllEightContrastsHold) {
 
 // ------------------------------------------- discrete-event platform core
 
-// Regression (the advance_time guard): a platform built with the chaos
-// engine disabled must still advance time — the old implementation
-// dereferenced the null chaos engine unconditionally.
-TEST(Platform, ChaosDisabledPlatformStillAdvancesTime) {
-  core::PlatformConfig config;
-  config.chaos_enabled = false;
-  core::GenioPlatform platform(config);
-  EXPECT_FALSE(platform.has_chaos());
-  EXPECT_THROW((void)platform.chaos(), std::logic_error);
-
+// A chaos engine with nothing scheduled posts no events, and time still
+// advances on an empty queue.
+TEST(Platform, IdleChaosEnginePostsNoEvents) {
+  core::GenioPlatform platform({});
   EXPECT_EQ(platform.activate_pon(), platform.config().onu_count);
+  EXPECT_TRUE(platform.events().empty());
   platform.advance_time(gc::SimTime::from_seconds(30));
   EXPECT_EQ(platform.clock().now(), gc::SimTime::from_seconds(30));
   platform.advance_time(gc::SimTime::from_seconds(30));
   EXPECT_EQ(platform.clock().now(), gc::SimTime::from_seconds(60));
-}
-
-TEST(Platform, ChaosEnabledPlatformExposesTheEngine) {
-  core::GenioPlatform platform({});
-  EXPECT_TRUE(platform.has_chaos());
-  EXPECT_NO_THROW((void)platform.chaos());
+  EXPECT_EQ(platform.events().stats().scheduled, 0u);
+  EXPECT_EQ(platform.chaos().stats().injected, 0u);
 }
 
 // advance_time() is now "drain the event queue until T": events scheduled

@@ -235,8 +235,9 @@ struct ToggleTarget {
 
 TEST(ChaosEngine, AppliesAndRevertsOnTimeline) {
   gc::SimClock clock;
+  gc::EventQueue queue(&clock);
   gc::EventBus bus(&clock);
-  gr::ChaosEngine chaos(&clock, &bus, gc::Rng(5));
+  gr::ChaosEngine chaos(&queue, &bus, gc::Rng(5));
   ToggleTarget link;
   chaos.register_target(gr::FaultKind::kPonLinkFlap, "odn", link.handlers());
 
@@ -247,12 +248,12 @@ TEST(ChaosEngine, AppliesAndRevertsOnTimeline) {
                   .target = "odn",
                   .at = gc::SimTime::from_seconds(10),
                   .duration = gc::SimTime::from_seconds(5)});
-  chaos.run_until(gc::SimTime::from_seconds(12));
+  (void)queue.run_until(gc::SimTime::from_seconds(12));
   EXPECT_TRUE(link.down);
   ASSERT_EQ(chaos.active_faults().size(), 1u);
   EXPECT_EQ(chaos.active_faults()[0].target, "odn");
 
-  chaos.run_until(gc::SimTime::from_seconds(20));
+  (void)queue.run_until(gc::SimTime::from_seconds(20));
   EXPECT_FALSE(link.down);
   EXPECT_TRUE(chaos.active_faults().empty());
   EXPECT_EQ(chaos.stats().injected, 1u);
@@ -266,7 +267,8 @@ TEST(ChaosEngine, AppliesAndRevertsOnTimeline) {
 TEST(ChaosEngine, RandomScheduleDeterministicPerSeed) {
   auto draw = [](std::uint64_t seed) {
     gc::SimClock clock;
-    gr::ChaosEngine chaos(&clock, nullptr, gc::Rng(seed));
+    gc::EventQueue queue(&clock);
+    gr::ChaosEngine chaos(&queue, nullptr, gc::Rng(seed));
     ToggleTarget a, b;
     chaos.register_target(gr::FaultKind::kPonLinkFlap, "odn", a.handlers());
     chaos.register_target(gr::FaultKind::kSdnOutage, "onos", b.handlers());
@@ -293,7 +295,8 @@ TEST(ChaosEngine, RandomScheduleDeterministicPerSeed) {
 
 TEST(ChaosEngine, OverlappingFaultsTrackedIndependently) {
   gc::SimClock clock;
-  gr::ChaosEngine chaos(&clock, nullptr, gc::Rng(5));
+  gc::EventQueue queue(&clock);
+  gr::ChaosEngine chaos(&queue, nullptr, gc::Rng(5));
   ToggleTarget link, sdn;
   chaos.register_target(gr::FaultKind::kPonLinkFlap, "odn", link.handlers());
   chaos.register_target(gr::FaultKind::kSdnOutage, "onos", sdn.handlers());
@@ -305,10 +308,63 @@ TEST(ChaosEngine, OverlappingFaultsTrackedIndependently) {
                   .target = "onos",
                   .at = gc::SimTime::from_seconds(2),
                   .duration = gc::SimTime::from_seconds(3)});
-  chaos.run_until(gc::SimTime::from_seconds(10));
+  (void)queue.run_until(gc::SimTime::from_seconds(10));
   EXPECT_TRUE(link.down);
   EXPECT_FALSE(sdn.down);  // reverted at t=5
   EXPECT_EQ(chaos.active_faults().size(), 1u);
+}
+
+namespace {
+
+// One feeder-flap target on a queue-driven engine.
+struct FlapRig {
+  gc::SimClock clock;
+  gc::EventQueue queue{&clock};
+  gr::ChaosEngine chaos{&queue, nullptr, gc::Rng(5)};
+  ToggleTarget link;
+
+  FlapRig() { chaos.register_target(gr::FaultKind::kPonLinkFlap, "odn", link.handlers()); }
+  void flap(int start_s, int duration_s) {
+    chaos.schedule({.kind = gr::FaultKind::kPonLinkFlap,
+                    .target = "odn",
+                    .at = gc::SimTime::from_seconds(start_s),
+                    .duration = gc::SimTime::from_seconds(duration_s)});
+  }
+  void run_to(int t_s) { (void)queue.run_until(gc::SimTime::from_seconds(t_s)); }
+};
+
+}  // namespace
+
+// Regression: A holds the feeder down over [10 s, 20 s) and B over
+// [20 s, 30 s). Both edges at 20 s run in schedule order, so A's revert
+// comes before B's injection and the feeder stays down for all of B.
+// Ordering injections before reversions at equal times would let A's
+// revert bring the feeder back up for B's whole window.
+TEST(ChaosEngine, BackToBackFaultsOnOneTargetBothHold) {
+  FlapRig rig;
+  rig.flap(10, 10);
+  rig.flap(20, 10);
+  rig.run_to(15);
+  EXPECT_TRUE(rig.link.down);
+  rig.run_to(25);
+  EXPECT_TRUE(rig.link.down) << "B must hold the feeder down over [20 s, 30 s)";
+  ASSERT_EQ(rig.chaos.active_faults().size(), 1u);
+  EXPECT_EQ(rig.chaos.active_faults()[0].id, 2);
+  rig.run_to(30);
+  EXPECT_FALSE(rig.link.down);
+  EXPECT_EQ(rig.chaos.stats().injected, 2u);
+  EXPECT_EQ(rig.chaos.stats().reverted, 2u);
+}
+
+// Reverts stay per fault: when two faults overlap on one target, the first
+// revert heals it even though the second has not ended.
+TEST(ChaosEngine, FirstRevertHealsAnOverlappedTarget) {
+  FlapRig rig;
+  rig.flap(10, 20);
+  rig.flap(20, 20);
+  rig.run_to(35);
+  EXPECT_FALSE(rig.link.down);
+  EXPECT_EQ(rig.chaos.active_faults().size(), 1u);
 }
 
 // ------------------------------------------------------- substrate hooks
@@ -555,7 +611,7 @@ TEST(PlatformChaos, RegistryOutageHealsDuringRetryBackoff) {
                                .target = "registry",
                                .at = f.platform.clock().now(),
                                .duration = gc::SimTime::from_seconds(2)});
-  f.platform.chaos().process_due();
+  f.platform.advance_time(gc::SimTime{});
   ASSERT_FALSE(f.platform.registry().available());
 
   core::DeploymentPipeline pipeline(&f.platform);
@@ -574,7 +630,7 @@ TEST(PlatformChaos, PersistentRegistryOutageFailsClosed) {
                                .target = "registry",
                                .at = f.platform.clock().now(),
                                .duration = gc::SimTime::from_hours(24)});
-  f.platform.chaos().process_due();
+  f.platform.advance_time(gc::SimTime{});
   core::DeploymentPipeline pipeline(&f.platform);
   const auto report = pipeline.deploy(f.request());
   EXPECT_FALSE(report.deployed);
@@ -587,7 +643,7 @@ TEST(PlatformChaos, FeedOutageDegradesScaToSnapshot) {
                                .target = "cve-feed",
                                .at = f.platform.clock().now(),
                                .duration = gc::SimTime::from_hours(8)});
-  f.platform.chaos().process_due();
+  f.platform.advance_time(gc::SimTime{});
   core::DeploymentPipeline pipeline(&f.platform);
   const auto report = pipeline.deploy(f.request());
   EXPECT_TRUE(report.deployed) << report.blocked_by();
@@ -650,62 +706,56 @@ TEST(PlatformChaos, OnuChurnDetachesAndReattaches) {
 }
 
 // ---------------------------------------------------------------------------
-// Discrete-event integration: a chaos engine attached to an EventQueue must
-// produce the identical observable fault timeline — same edges, same order,
-// same clock timestamps, same stats — as the legacy run_until() scan. This
-// is the parity gate for moving the chaos timeline onto the event core.
+// Fault edges are ordinary EventQueue events. This schedule (two explicit
+// faults and a six-fault storm) must replay the edge sequence and counts
+// recorded when the engine still kept its own timeline and rescanned it on
+// each queue wake: none of its edges tie, so the two agree on all of them.
 
-TEST(ChaosEngine, AttachedQueueMatchesLegacyRunUntilTimeline) {
+TEST(ChaosEngine, QueueTimelineMatchesRecordedEdges) {
   using Timeline = std::vector<std::pair<std::int64_t, std::string>>;
-
-  const auto run = [](bool on_queue) {
-    gc::SimClock clock;
-    gc::EventQueue queue(&clock);
-    gr::ChaosEngine chaos(&clock, nullptr, gc::Rng(9));
-    Timeline timeline;
-    const auto target = [&timeline, &clock](const std::string& name) {
-      return gr::FaultTarget{
-          .apply =
-              [&timeline, &clock, name](const gr::FaultSpec& spec) {
-                timeline.emplace_back(clock.now().nanos(),
-                                      name + "+" + std::to_string(spec.id));
-              },
-          .revert =
-              [&timeline, &clock, name](const gr::FaultSpec& spec) {
-                timeline.emplace_back(clock.now().nanos(),
-                                      name + "-" + std::to_string(spec.id));
-              }};
-    };
-    chaos.register_target(gr::FaultKind::kPonLinkFlap, "odn", target("link"));
-    chaos.register_target(gr::FaultKind::kSdnOutage, "onos", target("sdn"));
-
-    // One fault lands before attach_queue(): attaching must retroactively
-    // post wakes for already-scheduled edges.
-    chaos.schedule({.kind = gr::FaultKind::kPonLinkFlap,
-                    .target = "odn",
-                    .at = gc::SimTime::from_seconds(5),
-                    .duration = gc::SimTime::from_seconds(10)});
-    if (on_queue) chaos.attach_queue(&queue);
-    chaos.schedule({.kind = gr::FaultKind::kSdnOutage,
-                    .target = "onos",
-                    .at = gc::SimTime::from_seconds(8),
-                    .duration = gc::SimTime::from_seconds(2)});
-    (void)chaos.schedule_storm(gr::FaultKind::kPonLinkFlap, "odn", 6,
-                               gc::SimTime::from_seconds(60),
-                               gc::SimTime::from_seconds(5), 1234);
-
-    if (on_queue) {
-      (void)queue.run_until(gc::SimTime::from_seconds(300));
-    } else {
-      chaos.run_until(gc::SimTime::from_seconds(300));
-    }
-    return std::tuple{timeline, chaos.stats().injected, chaos.stats().reverted};
+  gc::SimClock clock;
+  gc::EventQueue queue(&clock);
+  gr::ChaosEngine chaos(&queue, nullptr, gc::Rng(9));
+  Timeline timeline;
+  const auto target = [&timeline, &clock](const std::string& name) {
+    return gr::FaultTarget{
+        .apply =
+            [&timeline, &clock, name](const gr::FaultSpec& spec) {
+              timeline.emplace_back(clock.now().nanos(),
+                                    name + "+" + std::to_string(spec.id));
+            },
+        .revert =
+            [&timeline, &clock, name](const gr::FaultSpec& spec) {
+              timeline.emplace_back(clock.now().nanos(),
+                                    name + "-" + std::to_string(spec.id));
+            }};
   };
+  chaos.register_target(gr::FaultKind::kPonLinkFlap, "odn", target("link"));
+  chaos.register_target(gr::FaultKind::kSdnOutage, "onos", target("sdn"));
 
-  const auto legacy = run(false);
-  const auto queued = run(true);
-  EXPECT_EQ(std::get<0>(legacy), std::get<0>(queued));
-  EXPECT_EQ(std::get<1>(legacy), std::get<1>(queued));
-  EXPECT_EQ(std::get<2>(legacy), std::get<2>(queued));
-  EXPECT_GE(std::get<1>(legacy), 8u) << "all eight faults should have fired";
+  chaos.schedule({.kind = gr::FaultKind::kPonLinkFlap,
+                  .target = "odn",
+                  .at = gc::SimTime::from_seconds(5),
+                  .duration = gc::SimTime::from_seconds(10)});
+  chaos.schedule({.kind = gr::FaultKind::kSdnOutage,
+                  .target = "onos",
+                  .at = gc::SimTime::from_seconds(8),
+                  .duration = gc::SimTime::from_seconds(2)});
+  (void)chaos.schedule_storm(gr::FaultKind::kPonLinkFlap, "odn", 6,
+                             gc::SimTime::from_seconds(60),
+                             gc::SimTime::from_seconds(5), 1234);
+  (void)queue.run_until(gc::SimTime::from_seconds(300));
+
+  const Timeline recorded = {
+      {4126966437, "link+5"},  {5000000000, "link+1"},  {6248503425, "link-5"},
+      {8000000000, "sdn+2"},   {10000000000, "sdn-2"},  {15000000000, "link-1"},
+      {16047355584, "link+3"}, {16534165707, "link+8"}, {17064779817, "link-8"},
+      {30695986136, "link-3"}, {53560861244, "link+7"}, {54078421546, "link-7"},
+      {57314519801, "link+4"}, {58637704488, "link+6"}, {72725736697, "link-4"},
+      {73505295888, "link-6"},
+  };
+  EXPECT_EQ(timeline, recorded);
+  EXPECT_EQ(chaos.stats().injected, 8u);
+  EXPECT_EQ(chaos.stats().reverted, 8u);
+  EXPECT_EQ(clock.now(), gc::SimTime::from_seconds(300));
 }

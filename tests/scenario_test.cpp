@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "genio/common/event_bus.hpp"
+#include "genio/common/event_queue.hpp"
 #include "genio/common/rng.hpp"
 #include "genio/common/sim_clock.hpp"
 #include "genio/resilience/chaos.hpp"
@@ -64,8 +65,9 @@ TEST(ScenarioSeed, DeriveGivesIndependentStreams) {
 
 struct StormRig {
   gc::SimClock clock;
+  gc::EventQueue queue{&clock};
   gc::EventBus bus;
-  gr::ChaosEngine engine{&clock, &bus, gc::Rng(1)};
+  gr::ChaosEngine engine{&queue, &bus, gc::Rng(1)};
 
   StormRig() {
     for (const char* target : {"alpha", "beta"}) {

@@ -557,8 +557,8 @@ TEST(SelfHealingPlatform, PeriodicTicksRideThePlatformEventQueue) {
   EXPECT_EQ(site.shs.periodic_ticks(), 15u) << "restart at a new cadence";
 }
 
-// End to end on the queue: chaos fault edges (attach_queue) and the
-// periodic supervision tick interleave on the same event queue, so one
+// End to end on the queue: chaos fault edges and the periodic
+// supervision tick interleave on the same event queue, so one
 // advance_time() call takes the platform through inject -> detect ->
 // remediate -> resolve with no manual tick loop at all.
 TEST(SelfHealingPlatform, PeriodicSupervisionHealsAChaosFaultUnattended) {
