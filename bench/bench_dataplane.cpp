@@ -1,58 +1,46 @@
-// PON data-plane crypto fast-path sweep, round 4. A seeded corpus of
-// GEM-shaped frames (G.987.3 nonces, 9-byte headers as AAD) is swept over
-// payload sizes from 64 B to 9 KB jumbo, measuring frames/sec and MB/s for:
-//   seal   AES-GCM encrypt+tag     reference: a local bitwise oracle
-//                                  (per-call key expansion, 128-iteration
-//                                  bitwise GHASH — the seed's gcm_seal path,
-//                                  kept here now that the free functions
-//                                  route through GcmContext)
-//                                  fast: GcmContext::seal_in_place on the
-//                                  dispatched backend (cached schedule,
-//                                  wide CTR, four-block aggregated GHASH)
-//   open   AES-GCM verify+decrypt  bitwise oracle vs GcmContext::open_in_place
-//   crc    frame FCS               byte-at-a-time crc32_reference vs
-//                                  crc32 on the dispatched backend
-// Round-2 arm on top of the sweep:
-//   sharded  8 links with independent key contexts, one leaf task per link
-//            on the thread pool (ThreadPool::parallel_for), each
-//            sealing and opening its frames one GponCipher::encrypt()/
-//            decrypt() at a time; per-link leaf times feed an LPT model
-//            for 1/2/4/8 workers (CI hosts pin hardware_concurrency to 1,
-//            so scaling is modeled from measured leaves, while a real pool
-//            run checks byte identity against a serial loop).
-// Round-3 and round-4 arms, the data-plane backends (DataplaneKernel), each
-// against the one below it:
-//   backends       seal+open and CRC of 1 KB frames on the AES-NI/PCLMULQDQ
-//                  backend and on the portable one (T-table AES, Shoup
-//                  GHASH, slicing-by-8);
-//   vaes_backends  the same at 4 KB on the VAES/VPCLMULQDQ backend and on
-//                  the AES-NI/PCLMULQDQ one, a size where sixteen-block
-//                  passes carry nearly all of a frame.
-//   Both sides are timed alternately in one process; the median of the
-//   per-repetition ratios is gated, so the floor does not move with the
-//   host's speed. An arm is skipped on a CPU without its faster backend.
-// Before any timing, every corpus frame is cross-checked on every backend
-// the CPU has: ciphertext, tag, and CRC must be byte-identical to the
-// bitwise reference AND to the gcm_seal free functions, opens must
-// round-trip, and a tampered copy must be rejected by all paths. The CRC
-// backends must also equal crc32_reference at every length 0..1100.
-// Invariants (exit nonzero if any breaks):
-//   * byte identity + tamper-verdict parity across the whole corpus, on
-//     every backend, and CRC identity at every length (always enforced);
-//   * seal+open frames/sec at 1 KB payloads >= 9x the bitwise reference;
-//   * AES-NI/PCLMULQDQ over portable: seal+open at 1 KB >= 8x, CRC at
-//     1 KB >= 4x (about half of the 15x and 8x a full run measures on a
-//     4-vCPU Xeon with both);
-//   * VAES/VPCLMULQDQ over AES-NI/PCLMULQDQ: seal+open at 4 KB >= 1.3x,
-//     CRC at 4 KB >= 1.5x (about half of what a full run measures on a
-//     4-vCPU Xeon with both; EXPERIMENTS.md E-DATAPLANE4);
-//   * with --baseline PATH, per-size fast-path MB/s >= 0.8x the committed
-//     numbers (the >20%-regression CI gate).
+// PON data-plane crypto bench, round 5. A seeded corpus of GEM-shaped
+// frames (G.987.3 nonces, 9-byte headers as AAD) from 64 B to 9 KB.
+//
+// Identity comes first and is always enforced: every data-plane backend the
+// CPU has (DataplaneKernel) seals, opens, tampers and CRCs every corpus
+// frame, and must match a local bitwise oracle (per-call key expansion,
+// single-block CTR, 128-iteration bitwise GHASH) and the gcm_seal free
+// function byte for byte, reject the same tampered frames, and match
+// crc32_reference; the CRC backends must also match it at every length
+// 0..1100.
+//
+// Then four arms. The ratio arms time their sides alternately in one
+// process, one short sample of each side per round, and gate the ratio of
+// the sides' fastest samples (alternate_ns, fastest_ratio), so no floor
+// moves with the host's speed, and no absolute MB/s is compared against a
+// committed file:
+//   reference      seal+open of 1 KB frames on the dispatched backend over
+//                  the bitwise oracle (>= 9x);
+//   over_portable  seal+open and CRC on each hardware backend over
+//                  kPortable at every size, with a floor per backend and
+//                  size at about 0.8 of the lowest of 50 smoke runs on a
+//                  4-vCPU Xeon with both backends; the same samples give
+//                  VAES/VPCLMULQDQ over AES-NI/PCLMULQDQ at 4 KB (>= 1.3x
+//                  seal+open, >= 1.5x CRC);
+//   fused          on each hardware backend at 64 B, 1,500 B, 4 KB and
+//                  9 KB, the one-call seal and open against the composed
+//                  pieces they replace: ctr_xor_wide over the payload and
+//                  over J0, and GcmContext::ghash over an AAD || payload ||
+//                  lengths buffer of the same padded length, built outside
+//                  the timed loop. The 4 KB and 9 KB floors fail a fused
+//                  call 25 % slower; the 64 B and 1,500 B ones fail the
+//                  composed path (kFusedFloors; EXPERIMENTS.md
+//                  E-DATAPLANE5);
+//   sharded        8 links with their own keys, one pool task per link,
+//                  each sealing and opening its frames one GponCipher call
+//                  at a time; per-link leaf times feed an LPT model for
+//                  1/2/4/8 workers, and a real pool run must give the
+//                  serial loop's bytes (informational apart from identity).
 // Floors are enforced only on uninstrumented builds (bench_util.hpp's
-// kSanitized).
-// Each timed section is preceded by warm-up iterations (~1/10 of the timed
-// count). Writes BENCH_dataplane.json (or --out PATH); `--smoke` runs a
-// reduced sweep for CI.
+// kSanitized); an arm is skipped on a CPU without its backend. Each ratio
+// arm runs untimed for a tenth of its window first. Writes
+// BENCH_dataplane.json (or --out PATH); `--smoke` gives the over_portable
+// and reference arms a shorter window.
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -83,6 +71,8 @@ using genio::bench::lpt_makespan;
 using genio::bench::Spread;
 using genio::bench::spread;
 
+constexpr DpKernel kHardware[] = {DpKernel::kAesPclmul, DpKernel::kVaesAvx512};
+
 const char* kernel_name(DpKernel kernel) {
   switch (kernel) {
     case DpKernel::kPortable: return "portable";
@@ -94,8 +84,8 @@ const char* kernel_name(DpKernel kernel) {
 
 // ------------------------------------------------ bitwise reference oracle
 // The seed's slow path, reconstructed locally: per-call key expansion and
-// the 128-iteration bitwise GHASH. gcm_seal/gcm_open now share GcmContext's
-// fast tables, so the bench keeps its own oracle for the speedup floor.
+// the 128-iteration bitwise GHASH. gcm_seal/gcm_open route through
+// GcmContext, so the bench keeps its own oracle.
 
 cr::AesBlock ref_j0(const cr::GcmNonce& nonce) {
   cr::AesBlock j0{};
@@ -109,18 +99,22 @@ void ref_ghash_pad(gc::Bytes& gin, gc::BytesView part) {
   if (part.size() % 16 != 0) gin.resize(gin.size() + (16 - part.size() % 16), 0);
 }
 
-cr::GcmTag ref_tag(const cr::Aes128& aes, const cr::GcmNonce& nonce,
-                   gc::BytesView aad, gc::BytesView ciphertext) {
-  const cr::AesBlock h = aes.encrypt_block(cr::AesBlock{});
+// AAD and ciphertext, each zero-padded to whole blocks, then the length
+// block: the GHASH input of a GCM tag.
+gc::Bytes ghash_input(gc::BytesView aad, gc::BytesView ciphertext) {
   gc::Bytes gin;
   gin.reserve(aad.size() + ciphertext.size() + 48);
   ref_ghash_pad(gin, aad);
   ref_ghash_pad(gin, ciphertext);
-  const std::uint64_t aad_bits = aad.size() * 8;
-  const std::uint64_t ct_bits = ciphertext.size() * 8;
-  for (int i = 0; i < 8; ++i) gin.push_back(static_cast<std::uint8_t>(aad_bits >> (56 - 8 * i)));
-  for (int i = 0; i < 8; ++i) gin.push_back(static_cast<std::uint8_t>(ct_bits >> (56 - 8 * i)));
-  const cr::AesBlock y = cr::ghash(h, gin);
+  for (const std::uint64_t bits : {aad.size() * 8, ciphertext.size() * 8}) {
+    for (int i = 0; i < 8; ++i) gin.push_back(static_cast<std::uint8_t>(bits >> (56 - 8 * i)));
+  }
+  return gin;
+}
+
+cr::GcmTag ref_tag(const cr::Aes128& aes, const cr::GcmNonce& nonce, gc::BytesView aad,
+                   gc::BytesView ciphertext) {
+  const cr::AesBlock y = cr::ghash(aes.encrypt_block(cr::AesBlock{}), ghash_input(aad, ciphertext));
   const cr::AesBlock ek_j0 = aes.encrypt_block(ref_j0(nonce));
   cr::GcmTag tag{};
   for (std::size_t i = 0; i < 16; ++i) tag[i] = y[i] ^ ek_j0[i];
@@ -132,8 +126,8 @@ struct RefSealed {
   cr::GcmTag tag{};
 };
 
-RefSealed ref_seal(const cr::AesKey& key, const cr::GcmNonce& nonce,
-                   gc::BytesView plaintext, gc::BytesView aad) {
+RefSealed ref_seal(const cr::AesKey& key, const cr::GcmNonce& nonce, gc::BytesView plaintext,
+                   gc::BytesView aad) {
   const cr::Aes128 aes(key);  // per-call expansion, as the seed's gcm_seal did
   RefSealed out;
   out.ciphertext.assign(plaintext.begin(), plaintext.end());
@@ -144,9 +138,8 @@ RefSealed ref_seal(const cr::AesKey& key, const cr::GcmNonce& nonce,
   return out;
 }
 
-bool ref_open(const cr::AesKey& key, const cr::GcmNonce& nonce,
-              gc::BytesView ciphertext, const cr::GcmTag& tag, gc::BytesView aad,
-              gc::Bytes& plaintext_out) {
+bool ref_open(const cr::AesKey& key, const cr::GcmNonce& nonce, gc::BytesView ciphertext,
+              const cr::GcmTag& tag, gc::BytesView aad, gc::Bytes& plaintext_out) {
   const cr::Aes128 aes(key);
   const cr::GcmTag expect = ref_tag(aes, nonce, aad, ciphertext);
   std::uint8_t diff = 0;
@@ -167,12 +160,13 @@ struct Sample {
   gc::Bytes plaintext;
   gc::Bytes ciphertext;  // reference seal output, fast-verified identical
   cr::GcmTag tag{};
+  gc::BytesView aad_view() const { return {aad.data(), aad.size()}; }
 };
 
 // GEM-shaped corpus: ids/superframe drive the G.987.3 nonce and the header
 // AAD exactly as GponCipher derives them.
-std::vector<Sample> make_corpus(gc::Rng& rng, const cr::AesKey& key,
-                                std::size_t payload_bytes, int frames) {
+std::vector<Sample> make_corpus(gc::Rng& rng, const cr::AesKey& key, std::size_t payload_bytes,
+                                int frames) {
   std::vector<Sample> corpus;
   corpus.reserve(static_cast<std::size_t>(frames));
   for (int i = 0; i < frames; ++i) {
@@ -192,8 +186,7 @@ std::vector<Sample> make_corpus(gc::Rng& rng, const cr::AesKey& key,
     s.nonce[6] = static_cast<std::uint8_t>(frame.port_id >> 8);
     s.nonce[7] = static_cast<std::uint8_t>(frame.port_id);
     s.plaintext = rng.bytes(payload_bytes);
-    const auto sealed = ref_seal(key, s.nonce, s.plaintext,
-                                 gc::BytesView(s.aad.data(), s.aad.size()));
+    const auto sealed = ref_seal(key, s.nonce, s.plaintext, s.aad_view());
     s.ciphertext = sealed.ciphertext;
     s.tag = sealed.tag;
     corpus.push_back(std::move(s));
@@ -201,54 +194,54 @@ std::vector<Sample> make_corpus(gc::Rng& rng, const cr::AesKey& key,
   return corpus;
 }
 
-// Correctness gate run before any clock starts: the context on its backend
-// AND the gcm_seal/gcm_open free functions must agree with the bitwise
-// reference on every frame, byte for byte, including rejection of a
-// tampered frame; the CRC on the context's backend must equal the oracle.
-bool verify_identity(const cr::AesKey& key, const cr::GcmContext& ctx,
-                     std::vector<Sample>& corpus) {
+// Every backend against the bitwise reference on every frame, byte for
+// byte, including the rejection of a tampered frame, which must leave the
+// buffer holding the ciphertext; the CRC on the backend must equal the
+// oracle.
+bool verify_identity(const cr::AesKey& key, const std::vector<cr::GcmContext>& backends,
+                     const std::vector<Sample>& corpus) {
   bool ok = true;
-  const char* backend = kernel_name(ctx.kernel());
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    Sample& s = corpus[i];
-    const gc::BytesView aad(s.aad.data(), s.aad.size());
-
-    gc::Bytes buf = s.plaintext;
-    const cr::GcmTag tag = ctx.seal_in_place(s.nonce, buf, aad);
-    if (buf != s.ciphertext || tag != s.tag) {
-      std::fprintf(stderr, "IDENTITY VIOLATED: %s seal diverged on frame %zu\n", backend, i);
-      ok = false;
-    }
-    if (!ctx.open_in_place(s.nonce, buf, tag, aad).ok() || buf != s.plaintext) {
-      std::fprintf(stderr, "IDENTITY VIOLATED: %s open failed on frame %zu\n", backend, i);
-      ok = false;
-    }
-
-    // The one-shot free functions route through a stack context now; they
-    // must still produce the seed's bytes.
-    const auto one_shot = cr::gcm_seal(key, s.nonce, s.plaintext, aad);
-    if (one_shot.ciphertext != s.ciphertext || one_shot.tag != s.tag) {
-      std::fprintf(stderr, "IDENTITY VIOLATED: gcm_seal diverged on frame %zu\n", i);
-      ok = false;
-    }
-
-    // Tamper parity: both paths must reject the same corrupted frame.
-    if (!s.ciphertext.empty()) {
-      gc::Bytes evil = s.ciphertext;
-      evil[i % evil.size()] ^= 0x80;
-      gc::Bytes scratch;
-      const bool fast_rejects = !ctx.open_in_place(s.nonce, evil, s.tag, aad).ok();
-      const bool ref_rejects = !ref_open(key, s.nonce, evil, s.tag, aad, scratch);
-      if (!fast_rejects || !ref_rejects) {
-        std::fprintf(stderr, "IDENTITY VIOLATED: %s tamper verdict frame %zu\n", backend, i);
+  for (const cr::GcmContext& ctx : backends) {
+    const char* backend = kernel_name(ctx.kernel());
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      const Sample& s = corpus[i];
+      gc::Bytes buf = s.plaintext;
+      const cr::GcmTag tag = ctx.seal_in_place(s.nonce, buf, s.aad_view());
+      if (buf != s.ciphertext || tag != s.tag) {
+        std::fprintf(stderr, "IDENTITY VIOLATED: %s seal diverged on frame %zu\n", backend, i);
+        ok = false;
+      }
+      if (!ctx.open_in_place(s.nonce, buf, tag, s.aad_view()).ok() || buf != s.plaintext) {
+        std::fprintf(stderr, "IDENTITY VIOLATED: %s open failed on frame %zu\n", backend, i);
+        ok = false;
+      }
+      if (!s.ciphertext.empty()) {
+        gc::Bytes evil = s.ciphertext;
+        evil[i % evil.size()] ^= 0x80;
+        const gc::Bytes before = evil;
+        gc::Bytes scratch;
+        const bool fast_rejects = !ctx.open_in_place(s.nonce, evil, s.tag, s.aad_view()).ok();
+        const bool ref_rejects = !ref_open(key, s.nonce, before, s.tag, s.aad_view(), scratch);
+        if (!fast_rejects || !ref_rejects || evil != before) {
+          std::fprintf(stderr, "IDENTITY VIOLATED: %s tamper verdict frame %zu\n", backend, i);
+          ok = false;
+        }
+      }
+      const std::uint32_t crc = cr::crc32_reference(s.plaintext);
+      if (cr::crc32_final(cr::crc32_update(cr::crc32_init(), s.plaintext, ctx.kernel())) != crc) {
+        std::fprintf(stderr, "IDENTITY VIOLATED: %s crc diverged on frame %zu\n", backend, i);
         ok = false;
       }
     }
-
-    const std::uint32_t crc = cr::crc32_reference(s.plaintext);
-    if (cr::crc32(s.plaintext) != crc ||
-        cr::crc32_final(cr::crc32_update(cr::crc32_init(), s.plaintext, ctx.kernel())) != crc) {
-      std::fprintf(stderr, "IDENTITY VIOLATED: %s crc diverged on frame %zu\n", backend, i);
+  }
+  // The one-shot free function routes through a stack context on the
+  // dispatched backend; it must still produce the seed's bytes.
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const Sample& s = corpus[i];
+    const auto one_shot = cr::gcm_seal(key, s.nonce, s.plaintext, s.aad_view());
+    if (one_shot.ciphertext != s.ciphertext || one_shot.tag != s.tag ||
+        cr::crc32(s.plaintext) != cr::crc32_reference(s.plaintext)) {
+      std::fprintf(stderr, "IDENTITY VIOLATED: gcm_seal or crc32 diverged on frame %zu\n", i);
       ok = false;
     }
   }
@@ -274,176 +267,228 @@ bool crc_lengths_identity(gc::Rng& rng, const std::vector<DpKernel>& kernels) {
   return ok;
 }
 
-// Seconds per call over `iters` timed calls after ~1/10 as many warm-up
-// calls. `fn(k)` processes corpus frame k % corpus_size.
-double per_call(int iters, const std::function<void(int)>& fn) {
-  return genio::bench::time_calls(iters / 10 + 1, 1, iters, fn).median;
+// ----------------------------------------------------------------- timing
+
+// Nanoseconds per call over `iters` timed calls after ~1/10 as many
+// warm-up calls. `fn(k)` processes corpus frame k % corpus size.
+double ns_per_call(int iters, const std::function<void(int)>& fn) {
+  return 1e9 * genio::bench::time_calls(iters / 10 + 1, 1, iters, fn).median;
 }
 
-struct PathStats {
-  double seconds = 0.0;  // per call
-  double fps() const { return seconds <= 0.0 ? 0.0 : 1.0 / seconds; }
-  double mbps(std::size_t bytes) const {
-    return fps() * static_cast<double>(bytes) / 1e6;
-  }
-};
+// One side of a ratio arm: `side(k)` processes corpus frame k % corpus size.
+using Side = std::function<void(int)>;
 
-struct SizeResult {
-  std::size_t payload_bytes = 0;
-  PathStats seal_ref, seal_fast, open_ref, open_fast, crc_ref, crc_fast;
+// Calls per timed sample that put about `sample_bytes` through it, so the
+// clock's own cost stays small against the sample.
+int batch_for(std::size_t sample_bytes, std::size_t payload_bytes) {
+  return std::max(1, static_cast<int>(sample_bytes / payload_bytes));
+}
 
-  // Frames/sec through a full seal-then-open round trip: the number the
-  // >= 9x acceptance target is pinned on.
-  double sealopen_fps(bool fast) const {
-    return fast ? 1.0 / (seal_fast.seconds + open_fast.seconds)
-                : 1.0 / (seal_ref.seconds + open_ref.seconds);
-  }
-  double sealopen_speedup() const { return sealopen_fps(true) / sealopen_fps(false); }
-};
-
-SizeResult run_size(gc::Rng& rng, const cr::AesKey& key,
-                    const std::vector<cr::GcmContext>& backends, const cr::GcmContext& ctx,
-                    std::size_t payload_bytes, bool smoke, bool& identity_ok) {
-  // The reference path (bitwise GHASH) is orders of magnitude slower, so it
-  // gets a smaller, separately clamped iteration budget; frames/sec rates
-  // stay comparable regardless of the per-path counts.
-  const auto clamp_iters = [&](double target_bytes, int lo, int hi) {
-    const double n = target_bytes / static_cast<double>(payload_bytes);
-    return std::max(lo, std::min(hi, static_cast<int>(n)));
+// Nanoseconds per call of each side, timed alternately: every round times
+// one sample of `batch` calls of each side in turn, so all sides see the
+// same host state within microseconds. Rounds run untimed for a tenth of
+// `seconds`, then timed for `seconds`.
+std::vector<Spread> alternate_ns(double seconds, int batch, const std::vector<Side>& sides) {
+  std::vector<std::vector<double>> ns(sides.size());
+  int k = 0;
+  const auto round = [&](bool timed) {
+    for (std::size_t s = 0; s < sides.size(); ++s) {
+      const auto start = genio::bench::Clock::now();
+      for (int c = 0; c < batch; ++c) sides[s](k + c);
+      if (timed) ns[s].push_back(1e9 * genio::bench::seconds_since(start) / batch);
+    }
+    k += batch;
   };
-  const double scale = smoke ? 0.125 : 1.0;
-  const int iters_ref = clamp_iters(scale * 2e6, 16, 4000);
-  const int iters_fast = clamp_iters(scale * 32e6, 64, 60000);
-  const int frames = smoke ? 8 : 32;
-
-  auto corpus = make_corpus(rng, key, payload_bytes, frames);
-  for (const cr::GcmContext& backend : backends) {
-    identity_ok = verify_identity(key, backend, corpus) && identity_ok;
+  for (const auto start = genio::bench::Clock::now();
+       genio::bench::seconds_since(start) < seconds / 10;) {
+    round(false);
   }
+  for (const auto start = genio::bench::Clock::now();
+       ns[0].empty() || genio::bench::seconds_since(start) < seconds;) {
+    round(true);
+  }
+  std::vector<Spread> out;
+  for (const std::vector<double>& side : ns) out.push_back(spread(side));
+  return out;
+}
 
-  SizeResult r;
-  r.payload_bytes = payload_bytes;
-  const auto at = [&](int k) -> Sample& {
+// The gated statistic: `slow`'s fastest sample over `fast`'s. The host
+// swings between a fast state and a slow one that can last seconds and
+// slows the stitched kernels most (EXPERIMENTS.md E-DATAPLANE5), so a
+// ratio of medians reads whichever mix of states a run saw; the fastest
+// samples compare both sides in the fast state whenever any part of the
+// run reached it, and in the slow state otherwise.
+double fastest_ratio(const Spread& slow, const Spread& fast) { return slow.min / fast.min; }
+
+// One timed seal+open of a corpus frame in `buf`, as GponCipher runs them.
+void seal_open(const cr::GcmContext& ctx, const Sample& f, gc::Bytes& buf) {
+  buf.assign(f.plaintext.begin(), f.plaintext.end());
+  const cr::GcmTag tag = ctx.seal_in_place(f.nonce, buf, f.aad_view());
+  genio::bench::keep(ctx.open_in_place(f.nonce, buf, tag, f.aad_view()).ok());
+}
+
+// ------------------------------------------------------------ reference arm
+
+struct ReferenceArm {
+  static constexpr std::size_t kPayloadBytes = 1024;
+  static constexpr double kFloor = 9.0;
+  Spread reference_ns, fast_ns;
+  double speedup = 0.0;
+};
+
+ReferenceArm run_reference(gc::Rng& rng, const cr::AesKey& key, const cr::GcmContext& ctx,
+                           double seconds) {
+  const auto corpus = make_corpus(rng, key, ReferenceArm::kPayloadBytes, 8);
+  const auto at = [&](int k) -> const Sample& {
     return corpus[static_cast<std::size_t>(k) % corpus.size()];
   };
+  const Side reference = [&](int k) {
+    const Sample& f = at(k);
+    const auto sealed = ref_seal(key, f.nonce, f.plaintext, f.aad_view());
+    gc::Bytes opened;
+    genio::bench::keep(ref_open(key, f.nonce, sealed.ciphertext, sealed.tag, f.aad_view(), opened));
+  };
+  gc::Bytes buf;
+  const auto ns = alternate_ns(seconds, 1, {reference, [&](int k) { seal_open(ctx, at(k), buf); }});
+  return {ns[0], ns[1], fastest_ratio(ns[0], ns[1])};
+}
 
-  volatile std::uint32_t sink = 0;  // keep CRC loops observable
-  gc::Bytes buf(payload_bytes + 16);
+// --------------------------------------------------------- over-portable arm
 
-  r.seal_ref = {per_call(iters_ref, [&](int k) {
-                  const Sample& s = at(k);
-                  const auto sealed = ref_seal(
-                      key, s.nonce, s.plaintext,
-                      gc::BytesView(s.aad.data(), s.aad.size()));
-                  sink = sink ^ sealed.tag[0];
-                })};
-  r.seal_fast = {per_call(iters_fast, [&](int k) {
-                   const Sample& s = at(k);
-                   buf.assign(s.plaintext.begin(), s.plaintext.end());
-                   const auto tag = ctx.seal_in_place(
-                       s.nonce, buf, gc::BytesView(s.aad.data(), s.aad.size()));
-                   sink = sink ^ tag[0];
-                 })};
-  r.open_ref = {per_call(iters_ref, [&](int k) {
-                  const Sample& s = at(k);
-                  gc::Bytes opened;
-                  const bool good = ref_open(
-                      key, s.nonce, s.ciphertext, s.tag,
-                      gc::BytesView(s.aad.data(), s.aad.size()), opened);
-                  sink = sink ^ static_cast<std::uint32_t>(good);
-                })};
-  r.open_fast = {per_call(iters_fast, [&](int k) {
-                   const Sample& s = at(k);
-                   buf.assign(s.ciphertext.begin(), s.ciphertext.end());
-                   const auto st = ctx.open_in_place(
-                       s.nonce, buf, s.tag, gc::BytesView(s.aad.data(), s.aad.size()));
-                   sink = sink ^ static_cast<std::uint32_t>(st.ok());
-                 })};
+// Floors of one hardware backend's ratios over kPortable at one size.
+struct PortableFloor {
+  DpKernel kernel;
+  std::size_t payload_bytes;
+  double sealopen, crc;
+};
 
-  const int iters_crc = clamp_iters(scale * 64e6, 256, 200000);
-  const int iters_crc_ref = clamp_iters(scale * 16e6, 64, 50000);
-  r.crc_ref = {per_call(iters_crc_ref, [&](int k) {
-                 sink = sink ^ cr::crc32_reference(at(k).plaintext);
-               })};
-  r.crc_fast = {per_call(iters_crc, [&](int k) {
-                  sink = sink ^ cr::crc32(at(k).plaintext);
-                })};
+constexpr std::size_t kSizes[] = {64, 256, 1024, 4096, 9000};
+
+// About 0.8 of the lowest of 50 smoke runs on a 4-vCPU Xeon (Emerald
+// Rapids), where the host's slow state (see fastest_ratio) moves the VAES
+// ratios by up to 1.5x and the AES-NI ones by up to 1.3x between runs.
+constexpr PortableFloor kPortableFloors[] = {
+    {DpKernel::kAesPclmul, 64, 10.5, 1.8},    {DpKernel::kAesPclmul, 256, 11.0, 4.0},
+    {DpKernel::kAesPclmul, 1024, 12.5, 6.5},  {DpKernel::kAesPclmul, 4096, 14.0, 8.0},
+    {DpKernel::kAesPclmul, 9000, 14.5, 8.0},  {DpKernel::kVaesAvx512, 64, 13.0, 1.7},
+    {DpKernel::kVaesAvx512, 256, 16.0, 5.2},  {DpKernel::kVaesAvx512, 1024, 23.0, 13.0},
+    {DpKernel::kVaesAvx512, 4096, 33.0, 21.0}, {DpKernel::kVaesAvx512, 9000, 38.0, 26.0},
+};
+
+// VAES/VPCLMULQDQ over AES-NI/PCLMULQDQ, from the same samples.
+constexpr std::size_t kVaesOverAesBytes = 4096;
+constexpr double kVaesOverAesSealOpenFloor = 1.3;
+constexpr double kVaesOverAesCrcFloor = 1.5;
+
+const PortableFloor& portable_floor(DpKernel kernel, std::size_t payload_bytes) {
+  return *std::find_if(std::begin(kPortableFloors), std::end(kPortableFloors),
+                       [&](const PortableFloor& f) {
+                         return f.kernel == kernel && f.payload_bytes == payload_bytes;
+                       });
+}
+
+struct SizeRatios {
+  std::size_t payload_bytes = 0;
+  std::vector<DpKernel> kernels;            // kPortable first, then the hardware ones
+  std::vector<Spread> sealopen_ns, crc_ns;  // per kernel
+
+  double sealopen_ratio(std::size_t slow, std::size_t fast) const {
+    return fastest_ratio(sealopen_ns[slow], sealopen_ns[fast]);
+  }
+  double crc_ratio(std::size_t slow, std::size_t fast) const {
+    return fastest_ratio(crc_ns[slow], crc_ns[fast]);
+  }
+};
+
+// Every backend at one size: seal+open alternately on each backend, then
+// CRC alternately on each, on the same frames.
+SizeRatios run_size(const std::vector<cr::GcmContext>& backends,
+                    const std::vector<Sample>& corpus, std::size_t payload_bytes,
+                    double seconds) {
+  SizeRatios r;
+  r.payload_bytes = payload_bytes;
+  gc::Bytes buf;
+  const auto at = [&](int k) -> const Sample& {
+    return corpus[static_cast<std::size_t>(k) % corpus.size()];
+  };
+  std::vector<Side> sealopen, crc;
+  for (const cr::GcmContext& ctx : backends) {
+    const DpKernel kernel = ctx.kernel();
+    r.kernels.push_back(kernel);
+    sealopen.emplace_back([&](int k) { seal_open(ctx, at(k), buf); });
+    crc.emplace_back([&at, kernel](int k) {
+      genio::bench::keep(cr::crc32_update(cr::crc32_init(), at(k).plaintext, kernel));
+    });
+  }
+  r.sealopen_ns = alternate_ns(seconds, batch_for(4096, payload_bytes), sealopen);
+  r.crc_ns = alternate_ns(seconds, batch_for(32768, payload_bytes), crc);
   return r;
 }
 
-// ------------------------------------------------------------ backends arm
+// ------------------------------------------------------------- fused arm
 
-// One backend against the one below it at one payload size, in ns per
-// frame; the iteration counts keep each timed section near a millisecond.
-struct BackendArm {
-  const char* name;  // JSON block
-  DpKernel fast, slow;
+struct FusedFloor {
+  DpKernel kernel;
   std::size_t payload_bytes;
-  double sealopen_floor, crc_floor;
-  int sealopen_iters_fast, sealopen_iters_slow, crc_iters_fast, crc_iters_slow;
+  double floor;
 };
 
-constexpr BackendArm kArms[] = {
-    {"backends", DpKernel::kAesPclmul, DpKernel::kPortable, 1024, 8.0, 4.0, 4000, 200, 20000,
-     4000},
-    {"vaes_backends", DpKernel::kVaesAvx512, DpKernel::kAesPclmul, 4096, 1.3, 1.5, 2000, 800,
-     20000, 8000},
+// The composed pieces run without the data dependence between them (the
+// GHASH input is built outside the timed loop), so they overlap one another
+// in the core. Over 26 smoke and full runs on the 4-vCPU Xeon the fused call
+// read 0.72-0.91x (AES-NI) and 0.96-1.06x (VAES) at 64 B, 1.17-1.26x and
+// 0.97-1.11x at 1,500 B, 1.26-1.39x and 1.25-1.42x at 4 KB, and 1.28-1.41x
+// and 1.28-1.51x at 9 KB. A copy whose fused call takes 25 % longer reads
+// at most 1.11x and 1.13x (AES-NI) or 1.15x and 1.23x (VAES) at 4 KB and
+// 9 KB over 40 smoke runs each: the 4 KB floors fail it every time, the
+// 9 KB ones in all but five VAES runs. One that routes the fused entry
+// points back through the composed path reads at most 0.48/0.87/0.95/0.98x
+// (AES-NI) and 0.46/0.71/0.90/0.93x (VAES), under every floor.
+constexpr FusedFloor kFusedFloors[] = {
+    {DpKernel::kAesPclmul, 64, 0.62},    {DpKernel::kAesPclmul, 1500, 1.00},
+    {DpKernel::kAesPclmul, 4096, 1.17},  {DpKernel::kAesPclmul, 9000, 1.20},
+    {DpKernel::kVaesAvx512, 64, 0.80},   {DpKernel::kVaesAvx512, 1500, 0.85},
+    {DpKernel::kVaesAvx512, 4096, 1.17}, {DpKernel::kVaesAvx512, 9000, 1.22},
 };
 
-struct BackendRatio {
-  const BackendArm* arm;
-  int reps = 0;
-  Spread sealopen_fast, sealopen_slow, crc_fast, crc_slow;
-  double sealopen_ratio = 0.0;  // median of per-repetition slow/fast
-  double crc_ratio = 0.0;
+struct FusedRatio {
+  const FusedFloor* arm;
+  Spread fused_ns, composed_ns;
+  double ratio = 0.0;  // composed over fused, fastest samples
 };
 
-// Both backends in one process: each repetition times the faster context
-// and then the slower one on the same frames (and the faster CRC and then
-// the slower), so a host that slows down mid-run slows both sides of most
-// ratios.
-BackendRatio run_backends(gc::Rng& rng, const cr::AesKey& key, const BackendArm& arm,
-                          bool smoke) {
-  BackendRatio r{&arm};
-  const cr::GcmContext fast(key, arm.fast);
-  const cr::GcmContext slow(key, arm.slow);
+// One backend at one size: the one-call seal+open alternately with the
+// composed pieces it replaced, on the same frames.
+FusedRatio run_fused(gc::Rng& rng, const cr::AesKey& key, const FusedFloor& arm, double seconds,
+                     bool& identity_ok) {
+  const cr::GcmContext ctx(key, arm.kernel);
   const auto corpus = make_corpus(rng, key, arm.payload_bytes, 8);
-  gc::Bytes buf(arm.payload_bytes + 16);
-  volatile std::uint32_t sink = 0;
-
-  const auto sealopen_ns = [&](const cr::GcmContext& ctx, int iters) {
-    return 1e9 * per_call(iters, [&](int k) {
-      const Sample& f = corpus[static_cast<std::size_t>(k) % corpus.size()];
-      const gc::BytesView aad(f.aad.data(), f.aad.size());
-      buf.assign(f.plaintext.begin(), f.plaintext.end());
-      const cr::GcmTag tag = ctx.seal_in_place(f.nonce, buf, aad);
-      sink = sink ^ static_cast<std::uint32_t>(ctx.open_in_place(f.nonce, buf, tag, aad).ok());
-    });
-  };
-  const auto crc_ns = [&](DpKernel kernel, int iters) {
-    return 1e9 * per_call(iters, [&](int k) {
-      const Sample& f = corpus[static_cast<std::size_t>(k) % corpus.size()];
-      sink = sink ^ cr::crc32_update(cr::crc32_init(), f.plaintext, kernel);
-    });
-  };
-
-  r.reps = smoke ? 9 : 21;
-  std::vector<double> so_fast, so_slow, so_ratio, crc_fast, crc_slow, crc_ratio;
-  for (int rep = 0; rep < r.reps; ++rep) {
-    so_fast.push_back(sealopen_ns(fast, arm.sealopen_iters_fast));
-    so_slow.push_back(sealopen_ns(slow, arm.sealopen_iters_slow));
-    so_ratio.push_back(so_slow.back() / so_fast.back());
-    crc_fast.push_back(crc_ns(arm.fast, arm.crc_iters_fast));
-    crc_slow.push_back(crc_ns(arm.slow, arm.crc_iters_slow));
-    crc_ratio.push_back(crc_slow.back() / crc_fast.back());
+  identity_ok = verify_identity(key, {ctx}, corpus) && identity_ok;
+  std::vector<gc::Bytes> gin;
+  std::vector<cr::AesBlock> j0, payload_iv;
+  for (const Sample& s : corpus) {
+    gin.push_back(ghash_input(s.aad_view(), s.ciphertext));
+    j0.push_back(ref_j0(s.nonce));
+    payload_iv.push_back(j0.back());
+    payload_iv.back()[15] = 2;
   }
-  r.sealopen_fast = spread(so_fast);
-  r.sealopen_slow = spread(so_slow);
-  r.crc_fast = spread(crc_fast);
-  r.crc_slow = spread(crc_slow);
-  r.sealopen_ratio = spread(so_ratio).median;
-  r.crc_ratio = spread(crc_ratio).median;
-  return r;
+  gc::Bytes buf;
+  const auto ns = alternate_ns(
+      seconds, batch_for(4096, arm.payload_bytes),
+      {[&](int k) { seal_open(ctx, corpus[static_cast<std::size_t>(k) % corpus.size()], buf); },
+       [&](int k) {
+         const auto i = static_cast<std::size_t>(k) % corpus.size();
+         buf.assign(corpus[i].plaintext.begin(), corpus[i].plaintext.end());
+         cr::AesBlock ek_j0{};
+         ctx.cipher().ctr_xor_wide(payload_iv[i], buf);  // seal: CTR, E_K(J0), GHASH
+         ctx.cipher().ctr_xor_wide(j0[i], ek_j0);
+         genio::bench::keep(ctx.ghash(gin[i]));
+         genio::bench::keep(ctx.ghash(gin[i]));  // open: GHASH, E_K(J0), CTR
+         ctx.cipher().ctr_xor_wide(j0[i], ek_j0);
+         ctx.cipher().ctr_xor_wide(payload_iv[i], buf);
+         genio::bench::keep(ek_j0);
+       }});
+  return {&arm, ns[0], ns[1], fastest_ratio(ns[1], ns[0])};
 }
 
 // ------------------------------------------------------------ sharded arm
@@ -473,16 +518,16 @@ struct ShardedResult {
   std::size_t links = 0;
   std::size_t frames_per_link = 0;
   std::size_t payload_bytes = 0;
-  std::vector<double> leaf_seconds;           // measured serial per-link time
+  std::vector<double> leaf_seconds;             // measured serial per-link time
   std::vector<std::pair<int, double>> modeled;  // workers -> modeled MB/s
-  double pool_MBps = 0.0;                     // real pool run (this host)
+  double pool_MBps = 0.0;                       // real pool run (this host)
   bool identity = true;
 };
 
 // Per-link sharding: 8 links, independent keys, one seal+open leaf each.
-// Leaf times are measured serially (accurate on the 1-core CI host), the
-// multi-worker MB/s is LPT-modeled from them, and a real pool run checks
-// the parallel path produces the serial bytes.
+// Leaf times are measured serially, the multi-worker MB/s is LPT-modeled
+// from them, and a real pool run checks the parallel path produces the
+// serial bytes.
 ShardedResult run_sharded(gc::Rng& rng, bool smoke) {
   ShardedResult r;
   r.links = 8;
@@ -504,7 +549,7 @@ ShardedResult run_sharded(gc::Rng& rng, bool smoke) {
   std::size_t total_bytes = 0;
   for (std::size_t l = 0; l < r.links; ++l) {
     std::vector<pon::GemFrame> work = frames[l];
-    r.leaf_seconds.push_back(per_call(iters, [&](int) {
+    r.leaf_seconds.push_back(1e-9 * ns_per_call(iters, [&](int) {
       seal_link(ciphers[l], work);
       if (!open_link(ciphers[l], work)) r.identity = false;
     }));
@@ -513,12 +558,11 @@ ShardedResult run_sharded(gc::Rng& rng, bool smoke) {
 
   for (const int workers : {1, 2, 4, 8}) {
     const double makespan = lpt_makespan(r.leaf_seconds, workers);
-    r.modeled.emplace_back(workers,
-                           static_cast<double>(total_bytes) / makespan / 1e6);
+    r.modeled.emplace_back(workers, static_cast<double>(total_bytes) / makespan / 1e6);
   }
 
   // Real pool run: byte identity vs the serial loop, plus this host's
-  // actual multi-worker MB/s (equals the serial number on a 1-core host).
+  // actual multi-worker MB/s.
   std::vector<std::vector<pon::GemFrame>> serial_work = frames;
   std::vector<std::vector<pon::GemFrame>> pool_work = frames;
   gc::ThreadPool pool(std::max(2u, std::thread::hardware_concurrency()));
@@ -528,8 +572,7 @@ ShardedResult run_sharded(gc::Rng& rng, bool smoke) {
     for (std::size_t i = 0; i < serial_work[l].size(); ++i) {
       if (serial_work[l][i].payload != pool_work[l][i].payload ||
           serial_work[l][i].fcs != pool_work[l][i].fcs) {
-        std::fprintf(stderr, "IDENTITY VIOLATED: sharded seal link %zu frame %zu\n",
-                     l, i);
+        std::fprintf(stderr, "IDENTITY VIOLATED: sharded seal link %zu frame %zu\n", l, i);
         r.identity = false;
       }
     }
@@ -545,7 +588,7 @@ ShardedResult run_sharded(gc::Rng& rng, bool smoke) {
       r.identity = false;
     }
   }
-  const double t_pool = per_call(iters, [&](int) {
+  const double t_pool = 1e-9 * ns_per_call(iters, [&](int) {
     pool.parallel_for(r.links, [&](std::size_t l) {
       seal_link(ciphers[l], pool_work[l]);
       (void)open_link(ciphers[l], pool_work[l]);
@@ -555,57 +598,56 @@ ShardedResult run_sharded(gc::Rng& rng, bool smoke) {
   return r;
 }
 
-// ---------------------------------------------------------- baseline gate
+// ----------------------------------------------------------------- output
 
-// >20% fast-path regression against the committed baseline fails the run
-// (uninstrumented builds only; size blocks are matched by payload_bytes so
-// smoke's subset sweep compares the shared sizes).
-bool within_committed_sizes(const std::string& path, const std::vector<SizeResult>& results) {
-  const auto baseline = genio::bench::Baseline::load(path);
-  const auto first = baseline.ok() ? baseline->number("sizes[0].payload_bytes") : baseline.error();
-  if (!first.ok()) {  // unreadable, or no size blocks
-    std::fprintf(stderr, "%s\n", first.error().message().c_str());
-    return false;
-  }
-  bool ok = true;
-  for (int i = 0;; ++i) {
-    const std::string block = "sizes[" + std::to_string(i) + "]";
-    const auto bytes = baseline->number(block + ".payload_bytes");
-    if (!bytes.ok()) return ok;
-    for (const SizeResult& r : results) {
-      if (static_cast<double>(r.payload_bytes) != *bytes) continue;
-      const std::string at = " at " + std::to_string(r.payload_bytes) + " B";
-      const std::pair<const char*, const PathStats*> paths[] = {
-          {"seal", &r.seal_fast}, {"open", &r.open_fast}, {"crc", &r.crc_fast}};
-      for (const auto& [name, stats] : paths) {
-        ok &= genio::bench::within_baseline(baseline, block + "." + name + ".fast_MBps",
-                                            stats->mbps(r.payload_bytes), name + at, "MB/s", 1);
-      }
-    }
-  }
+// Nanoseconds per call of one side: {"median", "q1", "q3", "fastest"}.
+void ns_field(genio::bench::Json& json, std::string_view key, const Spread& s) {
+  json.object(key).field("median", s.median, 1).field("q1", s.q1, 1).field("q3", s.q3, 1)
+      .field("fastest", s.min, 1).close();
 }
 
-void write_json(const genio::bench::Args& args, const std::vector<SizeResult>& results,
-                const ShardedResult& sharded, const std::vector<BackendRatio>& ratios,
-                double speedup_1k, bool identity_ok, bool invariants_hold) {
+void write_json(const genio::bench::Args& args, double arm_seconds, const ReferenceArm& reference,
+                const std::vector<SizeRatios>& sizes, const std::vector<FusedRatio>& fused,
+                const ShardedResult& sharded, bool identity_ok, bool invariants_hold) {
   genio::bench::Json json(args.out, "dataplane", args.smoke);
-  json.field("round", 4).field("dataplane_kernel", kernel_name(cr::dispatched_dataplane_kernel()));
-  json.field("warmup", "~1/10 of timed iterations per section");
-  json.array("sizes");
-  for (const SizeResult& r : results) {
-    const std::size_t bytes = r.payload_bytes;
-    json.object().field("payload_bytes", bytes);
-    const auto path = [&](const char* name, const PathStats& ref, const PathStats& fast) {
-      json.object(name).field("ref_fps", ref.fps(), 1).field("fast_fps", fast.fps(), 1)
-          .field("ref_MBps", ref.mbps(bytes), 2).field("fast_MBps", fast.mbps(bytes), 2)
-          .field("speedup", fast.fps() / ref.fps(), 2).close();
-    };
-    path("seal", r.seal_ref, r.seal_fast);
-    path("open", r.open_ref, r.open_fast);
-    json.object("crc")
-        .field("ref_MBps", r.crc_ref.mbps(bytes), 2).field("fast_MBps", r.crc_fast.mbps(bytes), 2)
-        .field("speedup", r.crc_fast.fps() / r.crc_ref.fps(), 2).close();
-    json.field("sealopen_speedup", r.sealopen_speedup(), 2).close();
+  json.field("round", 5).field("dataplane_kernel", kernel_name(cr::dispatched_dataplane_kernel()));
+  json.field("arm_seconds", arm_seconds, 2).field("warmup", "a tenth of arm_seconds, untimed");
+  json.field("ratios", "fastest sample over fastest sample");
+  json.field("ratio_floors_enforced", !kSanitized);
+  json.object("reference").field("payload_bytes", ReferenceArm::kPayloadBytes);
+  ns_field(json, "reference_ns", reference.reference_ns);
+  ns_field(json, "fast_ns", reference.fast_ns);
+  json.field("sealopen_speedup", reference.speedup, 2)
+      .field("sealopen_speedup_floor", ReferenceArm::kFloor, 1).close();
+  json.array("over_portable");
+  for (const SizeRatios& s : sizes) {
+    json.object().field("payload_bytes", s.payload_bytes);
+    for (const char* what : {"sealopen_ns", "crc_ns"}) {
+      json.object(what);
+      for (std::size_t b = 0; b < s.kernels.size(); ++b) {
+        ns_field(json, kernel_name(s.kernels[b]),
+                 std::string(what) == "crc_ns" ? s.crc_ns[b] : s.sealopen_ns[b]);
+      }
+      json.close();
+    }
+    for (std::size_t b = 1; b < s.kernels.size(); ++b) {
+      const PortableFloor& floor = portable_floor(s.kernels[b], s.payload_bytes);
+      json.object(kernel_name(s.kernels[b]))
+          .field("sealopen_ratio", s.sealopen_ratio(0, b), 2)
+          .field("sealopen_ratio_floor", floor.sealopen, 1)
+          .field("crc_ratio", s.crc_ratio(0, b), 2).field("crc_ratio_floor", floor.crc, 1)
+          .close();
+    }
+    json.close();
+  }
+  json.close();
+  json.array("fused");
+  for (const FusedRatio& f : fused) {
+    json.object().field("kernel", kernel_name(f.arm->kernel))
+        .field("payload_bytes", f.arm->payload_bytes);
+    ns_field(json, "fused_ns", f.fused_ns);
+    ns_field(json, "composed_ns", f.composed_ns);
+    json.field("ratio", f.ratio, 3).field("ratio_floor", f.arm->floor, 2).close();
   }
   json.close();
   json.object("sharded").field("links", sharded.links).field("payload_bytes", sharded.payload_bytes)
@@ -614,28 +656,7 @@ void write_json(const genio::bench::Args& args, const std::vector<SizeResult>& r
     json.object().field("workers", workers).field("modeled_MBps", mbps, 2).close();
   }
   json.close().close();
-  for (const BackendArm& arm : kArms) {
-    const auto ran = std::find_if(ratios.begin(), ratios.end(),
-                                  [&](const BackendRatio& r) { return r.arm == &arm; });
-    if (ran == ratios.end()) {
-      json.null(arm.name);
-      continue;
-    }
-    const BackendRatio& b = *ran;
-    const char* fast = kernel_name(arm.fast);
-    const char* slow = kernel_name(arm.slow);
-    json.object(arm.name).field("payload_bytes", arm.payload_bytes).field("reps", b.reps);
-    json.object("sealopen_ns")
-        .field(fast, b.sealopen_fast, 1).field(slow, b.sealopen_slow, 1).close();
-    json.object("crc_ns").field(fast, b.crc_fast, 1).field(slow, b.crc_slow, 1).close();
-    json.field("sealopen_ratio", b.sealopen_ratio, 2)
-        .field("sealopen_ratio_floor", arm.sealopen_floor, 1).field("crc_ratio", b.crc_ratio, 2)
-        .field("crc_ratio_floor", arm.crc_floor, 1).field("ratio_floors_enforced", !kSanitized)
-        .close();
-  }
-  json.object("summary")
-      .field("sealopen_speedup_at_1k", speedup_1k, 2).field("byte_identity", identity_ok)
-      .field("speedup_floor_enforced", !kSanitized).close();
+  json.object("summary").field("byte_identity", identity_ok).close();
   json.field("invariants_hold", invariants_hold);
 }
 
@@ -643,109 +664,116 @@ void write_json(const genio::bench::Args& args, const std::vector<SizeResult>& r
 
 int main(int argc, char** argv) {
   const auto args = genio::bench::parse_args(argc, argv, "BENCH_dataplane.json");
-  const bool smoke = args.smoke;
+  // Seconds each ratio arm alternates its sides. The fused arms carry the
+  // tightest floors and keep the full window in a smoke run too.
+  const double arm_seconds = args.smoke ? 0.05 : 0.25;
+  constexpr double kFusedSeconds = 0.25;
 
-  const unsigned hw = std::thread::hardware_concurrency();
   gc::Rng rng(0x90247);
   const cr::AesKey key = cr::make_aes_key(rng.bytes(16));
-  const cr::GcmContext ctx(key);  // built once, as GponCipher holds it
   std::vector<DpKernel> kernels;
+  std::vector<cr::GcmContext> backends;
   for (const DpKernel kernel :
        {DpKernel::kPortable, DpKernel::kAesPclmul, DpKernel::kVaesAvx512}) {
-    if (cr::supports_dataplane_kernel(kernel)) kernels.push_back(kernel);
+    if (!cr::supports_dataplane_kernel(kernel)) continue;
+    kernels.push_back(kernel);
+    backends.emplace_back(key, kernel);
   }
-  std::vector<cr::GcmContext> backends;
-  for (const DpKernel kernel : kernels) backends.emplace_back(key, kernel);
-
-  const std::vector<std::size_t> sizes =
-      smoke ? std::vector<std::size_t>{64, 1024, 9000}
-            : std::vector<std::size_t>{64, 256, 1024, 4096, 9000};
-  std::printf("=== data-plane crypto fast path (round 4): %zu payload sizes, "
-              "dispatched backend %s, %u hardware threads%s ===\n\n",
-              sizes.size(), kernel_name(ctx.kernel()), hw, smoke ? " (smoke)" : "");
-  for (const BackendArm& arm : kArms) {
-    if (!cr::supports_dataplane_kernel(arm.fast)) {
-      std::printf("note: this CPU lacks the %s backend: its identity pass and the %s ratio "
-                  "arm are skipped\n\n",
-                  kernel_name(arm.fast), arm.name);
+  std::printf("=== data-plane crypto (round 5): dispatched backend %s, %u hardware threads%s ===\n\n",
+              kernel_name(cr::dispatched_dataplane_kernel()),
+              std::thread::hardware_concurrency(), args.smoke ? " (smoke)" : "");
+  for (const DpKernel kernel : kHardware) {
+    if (!cr::supports_dataplane_kernel(kernel)) {
+      std::printf("note: this CPU lacks the %s backend: its identity pass and ratio arms are "
+                  "skipped\n\n",
+                  kernel_name(kernel));
     }
   }
 
   bool identity_ok = crc_lengths_identity(rng, kernels);
-  std::vector<SizeResult> results;
-  for (const std::size_t bytes : sizes) {
-    results.push_back(run_size(rng, key, backends, ctx, bytes, smoke, identity_ok));
+  std::vector<SizeRatios> sizes;
+  for (const std::size_t bytes : kSizes) {
+    const auto corpus = make_corpus(rng, key, bytes, args.smoke ? 8 : 16);
+    identity_ok = verify_identity(key, backends, corpus) && identity_ok;
+    sizes.push_back(run_size(backends, corpus, bytes, arm_seconds));
   }
-  const ShardedResult sharded = run_sharded(rng, smoke);
-  identity_ok = identity_ok && sharded.identity;
-  std::vector<BackendRatio> ratios;
-  for (const BackendArm& arm : kArms) {
-    if (cr::supports_dataplane_kernel(arm.fast)) {
-      ratios.push_back(run_backends(rng, key, arm, smoke));
+  const ReferenceArm reference = run_reference(rng, key, backends.back(), arm_seconds);
+  std::vector<FusedRatio> fused;
+  for (const FusedFloor& arm : kFusedFloors) {
+    if (cr::supports_dataplane_kernel(arm.kernel)) {
+      fused.push_back(run_fused(rng, key, arm, kFusedSeconds, identity_ok));
     }
   }
+  const ShardedResult sharded = run_sharded(rng, args.smoke);
+  identity_ok = identity_ok && sharded.identity;
 
-  gc::Table table({"payload B", "seal ref f/s", "seal fast f/s", "open ref f/s",
-                   "open fast f/s", "fast seal MB/s", "crc speedup",
-                   "seal+open speedup"});
-  for (const SizeResult& r : results) {
-    table.add_row({std::to_string(r.payload_bytes),
-                   gc::format_double(r.seal_ref.fps(), 0),
-                   gc::format_double(r.seal_fast.fps(), 0),
-                   gc::format_double(r.open_ref.fps(), 0),
-                   gc::format_double(r.open_fast.fps(), 0),
-                   gc::format_double(r.seal_fast.mbps(r.payload_bytes), 1),
-                   gc::format_double(r.crc_fast.fps() / r.crc_ref.fps(), 2),
-                   gc::format_double(r.sealopen_speedup(), 2)});
+  std::vector<std::string> header = {"payload B"};
+  for (const DpKernel kernel : kernels) header.push_back(std::string(kernel_name(kernel)) + " ns");
+  for (std::size_t b = 1; b < kernels.size(); ++b) {
+    header.push_back(std::string(kernel_name(kernels[b])) + " x");
+    header.push_back("crc x");
   }
-  std::printf("%s\n", table.render().c_str());
-
+  gc::Table table(header);
+  for (const SizeRatios& s : sizes) {
+    std::vector<std::string> row = {std::to_string(s.payload_bytes)};
+    for (const Spread& ns : s.sealopen_ns) row.push_back(gc::format_double(ns.median, 0));
+    for (std::size_t b = 1; b < s.kernels.size(); ++b) {
+      row.push_back(gc::format_double(s.sealopen_ratio(0, b), 1));
+      row.push_back(gc::format_double(s.crc_ratio(0, b), 1));
+    }
+    table.add_row(row);
+  }
+  std::printf("median seal+open ns per frame, and each hardware backend over portable "
+              "(seal+open, crc), fastest samples of %.2f s alternating:\n%s\n",
+              arm_seconds, table.render().c_str());
+  std::printf("%zu B seal+open, %s over the bitwise oracle: fastest %.0f ns vs %.0f ns = %.1fx\n",
+              ReferenceArm::kPayloadBytes, kernel_name(backends.back().kernel()),
+              reference.fast_ns.min, reference.reference_ns.min, reference.speedup);
+  for (const FusedRatio& f : fused) {
+    std::printf("%zu B %s fused seal+open fastest %.0f ns (median %.0f) vs composed pieces "
+                "%.0f ns (%.0f) = %.3fx (floor %.2fx)\n",
+                f.arm->payload_bytes, kernel_name(f.arm->kernel), f.fused_ns.min,
+                f.fused_ns.median, f.composed_ns.min, f.composed_ns.median, f.ratio,
+                f.arm->floor);
+  }
   std::printf("sharded (8 links, pool run): %.1f MB/s; LPT-modeled:", sharded.pool_MBps);
-  for (const auto& [workers, mbps] : sharded.modeled) {
-    std::printf(" %dw=%.0f", workers, mbps);
-  }
-  std::printf(" MB/s\n");
-
-  double speedup_1k = 0.0;
-  for (const SizeResult& r : results) {
-    if (r.payload_bytes == 1024) speedup_1k = r.sealopen_speedup();
-  }
-  std::printf("seal+open speedup at 1 KB payloads: %.2fx (target >= 9x)\n",
-              speedup_1k);
-  for (const BackendRatio& r : ratios) {
-    std::printf("%zu B %s over %s, median of %d alternating repetitions: "
-                "seal+open %.0f ns vs %.0f ns = %.1fx (floor %.1fx), "
-                "crc %.0f ns vs %.0f ns = %.1fx (floor %.1fx)\n",
-                r.arm->payload_bytes, kernel_name(r.arm->fast), kernel_name(r.arm->slow), r.reps,
-                r.sealopen_fast.median, r.sealopen_slow.median, r.sealopen_ratio,
-                r.arm->sealopen_floor, r.crc_fast.median, r.crc_slow.median, r.crc_ratio,
-                r.arm->crc_floor);
-  }
-  std::printf("\n");
+  for (const auto& [workers, mbps] : sharded.modeled) std::printf(" %dw=%.0f", workers, mbps);
+  std::printf(" MB/s\n\n");
 
   genio::bench::Gate gate({genio::bench::kInvariants});
   gate.check(identity_ok, "every backend byte-identical to reference across corpus");
   if (kSanitized) {
-    std::printf("note: speedup floors reported but not enforced — sanitizer "
-                "instrumentation distorts relative path costs\n");
+    std::printf("note: ratio floors reported but not enforced — sanitizer instrumentation "
+                "distorts relative path costs\n");
   } else {
-    gate.check(speedup_1k >= 9.0, "seal+open >= 9x reference at 1 KB payloads");
-    for (const BackendRatio& r : ratios) {
-      const std::string over = std::string(kernel_name(r.arm->slow)) + " at " +
-                               std::to_string(r.arm->payload_bytes) + " B";
-      const std::string fast = kernel_name(r.arm->fast);
-      gate.check(r.sealopen_ratio >= r.arm->sealopen_floor,
-                 fast + " seal+open >= " + gc::format_double(r.arm->sealopen_floor, 1) + "x " +
-                     over);
-      gate.check(r.crc_ratio >= r.arm->crc_floor,
-                 fast + " crc >= " + gc::format_double(r.arm->crc_floor, 1) + "x " + over);
+    gate.check(reference.speedup >= ReferenceArm::kFloor,
+               "seal+open >= 9x the bitwise oracle at 1 KB payloads");
+    for (const SizeRatios& s : sizes) {
+      const std::string at = " at " + std::to_string(s.payload_bytes) + " B";
+      for (std::size_t b = 1; b < s.kernels.size(); ++b) {
+        const PortableFloor& floor = portable_floor(s.kernels[b], s.payload_bytes);
+        const std::string name = kernel_name(s.kernels[b]);
+        gate.check(s.sealopen_ratio(0, b) >= floor.sealopen,
+                   name + " seal+open >= " + gc::format_double(floor.sealopen, 1) +
+                       "x portable" + at);
+        gate.check(s.crc_ratio(0, b) >= floor.crc,
+                   name + " crc >= " + gc::format_double(floor.crc, 1) + "x portable" + at);
+      }
+      if (s.payload_bytes == kVaesOverAesBytes && s.kernels.size() == 3) {
+        gate.check(s.sealopen_ratio(1, 2) >= kVaesOverAesSealOpenFloor,
+                   "vaes_avx512 seal+open >= 1.3x aes_pclmul" + at);
+        gate.check(s.crc_ratio(1, 2) >= kVaesOverAesCrcFloor,
+                   "vaes_avx512 crc >= 1.5x aes_pclmul" + at);
+      }
     }
-    if (!args.baseline.empty()) {
-      gate.check(within_committed_sizes(args.baseline, results),
-                 "fast-path MB/s within 20% of committed baseline");
+    for (const FusedRatio& f : fused) {
+      gate.check(f.ratio >= f.arm->floor,
+                 std::string(kernel_name(f.arm->kernel)) + " fused seal+open >= " +
+                     gc::format_double(f.arm->floor, 2) + "x the composed pieces at " +
+                     std::to_string(f.arm->payload_bytes) + " B");
     }
   }
 
-  write_json(args, results, sharded, ratios, speedup_1k, identity_ok, gate.ok());
+  write_json(args, arm_seconds, reference, sizes, fused, sharded, identity_ok, gate.ok());
   return gate.exit_code();
 }

@@ -3,9 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
+#include "genio/crypto/simd.hpp"
 
 namespace genio::crypto {
 
@@ -77,38 +75,11 @@ inline std::uint32_t load_be32(const std::uint8_t* p) {
 }
 
 #if defined(__x86_64__)
-// N counter blocks through AES-NI, XORed from `in` into `out` (16*N bytes,
-// which may alias). Block i is the IV's first 12 bytes with
-// bswap32(ctr + i) as dword 3, so the counter wraps mod 2^32 like inc32.
-// The N aesenc chains are independent: at N = 8 they cover the
-// instruction's latency. Round keys are the FIPS-197 bytes as stored.
-template <int N>
-__attribute__((target("aes,sse4.1"))) inline void aesni_ctr_blocks(
-    const __m128i* rk, __m128i prefix, std::uint32_t ctr, const std::uint8_t* in,
-    std::uint8_t* out) {
-  __m128i b[N];
-#pragma GCC unroll 8
-  for (int i = 0; i < N; ++i) {
-    const auto be_ctr = static_cast<int>(__builtin_bswap32(ctr + static_cast<std::uint32_t>(i)));
-    b[i] = _mm_xor_si128(_mm_insert_epi32(prefix, be_ctr, 3), rk[0]);
-  }
-  for (int r = 1; r < 10; ++r) {
-#pragma GCC unroll 8
-    for (int i = 0; i < N; ++i) b[i] = _mm_aesenc_si128(b[i], rk[r]);
-  }
-#pragma GCC unroll 8
-  for (int i = 0; i < N; ++i) {
-    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 16 * i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * i),
-                     _mm_xor_si128(x, _mm_aesenclast_si128(b[i], rk[10])));
-  }
-}
-
 // AES-NI CTR: eight blocks per pass, then one four-block pass, then a tail
 // of under 64 bytes through a zero-padded copy.
-__attribute__((target("aes,sse4.1"))) void ctr_xor_aesni(
-    const std::array<std::array<std::uint8_t, 16>, 11>& round_keys, const AesBlock& iv,
-    std::uint8_t* data, std::size_t n) {
+__attribute__((target("aes,sse4.1"))) void ctr_xor_aesni(const simd::RoundKeys& round_keys,
+                                                         const AesBlock& iv, std::uint8_t* data,
+                                                         std::size_t n) {
   __m128i rk[11];
   for (std::size_t r = 0; r < 11; ++r) {
     rk[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(round_keys[r].data()));
@@ -116,10 +87,10 @@ __attribute__((target("aes,sse4.1"))) void ctr_xor_aesni(
   const __m128i prefix = _mm_loadu_si128(reinterpret_cast<const __m128i*>(iv.data()));
   std::uint32_t ctr = load_be32(iv.data() + 12);
   for (; n >= 128; data += 128, n -= 128, ctr += 8) {
-    aesni_ctr_blocks<8>(rk, prefix, ctr, data, data);
+    simd::aesni_ctr_blocks<8>(rk, prefix, ctr, data, data);
   }
   if (n >= 64) {
-    aesni_ctr_blocks<4>(rk, prefix, ctr, data, data);
+    simd::aesni_ctr_blocks<4>(rk, prefix, ctr, data, data);
     data += 64;
     n -= 64;
     ctr += 4;
@@ -128,86 +99,27 @@ __attribute__((target("aes,sse4.1"))) void ctr_xor_aesni(
   std::uint8_t tail[64] = {};
   std::memcpy(tail, data, n);
   if (n > 16) {
-    aesni_ctr_blocks<4>(rk, prefix, ctr, tail, tail);
+    simd::aesni_ctr_blocks<4>(rk, prefix, ctr, tail, tail);
   } else {
-    aesni_ctr_blocks<1>(rk, prefix, ctr, tail, tail);
+    simd::aesni_ctr_blocks<1>(rk, prefix, ctr, tail, tail);
   }
   std::memcpy(data, tail, n);
 }
 
-// ------------------------------------------------------------ VAES CTR
-// Four counter blocks per ZMM register, N registers per pass. The counters
-// are held byte-reversed: reversing a block's 16 bytes puts its big-endian
-// counter (bytes 12..15) in dword 0 as a native integer, so one vpaddd
-// steps four blocks' counters mod 2^32, as inc32 does, and never carries
-// into the IV prefix. One vpshufb per register restores the byte order
-// before the rounds. Target-attributed functions rather than lambdas, as in
-// gcm.cpp.
-
-__attribute__((target("avx512f,avx512bw"))) inline __m512i reverse_block_bytes(__m512i x) {
-  const __m512i reverse =
-      _mm512_set_epi64(0x0001020304050607, 0x08090a0b0c0d0e0f, 0x0001020304050607,
-                       0x08090a0b0c0d0e0f, 0x0001020304050607, 0x08090a0b0c0d0e0f,
-                       0x0001020304050607, 0x08090a0b0c0d0e0f);
-  return _mm512_shuffle_epi8(x, reverse);
-}
-
-// The first `bytes` of a register's 64 (all of them from 64 up).
-inline __mmask64 byte_mask(std::size_t bytes) {
-  return bytes >= 64 ? ~__mmask64{0} : (__mmask64{1} << bytes) - 1;
-}
-
-// N registers of keystream XORed into the `n` <= 64*N bytes at `data`
-// through masked loads and stores, so nothing past `n` is read or written.
-// `ctr` is the byte-reversed counters of the first register; returns
-// those of the register after the last.
-template <int N>
-__attribute__((target("vaes,avx512f,avx512bw"))) inline __m512i vaes_ctr_blocks(
-    const __m512i* rk, __m512i ctr, std::uint8_t* data, std::size_t n) {
-  const __m512i four = _mm512_set_epi32(0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4);
-  __m512i b[N];
-#pragma GCC unroll 4
-  for (int i = 0; i < N; ++i) {
-    b[i] = _mm512_xor_si512(reverse_block_bytes(ctr), rk[0]);
-    ctr = _mm512_add_epi32(ctr, four);
-  }
-  for (int r = 1; r < 10; ++r) {
-#pragma GCC unroll 4
-    for (int i = 0; i < N; ++i) b[i] = _mm512_aesenc_epi128(b[i], rk[r]);
-  }
-#pragma GCC unroll 4
-  for (int i = 0; i < N; ++i) {
-    const std::size_t at = 64 * static_cast<std::size_t>(i);
-    const __mmask64 mask = byte_mask(n - at);
-    const __m512i x = _mm512_maskz_loadu_epi8(mask, data + at);
-    _mm512_mask_storeu_epi8(data + at, mask,
-                            _mm512_xor_si512(x, _mm512_aesenclast_epi128(b[i], rk[10])));
-  }
-  return ctr;
-}
-
-// VAES CTR: sixteen blocks per pass, then a tail of under 256 bytes on as
-// many masked registers as it needs.
+// VAES CTR: sixteen blocks per pass in four ZMM registers, then a tail of
+// under 256 bytes on as many masked registers as it needs.
 __attribute__((target("vaes,avx512f,avx512bw"))) void ctr_xor_vaes(
-    const std::array<std::array<std::uint8_t, 16>, 11>& round_keys, const AesBlock& iv,
-    std::uint8_t* data, std::size_t n) {
+    const simd::RoundKeys& round_keys, const AesBlock& iv, std::uint8_t* data, std::size_t n) {
   __m512i rk[11];
-  for (std::size_t r = 0; r < 11; ++r) {
-    rk[r] = _mm512_maskz_broadcast_i32x4(
-        0xffff, _mm_loadu_si128(reinterpret_cast<const __m128i*>(round_keys[r].data())));
-  }
-  // Lane i of the first register counts from the IV's counter plus i.
-  const __m512i lane_offsets = _mm512_set_epi32(0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0);
-  __m512i ctr = _mm512_add_epi32(
-      reverse_block_bytes(_mm512_maskz_broadcast_i32x4(
-          0xffff, _mm_loadu_si128(reinterpret_cast<const __m128i*>(iv.data())))),
-      lane_offsets);
-  for (; n >= 256; data += 256, n -= 256) ctr = vaes_ctr_blocks<4>(rk, ctr, data, 256);
+  simd::vaes_round_keys(round_keys, rk);
+  __m512i ctr =
+      simd::vaes_first_counters(_mm_loadu_si128(reinterpret_cast<const __m128i*>(iv.data())));
+  for (; n >= 256; data += 256, n -= 256) simd::vaes_ctr_blocks<4>(rk, ctr, data, 256);
   switch ((n + 63) / 64) {
-    case 4: vaes_ctr_blocks<4>(rk, ctr, data, n); break;
-    case 3: vaes_ctr_blocks<3>(rk, ctr, data, n); break;
-    case 2: vaes_ctr_blocks<2>(rk, ctr, data, n); break;
-    case 1: vaes_ctr_blocks<1>(rk, ctr, data, n); break;
+    case 4: simd::vaes_ctr_blocks<4>(rk, ctr, data, n); break;
+    case 3: simd::vaes_ctr_blocks<3>(rk, ctr, data, n); break;
+    case 2: simd::vaes_ctr_blocks<2>(rk, ctr, data, n); break;
+    case 1: simd::vaes_ctr_blocks<1>(rk, ctr, data, n); break;
     default: break;
   }
 }

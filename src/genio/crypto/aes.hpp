@@ -57,10 +57,15 @@ class Aes128 {
   /// kPortable interleaves four blocks' rounds over
   /// T-tables and the round-key-major u32 schedule, and hands tails shorter
   /// than 64 bytes to the single-block path. One block of zeros through it
-  /// is E_K(iv), which is how GcmContext gets H and E_K(J0) on its backend.
+  /// is E_K(iv), which is how GcmContext gets H on every backend and E_K(J0)
+  /// on kPortable (the hardware backends' fused seal and open compute it in
+  /// the same call).
   void ctr_xor_wide(const AesBlock& iv, std::span<std::uint8_t> data) const;
 
  private:
+  // The fused AES-GCM kernels read the schedule directly.
+  friend class GcmContext;
+
   // FIPS-197 byte order, the order aesenc reads its round key in.
   std::array<std::array<std::uint8_t, 16>, 11> round_keys_;
   // Round-key-major layout: rk_words_[4*r + j] is column j of round key r as

@@ -4,9 +4,7 @@
 #include <cstring>
 #include <initializer_list>
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
+#include "genio/crypto/simd.hpp"
 
 namespace genio::crypto {
 
@@ -231,14 +229,17 @@ void ghash_fold_shoup(const GhashTables& t, AesBlock& y, BytesView data) {
 // target("...") function does not inherit the target, and GCC 12 then
 // refuses to inline the intrinsics into it.
 
-__attribute__((target("ssse3"))) inline __m128i load_reflected(const std::uint8_t* p) {
+__attribute__((target("ssse3"))) inline __m128i reflect(__m128i x) {
   const __m128i reverse = _mm_setr_epi8(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-  return _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), reverse);
+  return _mm_shuffle_epi8(x, reverse);
+}
+
+__attribute__((target("ssse3"))) inline __m128i load_reflected(const std::uint8_t* p) {
+  return reflect(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
 }
 
 __attribute__((target("ssse3"))) inline void store_reflected(std::uint8_t* p, __m128i x) {
-  const __m128i reverse = _mm_setr_epi8(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm_shuffle_epi8(x, reverse));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), reflect(x));
 }
 
 // Unreduced 256-bit product, schoolbook: lo = a0*b0, hi = a1*b1 and
@@ -292,29 +293,44 @@ __attribute__((target("pclmul"))) inline __m128i gf_mult_clmul(__m128i a, __m128
   return reduce(w);
 }
 
+// The blocks `bytes` take, zero-padded.
+constexpr std::size_t blocks_of(std::size_t bytes) { return (bytes + 15) / 16; }
+
+// Block j of the `n` bytes at `p`, reflected and zero-padded; only a last,
+// partial block goes through a copy.
+__attribute__((target("ssse3"))) inline __m128i load_padded(const std::uint8_t* p, std::size_t n,
+                                                            std::size_t j) {
+  if (16 * j + 16 <= n) return load_reflected(p + 16 * j);
+  alignas(16) std::uint8_t block[16] = {};
+  std::memcpy(block, p + 16 * j, n - 16 * j);
+  return load_reflected(block);
+}
+
+// The products of the `n` > 0 bytes at `p`, zero-padded to whole blocks,
+// with y XORed into the first block: block j times H^(top - j), where
+// `h[p - 1]` is H^p, reflected.
+__attribute__((target("pclmul,ssse3"))) inline void fold_blocks(Wide& w, __m128i y,
+                                                                const __m128i* h,
+                                                                const std::uint8_t* p,
+                                                                std::size_t n, std::size_t top) {
+  clmul_acc(w, _mm_xor_si128(y, load_padded(p, n, 0)), h[top - 1]);
+  for (std::size_t j = 1; 16 * j < n; ++j) clmul_acc(w, load_padded(p, n, j), h[top - 1 - j]);
+}
+
 // y absorbs `n` bytes at `p`, zero-padded to whole blocks. Groups of four
 // blocks fold against H^4..H^1 with one reduction; a last group of k < 4
-// blocks folds against H^k..H^1. `h[p - 1]` is H^p, reflected.
+// blocks folds against H^k..H^1.
 __attribute__((target("pclmul,ssse3"))) __m128i ghash_clmul(__m128i y, const __m128i* h,
                                                             const std::uint8_t* p,
                                                             std::size_t n) {
   for (; n >= 64; p += 64, n -= 64) {
     Wide w = wide_zero();
-    clmul_acc(w, _mm_xor_si128(y, load_reflected(p)), h[3]);
-    clmul_acc(w, load_reflected(p + 16), h[2]);
-    clmul_acc(w, load_reflected(p + 32), h[1]);
-    clmul_acc(w, load_reflected(p + 48), h[0]);
+    fold_blocks(w, y, h, p, 64, 4);
     y = reduce(w);
   }
   if (n == 0) return y;
-  std::uint8_t last[64] = {};
-  std::memcpy(last, p, n);
-  const std::size_t blocks = (n + 15) / 16;
   Wide w = wide_zero();
-  clmul_acc(w, _mm_xor_si128(y, load_reflected(last)), h[blocks - 1]);
-  for (std::size_t i = 1; i < blocks; ++i) {
-    clmul_acc(w, load_reflected(last + 16 * i), h[blocks - 1 - i]);
-  }
+  fold_blocks(w, y, h, p, n, blocks_of(n));
   return reduce(w);
 }
 
@@ -349,25 +365,17 @@ __attribute__((target("pclmul,ssse3"))) AesBlock ghash_parts_clmul(
 // powers are the four stored at 4r, and a k-block tail's are the four at
 // 16 - k + 4r. Each 128-bit lane is the XMM kernel's reflected block, so
 // the lanes' unreduced products XOR into one Wide and the XMM reduce()
-// finishes the pass.
-//
-// GCC 12 warns (-Wuninitialized, its bug 105593) inside the unmasked
-// _mm512_broadcast_i32x4, _mm512_extracti32x4_epi32,
-// _mm512_extracti64x4_epi64, _mm512_shuffle_i32x4 and
-// _mm512_castsi512_si128; their _mm512_maskz_* forms with a full mask are
-// the same instructions and compile clean.
-
-__attribute__((target("avx512f,avx512bw"))) inline __m512i reflect_lanes(__m512i x) {
-  const __m512i reverse =
-      _mm512_set_epi64(0x0001020304050607, 0x08090a0b0c0d0e0f, 0x0001020304050607,
-                       0x08090a0b0c0d0e0f, 0x0001020304050607, 0x08090a0b0c0d0e0f,
-                       0x0001020304050607, 0x08090a0b0c0d0e0f);
-  return _mm512_shuffle_epi8(x, reverse);
-}
+// finishes the pass. The unmasked-intrinsic warning noted in simd.hpp
+// applies to _mm512_extracti64x4_epi64, _mm512_castsi512_si128 and the
+// unmasked shifts and _mm512_shuffle_epi32 too.
 
 struct WideZ {
   __m512i lo, mid, hi;
 };
+
+__attribute__((target("avx512f"))) inline WideZ wide_zero_z() {
+  return {_mm512_setzero_si512(), _mm512_setzero_si512(), _mm512_setzero_si512()};
+}
 
 __attribute__((target("vpclmulqdq,avx512f"))) inline void clmul_acc_z(WideZ& acc, __m512i a,
                                                                        __m512i b) {
@@ -389,9 +397,75 @@ __attribute__((target("avx512f"))) inline Wide sum_lanes(const WideZ& w) {
   return {xor_lanes(w.lo), xor_lanes(w.mid), xor_lanes(w.hi)};
 }
 
-// The first `bytes` of a register's 64 (all of them from 64 up).
-inline __mmask64 byte_mask(std::size_t bytes) {
-  return bytes >= 64 ? ~__mmask64{0} : (__mmask64{1} << bytes) - 1;
+// ------------------------------------------- the fused kernels' pass fold
+// A carry-less product of two reflected blocks comes out one bit low, which
+// reduce() shifts back before it reduces. Multiplying the powers by x^-1
+// once per call ("twisting" them, as the stitched GCM kernels in OpenSSL
+// and Linux do) cancels the shift, and each lane of a pass's product then
+// reduces with two carry-less multiplies by the reduction constant, in
+// place, so only the reduced sum crosses lanes. Against ghash_vpclmul's
+// pass fold this takes a 4 KB seal or open from about 480 to 390 ns on the
+// 4-vCPU Xeon; GcmContext::ghash still uses that fold.
+
+// Each lane's H^p as H^p * x^-1: shifted left one place (the reflected
+// order's division by x), with x^-1 = x^127 + x^6 + x + 1 (0xc2 || 0^112
+// || 0x01, reflected) added when the x^0 coefficient falls off.
+__attribute__((target("avx512f,avx512bw"))) inline __m512i twist_lanes(__m512i h) {
+  constexpr long long kHigh = static_cast<long long>(0xc200000000000000ull);
+  const __m512i x_inverse = _mm512_set_epi64(kHigh, 1, kHigh, 1, kHigh, 1, kHigh, 1);
+  const __m512i shifted = _mm512_or_si512(
+      _mm512_maskz_slli_epi64(0xff, h, 1),
+      _mm512_bslli_epi128(_mm512_maskz_srli_epi64(0xff, h, 63), 8));
+  const __m512i falls_off = _mm512_maskz_shuffle_epi32(
+      0xffff, _mm512_maskz_srai_epi32(0xffff, h, 31), static_cast<_MM_PERM_ENUM>(0xff));
+  return _mm512_xor_si512(shifted, _mm512_and_si512(falls_off, x_inverse));
+}
+
+// Each lane of a product against twisted powers, reduced to 128 bits: the
+// low half folds into the middle and the middle into the high half, each
+// through one multiply by the reduction constant's high word.
+__attribute__((target("vpclmulqdq,avx512f"))) inline __m512i reduce_lanes(const WideZ& w) {
+  constexpr long long kHigh = static_cast<long long>(0xc200000000000000ull);
+  const __m512i poly = _mm512_set_epi64(kHigh, 0, kHigh, 0, kHigh, 0, kHigh, 0);
+  constexpr auto kSwapHalves = static_cast<_MM_PERM_ENUM>(0x4e);
+  const __m512i mid =
+      _mm512_ternarylogic_epi64(w.mid, _mm512_clmulepi64_epi128(w.lo, poly, 0x10),
+                                _mm512_maskz_shuffle_epi32(0xffff, w.lo, kSwapHalves), 0x96);
+  return _mm512_ternarylogic_epi64(w.hi, _mm512_clmulepi64_epi128(mid, poly, 0x10),
+                                   _mm512_maskz_shuffle_epi32(0xffff, mid, kSwapHalves), 0x96);
+}
+
+__attribute__((target("avx512f"))) inline void load_pass(const std::uint8_t* p, __m512i* d) {
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) d[i] = _mm512_loadu_si512(p + 64 * i);
+}
+
+// y absorbs one sixteen-block pass held in `d` as loaded: block j times
+// the twisted H^(16-j) in `ht`, y in block 0's lane.
+__attribute__((target("vpclmulqdq,avx512f,avx512bw"))) inline __m128i stitch_pass(
+    __m128i y, const __m512i* d, const __m512i* ht) {
+  WideZ w = wide_zero_z();
+  clmul_acc_z(w,
+              _mm512_xor_si512(simd::reverse_lanes(d[0]), _mm512_maskz_broadcast_i32x4(0x000f, y)),
+              ht[0]);
+#pragma GCC unroll 3
+  for (int r = 1; r < 4; ++r) clmul_acc_z(w, simd::reverse_lanes(d[r]), ht[r]);
+  return xor_lanes(reduce_lanes(w));
+}
+
+// The products of a group of `blocks` (1..16) blocks held in `d` as loaded,
+// zero past the data, with y XORed into the first: block j times
+// h_group[j]. Masked loads read no power past the group's last.
+__attribute__((target("vpclmulqdq,avx512f,avx512bw"))) inline void fold_group(
+    WideZ& w, __m128i y, const __m512i* d, std::size_t blocks, const AesBlock* h_group) {
+  for (std::size_t r = 0; 4 * r < blocks; ++r) {
+    const std::size_t lanes = std::min<std::size_t>(4, blocks - 4 * r);
+    const auto lane_mask = static_cast<__mmask8>((1u << (2 * lanes)) - 1);
+    __m512i x = simd::reverse_lanes(d[r]);
+    if (r == 0) x = _mm512_xor_si512(x, _mm512_maskz_broadcast_i32x4(0x000f, y));
+    clmul_acc_z(w, x,
+                simd::reverse_lanes(_mm512_maskz_loadu_epi64(lane_mask, h_group[4 * r].data())));
+  }
 }
 
 // y absorbs `n` bytes at `p`, zero-padded to whole blocks, sixteen blocks
@@ -402,18 +476,18 @@ __attribute__((target("vpclmulqdq,avx512f,avx512bw,pclmul,ssse3"))) __m128i ghas
   if (n >= 256) {
     __m512i h[4];
     for (int r = 0; r < 4; ++r) {
-      h[r] = reflect_lanes(_mm512_loadu_si512(h_desc[4 * r].data()));
+      h[r] = simd::reverse_lanes(_mm512_loadu_si512(h_desc[4 * r].data()));
     }
     // (y ^ B0) * H^16 = y * H^16 ^ B0 * H^16: the sixteen block products
     // and their lane sum do not wait for y, and only one XMM multiply and
     // the reduction stand between one pass's y and the next.
     const __m128i h16 = load_reflected(h_desc[0].data());
     for (; n >= 256; p += 256, n -= 256) {
-      WideZ w = {_mm512_setzero_si512(), _mm512_setzero_si512(), _mm512_setzero_si512()};
-      clmul_acc_z(w, reflect_lanes(_mm512_loadu_si512(p)), h[0]);
-      clmul_acc_z(w, reflect_lanes(_mm512_loadu_si512(p + 64)), h[1]);
-      clmul_acc_z(w, reflect_lanes(_mm512_loadu_si512(p + 128)), h[2]);
-      clmul_acc_z(w, reflect_lanes(_mm512_loadu_si512(p + 192)), h[3]);
+      WideZ w = wide_zero_z();
+#pragma GCC unroll 4
+      for (int r = 0; r < 4; ++r) {
+        clmul_acc_z(w, simd::reverse_lanes(_mm512_loadu_si512(p + 64 * r)), h[r]);
+      }
       Wide sum = sum_lanes(w);
       clmul_acc(sum, y, h16);
       y = reduce(sum);
@@ -421,15 +495,12 @@ __attribute__((target("vpclmulqdq,avx512f,avx512bw,pclmul,ssse3"))) __m128i ghas
   }
   if (n == 0) return y;
   const std::size_t blocks = (n + 15) / 16;
-  const AesBlock* h_tail = h_desc + (16 - blocks);
-  WideZ w = {_mm512_setzero_si512(), _mm512_setzero_si512(), _mm512_setzero_si512()};
+  __m512i d[4];
   for (std::size_t r = 0; 4 * r < blocks; ++r) {
-    const std::size_t lanes = std::min<std::size_t>(4, blocks - 4 * r);
-    const auto lane_mask = static_cast<__mmask8>((1u << (2 * lanes)) - 1);
-    __m512i d = reflect_lanes(_mm512_maskz_loadu_epi8(byte_mask(n - 64 * r), p + 64 * r));
-    if (r == 0) d = _mm512_xor_si512(d, _mm512_maskz_broadcast_i32x4(0x000f, y));
-    clmul_acc_z(w, d, reflect_lanes(_mm512_maskz_loadu_epi64(lane_mask, h_tail[4 * r].data())));
+    d[r] = _mm512_maskz_loadu_epi8(simd::byte_mask(n - 64 * r), p + 64 * r);
   }
+  WideZ w = wide_zero_z();
+  fold_group(w, y, d, blocks, h_desc + (16 - blocks));
   return reduce(sum_lanes(w));
 }
 
@@ -440,6 +511,248 @@ __attribute__((target("vpclmulqdq,avx512f,avx512bw,pclmul,ssse3"))) AesBlock gha
   AesBlock out;
   store_reflected(out.data(), y);
   return out;
+}
+
+// ----------------------------------------------------- fused AES-GCM
+// One kernel call per seal and per open on the hardware backends, after
+// the stitched AES-GCM of Gueron and Krasnov. E_K(J0) runs on an XMM
+// aesenc chain of its own, and the AAD is folded first or, in a short
+// frame, with the last group; neither waits for the payload's rounds. The
+// payload's CTR and GHASH run pass by pass: a seal hashes the previous
+// pass's ciphertext while it encrypts the next, and an open hashes and
+// decrypts the same pass, so one pass's AES rounds overlap the other's
+// carry-less multiplies in the core's out-of-order window. The payload's
+// last group folds with the length block under one reduction. An open
+// returns the tag with `data` already decrypted; GcmContext restores the
+// ciphertext when the tag does not match.
+
+// GCM's length block [len(A)]64 || [len(C)]64, reflected.
+inline __m128i length_block_reflected(std::size_t aad_bytes, std::size_t ct_bytes) {
+  return _mm_set_epi64x(static_cast<long long>(aad_bytes * 8),
+                        static_cast<long long>(ct_bytes * 8));
+}
+
+__attribute__((target("ssse3"))) inline GcmTag make_tag(__m128i y, __m128i ek_j0) {
+  GcmTag tag;
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(tag.data()), _mm_xor_si128(reflect(y), ek_j0));
+  return tag;
+}
+
+__attribute__((target("sse2"))) inline __m128i load_block(const AesBlock& block) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(block.data()));
+}
+
+// J0 = nonce || 0^31 || 1, assembled in a register: a 16-byte load of a J0
+// the caller has just stored byte by byte would wait for those stores.
+__attribute__((target("sse4.1"))) inline __m128i load_j0(const GcmNonce& nonce) {
+  std::uint64_t head = 0;
+  std::uint32_t tail = 0;
+  std::memcpy(&head, nonce.data(), 8);
+  std::memcpy(&tail, nonce.data() + 8, 4);
+  const __m128i j0 = _mm_insert_epi32(_mm_cvtsi64_si128(static_cast<long long>(head)),
+                                      static_cast<int>(tail), 2);
+  return _mm_insert_epi32(j0, 0x01000000, 3);  // big-endian 1
+}
+
+// The payload counter of a 96-bit nonce: inc32(J0).
+constexpr std::uint32_t kFirstCounter = 2;
+
+// kAesPclmul: eight blocks per pass against H^8..H^1 (`h[p - 1]` = H^p).
+// The last group of k <= 8 blocks folds against H^(k+1)..H^2 and the
+// length block against H; as on kVaesAvx512, a short frame's AAD (a blocks,
+// a + k < 8) folds in the same group against H^(a+k+1)..H^(k+2), eight
+// blocks leave the length block a reduction of its own, and only a
+// partial last block goes through a copy.
+template <bool kOpen>
+__attribute__((target("aes,pclmul,ssse3,sse4.1"))) GcmTag gcm_aesni(
+    const simd::RoundKeys& round_keys, const AesBlock* h_desc, const GcmNonce& nonce,
+    std::uint8_t* data, std::size_t n, BytesView aad) {
+  __m128i rk[11];
+  for (std::size_t r = 0; r < 11; ++r) rk[r] = load_block(round_keys[r]);
+  const __m128i prefix = load_j0(nonce);
+  __m128i h[8];
+  for (std::size_t p = 0; p < 8; ++p) h[p] = load_reflected(h_desc[15 - p].data());
+  const __m128i lens = length_block_reflected(aad.size(), n);
+  const bool aad_first = n == 0 || n >= 128 || blocks_of(aad.size()) + blocks_of(n) >= 8;
+  __m128i y = _mm_setzero_si128();
+  if (aad_first) y = ghash_clmul(y, h, aad.data(), aad.size());
+
+  std::uint32_t ctr = kFirstCounter;
+  std::size_t done = 0;
+  for (; n - done >= 128; done += 128, ctr += 8) {
+    std::uint8_t* p = data + done;
+    __m128i ks[8];
+    simd::aesni_keystream<8>(rk, prefix, ctr, ks);
+    Wide w = wide_zero();
+    if (kOpen) fold_blocks(w, y, h, p, 128, 8);
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+      __m128i* block = reinterpret_cast<__m128i*>(p + 16 * i);
+      _mm_storeu_si128(block, _mm_xor_si128(_mm_loadu_si128(block), ks[i]));
+    }
+    if (!kOpen && done > 0) fold_blocks(w, y, h, p - 128, 128, 8);
+    if (kOpen || done > 0) y = reduce(w);
+  }
+  if (!kOpen && done > 0) {
+    Wide w = wide_zero();
+    fold_blocks(w, y, h, data + done - 128, 128, 8);
+    y = reduce(w);
+  }
+
+  std::uint8_t* p = data + done;
+  const std::size_t rest = n - done;
+  const std::size_t blocks = blocks_of(rest);
+  const std::size_t top = std::min<std::size_t>(blocks + 1, 8);
+  Wide w = wide_zero();
+  if (blocks > 0) {
+    __m128i ks[8];
+    if (rest > 64) {
+      simd::aesni_keystream<8>(rk, prefix, ctr, ks);
+    } else if (rest > 16) {
+      simd::aesni_keystream<4>(rk, prefix, ctr, ks);
+    } else {
+      simd::aesni_keystream<1>(rk, prefix, ctr, ks);
+    }
+    if (kOpen) fold_blocks(w, y, h, p, rest, top);
+    const std::size_t full = rest / 16;
+    for (std::size_t j = 0; j < full; ++j) {
+      __m128i* block = reinterpret_cast<__m128i*>(p + 16 * j);
+      _mm_storeu_si128(block, _mm_xor_si128(_mm_loadu_si128(block), ks[j]));
+    }
+    if (rest > 16 * full) {
+      alignas(16) std::uint8_t part[16] = {};
+      std::memcpy(part, p + 16 * full, rest - 16 * full);
+      _mm_store_si128(reinterpret_cast<__m128i*>(part),
+                      _mm_xor_si128(_mm_load_si128(reinterpret_cast<const __m128i*>(part)),
+                                    ks[full]));
+      std::memcpy(p + 16 * full, part, rest - 16 * full);
+    }
+    if (!kOpen) fold_blocks(w, y, h, p, rest, top);
+    if (top == blocks) {
+      y = reduce(w);
+      w = wide_zero();
+    } else {
+      y = _mm_setzero_si128();
+    }
+  }
+  if (!aad_first && !aad.empty()) {
+    fold_blocks(w, _mm_setzero_si128(), h, aad.data(), aad.size(),
+                blocks_of(aad.size()) + blocks + 1);
+  }
+  clmul_acc(w, _mm_xor_si128(y, lens), h[0]);
+  // E_K(J0) last in program order, as on kVaesAvx512.
+  return make_tag(reduce(w), simd::aesni_encrypt(round_keys, prefix));
+}
+
+// kVaesAvx512's last group: the `n` < 256 bytes at `data` on N = ceil(n/64)
+// masked registers, which read and write nothing past `n`. The k = ceil(n/16)
+// blocks fold against H^(k+1)..H^2 and the length block against H; a
+// nonempty `aad` (a blocks, a + k < 16) comes before them, against
+// H^(a+k+1)..H^(k+2), so the whole frame pays one reduction. Sixteen blocks
+// leave no power for the length block, which then takes a reduction of its
+// own. The payload is stored before anything is hashed, so the stores
+// retire as soon as the keystream is ready.
+template <int N, bool kOpen>
+__attribute__((target("vaes,vpclmulqdq,avx512f,avx512bw,pclmul,ssse3"))) inline __m128i
+vaes_last_group(const __m512i* rk, __m512i ctr, __m128i y, std::uint8_t* data, std::size_t n,
+                const AesBlock* h_desc, BytesView aad, __m128i lens) {
+  __m512i ks[N];
+  __m512i ct[N];
+  simd::vaes_keystream<N>(rk, ctr, ks);
+#pragma GCC unroll 4
+  for (int i = 0; i < N; ++i) {
+    const __mmask64 mask = simd::byte_mask(n - 64 * static_cast<std::size_t>(i));
+    const __m512i in = _mm512_maskz_loadu_epi8(mask, data + 64 * i);
+    const __m512i out = _mm512_xor_si512(in, ks[i]);
+    _mm512_mask_storeu_epi8(data + 64 * i, mask, out);
+    ct[i] = kOpen ? in : _mm512_maskz_mov_epi8(mask, out);
+  }
+  // As in ghash_vpclmul, y is multiplied on its own, so only an XMM multiply
+  // and the reduction wait for the previous pass.
+  const std::size_t blocks = blocks_of(n);
+  const __m128i h1 = load_reflected(h_desc[15].data());
+  const __m128i zero = _mm_setzero_si128();
+  WideZ w = wide_zero_z();
+  if (blocks == 16) {
+    fold_group(w, zero, ct, blocks, h_desc);
+    Wide sum = sum_lanes(w);
+    clmul_acc(sum, y, load_reflected(h_desc[0].data()));
+    return gf_mult_clmul(_mm_xor_si128(reduce(sum), lens), h1);
+  }
+  if (!aad.empty()) {
+    const std::size_t aad_blocks = blocks_of(aad.size());
+    __m512i a[4];
+    for (std::size_t r = 0; 4 * r < aad_blocks; ++r) {
+      a[r] = _mm512_maskz_loadu_epi8(simd::byte_mask(aad.size() - 64 * r), aad.data() + 64 * r);
+    }
+    fold_group(w, zero, a, aad_blocks, h_desc + (15 - blocks - aad_blocks));
+  }
+  fold_group(w, zero, ct, blocks, h_desc + (15 - blocks));
+  Wide sum = sum_lanes(w);
+  clmul_acc(sum, lens, h1);
+  // With the AAD in this group nothing came before it, and y is zero.
+  if (aad.empty()) clmul_acc(sum, y, load_reflected(h_desc[15 - blocks].data()));
+  return reduce(sum);
+}
+
+// kVaesAvx512: sixteen blocks per pass in four ZMM registers against
+// H^16..H^1 (`h_desc`, highest first). A frame of 256 bytes or more, or
+// one whose AAD does not fit in its last group, folds the AAD first.
+template <bool kOpen>
+__attribute__((target("vaes,vpclmulqdq,avx512f,avx512bw,aes,pclmul,ssse3,sse4.1"))) GcmTag
+gcm_vaes(const simd::RoundKeys& round_keys, const AesBlock* h_desc, const GcmNonce& nonce,
+         std::uint8_t* data, std::size_t n, BytesView aad) {
+  __m512i rk[11];
+  simd::vaes_round_keys(round_keys, rk);
+  const __m128i j0 = load_j0(nonce);
+  __m512i ctr = simd::vaes_first_counters(
+      _mm_insert_epi32(j0, static_cast<int>(__builtin_bswap32(kFirstCounter)), 3));
+  const __m128i lens = length_block_reflected(aad.size(), n);
+  const bool aad_first = n == 0 || n >= 256 || blocks_of(aad.size()) + blocks_of(n) >= 16;
+  __m128i y = _mm_setzero_si128();
+  if (aad_first) y = ghash_vpclmul(y, h_desc, aad.data(), aad.size());
+  const BytesView aad_in_last = aad_first ? BytesView{} : aad;
+
+  if (n >= 256) {
+    __m512i ht[4];
+    for (int r = 0; r < 4; ++r) {
+      ht[r] = twist_lanes(simd::reverse_lanes(_mm512_loadu_si512(h_desc[4 * r].data())));
+    }
+    std::size_t done = 0;
+    for (; n - done >= 256; done += 256) {
+      std::uint8_t* p = data + done;
+      __m512i ks[4];
+      __m512i in[4];
+      simd::vaes_keystream<4>(rk, ctr, ks);
+      load_pass(p, in);
+      if (kOpen) y = stitch_pass(y, in, ht);
+#pragma GCC unroll 4
+      for (int i = 0; i < 4; ++i) _mm512_storeu_si512(p + 64 * i, _mm512_xor_si512(in[i], ks[i]));
+      if (!kOpen && done > 0) {
+        __m512i prev[4];
+        load_pass(p - 256, prev);
+        y = stitch_pass(y, prev, ht);
+      }
+    }
+    if (!kOpen) {
+      __m512i prev[4];
+      load_pass(data + done - 256, prev);
+      y = stitch_pass(y, prev, ht);
+    }
+    data += done;
+    n -= done;
+  }
+
+  switch ((n + 63) / 64) {
+    case 4: y = vaes_last_group<4, kOpen>(rk, ctr, y, data, n, h_desc, aad_in_last, lens); break;
+    case 3: y = vaes_last_group<3, kOpen>(rk, ctr, y, data, n, h_desc, aad_in_last, lens); break;
+    case 2: y = vaes_last_group<2, kOpen>(rk, ctr, y, data, n, h_desc, aad_in_last, lens); break;
+    case 1: y = vaes_last_group<1, kOpen>(rk, ctr, y, data, n, h_desc, aad_in_last, lens); break;
+    default: y = gf_mult_clmul(_mm_xor_si128(y, lens), load_reflected(h_desc[15].data()));
+  }
+  // E_K(J0) last in program order: it runs beside the payload's rounds
+  // without holding back the retirement of the payload's stores.
+  return make_tag(y, simd::aesni_encrypt(round_keys, j0));
 }
 #endif
 
@@ -507,8 +820,24 @@ GcmTag GcmContext::compute_tag(const AesBlock& j0, BytesView aad,
   return tag;
 }
 
+#if defined(__x86_64__)
+GcmTag GcmContext::fused(bool open, const GcmNonce& nonce, std::span<std::uint8_t> data,
+                         BytesView aad) const {
+  const simd::RoundKeys& rk = cipher_.round_keys_;
+  if (kernel() == DataplaneKernel::kVaesAvx512) {
+    return open ? gcm_vaes<true>(rk, h_pows_.data(), nonce, data.data(), data.size(), aad)
+                : gcm_vaes<false>(rk, h_pows_.data(), nonce, data.data(), data.size(), aad);
+  }
+  return open ? gcm_aesni<true>(rk, h_pows_.data(), nonce, data.data(), data.size(), aad)
+              : gcm_aesni<false>(rk, h_pows_.data(), nonce, data.data(), data.size(), aad);
+}
+#endif
+
 GcmTag GcmContext::seal_in_place(const GcmNonce& nonce, std::span<std::uint8_t> data,
                                  BytesView aad) const {
+#if defined(__x86_64__)
+  if (kernel() != DataplaneKernel::kPortable) return fused(false, nonce, data, aad);
+#endif
   const AesBlock j0 = j0_from_nonce(nonce);
   cipher_.ctr_xor_wide(inc32(j0), data);
   return compute_tag(j0, aad, BytesView(data.data(), data.size()));
@@ -516,13 +845,23 @@ GcmTag GcmContext::seal_in_place(const GcmNonce& nonce, std::span<std::uint8_t> 
 
 Status GcmContext::open_in_place(const GcmNonce& nonce, std::span<std::uint8_t> data,
                                  const GcmTag& tag, BytesView aad) const {
+  // The hardware backends decrypt while they hash; kPortable hashes first.
+  bool decrypted = false;
+  GcmTag expected{};
+#if defined(__x86_64__)
+  decrypted = kernel() != DataplaneKernel::kPortable;
+  if (decrypted) expected = fused(true, nonce, data, aad);
+#endif
   const AesBlock j0 = j0_from_nonce(nonce);
-  const GcmTag expected = compute_tag(j0, aad, BytesView(data.data(), data.size()));
-  if (!common::constant_time_equal(BytesView(expected.data(), expected.size()),
-                                   BytesView(tag.data(), tag.size()))) {
+  if (!decrypted) expected = compute_tag(j0, aad, BytesView(data.data(), data.size()));
+  const bool match = common::constant_time_equal(BytesView(expected.data(), expected.size()),
+                                                 BytesView(tag.data(), tag.size()));
+  if (!match) {
+    // CTR is its own inverse: one more pass restores the ciphertext.
+    if (decrypted) cipher_.ctr_xor_wide(inc32(j0), data);
     return common::decryption_failed("GCM tag mismatch");
   }
-  cipher_.ctr_xor_wide(inc32(j0), data);
+  if (!decrypted) cipher_.ctr_xor_wide(inc32(j0), data);
   return Status::success();
 }
 

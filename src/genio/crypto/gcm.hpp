@@ -10,14 +10,18 @@
 //     per reduction (independent products instead of one serial multiply
 //     per block); seal/open operate in place on the caller's buffer. It
 //     runs on the backend CPUID selects (DataplaneKernel in cpu.hpp).
-//     kVaesAvx512 folds sixteen blocks per reduction against H^16..H^1 in
-//     ZMM registers; kAesPclmul and kPortable fold four against H^4..H^1.
-//     On both hardware backends the CTR keystream, H and E_K(J0) come from
-//     the backend's AES and each multiply is carry-less, so the context is
-//     round keys and H powers, 632 bytes. On kPortable the keystream runs
-//     through the 4-wide T-table path and each of the four powers gets an
-//     8-bit Shoup table (16 KB in all), built at construction and held
-//     behind a shared pointer, so copies of a context share them.
+//     On the two hardware backends a seal or an open is one fused kernel
+//     call: E_K(J0) on its own aesenc chain, and the payload's CTR and
+//     GHASH interleaved pass by pass (kVaesAvx512: sixteen blocks per pass
+//     in ZMM registers against H^16..H^1; kAesPclmul: eight against
+//     H^8..H^1), with the length block folded into the last group and the
+//     AAD folded first or, in a short frame, into that group too.
+//     Each multiply is carry-less, so the context is round keys and H
+//     powers, 632 bytes. kPortable composes the pieces instead, as the
+//     oracle: CTR through the 4-wide T-table path, then GHASH four blocks
+//     per reduction against H^4..H^1, each power with an 8-bit Shoup table
+//     (16 KB in all), built at construction and held behind a shared
+//     pointer, so copies of a context share them.
 //   * gcm_seal/gcm_open free functions construct a stack GcmContext —
 //     same bytes as always (pinned by NIST vectors and the bitwise GHASH
 //     oracle), but no longer a duplicated CTR/GHASH implementation.
@@ -82,9 +86,11 @@ class GcmContext {
   GcmTag seal_in_place(const GcmNonce& nonce, std::span<std::uint8_t> data,
                        BytesView aad) const;
 
-  /// Verify the tag over `data` (ciphertext) + `aad`, then decrypt `data`
-  /// in place. On tag mismatch `data` is left untouched (still ciphertext)
-  /// and kDecryptionFailed is returned.
+  /// Verify the tag over `data` (ciphertext) + `aad` and decrypt `data` in
+  /// place. On tag mismatch kDecryptionFailed is returned and `data` holds
+  /// the ciphertext again: the hardware backends decrypt while they hash
+  /// and then restore it with a second CTR pass; kPortable verifies before
+  /// it decrypts.
   Status open_in_place(const GcmNonce& nonce, std::span<std::uint8_t> data,
                        const GcmTag& tag, BytesView aad) const;
 
@@ -101,8 +107,16 @@ class GcmContext {
   /// The hash subkey H = E_K(0^128) (for tests).
   const AesBlock& h() const { return h_pow(1); }
 
-  /// How many powers of H this context holds: 16 on kVaesAvx512, else 4.
-  int h_powers() const { return kernel() == DataplaneKernel::kVaesAvx512 ? 16 : 4; }
+  /// How many powers of H this context holds: 16 on kVaesAvx512, 8 on
+  /// kAesPclmul, 4 on kPortable.
+  int h_powers() const {
+    switch (kernel()) {
+      case DataplaneKernel::kVaesAvx512: return 16;
+      case DataplaneKernel::kAesPclmul: return 8;
+      case DataplaneKernel::kPortable: break;
+    }
+    return 4;
+  }
 
   /// H^power for power in 1..h_powers(), in GCM byte order on every backend
   /// (for tests pinning the aggregation powers).
@@ -119,7 +133,12 @@ class GcmContext {
  private:
   // GHASH over `parts` in turn, each zero-padded to whole blocks.
   AesBlock ghash_parts(std::initializer_list<BytesView> parts) const;
+  // kPortable's tag: GHASH over AAD, ciphertext and lengths, XOR E_K(J0).
   GcmTag compute_tag(const AesBlock& j0, BytesView aad, BytesView ciphertext) const;
+  // A hardware backend's one-call seal (open = false) or open: encrypts or
+  // decrypts `data` in place and returns the tag over the ciphertext.
+  GcmTag fused(bool open, const GcmNonce& nonce, std::span<std::uint8_t> data,
+               BytesView aad) const;
 
   static constexpr int kMaxHPowers = 16;
 

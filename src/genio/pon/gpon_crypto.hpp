@@ -8,10 +8,13 @@
 //
 // Data-plane fast path: the cipher holds one GcmContext for the ONU data
 // key — AES round keys and the GHASH key powers are expanded at
-// construction (and on rekey) only, and seal/open run in place on the
-// frame payload:
-// the CTR keystream is XORed into the payload bytes and the tag lands in
-// reserved capacity at the tail, with zero intermediate buffers.
+// construction (and on rekey) only — and seal/open run in place on the
+// frame payload, one fused kernel call each on the hardware backends. The
+// tag is appended to the payload: encrypt() reserves its 16 bytes first,
+// which reallocates and copies a payload that has no spare capacity, as
+// every freshly copied frame does (about 28 ns at 64 B and 155 ns at 9 KB,
+// single-thread on a 4-vCPU Xeon). Carrying the tag outside the payload
+// would avoid that copy but change frame sizes and digests.
 #pragma once
 
 #include "genio/crypto/gcm.hpp"

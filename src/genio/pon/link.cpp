@@ -1,5 +1,6 @@
 #include "genio/pon/link.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace genio::pon {
@@ -11,6 +12,11 @@ MacsecLink::MacsecLink(std::uint64_t local_sci, BytesView cak, std::string link_
       rekey_after_(rekey_after),
       local_sci_(local_sci) {
   if (rekey_after == 0) throw std::invalid_argument("rekey_after must be > 0");
+  // A SAK's SecY numbers frames from 1 in a 32-bit PN: a longer epoch would
+  // wrap it and repeat the GCM nonce (SCI || PN) under one SAK.
+  if (rekey_after > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("rekey_after must fit the 32-bit PN space");
+  }
   tx_ = std::make_unique<MacsecSecY>(local_sci_, sak_for_epoch(0));
   rx_ = std::make_unique<MacsecSecY>(local_sci_ ^ 1, sak_for_epoch(0));
 }

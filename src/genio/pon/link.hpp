@@ -27,7 +27,9 @@ struct LinkStats {
 /// every frame in between reuses them.
 class MacsecLink {
  public:
-  /// `rekey_after` frames per SAK epoch (must be > 0).
+  /// `rekey_after` frames per SAK epoch, in [1, 2^32 - 1]: each epoch's
+  /// SecY numbers its frames from PN 1, and a PN must not repeat under one
+  /// SAK. Throws std::invalid_argument otherwise.
   MacsecLink(std::uint64_t local_sci, BytesView cak, std::string link_id,
              std::uint64_t rekey_after = 1u << 20);
 

@@ -57,8 +57,10 @@ common::Result<EthFrame> MacsecSecY::validate(const MacsecFrame& frame) {
                                    " below replay window floor");
   }
   const SecTag aad = encode_sectag(frame.sci, frame.pn);
-  // One buffer serves as ciphertext input and plaintext output: the
-  // in-place open decrypts it only after the tag verifies.
+  // One buffer serves as ciphertext input and plaintext output. On the
+  // hardware backends the in-place open decrypts it while it hashes and
+  // restores the ciphertext if the tag fails; either way the buffer is
+  // dropped unread on a failure.
   Bytes plaintext(frame.ciphertext.begin(), frame.ciphertext.end());
   const auto opened = ctx_.open_in_place(nonce_for(frame.sci, frame.pn), plaintext,
                                          frame.tag, BytesView(aad.data(), aad.size()));

@@ -33,20 +33,36 @@ TEST(BenchBaseline, ReadsTheGatedNumbersOfTheCommittedDesBaseline) {
 }
 
 TEST(BenchBaseline, ReadsEverySizeBlockOfTheCommittedDataplaneBaseline) {
+  // The per-size blocks are in-process ratios of each hardware backend over
+  // kPortable, with their floors; no absolute MB/s is committed. The fused
+  // blocks cover 64 B, 1,500 B, 4 KB and 9 KB on each hardware backend.
   const auto baseline = gb::Baseline::load(committed("BENCH_dataplane.json"));
   ASSERT_TRUE(baseline.ok()) << baseline.error().to_string();
   const double sizes[] = {64, 256, 1024, 4096, 9000};
   for (int i = 0; i < 5; ++i) {
-    const std::string block = "sizes[" + std::to_string(i) + "]";
+    const std::string block = "over_portable[" + std::to_string(i) + "]";
     EXPECT_DOUBLE_EQ(number(*baseline, block + ".payload_bytes"), sizes[i]);
-    for (const char* path : {".seal", ".open", ".crc"}) {
-      EXPECT_GT(number(*baseline, block + path + ".fast_MBps"), 0.0) << block << path;
+    for (const char* kernel : {".aes_pclmul", ".vaes_avx512"}) {
+      for (const char* ratio : {".sealopen_ratio", ".crc_ratio"}) {
+        EXPECT_GE(number(*baseline, block + kernel + ratio),
+                  number(*baseline, block + kernel + ratio + "_floor"))
+            << block << kernel << ratio;
+      }
     }
+    EXPECT_GT(number(*baseline, block + ".sealopen_ns.portable.median"), 0.0) << block;
+    EXPECT_GT(number(*baseline, block + ".sealopen_ns.portable.fastest"), 0.0) << block;
   }
-  EXPECT_DOUBLE_EQ(number(*baseline, "sizes[0].seal.fast_MBps"), 70.03);
-  EXPECT_DOUBLE_EQ(number(*baseline, "sizes[2].crc.fast_MBps"), 1895.50);
-  EXPECT_DOUBLE_EQ(number(*baseline, "sizes[4].open.fast_MBps"), 130.43);
-  EXPECT_FALSE(baseline->number("sizes[5].payload_bytes").ok());
+  EXPECT_FALSE(baseline->number("over_portable[5].payload_bytes").ok());
+  EXPECT_FALSE(baseline->number("sizes[0].seal.fast_MBps").ok());
+  for (int i = 0; i < 8; ++i) {
+    const std::string block = "fused[" + std::to_string(i) + "]";
+    EXPECT_GE(number(*baseline, block + ".ratio"), number(*baseline, block + ".ratio_floor"))
+        << block;
+  }
+  EXPECT_DOUBLE_EQ(number(*baseline, "fused[1].payload_bytes"), 1500);
+  EXPECT_DOUBLE_EQ(number(*baseline, "fused[3].payload_bytes"), 9000);
+  EXPECT_FALSE(baseline->number("fused[8].payload_bytes").ok());
+  EXPECT_GE(number(*baseline, "hardware_concurrency"), 1);
 }
 
 TEST(BenchBaseline, MissingKeysAndUnreadableFilesAreErrors) {

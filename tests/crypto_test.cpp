@@ -1315,6 +1315,61 @@ TEST_P(GcmKernels, SealAndOpenMatchBitwiseOracle) {
   }
 }
 
+TEST_P(GcmKernels, SealAndOpenMatchPortableAtEveryLengthAndAadLength) {
+  // Every length through the fused kernels' passes and last groups, with
+  // AADs that fold into the last group (up to 15 blocks beside the payload
+  // on VAES, 7 on AES-NI) and ones that fold first, through every masked
+  // AAD register and past a whole GHASH pass, against kPortable's composed
+  // path. A sentinel past the end must survive every call, and a tampered
+  // open must leave the ciphertext in place: the hardware backends decrypt
+  // while they hash and then restore it.
+  const auto key = cr::make_aes_key(from_hex("000102030405060708090a0b0c0d0e0f"));
+  const cr::GcmContext ctx(key, GetParam());
+  const cr::GcmContext portable(key, DpKernel::kPortable);
+  gc::Rng rng(7108);
+  std::vector<std::size_t> lengths(1101);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.insert(lengths.end(), {1500, 4095, 4096, 4097, 9000});
+  constexpr std::uint8_t kSentinel = 0xa5;
+  for (const std::size_t aad_len :
+       {0u, 1u, 9u, 12u, 16u, 17u, 40u, 48u, 64u, 65u, 100u, 200u, 300u}) {
+    const gc::Bytes aad = rng.bytes(aad_len);
+    for (const std::size_t len : lengths) {
+      SCOPED_TRACE("aad=" + std::to_string(aad_len) + " len=" + std::to_string(len));
+      cr::GcmNonce nonce{};
+      for (auto& b : nonce) b = static_cast<std::uint8_t>(rng.index(256));
+      const gc::Bytes pt = rng.bytes(len);
+      gc::Bytes expect = pt;
+      const cr::GcmTag expect_tag = portable.seal_in_place(nonce, expect, aad);
+
+      gc::Bytes buf = pt;
+      buf.push_back(kSentinel);
+      const std::span<std::uint8_t> data(buf.data(), len);
+      const cr::GcmTag tag = ctx.seal_in_place(nonce, data, aad);
+      ASSERT_TRUE(std::equal(expect.begin(), expect.end(), buf.begin()));
+      ASSERT_EQ(tag, expect_tag);
+      ASSERT_EQ(buf[len], kSentinel);
+
+      gc::Bytes tampered = buf;
+      cr::GcmTag bad_tag = tag;
+      if (len > 0) {
+        tampered[rng.index(len)] ^= 0x04;
+      } else {
+        bad_tag[rng.index(16)] ^= 0x04;
+      }
+      const gc::Bytes before = tampered;
+      ASSERT_FALSE(ctx.open_in_place(nonce, std::span<std::uint8_t>(tampered.data(), len),
+                                     bad_tag, aad)
+                       .ok());
+      ASSERT_EQ(tampered, before);
+
+      ASSERT_TRUE(ctx.open_in_place(nonce, data, tag, aad).ok());
+      ASSERT_TRUE(std::equal(pt.begin(), pt.end(), buf.begin()));
+      ASSERT_EQ(buf[len], kSentinel);
+    }
+  }
+}
+
 TEST_P(GcmKernels, CipherCtrCrossesTheCounterWrap) {
   // A 96-bit nonce starts the payload counter at 2, so the wrap is reached
   // through the context's cipher with a counter of 0xfffffffe.
@@ -1363,7 +1418,9 @@ TEST_P(GcmKernels, HPowersMatchBitwiseSquaring) {
   const auto key = cr::make_aes_key(from_hex("feffe9928665731c6d6a8f9467308308"));
   const cr::GcmContext ctx(key, GetParam());
   EXPECT_EQ(ctx.h(), cr::Aes128(key, DpKernel::kPortable).encrypt_block(cr::AesBlock{}));
-  EXPECT_EQ(ctx.h_powers(), GetParam() == DpKernel::kVaesAvx512 ? 16 : 4);
+  EXPECT_EQ(ctx.h_powers(), GetParam() == DpKernel::kVaesAvx512 ? 16
+                            : GetParam() == DpKernel::kAesPclmul ? 8
+                                                                 : 4);
   for (int p = 1; p < ctx.h_powers(); ++p) {
     const cr::AesBlock& hp = ctx.h_pow(p);
     EXPECT_EQ(ctx.h_pow(p + 1), cr::ghash(ctx.h(), gc::BytesView(hp.data(), hp.size())))

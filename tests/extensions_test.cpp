@@ -335,6 +335,16 @@ TEST(MacsecLink, ZeroRekeyIntervalRejected) {
   EXPECT_THROW(pon::MacsecLink(0x1, gc::to_bytes("c"), "l", 0), std::invalid_argument);
 }
 
+TEST(MacsecLink, RekeyIntervalBeyondPnSpaceRejected) {
+  // Each SAK's SecY numbers its frames 1..2^32-1; a longer epoch would wrap
+  // the PN and repeat a GCM nonce (SCI || PN) under one SAK.
+  constexpr std::uint64_t kPnSpace = 0xffffffffu;
+  EXPECT_NO_THROW(pon::MacsecLink(0x1, gc::to_bytes("c"), "l", kPnSpace));
+  EXPECT_THROW(pon::MacsecLink(0x1, gc::to_bytes("c"), "l", kPnSpace + 1), std::invalid_argument);
+  EXPECT_THROW(pon::MacsecLink(0x1, gc::to_bytes("c"), "l", ~std::uint64_t{0}),
+               std::invalid_argument);
+}
+
 // ------------------------------------------------------------------ posture
 
 TEST(Posture, HardenedPlatformGetsTopGrade) {

@@ -241,6 +241,32 @@ TEST(GponCipher, WrongKeyFails) {
   EXPECT_FALSE(dec.decrypt(f).ok());
 }
 
+TEST(GponCipher, SpareCapacityDoesNotChangeTheFrame) {
+  // encrypt() reserves room for the tag, which reallocates a payload
+  // without spare capacity: the frames must come out the same either way.
+  const pon::GponCipher cipher(test_key(5));
+  gc::Rng rng(4711);
+  for (const std::size_t len : {0u, 1u, 9u, 64u, 255u, 256u, 1500u, 4096u, 9000u}) {
+    for (const auto direction : {pon::Direction::kDownstream, pon::Direction::kUpstream}) {
+      pon::GemFrame tight;
+      tight.onu_id = 9;
+      tight.port_id = 3;
+      tight.superframe = 4242;
+      tight.payload = rng.bytes(len);
+      tight.payload.shrink_to_fit();
+      pon::GemFrame roomy = tight;
+      roomy.payload.reserve(len + 64);
+      cipher.encrypt(tight, direction);
+      cipher.encrypt(roomy, direction);
+      EXPECT_EQ(tight, roomy) << "len=" << len;
+      EXPECT_TRUE(tight.fcs_valid());
+      ASSERT_TRUE(cipher.decrypt(tight, direction).ok()) << "len=" << len;
+      ASSERT_TRUE(cipher.decrypt(roomy, direction).ok()) << "len=" << len;
+      EXPECT_EQ(tight, roomy) << "len=" << len;
+    }
+  }
+}
+
 TEST(GponCipher, DecryptRequiresEncryptedFlag) {
   pon::GponCipher cipher(test_key(3));
   pon::GemFrame f;
