@@ -28,9 +28,8 @@
 //                  over J0, and GcmContext::ghash over an AAD || payload ||
 //                  lengths buffer of the same padded length, built outside
 //                  the timed loop. The 4 KB and 9 KB floors fail a fused
-//                  call 25 % slower; the 64 B and 1,500 B ones fail the
-//                  composed path (kFusedFloors; EXPERIMENTS.md
-//                  E-DATAPLANE5);
+//                  call 25 % slower, and all but AES-NI's at 9 KB fail the
+//                  composed path (kFusedFloors; EXPERIMENTS.md E-GHASH);
 //   sharded        8 links with their own keys, one pool task per link,
 //                  each sealing and opening its frames one GponCipher call
 //                  at a time; per-link leaf times feed an LPT model for
@@ -435,20 +434,23 @@ struct FusedFloor {
 
 // The composed pieces run without the data dependence between them (the
 // GHASH input is built outside the timed loop), so they overlap one another
-// in the core. Over 26 smoke and full runs on the 4-vCPU Xeon the fused call
-// read 0.72-0.91x (AES-NI) and 0.96-1.06x (VAES) at 64 B, 1.17-1.26x and
-// 0.97-1.11x at 1,500 B, 1.26-1.39x and 1.25-1.42x at 4 KB, and 1.28-1.41x
-// and 1.28-1.51x at 9 KB. A copy whose fused call takes 25 % longer reads
-// at most 1.11x and 1.13x (AES-NI) or 1.15x and 1.23x (VAES) at 4 KB and
-// 9 KB over 40 smoke runs each: the 4 KB floors fail it every time, the
-// 9 KB ones in all but five VAES runs. One that routes the fused entry
-// points back through the composed path reads at most 0.48/0.87/0.95/0.98x
-// (AES-NI) and 0.46/0.71/0.90/0.93x (VAES), under every floor.
+// in the core, and GcmContext::ghash runs each backend's own pass fold. Over
+// 50 smoke runs on the 4-vCPU Xeon the fused call read 0.71-0.84x (AES-NI)
+// and 0.94-1.08x (VAES) at 64 B, 0.94-0.99x and 0.92-1.02x at 1,500 B,
+// 1.02-1.07x and 1.00-1.23x at 4 KB, and 1.01-1.09x and 1.04-1.27x at 9 KB
+// (the VAES lows at 4 KB and 9 KB are one run's; the next lowest of 165 runs
+// read 1.07x and 1.10x). A copy whose fused call takes 25 % longer reads at
+// most 0.84x (AES-NI) or 0.94x and 1.00x (VAES) at 4 KB and 9 KB over 40
+// smoke runs: every 4 KB and 9 KB floor fails it every time. One that
+// routes the fused entry points back through the composed path reads at
+// most 0.39/0.85/0.94/0.96x (AES-NI) and 0.45/0.70/0.88/0.92x (VAES) over
+// 10 runs, under every floor but AES-NI's at 9 KB, where the fused call is
+// only 4-9 % faster than the composition.
 constexpr FusedFloor kFusedFloors[] = {
-    {DpKernel::kAesPclmul, 64, 0.62},    {DpKernel::kAesPclmul, 1500, 1.00},
-    {DpKernel::kAesPclmul, 4096, 1.17},  {DpKernel::kAesPclmul, 9000, 1.20},
-    {DpKernel::kVaesAvx512, 64, 0.80},   {DpKernel::kVaesAvx512, 1500, 0.85},
-    {DpKernel::kVaesAvx512, 4096, 1.17}, {DpKernel::kVaesAvx512, 9000, 1.22},
+    {DpKernel::kAesPclmul, 64, 0.55},    {DpKernel::kAesPclmul, 1500, 0.88},
+    {DpKernel::kAesPclmul, 4096, 0.97},  {DpKernel::kAesPclmul, 9000, 0.92},
+    {DpKernel::kVaesAvx512, 64, 0.65},   {DpKernel::kVaesAvx512, 1500, 0.80},
+    {DpKernel::kVaesAvx512, 4096, 0.97}, {DpKernel::kVaesAvx512, 9000, 1.00},
 };
 
 struct FusedRatio {

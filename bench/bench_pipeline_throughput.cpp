@@ -19,8 +19,10 @@
 //   * serial and parallel reports render byte-identically for every image;
 //   * modeled speedup at 4 workers >= 2x over the serial task sum;
 //   * warm-cache round >= 5x faster than the cold round (3x in --smoke);
-//   * wall-clock speedup at 4 workers >= 2x, enforced only when the host
-//     actually has >= 4 cores.
+//   * wall-clock speedup at 4 workers >= 2x: serial and 4-worker rounds
+//     alternate until each side has run for 0.5 s, and the ratio of the
+//     two sides' fastest rounds is gated, only on uninstrumented builds
+//     (bench_util.hpp's kSanitized) on a host with >= 4 hardware threads.
 // Writes a machine-readable summary to BENCH_pipeline.json (or --out
 // PATH). `--smoke` runs a reduced corpus for CI.
 #include <algorithm>
@@ -50,7 +52,9 @@ namespace core = genio::core;
 namespace {
 
 using genio::bench::Clock;
+using genio::bench::kSanitized;
 using genio::bench::lpt_makespan;
+using genio::bench::Spread;
 
 struct CorpusSpec {
   int images = 24;
@@ -229,6 +233,36 @@ std::vector<double> measure_leaf_tasks(const as::ContainerImage& image,
   return tasks;
 }
 
+// -- wall speedup --------------------------------------------------------------
+// One serial round against one 4-worker round reads whatever state the host
+// was in for those few milliseconds. Instead the two sites alternate rounds,
+// each deploying the corpus under fresh app names, until each side has run
+// for kWallSideMs, and the speedup is the ratio of the sides' fastest rounds,
+// so both are compared in the host's fast state whenever any round saw it.
+
+constexpr double kWallSideMs = 500.0;
+
+struct WallSpeedup {
+  Spread serial_ms, parallel_ms;  // per round
+  std::size_t rounds = 0;         // per side
+  double ratio() const { return serial_ms.min / std::max(parallel_ms.min, 1e-9); }
+};
+
+WallSpeedup alternate_rounds(Site& serial, Site& parallel,
+                             const std::vector<as::ContainerImage>& corpus) {
+  std::vector<double> serial_ms, parallel_ms;
+  double serial_total = 0.0;
+  double parallel_total = 0.0;
+  while (serial_total < kWallSideMs || parallel_total < kWallSideMs) {
+    const std::string tag = "alt-" + std::to_string(serial_ms.size());
+    serial_ms.push_back(run_round(serial, corpus, tag).total_ms);
+    parallel_ms.push_back(run_round(parallel, corpus, tag).total_ms);
+    serial_total += serial_ms.back();
+    parallel_total += parallel_ms.back();
+  }
+  return {genio::bench::spread(serial_ms), genio::bench::spread(parallel_ms), serial_ms.size()};
+}
+
 struct ArmSummary {
   std::string name;
   std::size_t workers = 1;
@@ -239,7 +273,7 @@ struct ArmSummary {
 void write_json(const genio::bench::Args& args, const CorpusSpec& spec, unsigned hw,
                 const std::vector<ArmSummary>& arms, const RoundResult& cold,
                 const RoundResult& warm, double modeled_serial_ms, bool determinism_ok,
-                double modeled_speedup_4, double wall_speedup_4, double warm_speedup,
+                double modeled_speedup_4, const WallSpeedup& wall, double warm_speedup,
                 bool invariants_hold) {
   genio::bench::Json json(args.out, "pipeline_throughput", args.smoke);
   json.field("warmup", "one throwaway site + admission before timing");
@@ -270,14 +304,19 @@ void write_json(const genio::bench::Args& args, const CorpusSpec& spec, unsigned
       .field("warm_speedup_wall", warm_speedup, 2).close();
   json.field("determinism_identical", determinism_ok);
   json.field("modeled_speedup_at_4_workers", modeled_speedup_4, 2);
-  json.field("wall_speedup_at_4_workers", wall_speedup_4, 2);
+  json.object("wall_alternating").field("rounds_per_side", wall.rounds);
+  json.field("serial_round_ms", wall.serial_ms, 3).field("w4_round_ms", wall.parallel_ms, 3);
+  json.field("serial_fastest_ms", wall.serial_ms.min, 3)
+      .field("w4_fastest_ms", wall.parallel_ms.min, 3).close();
+  json.field("wall_speedup_at_4_workers", wall.ratio(), 2);
+  json.field("wall_floor_enforced", hw >= 4 && !kSanitized);
   json.field("warm_cache_speedup", warm_speedup, 2);
   // Headline admissions/sec comparison. On hosts with >= 4 cores the wall
   // numbers carry the claim; on smaller hosts the LPT model over measured
   // leaf-task costs stands in, and the basis field says so.
   const bool wall_basis = hw >= 4;
   const double serial = arms.empty() ? 0.0 : arms.front().round.admissions_per_sec();
-  const double speedup = wall_basis ? wall_speedup_4 : modeled_speedup_4;
+  const double speedup = wall_basis ? wall.ratio() : modeled_speedup_4;
   json.object("summary").field("admissions_per_sec_serial", serial, 1)
       .field("admissions_per_sec_4_workers", speedup * serial, 1)
       .field("admissions_per_sec_warm_cache", warm.admissions_per_sec(), 1)
@@ -347,7 +386,6 @@ int main(int argc, char** argv) {
   }
 
   bool determinism_ok = serial_round.all_deployed;
-  double wall_speedup_4 = 0.0;
   double modeled_speedup_4 = 0.0;
   for (const std::size_t workers : {2u, 4u, 8u}) {
     core::PlatformConfig config;
@@ -371,12 +409,15 @@ int main(int argc, char** argv) {
                      arm.name.c_str(), arm.round.rendered[i].c_str());
       }
     }
-    if (workers == 4) {
-      wall_speedup_4 = serial_round.total_ms / std::max(arm.round.total_ms, 1e-9);
-      modeled_speedup_4 = modeled_serial_ms / std::max(arm.modeled_ms, 1e-9);
-    }
+    if (workers == 4) modeled_speedup_4 = modeled_serial_ms / std::max(arm.modeled_ms, 1e-9);
     arms.push_back(std::move(arm));
   }
+
+  core::PlatformConfig w4_config;
+  w4_config.scan_workers = 4;
+  w4_config.scan_cache_capacity = 0;
+  Site w4_site(w4_config, spec, corpus);
+  const WallSpeedup wall = alternate_rounds(serial_site, w4_site, corpus);
 
   core::PlatformConfig cached_config;
   cached_config.scan_workers = 4;
@@ -408,9 +449,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cache_stats.hits),
               static_cast<unsigned long long>(cache_stats.misses),
               warm_speedup);
-  std::printf("modeled speedup at 4 workers: %.2fx (LPT over measured leaf "
-              "tasks); wall speedup at 4 workers: %.2fx on %u threads\n\n",
-              modeled_speedup_4, wall_speedup_4, hw);
+  std::printf("modeled speedup at 4 workers: %.2fx (LPT over measured leaf tasks)\n",
+              modeled_speedup_4);
+  std::printf("wall speedup at 4 workers: fastest serial round %.2f ms (median %.2f) vs "
+              "4-worker %.2f ms (%.2f) over %zu alternating rounds each = %.2fx on %u "
+              "threads\n\n",
+              wall.serial_ms.min, wall.serial_ms.median, wall.parallel_ms.min,
+              wall.parallel_ms.median, wall.rounds, wall.ratio(), hw);
 
   // -- invariants ------------------------------------------------------------
   genio::bench::Gate gate({genio::bench::kInvariants});
@@ -422,15 +467,19 @@ int main(int argc, char** argv) {
   gate.check(modeled_speedup_4 >= 2.0, "modeled speedup at 4 workers >= 2x");
   gate.check(warm_speedup >= (smoke ? 3.0 : 5.0),
              smoke ? "warm cache >= 3x (smoke)" : "warm cache >= 5x");
-  if (hw >= 4) {
-    gate.check(wall_speedup_4 >= 2.0, "wall speedup at 4 workers >= 2x (hw >= 4)");
-  } else {
-    std::printf("note: wall-speedup invariant skipped — only %u hardware "
+  if (kSanitized) {
+    std::printf("note: wall-speedup floor reported but not enforced — sanitizer "
+                "instrumentation distorts relative path costs\n");
+  } else if (hw < 4) {
+    std::printf("note: wall-speedup floor skipped — only %u hardware "
                 "thread(s); modeled makespan stands in\n",
                 hw);
+  } else {
+    gate.check(wall.ratio() >= 2.0,
+               "wall speedup at 4 workers >= 2x, fastest alternating rounds (hw >= 4)");
   }
 
   write_json(args, spec, hw, arms, cold, warm, modeled_serial_ms, determinism_ok,
-             modeled_speedup_4, wall_speedup_4, warm_speedup, gate.ok());
+             modeled_speedup_4, wall, warm_speedup, gate.ok());
   return gate.exit_code();
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <initializer_list>
 
 #include "genio/crypto/simd.hpp"
 
@@ -221,9 +220,13 @@ void ghash_fold_shoup(const GhashTables& t, AesBlock& y, BytesView data) {
 // Usage for Computing the GCM Mode". Reversing a block's bytes turns GCM's
 // bit order (x^0 is the MSB of byte 0) into a 128-bit integer whose bit
 // 127 - i is the x^i coefficient. The carry-less product of two such
-// integers is the 255-bit product with every coefficient one place low, so
-// it is shifted left one bit and then reduced modulo
-// g = x^128 + x^7 + x^2 + x + 1 in that reflected order.
+// integers is the 255-bit product with every coefficient one place low: it
+// reads as a * b * x. The hardware backends therefore store each power of H
+// reflected and twisted, as H^p * x^-1 (as the stitched GCM kernels in
+// OpenSSL and Linux do), built once per context: a product against a
+// stored power is a * H^p with nothing to shift, and it reduces modulo
+// g = x^128 + x^7 + x^2 + x + 1 with two carry-less multiplies by the
+// reduction constant. Every fold on both backends reduces this way.
 //
 // These are target-attributed functions rather than lambdas: a lambda in a
 // target("...") function does not inherit the target, and GCC 12 then
@@ -240,6 +243,26 @@ __attribute__((target("ssse3"))) inline __m128i load_reflected(const std::uint8_
 
 __attribute__((target("ssse3"))) inline void store_reflected(std::uint8_t* p, __m128i x) {
   _mm_storeu_si128(reinterpret_cast<__m128i*>(p), reflect(x));
+}
+
+__attribute__((target("sse2"))) inline __m128i load_block(const AesBlock& block) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(block.data()));
+}
+
+// v = v * x^-1 in GF(2^128), in GCM byte order: the inverse of mul_x. The
+// byte string shifts up one bit, and x^-1 = x^127 + x^6 + x + 1
+// (0xc2 || 0^112 || 0x01) is added when the x^0 coefficient falls off.
+AesBlock div_x(AesBlock v) {
+  const bool msb = (v[0] & 0x80) != 0;
+  for (std::size_t j = 0; j < 15; ++j) {
+    v[j] = static_cast<std::uint8_t>((v[j] << 1) | (v[j + 1] >> 7));
+  }
+  v[15] = static_cast<std::uint8_t>(v[15] << 1);
+  if (msb) {
+    v[0] ^= 0xc2;
+    v[15] ^= 0x01;
+  }
+  return v;
 }
 
 // Unreduced 256-bit product, schoolbook: lo = a0*b0, hi = a1*b1 and
@@ -260,33 +283,22 @@ inline Wide wide_zero() {
   return {_mm_setzero_si128(), _mm_setzero_si128(), _mm_setzero_si128()};
 }
 
-// Shift the product left one bit and reduce it to 128 bits.
-inline __m128i reduce(const Wide& w) {
-  __m128i lo = _mm_xor_si128(w.lo, _mm_slli_si128(w.mid, 8));
-  __m128i hi = _mm_xor_si128(w.hi, _mm_srli_si128(w.mid, 8));
+// The reduction constant's high word, 0xc2 || 0^56: g's x, x^2 and x^7
+// terms, reflected. reduce_lanes below is the same reduction per ZMM lane.
+constexpr long long kPolyHigh = static_cast<long long>(0xc200000000000000ull);
 
-  // 256-bit shift left by one, 32-bit lane by lane with the carries moved
-  // up one lane (and from lo's top lane into hi's bottom lane).
-  const __m128i lo_carry = _mm_srli_epi32(lo, 31);
-  const __m128i hi_carry = _mm_srli_epi32(hi, 31);
-  lo = _mm_or_si128(_mm_slli_epi32(lo, 1), _mm_slli_si128(lo_carry, 4));
-  hi = _mm_or_si128(_mm_or_si128(_mm_slli_epi32(hi, 1), _mm_slli_si128(hi_carry, 4)),
-                    _mm_srli_si128(lo_carry, 12));
-
-  // Reduction, first phase: fold the low 64 bits' x^1, x^2 and x^7 terms
-  // (left shifts by 31, 30 and 25 within each lane) up.
-  const __m128i a = _mm_xor_si128(_mm_xor_si128(_mm_slli_epi32(lo, 31), _mm_slli_epi32(lo, 30)),
-                                  _mm_slli_epi32(lo, 25));
-  const __m128i spill = _mm_srli_si128(a, 4);
-  lo = _mm_xor_si128(lo, _mm_slli_si128(a, 12));
-  // Second phase: the right shifts by 1, 2 and 7, plus what the first phase
-  // spilled, land in the high half.
-  __m128i b = _mm_xor_si128(_mm_xor_si128(_mm_srli_epi32(lo, 1), _mm_srli_epi32(lo, 2)),
-                            _mm_srli_epi32(lo, 7));
-  b = _mm_xor_si128(b, spill);
-  return _mm_xor_si128(hi, _mm_xor_si128(lo, b));
+// A product against twisted powers, reduced to 128 bits: the low half folds
+// into the middle and the middle into the high half, each through one
+// multiply by the reduction constant's high word.
+__attribute__((target("pclmul,sse2"))) inline __m128i reduce(const Wide& w) {
+  const __m128i poly = _mm_set_epi64x(kPolyHigh, 0);
+  const __m128i mid = _mm_xor_si128(_mm_xor_si128(w.mid, _mm_clmulepi64_si128(w.lo, poly, 0x10)),
+                                    _mm_shuffle_epi32(w.lo, 0x4e));
+  return _mm_xor_si128(_mm_xor_si128(w.hi, _mm_clmulepi64_si128(mid, poly, 0x10)),
+                       _mm_shuffle_epi32(mid, 0x4e));
 }
 
+// a * b * x: a * B for a twisted power b = B * x^-1.
 __attribute__((target("pclmul"))) inline __m128i gf_mult_clmul(__m128i a, __m128i b) {
   Wide w = wide_zero();
   clmul_acc(w, a, b);
@@ -297,77 +309,97 @@ __attribute__((target("pclmul"))) inline __m128i gf_mult_clmul(__m128i a, __m128
 constexpr std::size_t blocks_of(std::size_t bytes) { return (bytes + 15) / 16; }
 
 // Block j of the `n` bytes at `p`, reflected and zero-padded; only a last,
-// partial block goes through a copy.
+// partial block goes through a copy, made in fixed-size pieces: GCC 12
+// turns one memcpy of variable length into `rep movsq`, which made an
+// AES-NI seal with a 9-byte AAD folded first about 30 ns slower.
 __attribute__((target("ssse3"))) inline __m128i load_padded(const std::uint8_t* p, std::size_t n,
                                                             std::size_t j) {
   if (16 * j + 16 <= n) return load_reflected(p + 16 * j);
   alignas(16) std::uint8_t block[16] = {};
-  std::memcpy(block, p + 16 * j, n - 16 * j);
+  const std::uint8_t* src = p + 16 * j;
+  const std::size_t k = n - 16 * j;
+  std::size_t at = 0;
+  if (k & 8) {
+    std::memcpy(block, src, 8);
+    at = 8;
+  }
+  if (k & 4) {
+    std::memcpy(block + at, src + at, 4);
+    at += 4;
+  }
+  if (k & 2) {
+    std::memcpy(block + at, src + at, 2);
+    at += 2;
+  }
+  if (k & 1) block[at] = src[at];
   return load_reflected(block);
 }
 
 // The products of the `n` > 0 bytes at `p`, zero-padded to whole blocks,
-// with y XORed into the first block: block j times H^(top - j), where
-// `h[p - 1]` is H^p, reflected.
+// with y XORed into the first block: block j times h_group[j].
 __attribute__((target("pclmul,ssse3"))) inline void fold_blocks(Wide& w, __m128i y,
-                                                                const __m128i* h,
+                                                                const AesBlock* h_group,
                                                                 const std::uint8_t* p,
-                                                                std::size_t n, std::size_t top) {
-  clmul_acc(w, _mm_xor_si128(y, load_padded(p, n, 0)), h[top - 1]);
-  for (std::size_t j = 1; 16 * j < n; ++j) clmul_acc(w, load_padded(p, n, j), h[top - 1 - j]);
+                                                                std::size_t n) {
+  clmul_acc(w, _mm_xor_si128(y, load_padded(p, n, 0)), load_block(h_group[0]));
+  for (std::size_t j = 1; 16 * j < n; ++j) {
+    clmul_acc(w, load_padded(p, n, j), load_block(h_group[j]));
+  }
 }
 
-// y absorbs `n` bytes at `p`, zero-padded to whole blocks. Groups of four
-// blocks fold against H^4..H^1 with one reduction; a last group of k < 4
-// blocks folds against H^k..H^1.
-__attribute__((target("pclmul,ssse3"))) __m128i ghash_clmul(__m128i y, const __m128i* h,
-                                                            const std::uint8_t* p,
-                                                            std::size_t n) {
-  for (; n >= 64; p += 64, n -= 64) {
-    Wide w = wide_zero();
-    fold_blocks(w, y, h, p, 64, 4);
-    y = reduce(w);
-  }
-  if (n == 0) return y;
+// kAesPclmul's pass fold: y absorbs the eight blocks at `p` against
+// H^8..H^1 (`h_desc`, highest first) under one reduction.
+__attribute__((target("pclmul,ssse3"))) inline __m128i pass_clmul(__m128i y,
+                                                                  const AesBlock* h_desc,
+                                                                  const std::uint8_t* p) {
   Wide w = wide_zero();
-  fold_blocks(w, y, h, p, n, blocks_of(n));
+  fold_blocks(w, y, h_desc + 8, p, 128);
   return reduce(w);
 }
 
-// H^2..H^count from H = h_pows.back(), stored highest first in GCM byte
-// order: h_pows[size - p] = H^p.
-__attribute__((target("pclmul,ssse3"))) void h_powers_clmul(std::span<AesBlock> h_pows,
+// y absorbs `n` bytes at `p`, zero-padded to whole blocks: whole passes of
+// eight blocks, then a last group of k < 8 blocks against H^k..H^1.
+__attribute__((target("pclmul,ssse3"))) __m128i ghash_clmul(__m128i y, const AesBlock* h_desc,
+                                                            const std::uint8_t* p,
+                                                            std::size_t n) {
+  for (; n >= 128; p += 128, n -= 128) y = pass_clmul(y, h_desc, p);
+  if (n == 0) return y;
+  Wide w = wide_zero();
+  fold_blocks(w, y, h_desc + (16 - blocks_of(n)), p, n);
+  return reduce(w);
+}
+
+// H^1..H^count, twisted and reflected, into h_desc[16 - p] = H^p * x^-1:
+// H is twisted once, and each next power is one product against it.
+__attribute__((target("pclmul,ssse3"))) void twisted_powers(const AesBlock& h, AesBlock* h_desc,
                                                             std::size_t count) {
-  const __m128i h = load_reflected(h_pows.back().data());
-  __m128i hp = h;
-  for (std::size_t p = 2; p <= count; ++p) {
-    hp = gf_mult_clmul(hp, h);
-    store_reflected(h_pows[h_pows.size() - p].data(), hp);
+  const __m128i h1 = load_reflected(div_x(h).data());
+  __m128i hp = h1;
+  for (std::size_t p = 1; p <= count; ++p) {
+    if (p > 1) hp = gf_mult_clmul(hp, h1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(h_desc[16 - p].data()), hp);
   }
 }
 
-// GHASH over `parts` in turn, each zero-padded to whole blocks, with the
-// running hash kept in one register. `h_low` points at H^4, H^3, H^2, H.
-__attribute__((target("pclmul,ssse3"))) AesBlock ghash_parts_clmul(
-    const AesBlock* h_low, std::initializer_list<BytesView> parts) {
-  __m128i h[4];
-  for (std::size_t p = 0; p < 4; ++p) h[p] = load_reflected(h_low[3 - p].data());
-  __m128i y = _mm_setzero_si128();
-  for (const BytesView part : parts) y = ghash_clmul(y, h, part.data(), part.size());
+// GcmContext::ghash on kAesPclmul.
+__attribute__((target("pclmul,ssse3"))) AesBlock ghash_aesni(const AesBlock* h_desc,
+                                                             BytesView data) {
   AesBlock out;
-  store_reflected(out.data(), y);
+  store_reflected(out.data(), ghash_clmul(_mm_setzero_si128(), h_desc, data.data(), data.size()));
   return out;
 }
 
 // -------------------------------------------------- VPCLMULQDQ GHASH
 // Sixteen blocks per reduction, four per ZMM register. A pass multiplies
 // block j by H^(16-j): with the powers stored highest first, register r's
-// powers are the four stored at 4r, and a k-block tail's are the four at
-// 16 - k + 4r. Each 128-bit lane is the XMM kernel's reflected block, so
-// the lanes' unreduced products XOR into one Wide and the XMM reduce()
-// finishes the pass. The unmasked-intrinsic warning noted in simd.hpp
-// applies to _mm512_extracti64x4_epi64, _mm512_castsi512_si128 and the
-// unmasked shifts and _mm512_shuffle_epi32 too.
+// powers are the four stored at 4r, and a k-block group's are the k stored
+// from 16 - k. Each 128-bit lane holds the XMM kernel's reflected block, and
+// each lane's product reduces in place (reduce_lanes, the XMM reduce() per
+// lane), so only the reduced sum crosses lanes; the fused kernel's last
+// group sums its lanes unreduced instead (sum_lanes), so that the length
+// block's XMM product shares their reduction. The unmasked-intrinsic
+// warning noted in simd.hpp applies to _mm512_extracti64x4_epi64,
+// _mm512_castsi512_si128 and _mm512_shuffle_epi32 too.
 
 struct WideZ {
   __m512i lo, mid, hi;
@@ -397,36 +429,9 @@ __attribute__((target("avx512f"))) inline Wide sum_lanes(const WideZ& w) {
   return {xor_lanes(w.lo), xor_lanes(w.mid), xor_lanes(w.hi)};
 }
 
-// ------------------------------------------- the fused kernels' pass fold
-// A carry-less product of two reflected blocks comes out one bit low, which
-// reduce() shifts back before it reduces. Multiplying the powers by x^-1
-// once per call ("twisting" them, as the stitched GCM kernels in OpenSSL
-// and Linux do) cancels the shift, and each lane of a pass's product then
-// reduces with two carry-less multiplies by the reduction constant, in
-// place, so only the reduced sum crosses lanes. Against ghash_vpclmul's
-// pass fold this takes a 4 KB seal or open from about 480 to 390 ns on the
-// 4-vCPU Xeon; GcmContext::ghash still uses that fold.
-
-// Each lane's H^p as H^p * x^-1: shifted left one place (the reflected
-// order's division by x), with x^-1 = x^127 + x^6 + x + 1 (0xc2 || 0^112
-// || 0x01, reflected) added when the x^0 coefficient falls off.
-__attribute__((target("avx512f,avx512bw"))) inline __m512i twist_lanes(__m512i h) {
-  constexpr long long kHigh = static_cast<long long>(0xc200000000000000ull);
-  const __m512i x_inverse = _mm512_set_epi64(kHigh, 1, kHigh, 1, kHigh, 1, kHigh, 1);
-  const __m512i shifted = _mm512_or_si512(
-      _mm512_maskz_slli_epi64(0xff, h, 1),
-      _mm512_bslli_epi128(_mm512_maskz_srli_epi64(0xff, h, 63), 8));
-  const __m512i falls_off = _mm512_maskz_shuffle_epi32(
-      0xffff, _mm512_maskz_srai_epi32(0xffff, h, 31), static_cast<_MM_PERM_ENUM>(0xff));
-  return _mm512_xor_si512(shifted, _mm512_and_si512(falls_off, x_inverse));
-}
-
-// Each lane of a product against twisted powers, reduced to 128 bits: the
-// low half folds into the middle and the middle into the high half, each
-// through one multiply by the reduction constant's high word.
+// reduce() on each lane.
 __attribute__((target("vpclmulqdq,avx512f"))) inline __m512i reduce_lanes(const WideZ& w) {
-  constexpr long long kHigh = static_cast<long long>(0xc200000000000000ull);
-  const __m512i poly = _mm512_set_epi64(kHigh, 0, kHigh, 0, kHigh, 0, kHigh, 0);
+  const __m512i poly = _mm512_set_epi64(kPolyHigh, 0, kPolyHigh, 0, kPolyHigh, 0, kPolyHigh, 0);
   constexpr auto kSwapHalves = static_cast<_MM_PERM_ENUM>(0x4e);
   const __m512i mid =
       _mm512_ternarylogic_epi64(w.mid, _mm512_clmulepi64_epi128(w.lo, poly, 0x10),
@@ -440,16 +445,19 @@ __attribute__((target("avx512f"))) inline void load_pass(const std::uint8_t* p, 
   for (int i = 0; i < 4; ++i) d[i] = _mm512_loadu_si512(p + 64 * i);
 }
 
-// y absorbs one sixteen-block pass held in `d` as loaded: block j times
-// the twisted H^(16-j) in `ht`, y in block 0's lane.
+// kVaesAvx512's pass fold: y absorbs one sixteen-block pass held in `d` as
+// loaded, block j times H^(16-j) (`h_desc`, highest first), y in block 0's
+// lane.
 __attribute__((target("vpclmulqdq,avx512f,avx512bw"))) inline __m128i stitch_pass(
-    __m128i y, const __m512i* d, const __m512i* ht) {
+    __m128i y, const __m512i* d, const AesBlock* h_desc) {
   WideZ w = wide_zero_z();
   clmul_acc_z(w,
               _mm512_xor_si512(simd::reverse_lanes(d[0]), _mm512_maskz_broadcast_i32x4(0x000f, y)),
-              ht[0]);
+              _mm512_loadu_si512(h_desc[0].data()));
 #pragma GCC unroll 3
-  for (int r = 1; r < 4; ++r) clmul_acc_z(w, simd::reverse_lanes(d[r]), ht[r]);
+  for (int r = 1; r < 4; ++r) {
+    clmul_acc_z(w, simd::reverse_lanes(d[r]), _mm512_loadu_si512(h_desc[4 * r].data()));
+  }
   return xor_lanes(reduce_lanes(w));
 }
 
@@ -463,53 +471,36 @@ __attribute__((target("vpclmulqdq,avx512f,avx512bw"))) inline void fold_group(
     const auto lane_mask = static_cast<__mmask8>((1u << (2 * lanes)) - 1);
     __m512i x = simd::reverse_lanes(d[r]);
     if (r == 0) x = _mm512_xor_si512(x, _mm512_maskz_broadcast_i32x4(0x000f, y));
-    clmul_acc_z(w, x,
-                simd::reverse_lanes(_mm512_maskz_loadu_epi64(lane_mask, h_group[4 * r].data())));
+    clmul_acc_z(w, x, _mm512_maskz_loadu_epi64(lane_mask, h_group[4 * r].data()));
   }
 }
 
-// y absorbs `n` bytes at `p`, zero-padded to whole blocks, sixteen blocks
-// per reduction; a last group of k < 16 blocks folds against H^k..H^1
-// through masked loads, which read nothing past `n` or past H.
-__attribute__((target("vpclmulqdq,avx512f,avx512bw,pclmul,ssse3"))) __m128i ghash_vpclmul(
+// y absorbs `n` bytes at `p`, zero-padded to whole blocks: whole passes
+// through stitch_pass, then a last group of k < 16 blocks against
+// H^k..H^1 through masked loads, which read nothing past `n` or past H.
+__attribute__((target("vpclmulqdq,avx512f,avx512bw"))) __m128i ghash_vpclmul(
     __m128i y, const AesBlock* h_desc, const std::uint8_t* p, std::size_t n) {
-  if (n >= 256) {
-    __m512i h[4];
-    for (int r = 0; r < 4; ++r) {
-      h[r] = simd::reverse_lanes(_mm512_loadu_si512(h_desc[4 * r].data()));
-    }
-    // (y ^ B0) * H^16 = y * H^16 ^ B0 * H^16: the sixteen block products
-    // and their lane sum do not wait for y, and only one XMM multiply and
-    // the reduction stand between one pass's y and the next.
-    const __m128i h16 = load_reflected(h_desc[0].data());
-    for (; n >= 256; p += 256, n -= 256) {
-      WideZ w = wide_zero_z();
-#pragma GCC unroll 4
-      for (int r = 0; r < 4; ++r) {
-        clmul_acc_z(w, simd::reverse_lanes(_mm512_loadu_si512(p + 64 * r)), h[r]);
-      }
-      Wide sum = sum_lanes(w);
-      clmul_acc(sum, y, h16);
-      y = reduce(sum);
-    }
+  for (; n >= 256; p += 256, n -= 256) {
+    __m512i d[4];
+    load_pass(p, d);
+    y = stitch_pass(y, d, h_desc);
   }
   if (n == 0) return y;
-  const std::size_t blocks = (n + 15) / 16;
+  const std::size_t blocks = blocks_of(n);
   __m512i d[4];
   for (std::size_t r = 0; 4 * r < blocks; ++r) {
     d[r] = _mm512_maskz_loadu_epi8(simd::byte_mask(n - 64 * r), p + 64 * r);
   }
   WideZ w = wide_zero_z();
   fold_group(w, y, d, blocks, h_desc + (16 - blocks));
-  return reduce(sum_lanes(w));
+  return xor_lanes(reduce_lanes(w));
 }
 
-__attribute__((target("vpclmulqdq,avx512f,avx512bw,pclmul,ssse3"))) AesBlock ghash_parts_vpclmul(
-    const AesBlock* h_desc, std::initializer_list<BytesView> parts) {
-  __m128i y = _mm_setzero_si128();
-  for (const BytesView part : parts) y = ghash_vpclmul(y, h_desc, part.data(), part.size());
+// GcmContext::ghash on kVaesAvx512.
+__attribute__((target("vpclmulqdq,avx512f,avx512bw,ssse3"))) AesBlock ghash_vaes(
+    const AesBlock* h_desc, BytesView data) {
   AesBlock out;
-  store_reflected(out.data(), y);
+  store_reflected(out.data(), ghash_vpclmul(_mm_setzero_si128(), h_desc, data.data(), data.size()));
   return out;
 }
 
@@ -538,10 +529,6 @@ __attribute__((target("ssse3"))) inline GcmTag make_tag(__m128i y, __m128i ek_j0
   return tag;
 }
 
-__attribute__((target("sse2"))) inline __m128i load_block(const AesBlock& block) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(block.data()));
-}
-
 // J0 = nonce || 0^31 || 1, assembled in a register: a 16-byte load of a J0
 // the caller has just stored byte by byte would wait for those stores.
 __attribute__((target("sse4.1"))) inline __m128i load_j0(const GcmNonce& nonce) {
@@ -557,7 +544,8 @@ __attribute__((target("sse4.1"))) inline __m128i load_j0(const GcmNonce& nonce) 
 // The payload counter of a 96-bit nonce: inc32(J0).
 constexpr std::uint32_t kFirstCounter = 2;
 
-// kAesPclmul: eight blocks per pass against H^8..H^1 (`h[p - 1]` = H^p).
+// kAesPclmul: eight blocks per pass against H^8..H^1 (`h_desc`, highest
+// first), through pass_clmul, which ghash_clmul also folds the AAD with.
 // The last group of k <= 8 blocks folds against H^(k+1)..H^2 and the
 // length block against H; as on kVaesAvx512, a short frame's AAD (a blocks,
 // a + k < 8) folds in the same group against H^(a+k+1)..H^(k+2), eight
@@ -570,12 +558,10 @@ __attribute__((target("aes,pclmul,ssse3,sse4.1"))) GcmTag gcm_aesni(
   __m128i rk[11];
   for (std::size_t r = 0; r < 11; ++r) rk[r] = load_block(round_keys[r]);
   const __m128i prefix = load_j0(nonce);
-  __m128i h[8];
-  for (std::size_t p = 0; p < 8; ++p) h[p] = load_reflected(h_desc[15 - p].data());
   const __m128i lens = length_block_reflected(aad.size(), n);
   const bool aad_first = n == 0 || n >= 128 || blocks_of(aad.size()) + blocks_of(n) >= 8;
   __m128i y = _mm_setzero_si128();
-  if (aad_first) y = ghash_clmul(y, h, aad.data(), aad.size());
+  if (aad_first) y = ghash_clmul(y, h_desc, aad.data(), aad.size());
 
   std::uint32_t ctr = kFirstCounter;
   std::size_t done = 0;
@@ -583,26 +569,21 @@ __attribute__((target("aes,pclmul,ssse3,sse4.1"))) GcmTag gcm_aesni(
     std::uint8_t* p = data + done;
     __m128i ks[8];
     simd::aesni_keystream<8>(rk, prefix, ctr, ks);
-    Wide w = wide_zero();
-    if (kOpen) fold_blocks(w, y, h, p, 128, 8);
+    if (kOpen) y = pass_clmul(y, h_desc, p);
 #pragma GCC unroll 8
     for (int i = 0; i < 8; ++i) {
       __m128i* block = reinterpret_cast<__m128i*>(p + 16 * i);
       _mm_storeu_si128(block, _mm_xor_si128(_mm_loadu_si128(block), ks[i]));
     }
-    if (!kOpen && done > 0) fold_blocks(w, y, h, p - 128, 128, 8);
-    if (kOpen || done > 0) y = reduce(w);
+    if (!kOpen && done > 0) y = pass_clmul(y, h_desc, p - 128);
   }
-  if (!kOpen && done > 0) {
-    Wide w = wide_zero();
-    fold_blocks(w, y, h, data + done - 128, 128, 8);
-    y = reduce(w);
-  }
+  if (!kOpen && done > 0) y = pass_clmul(y, h_desc, data + done - 128);
 
   std::uint8_t* p = data + done;
   const std::size_t rest = n - done;
   const std::size_t blocks = blocks_of(rest);
   const std::size_t top = std::min<std::size_t>(blocks + 1, 8);
+  const AesBlock* h_group = h_desc + (16 - top);
   Wide w = wide_zero();
   if (blocks > 0) {
     __m128i ks[8];
@@ -613,7 +594,7 @@ __attribute__((target("aes,pclmul,ssse3,sse4.1"))) GcmTag gcm_aesni(
     } else {
       simd::aesni_keystream<1>(rk, prefix, ctr, ks);
     }
-    if (kOpen) fold_blocks(w, y, h, p, rest, top);
+    if (kOpen) fold_blocks(w, y, h_group, p, rest);
     const std::size_t full = rest / 16;
     for (std::size_t j = 0; j < full; ++j) {
       __m128i* block = reinterpret_cast<__m128i*>(p + 16 * j);
@@ -627,7 +608,7 @@ __attribute__((target("aes,pclmul,ssse3,sse4.1"))) GcmTag gcm_aesni(
                                     ks[full]));
       std::memcpy(p + 16 * full, part, rest - 16 * full);
     }
-    if (!kOpen) fold_blocks(w, y, h, p, rest, top);
+    if (!kOpen) fold_blocks(w, y, h_group, p, rest);
     if (top == blocks) {
       y = reduce(w);
       w = wide_zero();
@@ -636,10 +617,10 @@ __attribute__((target("aes,pclmul,ssse3,sse4.1"))) GcmTag gcm_aesni(
     }
   }
   if (!aad_first && !aad.empty()) {
-    fold_blocks(w, _mm_setzero_si128(), h, aad.data(), aad.size(),
-                blocks_of(aad.size()) + blocks + 1);
+    fold_blocks(w, _mm_setzero_si128(), h_desc + (15 - blocks - blocks_of(aad.size())),
+                aad.data(), aad.size());
   }
-  clmul_acc(w, _mm_xor_si128(y, lens), h[0]);
+  clmul_acc(w, _mm_xor_si128(y, lens), load_block(h_desc[15]));
   // E_K(J0) last in program order, as on kVaesAvx512.
   return make_tag(reduce(w), simd::aesni_encrypt(round_keys, prefix));
 }
@@ -667,18 +648,15 @@ vaes_last_group(const __m512i* rk, __m512i ctr, __m128i y, std::uint8_t* data, s
     _mm512_mask_storeu_epi8(data + 64 * i, mask, out);
     ct[i] = kOpen ? in : _mm512_maskz_mov_epi8(mask, out);
   }
-  // As in ghash_vpclmul, y is multiplied on its own, so only an XMM multiply
-  // and the reduction wait for the previous pass.
   const std::size_t blocks = blocks_of(n);
-  const __m128i h1 = load_reflected(h_desc[15].data());
+  const __m128i h1 = load_block(h_desc[15]);
+  if (N == 4 && blocks == 16) {
+    return gf_mult_clmul(_mm_xor_si128(stitch_pass(y, ct, h_desc), lens), h1);
+  }
+  // y is multiplied on its own, so only an XMM multiply and the reduction
+  // wait for the previous pass.
   const __m128i zero = _mm_setzero_si128();
   WideZ w = wide_zero_z();
-  if (blocks == 16) {
-    fold_group(w, zero, ct, blocks, h_desc);
-    Wide sum = sum_lanes(w);
-    clmul_acc(sum, y, load_reflected(h_desc[0].data()));
-    return gf_mult_clmul(_mm_xor_si128(reduce(sum), lens), h1);
-  }
   if (!aad.empty()) {
     const std::size_t aad_blocks = blocks_of(aad.size());
     __m512i a[4];
@@ -691,12 +669,13 @@ vaes_last_group(const __m512i* rk, __m512i ctr, __m128i y, std::uint8_t* data, s
   Wide sum = sum_lanes(w);
   clmul_acc(sum, lens, h1);
   // With the AAD in this group nothing came before it, and y is zero.
-  if (aad.empty()) clmul_acc(sum, y, load_reflected(h_desc[15 - blocks].data()));
+  if (aad.empty()) clmul_acc(sum, y, load_block(h_desc[15 - blocks]));
   return reduce(sum);
 }
 
 // kVaesAvx512: sixteen blocks per pass in four ZMM registers against
-// H^16..H^1 (`h_desc`, highest first). A frame of 256 bytes or more, or
+// H^16..H^1 (`h_desc`, highest first), through stitch_pass, which
+// ghash_vpclmul also folds the AAD with. A frame of 256 bytes or more, or
 // one whose AAD does not fit in its last group, folds the AAD first.
 template <bool kOpen>
 __attribute__((target("vaes,vpclmulqdq,avx512f,avx512bw,aes,pclmul,ssse3,sse4.1"))) GcmTag
@@ -714,10 +693,6 @@ gcm_vaes(const simd::RoundKeys& round_keys, const AesBlock* h_desc, const GcmNon
   const BytesView aad_in_last = aad_first ? BytesView{} : aad;
 
   if (n >= 256) {
-    __m512i ht[4];
-    for (int r = 0; r < 4; ++r) {
-      ht[r] = twist_lanes(simd::reverse_lanes(_mm512_loadu_si512(h_desc[4 * r].data())));
-    }
     std::size_t done = 0;
     for (; n - done >= 256; done += 256) {
       std::uint8_t* p = data + done;
@@ -725,19 +700,19 @@ gcm_vaes(const simd::RoundKeys& round_keys, const AesBlock* h_desc, const GcmNon
       __m512i in[4];
       simd::vaes_keystream<4>(rk, ctr, ks);
       load_pass(p, in);
-      if (kOpen) y = stitch_pass(y, in, ht);
+      if (kOpen) y = stitch_pass(y, in, h_desc);
 #pragma GCC unroll 4
       for (int i = 0; i < 4; ++i) _mm512_storeu_si512(p + 64 * i, _mm512_xor_si512(in[i], ks[i]));
       if (!kOpen && done > 0) {
         __m512i prev[4];
         load_pass(p - 256, prev);
-        y = stitch_pass(y, prev, ht);
+        y = stitch_pass(y, prev, h_desc);
       }
     }
     if (!kOpen) {
       __m512i prev[4];
       load_pass(data + done - 256, prev);
-      y = stitch_pass(y, prev, ht);
+      y = stitch_pass(y, prev, h_desc);
     }
     data += done;
     n -= done;
@@ -748,7 +723,7 @@ gcm_vaes(const simd::RoundKeys& round_keys, const AesBlock* h_desc, const GcmNon
     case 3: y = vaes_last_group<3, kOpen>(rk, ctr, y, data, n, h_desc, aad_in_last, lens); break;
     case 2: y = vaes_last_group<2, kOpen>(rk, ctr, y, data, n, h_desc, aad_in_last, lens); break;
     case 1: y = vaes_last_group<1, kOpen>(rk, ctr, y, data, n, h_desc, aad_in_last, lens); break;
-    default: y = gf_mult_clmul(_mm_xor_si128(y, lens), load_reflected(h_desc[15].data()));
+    default: y = gf_mult_clmul(_mm_xor_si128(y, lens), load_block(h_desc[15]));
   }
   // E_K(J0) last in program order: it runs beside the payload's rounds
   // without holding back the retirement of the payload's stores.
@@ -779,33 +754,40 @@ Result<Bytes> gcm_open(const AesKey& key, const GcmNonce& nonce, BytesView ciphe
 // ----------------------------------------------------------- GcmContext
 
 GcmContext::GcmContext(const AesKey& key, DataplaneKernel kernel) : cipher_(key, kernel) {
-  cipher_.ctr_xor_wide(AesBlock{}, h_pows_.back());  // H = E_K(0^128)
+  AesBlock h{};
+  cipher_.ctr_xor_wide(AesBlock{}, h);  // H = E_K(0^128)
 #if defined(__x86_64__)
   if (kernel != DataplaneKernel::kPortable) {
-    h_powers_clmul(h_pows_, static_cast<std::size_t>(h_powers()));
+    twisted_powers(h, h_pows_.data(), kernel == DataplaneKernel::kVaesAvx512 ? 16 : 8);
     return;
   }
 #endif
+  h_pows_.back() = h;
   auto tables = std::make_shared<GhashTables>();
-  build_shoup_table(h(), tables->hi[0], tables->lo[0]);
+  build_shoup_table(h, tables->hi[0], tables->lo[0]);
   // Higher powers chain through the H^1 table: H^p = H^(p-1) * H.
-  for (int p = 2; p <= 4; ++p) {
-    const auto t = static_cast<std::size_t>(p - 1);
-    h_pows_[static_cast<std::size_t>(kMaxHPowers - p)] = shoup_mult(*tables, 1, h_pow(p - 1));
-    build_shoup_table(h_pow(p), tables->hi[t], tables->lo[t]);
+  for (std::size_t p = 1; p < 4; ++p) {
+    h = shoup_mult(*tables, 1, h);
+    build_shoup_table(h, tables->hi[p], tables->lo[p]);
   }
   tables_ = std::move(tables);
 }
 
-AesBlock GcmContext::ghash(BytesView data) const { return ghash_parts({data}); }
+AesBlock GcmContext::h() const {
+  AesBlock h = h_pows_.back();
+  if (kernel() == DataplaneKernel::kPortable) return h;
+  // H * x^-1, reflected: reverse the bytes back and multiply by x.
+  std::reverse(h.begin(), h.end());
+  return mul_x(h);
+}
 
-AesBlock GcmContext::ghash_parts(std::initializer_list<BytesView> parts) const {
+AesBlock GcmContext::ghash(BytesView data) const {
 #if defined(__x86_64__)
-  if (kernel() == DataplaneKernel::kVaesAvx512) return ghash_parts_vpclmul(h_pows_.data(), parts);
-  if (kernel() == DataplaneKernel::kAesPclmul) return ghash_parts_clmul(&h_pow(4), parts);
+  if (kernel() == DataplaneKernel::kVaesAvx512) return ghash_vaes(h_pows_.data(), data);
+  if (kernel() == DataplaneKernel::kAesPclmul) return ghash_aesni(h_pows_.data(), data);
 #endif
   AesBlock y{};
-  for (const BytesView part : parts) ghash_fold_shoup(*tables_, y, part);
+  ghash_fold_shoup(*tables_, y, data);
   return y;
 }
 
@@ -813,7 +795,10 @@ GcmTag GcmContext::compute_tag(const AesBlock& j0, BytesView aad,
                                BytesView ciphertext) const {
   // The length block goes through the same fold as the data.
   const AesBlock lens = length_block(aad.size() * 8, ciphertext.size() * 8);
-  GcmTag tag = ghash_parts({aad, ciphertext, lens});
+  GcmTag tag{};
+  ghash_fold_shoup(*tables_, tag, aad);
+  ghash_fold_shoup(*tables_, tag, ciphertext);
+  ghash_fold_shoup(*tables_, tag, lens);
   AesBlock ek_j0{};
   cipher_.ctr_xor_wide(j0, ek_j0);  // E_K(J0) on the cipher's backend
   for (std::size_t i = 0; i < 16; ++i) tag[i] ^= ek_j0[i];

@@ -15,8 +15,10 @@
 //     GHASH interleaved pass by pass (kVaesAvx512: sixteen blocks per pass
 //     in ZMM registers against H^16..H^1; kAesPclmul: eight against
 //     H^8..H^1), with the length block folded into the last group and the
-//     AAD folded first or, in a short frame, into that group too.
-//     Each multiply is carry-less, so the context is round keys and H
+//     AAD folded first or, in a short frame, into that group too. Each
+//     backend has one pass fold, which ghash() and an AAD folded first
+//     run too, and one carry-less reduction; the powers are stored in the
+//     form those multiplies take, so the context is round keys and H
 //     powers, 632 bytes. kPortable composes the pieces instead, as the
 //     oracle: CTR through the 4-wide T-table path, then GHASH four blocks
 //     per reduction against H^4..H^1, each power with an 8-bit Shoup table
@@ -29,7 +31,6 @@
 // shareable read-only across threads (proved under TSan).
 #pragma once
 
-#include <initializer_list>
 #include <memory>
 #include <span>
 
@@ -104,25 +105,8 @@ class GcmContext {
   /// exposed so tests can pin it against the bitwise ghash() oracle.
   AesBlock ghash(BytesView data) const;
 
-  /// The hash subkey H = E_K(0^128) (for tests).
-  const AesBlock& h() const { return h_pow(1); }
-
-  /// How many powers of H this context holds: 16 on kVaesAvx512, 8 on
-  /// kAesPclmul, 4 on kPortable.
-  int h_powers() const {
-    switch (kernel()) {
-      case DataplaneKernel::kVaesAvx512: return 16;
-      case DataplaneKernel::kAesPclmul: return 8;
-      case DataplaneKernel::kPortable: break;
-    }
-    return 4;
-  }
-
-  /// H^power for power in 1..h_powers(), in GCM byte order on every backend
-  /// (for tests pinning the aggregation powers).
-  const AesBlock& h_pow(int power) const {
-    return h_pows_[static_cast<std::size_t>(kMaxHPowers - power)];
-  }
+  /// The hash subkey H = E_K(0^128), in GCM byte order on every backend.
+  AesBlock h() const;
 
   /// The underlying cached-schedule cipher (CTR reuse, tests).
   const Aes128& cipher() const { return cipher_; }
@@ -131,8 +115,6 @@ class GcmContext {
   DataplaneKernel kernel() const { return cipher_.kernel(); }
 
  private:
-  // GHASH over `parts` in turn, each zero-padded to whole blocks.
-  AesBlock ghash_parts(std::initializer_list<BytesView> parts) const;
   // kPortable's tag: GHASH over AAD, ciphertext and lengths, XOR E_K(J0).
   GcmTag compute_tag(const AesBlock& j0, BytesView aad, BytesView ciphertext) const;
   // A hardware backend's one-call seal (open = false) or open: encrypts or
@@ -145,8 +127,11 @@ class GcmContext {
   Aes128 cipher_;
   // h_pows_[16 - p] = H^p, highest power first: the order in which a
   // 16-block fold multiplies its blocks, so the ZMM kernel loads a pass's
-  // powers straight, and a k-block tail's as the last k entries. Only the
-  // last h_powers() entries are built.
+  // powers straight, and a k-block group's as the last k entries. The
+  // hardware backends store H^1..H^16 (kVaesAvx512) or H^1..H^8
+  // (kAesPclmul) byte-reversed and times x^-1, the form their carry-less
+  // multiplies take (gcm.cpp); kPortable stores H alone, in GCM byte
+  // order, and multiplies through its Shoup tables.
   std::array<AesBlock, kMaxHPowers> h_pows_{};
   // Null on the hardware backends, which multiply carry-lessly instead.
   std::shared_ptr<const GhashTables> tables_;

@@ -38,10 +38,10 @@ if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
   echo "== self-healing bench smoke =="
   "${repo_root}/build/bench/bench_self_healing" --smoke \
     --out "${repo_root}/build/BENCH_selfheal.json"
-  echo "== pipeline-throughput bench smoke (serial/parallel divergence fails CI) =="
+  echo "== pipeline-throughput bench smoke (serial/parallel divergence, or a 4-worker wall speedup < 2x the serial one between the fastest of rounds alternated for 0.5 s per side, fails CI) =="
   "${repo_root}/build/bench/bench_pipeline_throughput" --smoke \
     --out "${repo_root}/build/BENCH_pipeline.json"
-  echo "== data-plane crypto bench smoke (a backend, CRC fold or pool/serial divergence from the oracles, seal+open < 9x the bitwise oracle at 1 KB, a hardware backend's seal+open or CRC under its floor over portable at 64 B-9 KB, VAES/VPCLMULQDQ < 1.3x AES-NI/PCLMULQDQ seal+open or < 1.5x its CRC at 4 KB, or a fused seal+open under its floor against the composed CTR and GHASH pieces at 64 B, 1,500 B, 4 KB or 9 KB fails CI; every floor is an in-process ratio of the fastest samples of its sides, timed alternately) =="
+  echo "== data-plane crypto bench smoke (a backend, CRC fold or pool/serial divergence from the oracles, seal+open < 9x the bitwise oracle at 1 KB, a hardware backend's seal+open or CRC under its floor over portable at 64 B-9 KB, VAES/VPCLMULQDQ < 1.3x AES-NI/PCLMULQDQ seal+open or < 1.5x its CRC at 4 KB, or a fused seal+open under its floor against the composed CTR and GHASH pieces (GHASH on the same backend's one pass fold) at 64 B, 1,500 B, 4 KB or 9 KB fails CI; every floor is an in-process ratio of the fastest samples of its sides, timed alternately) =="
   "${repo_root}/build/bench/bench_dataplane" --smoke \
     --out "${repo_root}/build/BENCH_dataplane.json"
   echo "== admission-service overload bench smoke (shed/deadline invariants fail CI) =="
