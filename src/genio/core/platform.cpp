@@ -1,6 +1,8 @@
 #include "genio/core/platform.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <utility>
 
 #include "genio/hardening/scap.hpp"
 #include "genio/pon/serial.hpp"
@@ -90,30 +92,50 @@ void GenioPlatform::build_pon() {
   olt_ = std::make_unique<pon::Olt>("olt-1", odn_.get(), &clock_, &logger_, &bus_,
                                     policy);
 
-  auto olt_key = crypto::SigningKey::generate(
-      rng_.bytes(32), platform_key_height(kOltSignsPerOnu * config_.onu_count));
-  auto olt_cert = root_ca_
-                      ->issue("olt-1", olt_key.public_key(), kValidFrom, kValidTo,
-                              {crypto::KeyUsage::kNodeAuth})
-                      .value();
-  olt_->provision_credentials(std::move(olt_key), {olt_cert, root_ca_->certificate()},
-                              &trust_, rng_.fork("olt-auth"));
-
+  // Each credential's key seed, certificate serial and leaf, and handshake
+  // stream are drawn here, in the order an eager build drew them, so the
+  // keys provision_pon() builds later are the same.
+  auto pend = [this](std::string_view stream) {
+    common::Bytes seed = rng_.bytes(32);
+    auto cert = root_ca_->reserve().value();
+    return PendingCredentials{std::move(seed), cert, rng_.fork(stream)};
+  };
+  pending_pon_.push_back(pend("olt-auth"));
   for (int i = 0; i < config_.onu_count; ++i) {
     const std::string serial = pon::make_onu_serial(0, static_cast<unsigned>(i));
     // Serials here are unique by construction (one ordinal, sequential
     // indices), so a rejection would be a scheme bug.
     (void)olt_->register_serial(serial);
-    auto onu = std::make_unique<pon::Onu>(serial, odn_.get(), &clock_, &logger_);
-    auto key = crypto::SigningKey::generate(rng_.bytes(32), platform_key_height(kOnuSigns));
+    onus_.push_back(std::make_unique<pon::Onu>(serial, odn_.get(), &clock_, &logger_));
+    pending_pon_.push_back(pend(serial));
+  }
+}
+
+void GenioPlatform::provision_pon() {
+  if (pending_pon_.empty()) return;
+  // The key at `height` from `pending`'s seed, and its chain: the
+  // certificate at the reserved serial and leaf, then the root.
+  auto credentials = [this](const PendingCredentials& pending, const std::string& subject,
+                            std::uint8_t height) {
+    auto key = crypto::SigningKey::generate(pending.seed, height);
     auto cert = root_ca_
-                    ->issue(serial, key.public_key(), kValidFrom, kValidTo,
+                    ->issue(pending.cert, subject, key.public_key(), kValidFrom, kValidTo,
                             {crypto::KeyUsage::kNodeAuth})
                     .value();
-    onu->provision_credentials(std::move(key), {cert, root_ca_->certificate()}, &trust_,
-                               rng_.fork(serial));
-    onus_.push_back(std::move(onu));
+    std::vector<crypto::Certificate> chain = {std::move(cert), root_ca_->certificate()};
+    return std::pair(std::move(key), std::move(chain));
+  };
+  auto [olt_key, olt_chain] = credentials(
+      pending_pon_[0], olt_->id(), platform_key_height(kOltSignsPerOnu * config_.onu_count));
+  olt_->provision_credentials(std::move(olt_key), std::move(olt_chain), &trust_,
+                              pending_pon_[0].rng);
+  for (std::size_t i = 0; i < onus_.size(); ++i) {
+    const PendingCredentials& pending = pending_pon_[i + 1];
+    auto [key, chain] =
+        credentials(pending, onus_[i]->serial(), platform_key_height(kOnuSigns));
+    onus_[i]->provision_credentials(std::move(key), std::move(chain), &trust_, pending.rng);
   }
+  pending_pon_ = {};
 }
 
 int GenioPlatform::activate_pon() {
@@ -124,6 +146,7 @@ int GenioPlatform::activate_pon() {
     if (config_.node_authentication) {
       const auto id = olt_->onu_id_for(onu->serial());
       if (!id.has_value()) continue;
+      provision_pon();
       if (!olt_->authenticate_onu(*id, *onu).ok()) continue;
     }
     ++ready;
@@ -144,6 +167,7 @@ common::Status GenioPlatform::reauthenticate_onu(const std::string& serial) {
   if (!id.has_value()) {
     return common::not_found("ONU '" + serial + "' was never activated");
   }
+  provision_pon();
   return olt_->authenticate_onu(*id, *device);
 }
 

@@ -110,12 +110,16 @@ class GenioPlatform {
   pon::Olt& olt() { return *olt_; }
   std::vector<std::unique_ptr<pon::Onu>>& onus() { return onus_; }
   /// Run discovery and (per config) the M4 handshakes. Returns the number
-  /// of ONUs that reached an operational, policy-compliant state.
+  /// of ONUs that reached an operational, policy-compliant state. The
+  /// first handshake of the platform's life, here or in
+  /// reauthenticate_onu(), first builds the OLT's and every ONU's key and
+  /// certificate; a platform that never authenticates never builds them.
   int activate_pon();
   /// Re-run the M4 mutual-auth handshake for one ONU (supervisor playbook
   /// after churn: the device vanished from the tree, so its session must
   /// be re-established with fresh keys, not trusted on reattach). No-op
-  /// success when node_authentication is off.
+  /// success when node_authentication is off. Builds the PON credentials
+  /// if no handshake has run yet, as activate_pon() does.
   common::Status reauthenticate_onu(const std::string& serial);
 
   // -- OLT host ----------------------------------------------------------------
@@ -169,6 +173,7 @@ class GenioPlatform {
  private:
   void build_pki();
   void build_pon();
+  void provision_pon();
   void build_host();
   void build_middleware();
   void build_resilience();
@@ -187,6 +192,15 @@ class GenioPlatform {
   std::unique_ptr<pon::Odn> odn_;
   std::unique_ptr<pon::Olt> olt_;
   std::vector<std::unique_ptr<pon::Onu>> onus_;
+  // The OLT's M4 credentials at [0], then onus_[i]'s at [i + 1]: drawn and
+  // reserved by build_pon(), generated by provision_pon() just before the
+  // first handshake. Empty once provisioned.
+  struct PendingCredentials {
+    common::Bytes seed;
+    crypto::CertificateAuthority::Reservation cert;
+    common::Rng rng;
+  };
+  std::vector<PendingCredentials> pending_pon_;
 
   os::Host host_;
   std::unique_ptr<os::Tpm> tpm_;

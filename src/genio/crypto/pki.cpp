@@ -68,20 +68,37 @@ common::Result<CertificateAuthority> CertificateAuthority::create_intermediate(
   return ca;
 }
 
+common::Result<CertificateAuthority::Reservation> CertificateAuthority::reserve() {
+  auto leaf = key_.reserve_leaf();
+  if (!leaf) return leaf.error();
+  return Reservation(next_serial_++, *leaf);
+}
+
 common::Result<Certificate> CertificateAuthority::issue(const std::string& subject,
                                                         const PublicKey& key,
                                                         SimTime not_before,
                                                         SimTime not_after,
                                                         std::vector<KeyUsage> usages) {
+  auto at = reserve();
+  if (!at) return at.error();
+  return issue(*at, subject, key, not_before, not_after, std::move(usages));
+}
+
+common::Result<Certificate> CertificateAuthority::issue(const Reservation& at,
+                                                        const std::string& subject,
+                                                        const PublicKey& key,
+                                                        SimTime not_before,
+                                                        SimTime not_after,
+                                                        std::vector<KeyUsage> usages) {
   Certificate cert;
-  cert.serial = next_serial_++;
+  cert.serial = at.serial_;
   cert.subject = subject;
   cert.issuer = name_;
   cert.subject_key = key;
   cert.not_before = not_before;
   cert.not_after = not_after;
   cert.usages = std::move(usages);
-  auto sig = key_.sign(cert.tbs_bytes());
+  auto sig = key_.sign_reserved(at.leaf_, cert.tbs_bytes());
   if (!sig) return sig.error();
   cert.signature = std::move(*sig);
   return cert;
@@ -125,7 +142,7 @@ common::Status TrustStore::verify_chain(std::span<const Certificate> chain, SimT
       return common::authentication_failed("certificate '" + cert.subject + "' is revoked");
     }
     // Leaf must carry the required usage; every issuer must carry CA usage.
-    if (i == 0 && !cert.has_usage(required_usage) && !cert.has_usage(KeyUsage::kCaSigning)) {
+    if (i == 0 && !cert.has_usage(required_usage)) {
       return common::permission_denied("certificate '" + cert.subject +
                                        "' lacks usage " + to_string(required_usage));
     }

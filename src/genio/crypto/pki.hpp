@@ -62,17 +62,40 @@ class CertificateAuthority {
   const Certificate& certificate() const { return certificate_; }
   const std::string& name() const { return name_; }
 
-  /// Issue an end-entity certificate.
+  /// A serial and a key leaf that reserve() set aside for one certificate.
+  class Reservation {
+   public:
+    std::uint64_t serial() const { return serial_; }
+
+   private:
+    friend class CertificateAuthority;
+    Reservation(std::uint64_t serial, std::uint32_t leaf) : serial_(serial), leaf_(leaf) {}
+    std::uint64_t serial_;
+    std::uint32_t leaf_;
+  };
+
+  /// Take the serial and key leaf the next issue() would take, for a
+  /// certificate issued later at the reservation. Certificates issued in
+  /// between keep the serials and leaves they would have had.
+  common::Result<Reservation> reserve();
+
+  /// Issue an end-entity certificate at the next serial and leaf.
   common::Result<Certificate> issue(const std::string& subject, const PublicKey& key,
                                     SimTime not_before, SimTime not_after,
                                     std::vector<KeyUsage> usages);
+  /// Issue at a reservation. Each reservation issues once; a second
+  /// attempt fails with kInvalidArgument.
+  common::Result<Certificate> issue(const Reservation& at, const std::string& subject,
+                                    const PublicKey& key, SimTime not_before,
+                                    SimTime not_after, std::vector<KeyUsage> usages);
 
   /// Revoke a previously issued certificate by serial.
   void revoke(std::uint64_t serial) { revoked_.insert(serial); }
   bool is_revoked(std::uint64_t serial) const { return revoked_.contains(serial); }
   const std::set<std::uint64_t>& crl() const { return revoked_; }
 
-  /// Signatures the CA key can still produce (hash-based keys are finite).
+  /// Signatures the CA key can still produce (hash-based keys are finite);
+  /// a reservation counts as produced.
   std::uint32_t signatures_remaining() const { return key_.signatures_remaining(); }
 
  private:

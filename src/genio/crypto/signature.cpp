@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "genio/crypto/hmac.hpp"
 
@@ -284,7 +285,27 @@ Result<Signature> SigningKey::sign(BytesView message) {
   if (signatures_remaining() == 0) {
     return common::resource_exhausted("one-time signature leaves exhausted");
   }
-  const std::uint32_t leaf = next_leaf_++;
+  return sign_at(next_leaf_++, message);
+}
+
+Result<std::uint32_t> SigningKey::reserve_leaf() {
+  if (signatures_remaining() == 0) {
+    return common::resource_exhausted("one-time signature leaves exhausted");
+  }
+  reserved_.push_back(next_leaf_);
+  return next_leaf_++;
+}
+
+Result<Signature> SigningKey::sign_reserved(std::uint32_t leaf, BytesView message) {
+  const auto it = std::find(reserved_.begin(), reserved_.end(), leaf);
+  if (it == reserved_.end()) {
+    return common::invalid_argument("leaf " + std::to_string(leaf) + " is not reserved");
+  }
+  reserved_.erase(it);
+  return sign_at(leaf, message);
+}
+
+Signature SigningKey::sign_at(std::uint32_t leaf, BytesView message) const {
   const HmacSha256 prf(seed_);
   const Lanes lanes(kernel_);
   const auto tops = run_chains(lanes, {}, message_digits(message),

@@ -61,15 +61,26 @@ class SigningKey {
   Result<Signature> sign(BytesView message);
   Result<Signature> sign(std::string_view message);
 
+  /// Take the next leaf now for one later sign_reserved(). It counts as
+  /// used from here on, so no other signature can take it. Fails with
+  /// kResourceExhausted as sign() does.
+  Result<std::uint32_t> reserve_leaf();
+  /// Sign at a leaf reserve_leaf() returned. A reserved leaf signs once;
+  /// any other leaf, a used one included, fails with kInvalidArgument.
+  Result<Signature> sign_reserved(std::uint32_t leaf, BytesView message);
+
+  /// Both count a reserved leaf as used.
   std::uint32_t signatures_remaining() const;
   std::uint32_t signatures_used() const { return next_leaf_; }
 
  private:
   SigningKey() = default;
+  Signature sign_at(std::uint32_t leaf, BytesView message) const;
 
   Bytes seed_;
   std::uint8_t height_ = 0;
   std::uint32_t next_leaf_ = 0;
+  std::vector<std::uint32_t> reserved_;  // reserved and not yet signed with
   Sha256Lanes::Kernel kernel_ = Sha256Lanes::Kernel::kScalar;
   PublicKey public_key_;
   std::vector<std::vector<Digest>> tree_;  // tree_[level][i]; level 0 = leaves

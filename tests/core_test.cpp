@@ -11,6 +11,7 @@
 #include "genio/core/platform.hpp"
 #include "genio/core/scenarios.hpp"
 #include "genio/core/threat_model.hpp"
+#include "genio/crypto/sha256.hpp"
 
 namespace gc = genio::common;
 namespace cr = genio::crypto;
@@ -141,6 +142,38 @@ TEST(PlatformKeys, TwiceTheModelledDemandStillSigns) {
                       .ok())
           << "certificate " << i;
     }
+  }
+}
+
+// The OLT and ONU credentials are built at the first handshake, yet every
+// certificate the root issues keeps the serial and signature it had when
+// the build made them, and the keys still authenticate every ONU.
+TEST(PlatformKeys, FirstHandshakeCredentialsKeepEverySerialAndSignature) {
+  core::GenioPlatform platform({});
+  const auto subject = cr::SigningKey::generate(gc::to_bytes("probe-subject"), 1).public_key();
+  auto issue = [&](const std::string& name) {
+    return platform.root_ca()
+        .issue(name, subject, gc::SimTime::from_days(0), gc::SimTime::from_days(1),
+               {cr::KeyUsage::kNodeAuth})
+        .value();
+  };
+  auto signature_digest = [](const cr::Certificate& cert) {
+    return cr::digest_hex(cr::Sha256::hash(cert.signature.serialize()));
+  };
+  EXPECT_EQ(platform.root_ca().signatures_remaining(), 9u);
+  const auto built = issue("probe-a");
+  EXPECT_EQ(built.serial, 7u);
+  EXPECT_EQ(signature_digest(built),
+            "efcd1be7732f8c874db6baabd9d67e6c39898118e8cd42a169b46f51c2019c8a");
+
+  EXPECT_EQ(platform.activate_pon(), platform.config().onu_count);
+  EXPECT_EQ(platform.root_ca().signatures_remaining(), 8u);
+  const auto activated = issue("probe-b");
+  EXPECT_EQ(activated.serial, 8u);
+  EXPECT_EQ(signature_digest(activated),
+            "e7d4fed84fdddbf756e45f6df22b8429ff2aab82e1dda9b25d27cdf86185d256");
+  for (const auto& onu : platform.onus()) {
+    EXPECT_TRUE(platform.reauthenticate_onu(onu->serial()).ok()) << onu->serial();
   }
 }
 

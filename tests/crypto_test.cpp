@@ -818,6 +818,45 @@ TEST(Signature, DeterministicKeyFromSeed) {
   EXPECT_NE(a.public_key().fingerprint(), "");
 }
 
+TEST(Signature, ReservedLeafSignsOnce) {
+  auto key = cr::SigningKey::generate(gc::to_bytes("seed-reserve"), 2);
+  auto twin = cr::SigningKey::generate(gc::to_bytes("seed-reserve"), 2);
+  const gc::Bytes message = gc::to_bytes("signed later");
+  ASSERT_TRUE(key.sign(std::string_view("first")).ok());
+  const std::uint32_t leaf = key.reserve_leaf().value();
+  EXPECT_EQ(leaf, 1u);
+  // A reservation counts as used, and the next sign() passes it by.
+  EXPECT_EQ(key.signatures_used(), 2u);
+  EXPECT_EQ(key.signatures_remaining(), 2u);
+  EXPECT_EQ(key.sign(std::string_view("third")).value().leaf_index, 2u);
+
+  // A leaf the key never reserved, or one already used, is refused.
+  for (const std::uint32_t other : {0u, 2u, 3u, 4u}) {
+    const auto refused = key.sign_reserved(other, message);
+    ASSERT_FALSE(refused.ok()) << other;
+    EXPECT_EQ(refused.error().code(), gc::ErrorCode::kInvalidArgument);
+  }
+  EXPECT_EQ(key.signatures_remaining(), 1u);
+
+  // The reserved leaf signs what sign() would have signed there, once.
+  const auto late = key.sign_reserved(leaf, message).value();
+  EXPECT_EQ(late.leaf_index, leaf);
+  EXPECT_TRUE(cr::verify(key.public_key(), message, late).ok());
+  ASSERT_TRUE(twin.sign(std::string_view("first")).ok());
+  EXPECT_EQ(late.serialize(), twin.sign(message).value().serialize());
+  const auto again = key.sign_reserved(leaf, gc::to_bytes("a second message"));
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error().code(), gc::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(key.signatures_used(), 3u);
+  EXPECT_EQ(key.signatures_remaining(), 1u);
+
+  // Reserving the last leaf exhausts the key for sign() and reserve_leaf().
+  EXPECT_EQ(key.reserve_leaf().value(), 3u);
+  EXPECT_EQ(key.signatures_remaining(), 0u);
+  EXPECT_EQ(key.sign(message).error().code(), gc::ErrorCode::kResourceExhausted);
+  EXPECT_EQ(key.reserve_leaf().error().code(), gc::ErrorCode::kResourceExhausted);
+}
+
 TEST(Signature, InvalidHeightThrows) {
   EXPECT_THROW(cr::SigningKey::generate(gc::to_bytes("s"), 0), std::invalid_argument);
   EXPECT_THROW(cr::SigningKey::generate(gc::to_bytes("s"), 21), std::invalid_argument);
@@ -949,6 +988,61 @@ TEST(Pki, TamperedCertificateFailsSignature) {
       store.verify_chain(chain, gc::SimTime::from_days(1), cr::KeyUsage::kNodeAuth);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.error().code(), gc::ErrorCode::kSignatureInvalid);
+}
+
+TEST(Pki, CaCertificateIsNotALeafForOtherUsages) {
+  PkiFixture f;
+  auto intermediate = cr::CertificateAuthority::create_intermediate(
+                          "genio-edge-ca", gc::to_bytes("edge-seed"), f.root, f.t0, f.t_end)
+                          .value();
+  cr::TrustStore store;
+  store.add_root(f.root.certificate());
+  const cr::Certificate chain[] = {intermediate.certificate(), f.root.certificate()};
+  for (const auto usage : {cr::KeyUsage::kNodeAuth, cr::KeyUsage::kCodeSigning}) {
+    const auto st = store.verify_chain(chain, gc::SimTime::from_days(1), usage);
+    ASSERT_FALSE(st.ok()) << cr::to_string(usage);
+    EXPECT_EQ(st.error().code(), gc::ErrorCode::kPermissionDenied);
+  }
+  EXPECT_TRUE(
+      store.verify_chain(chain, gc::SimTime::from_days(1), cr::KeyUsage::kCaSigning).ok());
+}
+
+// Two CAs from one seed: the first issues X then Y, the second reserves
+// X's serial and leaf, issues Y, then X at its reservation. Both hold the
+// same two certificates, byte for byte.
+TEST(Pki, ReservationIssuesTheSameCertificateLater) {
+  PkiFixture eager;
+  PkiFixture deferred;
+  const auto x_key = cr::SigningKey::generate(gc::to_bytes("x-seed"), 2).public_key();
+  const auto y_key = cr::SigningKey::generate(gc::to_bytes("y-seed"), 2).public_key();
+  auto issue_x = [&](cr::CertificateAuthority& ca) {
+    return ca.issue("onu-x", x_key, eager.t0, eager.t_end, {cr::KeyUsage::kNodeAuth});
+  };
+  auto issue_y = [&](cr::CertificateAuthority& ca) {
+    return ca.issue("olt-y", y_key, eager.t0, eager.t_end, {cr::KeyUsage::kNodeAuth});
+  };
+  const auto x1 = issue_x(eager.root).value();
+  const auto y1 = issue_y(eager.root).value();
+
+  const auto at = deferred.root.reserve().value();
+  EXPECT_EQ(at.serial(), x1.serial);
+  const auto y2 = issue_y(deferred.root).value();
+  const auto x2 = deferred.root
+                      .issue(at, "onu-x", x_key, eager.t0, eager.t_end,
+                             {cr::KeyUsage::kNodeAuth})
+                      .value();
+  for (const auto& [a, b] : {std::pair(x1, x2), std::pair(y1, y2)}) {
+    EXPECT_EQ(a.serial, b.serial) << a.subject;
+    EXPECT_EQ(a.tbs_bytes(), b.tbs_bytes()) << a.subject;
+    EXPECT_EQ(a.signature.serialize(), b.signature.serialize()) << a.subject;
+  }
+  EXPECT_EQ(deferred.root.signatures_remaining(), eager.root.signatures_remaining());
+
+  // A reservation issues once.
+  const auto again = deferred.root.issue(at, "onu-x2", x_key, eager.t0, eager.t_end,
+                                         {cr::KeyUsage::kNodeAuth});
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error().code(), gc::ErrorCode::kInvalidArgument);
 }
 
 TEST(Pki, EmptyChainRejected) {

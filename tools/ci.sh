@@ -51,7 +51,7 @@ if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
   "${repo_root}/build/bench/bench_des" --smoke \
     --baseline "${repo_root}/BENCH_des.json" \
     --out "${repo_root}/build/BENCH_des.json"
-  echo "== WOTS+ keygen/sign/verify bench smoke (a lane backend whose blocks, key root or signatures differ from the kScalar loop's, a verify() that rejects them, or dispatched lanes < 10x (AVX-512F) / < 3x (SHA-NI loop) the kScalar loop, fails CI) =="
+  echo "== WOTS+ keygen/sign/verify bench smoke (a lane backend whose blocks, key root or signatures differ from the kScalar loop's, a verify() that rejects them, or dispatched lanes < 10x (AVX-512F) / < 3x (SHA-NI loop) the kScalar loop, or a default GenioPlatform build > 0.6x a build plus activate_pon(), fastest of each, alternated (a build that makes the PON keys reads about 0.85), fails CI) =="
   "${repo_root}/build/bench/bench_keygen" --smoke \
     --out "${repo_root}/build/BENCH_keygen.json"
   echo "== SAST precision gate smoke (taint recall < 1.00 or FP rate > 0.00 on either labeled corpus, or a 4-worker sharded pass that differs from the serial one, fails CI) =="
@@ -96,7 +96,7 @@ if [[ "${mode}" != "--plain-only" && "${mode}" != "--sanitize-only" ]]; then
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/bench_des" --smoke \
     --out "${repo_root}/build-tsan/BENCH_des.json"
-  echo "== WOTS+ keygen/sign/verify bench smoke (TSan; lane block, root and signature identity enforced, ratio floor not) =="
+  echo "== WOTS+ keygen/sign/verify bench smoke (TSan; lane block, root and signature identity enforced, ratio floor and deferral ceiling not) =="
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/bench_keygen" --smoke \
     --out "${repo_root}/build-tsan/BENCH_keygen.json"
