@@ -1,7 +1,8 @@
 // The one harness every bench binary uses: command-line flags, the build
 // facts a floor depends on, one timer, one pass/fail gate, one JSON writer
-// with a common header, and one reader for the committed baselines. Also
-// the LPT model that prices a sharded run from its measured serial leaves.
+// with a common header, and one reader that turns a BENCH_*.json back into
+// numbers. Also the LPT model that prices a sharded run from its measured
+// serial leaves.
 #pragma once
 
 #include <algorithm>
@@ -53,21 +54,19 @@ inline constexpr bool kOptimized = false;
 
 // ------------------------------------------------------------------ flags
 
-/// `--smoke`, `--out PATH` and `--baseline PATH`; other arguments are
-/// ignored. `out` defaults to the bench's own BENCH_*.json name.
+/// `--smoke` and `--out PATH`; other arguments are ignored. `out` defaults
+/// to the bench's own BENCH_*.json name.
 struct Args {
   bool smoke = false;
   std::string out;
-  std::string baseline;  // empty: no baseline gate
 };
 
 inline Args parse_args(int argc, char** argv, std::string default_out = {}) {
-  Args args{false, std::move(default_out), {}};
+  Args args{false, std::move(default_out)};
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--smoke") args.smoke = true;
     if (arg == "--out" && i + 1 < argc) args.out = argv[++i];
-    if (arg == "--baseline" && i + 1 < argc) args.baseline = argv[++i];
   }
   return args;
 }
@@ -434,26 +433,5 @@ class Baseline {
   std::string name_;
   std::map<std::string, double> numbers_;
 };
-
-/// The >20%-regression gate of one number: `current` must be at least 0.8x
-/// the committed number at `key`. A regression prints a BASELINE REGRESSION
-/// line naming `what`; an unreadable file or a missing key prints the
-/// reader's error.
-inline bool within_baseline(const common::Result<Baseline>& baseline, const std::string& key,
-                            double current, const std::string& what, const char* unit,
-                            int decimals) {
-  const auto committed = baseline.ok() ? baseline->number(key) : baseline.error();
-  if (!committed.ok()) {
-    std::fprintf(stderr, "%s\n", committed.error().message().c_str());
-    return false;
-  }
-  constexpr double kFloor = 0.8;
-  if (*committed > 0.0 && current < kFloor * *committed) {
-    std::fprintf(stderr, "BASELINE REGRESSION: %s: %.*f %s < 0.8 x committed %.*f %s\n",
-                 what.c_str(), decimals, current, unit, decimals, *committed, unit);
-    return false;
-  }
-  return true;
-}
 
 }  // namespace genio::bench

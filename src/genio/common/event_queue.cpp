@@ -6,18 +6,12 @@
 namespace genio::common {
 
 EventQueue::EventId EventQueue::schedule_at(SimTime at, Callback fn) {
-  Event ev;
   // The clock never moves backwards, so past times clamp to now: the event
   // fires on the next drain, exactly like a zero-delay schedule.
-  ev.at = std::max(at.nanos(), clock_->now().nanos());
-  ev.seq = next_seq_++;
-  ev.fn = std::move(fn);
-  const EventId id{ev.seq};
-  pending_.insert(ev.seq);
+  const EventId id{std::max(at.nanos(), clock_->now().nanos()), next_seq_++};
+  events_.emplace(Key{id.at, id.seq}, std::move(fn));
   ++stats_.scheduled;
-  stats_.max_pending = std::max<std::uint64_t>(stats_.max_pending, pending_.size());
-  heap_.push_back(std::move(ev));
-  std::push_heap(heap_.begin(), heap_.end(), heap_after);
+  stats_.max_pending = std::max<std::uint64_t>(stats_.max_pending, events_.size());
   return id;
 }
 
@@ -26,9 +20,8 @@ EventQueue::EventId EventQueue::schedule_after(SimTime delay, Callback fn) {
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (!id.valid() || pending_.erase(id.seq) == 0) return false;
-  // The record itself is lazily swept when it reaches the top of the heap;
-  // cancellation is O(1).
+  // A running event has already left the map, so its own token misses too.
+  if (!id.valid() || events_.erase(Key{id.at, id.seq}) == 0) return false;
   ++stats_.cancelled;
   return true;
 }
@@ -38,37 +31,23 @@ std::size_t EventQueue::run_until(SimTime t) {
     throw std::invalid_argument("EventQueue::run_until: target time is in the past");
   }
   std::size_t executed = 0;
-  while (auto ev = pop_due(t.nanos())) {
-    if (SimTime(ev->at) > clock_->now()) clock_->advance_to(SimTime(ev->at));
+  while (!events_.empty() && events_.begin()->first.first <= t.nanos()) {
+    // The node leaves the map before its callback runs, so the callback
+    // may schedule and cancel freely.
+    auto node = events_.extract(events_.begin());
+    const SimTime at(node.key().first);
+    if (at > clock_->now()) clock_->advance_to(at);
     ++stats_.executed;
     ++executed;
-    ev->fn();
+    node.mapped()();
   }
   if (clock_->now() < t) clock_->advance_to(t);
   return executed;
 }
 
-std::optional<SimTime> EventQueue::next_event_time() {
-  sweep_cancelled();
-  if (heap_.empty()) return std::nullopt;
-  return SimTime(heap_.front().at);
-}
-
-void EventQueue::sweep_cancelled() {
-  while (!heap_.empty() && !pending_.contains(heap_.front().seq)) {
-    std::pop_heap(heap_.begin(), heap_.end(), heap_after);
-    heap_.pop_back();
-  }
-}
-
-std::optional<EventQueue::Event> EventQueue::pop_due(std::int64_t limit) {
-  sweep_cancelled();
-  if (heap_.empty() || heap_.front().at > limit) return std::nullopt;
-  std::pop_heap(heap_.begin(), heap_.end(), heap_after);
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  pending_.erase(ev.seq);
-  return ev;
+std::optional<SimTime> EventQueue::next_event_time() const {
+  if (events_.empty()) return std::nullopt;
+  return SimTime(events_.begin()->first.first);
 }
 
 }  // namespace genio::common

@@ -1,22 +1,22 @@
 // Discrete-event core. Everything time-driven in the platform — chaos
-// fault injections and reversions (one event per edge), supervisor
-// reconcile ticks, TDMA/DBA upstream cycles, per-subscriber traffic
-// generators — schedules callbacks here, and advance_time() is "drain
-// events until T"; there is no second timeline and no fixed-step polling.
-// The scheduler is a binary heap on (time, seq).
+// fault injections and reversions (one event per edge), the fabric's DBA
+// upstream cycles and per-subscriber traffic generators — schedules
+// callbacks here, and advance_time() is "drain events until T"; there is
+// no second timeline and no fixed-step polling.
+// The scheduler is one ordered map keyed by (time, seq).
 //
 // Determinism: same-timestamp events run in schedule order (FIFO via a
-// monotonic sequence number). Cancellation is O(1) lazy: the token's seq
-// leaves the pending set and the record is swept when it reaches the top.
+// monotonic sequence number). A token is its event's key, so cancel()
+// erases the entry, and destroys its callback, at once.
 // Single-threaded by design — one queue per simulation domain; shard
 // domains across the pool for parallel fabrics.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
-#include <unordered_set>
-#include <vector>
+#include <utility>
 
 #include "genio/common/sim_clock.hpp"
 
@@ -26,8 +26,10 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// Cancellation token. Default-constructed tokens are invalid.
+  /// Cancellation token: the event's (time, seq) key. Default-constructed
+  /// tokens are invalid.
   struct EventId {
+    std::int64_t at = 0;
     std::uint64_t seq = 0;
     bool valid() const { return seq != 0; }
   };
@@ -51,7 +53,7 @@ class EventQueue {
   EventId schedule_after(SimTime delay, Callback fn);
 
   /// Cancel a pending event. Returns true iff the event was still pending
-  /// (not yet executed, not already cancelled).
+  /// (not yet executed or running, not already cancelled).
   bool cancel(EventId id);
 
   /// Drain every event with time <= t in (time, seq) order, advancing the
@@ -64,35 +66,19 @@ class EventQueue {
   std::size_t run_for(SimTime dt) { return run_until(clock_->now() + dt); }
 
   /// Time of the earliest pending event, if any.
-  std::optional<SimTime> next_event_time();
+  std::optional<SimTime> next_event_time() const;
 
-  std::size_t pending() const { return pending_.size(); }
-  bool empty() const { return pending_.empty(); }
+  std::size_t pending() const { return events_.size(); }
+  bool empty() const { return events_.empty(); }
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Event {
-    std::int64_t at = 0;
-    std::uint64_t seq = 0;
-    Callback fn;
-  };
-
-  // Heap ordering: min on (at, seq).
-  static bool heap_after(const Event& a, const Event& b) {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
-  }
-
-  /// Drop cancelled records from the top of the heap.
-  void sweep_cancelled();
-  /// Remove and return the earliest pending event if its time <= limit.
-  std::optional<Event> pop_due(std::int64_t limit);
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (time, seq)
 
   SimClock* clock_;
   std::uint64_t next_seq_ = 1;
-  std::unordered_set<std::uint64_t> pending_;
   Stats stats_;
-  std::vector<Event> heap_;
+  std::map<Key, Callback> events_;
 };
 
 }  // namespace genio::common

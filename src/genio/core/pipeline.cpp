@@ -77,17 +77,14 @@ DeploymentPipeline::DeploymentPipeline(GenioPlatform* platform)
                 ? static_cast<std::size_t>(platform->config().scan_workers)
                 : common::ThreadPool::recommended_workers()),
       cache_(platform->config().scan_cache_capacity) {
-  sast_.set_taint_enabled(platform->config().sast_taint_analysis);
   sast_.set_thread_pool(&pool_);
 }
 
 std::string DeploymentPipeline::rulepack_fingerprint() const {
   const PlatformConfig& config = platform_->config();
-  std::string fp = "rp1:sast=" + std::to_string(sast_.rule_count());
-  // Taint on and off give different verdicts for the same image, so they
-  // must never share scan-cache entries. "+taint2" is the flow-sensitive
-  // engine's tag, kept byte for byte so no scan-cache key changes.
-  if (config.sast_taint_analysis) fp += "+taint2";
+  // "+taint2" is the flow-sensitive taint engine's tag, kept byte for byte
+  // so no scan-cache key changes.
+  std::string fp = "rp1:sast=" + std::to_string(sast_.rule_count()) + "+taint2";
   fp += ":yara=" + std::to_string(yara_.rule_count());
   fp += ":block=" + common::format_double(sca_block_score, 2);
   fp += ":gates=";

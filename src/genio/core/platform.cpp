@@ -52,29 +52,6 @@ void GenioPlatform::advance_time(common::SimTime delta) {
   events_.run_until(clock_.now() + delta);
 }
 
-void GenioPlatform::start_tdma(common::SimTime period, std::size_t grant_frames) {
-  stop_tdma();
-  tdma_period_ = period;
-  tdma_grant_frames_ = grant_frames;
-  schedule_tdma_cycle();
-}
-
-void GenioPlatform::stop_tdma() {
-  if (tdma_token_.valid()) (void)events_.cancel(tdma_token_);
-  tdma_token_ = {};
-}
-
-void GenioPlatform::schedule_tdma_cycle() {
-  tdma_token_ = events_.schedule_after(tdma_period_, [this] {
-    std::vector<pon::Onu*> devices;
-    devices.reserve(onus_.size());
-    for (auto& onu : onus_) devices.push_back(onu.get());
-    (void)olt_->run_dba_cycle(devices, tdma_grant_frames_);
-    ++tdma_cycles_;
-    schedule_tdma_cycle();
-  });
-}
-
 void GenioPlatform::build_pki() {
   root_ca_ = std::make_unique<crypto::CertificateAuthority>(
       crypto::CertificateAuthority::create_root(

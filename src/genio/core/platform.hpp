@@ -48,7 +48,6 @@ struct PlatformConfig {
   bool require_image_signature = true;
   bool sca_gate = true;              // M13
   bool sast_gate = true;             // M14
-  bool sast_taint_analysis = true;   // taint dataflow pass (off = legacy regex only)
   bool secret_gate = true;           // M13/M14-adjacent secret scanning
   bool malware_gate = true;          // M16
   bool sandbox_enabled = true;       // M17
@@ -151,17 +150,10 @@ class GenioPlatform {
   /// Its fault edges are events on events().
   resilience::ChaosEngine& chaos() { return *chaos_; }
   /// Advance the sim clock by `delta`, draining every due event (chaos
-  /// fault edges, supervisor ticks, TDMA cycles) in timestamp order along
-  /// the way. Retry backoffs sleep through this so faults can heal
+  /// fault edges and whatever else callers scheduled) in timestamp order
+  /// along the way. Retry backoffs sleep through this so faults can heal
   /// mid-retry. advance_time(SimTime{}) runs what is due now.
   void advance_time(common::SimTime delta);
-
-  // -- TDMA upstream scheduling -------------------------------------------------
-  /// Run one DBA cycle (grant every operational ONU up to `grant_frames`
-  /// slots) every `period`, as a self-rescheduling event on the queue.
-  void start_tdma(common::SimTime period, std::size_t grant_frames);
-  void stop_tdma();
-  std::uint64_t tdma_cycles() const { return tdma_cycles_; }
 
   // -- tenants -------------------------------------------------------------------
   /// Register a business user: namespace, RBAC grants, publisher key.
@@ -177,7 +169,6 @@ class GenioPlatform {
   void build_host();
   void build_middleware();
   void build_resilience();
-  void schedule_tdma_cycle();
 
   PlatformConfig config_;
   common::SimClock clock_;
@@ -221,11 +212,6 @@ class GenioPlatform {
   vuln::CveDatabase cve_db_;
   std::unique_ptr<vuln::FeedHealthService> feed_service_;
   std::unique_ptr<resilience::ChaosEngine> chaos_;
-
-  common::EventQueue::EventId tdma_token_{};
-  common::SimTime tdma_period_{};
-  std::size_t tdma_grant_frames_ = 0;
-  std::uint64_t tdma_cycles_ = 0;
 
   std::map<std::string, Tenant> tenants_;
 };

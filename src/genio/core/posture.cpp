@@ -64,7 +64,7 @@ PostureReport evaluate_posture(GenioPlatform& platform,
       (config.require_image_signature ? 1 : 0) + (config.sca_gate ? 1 : 0) +
       (config.sast_gate ? 1 : 0) + (config.secret_gate ? 1 : 0) +
       (config.malware_gate ? 1 : 0) + (config.sandbox_enabled ? 1 : 0);
-  report.sast_taint_mode = config.sast_gate && config.sast_taint_analysis;
+  report.sast_taint_mode = config.sast_gate;
 
   // PEACH assessment derived from the running configuration.
   appsec::PeachAssessment tenant_api{

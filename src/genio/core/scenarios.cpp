@@ -26,7 +26,6 @@ PlatformConfig unmitigated_config() {
   config.require_image_signature = false;
   config.sca_gate = false;
   config.sast_gate = false;
-  config.sast_taint_analysis = false;
   config.secret_gate = false;
   config.malware_gate = false;
   config.sandbox_enabled = false;

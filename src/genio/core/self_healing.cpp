@@ -45,7 +45,6 @@ SelfHealingSupervisor::SelfHealingSupervisor(GenioPlatform* platform,
 }
 
 SelfHealingSupervisor::~SelfHealingSupervisor() {
-  stop_periodic();
   for (const int id : subscriptions_) {
     platform_->bus().unsubscribe(id);
   }
@@ -321,27 +320,6 @@ void SelfHealingSupervisor::reconcile() {
 void SelfHealingSupervisor::tick() {
   observe();
   reconcile();
-}
-
-void SelfHealingSupervisor::start_periodic(common::SimTime period) {
-  stop_periodic();
-  periodic_period_ = period;
-  schedule_next_tick();
-}
-
-void SelfHealingSupervisor::stop_periodic() {
-  if (periodic_token_.valid()) {
-    (void)platform_->events().cancel(periodic_token_);
-  }
-  periodic_token_ = {};
-}
-
-void SelfHealingSupervisor::schedule_next_tick() {
-  periodic_token_ = platform_->events().schedule_after(periodic_period_, [this] {
-    tick();
-    ++periodic_ticks_;
-    schedule_next_tick();
-  });
 }
 
 void SelfHealingSupervisor::enqueue_deployment(const DeploymentRequest& request) {

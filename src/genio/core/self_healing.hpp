@@ -48,13 +48,6 @@ class SelfHealingSupervisor {
   /// One full MAPE-K cycle.
   void tick();
 
-  /// Run tick() every `period` as a self-rescheduling event on the
-  /// platform's queue — the supervisor loop becomes part of the
-  /// discrete-event timeline instead of a manual advance/tick pattern.
-  void start_periodic(common::SimTime period);
-  void stop_periodic();
-  std::uint64_t periodic_ticks() const { return periodic_ticks_; }
-
   /// Queue a deployment that failed while the registry was down; the
   /// registry playbook replays it through the full pipeline on heal.
   void enqueue_deployment(const DeploymentRequest& request);
@@ -79,7 +72,6 @@ class SelfHealingSupervisor {
   void add_targets();
   void add_playbooks();
   void subscribe_signals();
-  void schedule_next_tick();
   /// Chaos/breaker event target -> health-monitor target name ("" = none).
   std::vector<std::string> monitor_targets_for(const std::string& chaos_target) const;
   /// Replay parked deployments through the full pipeline while the registry
@@ -101,10 +93,6 @@ class SelfHealingSupervisor {
   /// False between a feed outage injection and the post-heal re-ingest.
   bool feed_snapshot_fresh_ = true;
   std::vector<int> subscriptions_;
-
-  common::EventQueue::EventId periodic_token_{};
-  common::SimTime periodic_period_{};
-  std::uint64_t periodic_ticks_ = 0;
 };
 
 }  // namespace genio::core

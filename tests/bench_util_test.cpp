@@ -1,6 +1,6 @@
-// Tests for the bench harness (bench/bench_util.hpp): the baseline reader
-// the CI regression gates use on the committed BENCH_*.json files, and the
-// JSON writer every bench's output goes through.
+// Tests for the bench harness (bench/bench_util.hpp): the reader that turns
+// the committed BENCH_*.json files back into numbers, and the JSON writer
+// every bench's output goes through.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -24,11 +24,11 @@ double number(const gb::Baseline& baseline, const std::string& key) {
 
 }  // namespace
 
-TEST(BenchBaseline, ReadsTheGatedNumbersOfTheCommittedDesBaseline) {
+TEST(BenchBaseline, ReadsTheNumbersOfTheCommittedDesBaseline) {
   const auto baseline = gb::Baseline::load(committed("BENCH_des.json"));
   ASSERT_TRUE(baseline.ok()) << baseline.error().to_string();
-  EXPECT_DOUBLE_EQ(number(*baseline, "scheduler.heap_eps"), 1735252.4);
-  EXPECT_DOUBLE_EQ(number(*baseline, "carrier.carrier_eps"), 154760.8);
+  EXPECT_DOUBLE_EQ(number(*baseline, "scheduler.queue_eps"), 2302041.5);
+  EXPECT_DOUBLE_EQ(number(*baseline, "carrier.carrier_eps"), 232657.2);
   EXPECT_DOUBLE_EQ(number(*baseline, "sharded.modeled[3].workers"), 8);
 }
 
@@ -71,19 +71,11 @@ TEST(BenchBaseline, MissingKeysAndUnreadableFilesAreErrors) {
   const auto missing = baseline->number("scheduler.heap_eps");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.error().message(), "baseline des.json missing key scheduler.heap_eps");
-  EXPECT_FALSE(
-      gb::within_baseline(baseline, "scheduler.heap_eps", 1e9, "heap_eps", "events/sec", 0));
   EXPECT_FALSE(gb::Baseline::load(committed("no-such-baseline.json")).ok());
   EXPECT_FALSE(gb::Baseline::parse(R"({"a": 1,})", "bad.json").ok());
   EXPECT_FALSE(gb::Baseline::parse(R"({"a": 1} trailing)", "bad.json").ok());
   EXPECT_FALSE(gb::Baseline::parse("{\"a\nb\": 1}", "bad.json").ok());  // raw newline
   EXPECT_FALSE(gb::Baseline::parse(R"({"a\qb": 1})", "bad.json").ok());   // bad escape
-}
-
-TEST(BenchBaseline, GatesAtEightyPercentOfTheCommittedNumber) {
-  const auto baseline = gb::Baseline::parse(R"({"carrier": {"carrier_eps": 100.0}})", "b");
-  EXPECT_TRUE(gb::within_baseline(baseline, "carrier.carrier_eps", 80.0, "c", "events/sec", 0));
-  EXPECT_FALSE(gb::within_baseline(baseline, "carrier.carrier_eps", 79.9, "c", "events/sec", 0));
 }
 
 TEST(BenchJson, EscapesKeysAndValuesAndTheOutputParses) {

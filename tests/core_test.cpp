@@ -587,30 +587,3 @@ TEST(Platform, AdvanceTimeDrainsTheEventQueue) {
   EXPECT_EQ(platform.clock().now(), gc::SimTime::from_seconds(15));
 }
 
-// The TDMA/DBA upstream cycle is an event on the platform queue, not a
-// polling loop: advance_time() runs the cycles that fall in the window,
-// and queued upstream traffic drains through the grants.
-TEST(Platform, TdmaCyclesRideTheEventQueue) {
-  core::GenioPlatform platform({});
-  ASSERT_EQ(platform.activate_pon(), platform.config().onu_count);
-
-  auto& onu = *platform.onus()[0];
-  for (int i = 0; i < 8; ++i) {
-    onu.send_data(1, gc::to_bytes("tdma-payload-" + std::to_string(i)));
-  }
-  ASSERT_EQ(onu.upstream_queue_size(), 8u);
-
-  platform.start_tdma(gc::SimTime::from_micros(125), 4);
-  EXPECT_EQ(platform.tdma_cycles(), 0u);
-  platform.advance_time(gc::SimTime::from_millis(1));
-  EXPECT_EQ(platform.tdma_cycles(), 8u);  // 1ms / 125us
-  EXPECT_EQ(onu.upstream_queue_size(), 0u) << "grants drained the queue";
-
-  platform.stop_tdma();
-  platform.advance_time(gc::SimTime::from_millis(1));
-  EXPECT_EQ(platform.tdma_cycles(), 8u) << "stop_tdma cancels the cycle event";
-
-  platform.start_tdma(gc::SimTime::from_micros(125), 4);
-  platform.advance_time(gc::SimTime::from_millis(1));
-  EXPECT_EQ(platform.tdma_cycles(), 16u) << "restart resumes cleanly";
-}

@@ -3,14 +3,15 @@
 // zero-delay self-reschedules — must execute the (time, index, label)
 // trace whose FNV digest was recorded when a second scheduler backend
 // still checked it. Directed tests cover FIFO stability at equal
-// timestamps, clamping, cancellation semantics, far-future ordering, and
-// mass cancellation. A TSan section drains independent queues
-// concurrently on the work-stealing pool (one queue per domain — the
-// documented sharding model).
+// timestamps, clamping, cancellation semantics (from inside a drain, and
+// the callback's release at cancel), far-future ordering, and mass
+// cancellation. A TSan section drains independent queues concurrently on
+// the thread pool (one queue per domain — the documented sharding model).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -74,6 +75,44 @@ TEST(EventQueueTest, CancelSemantics) {
   EXPECT_FALSE(queue.cancel(keep)) << "executed events are no longer pending";
   EXPECT_EQ(queue.stats().cancelled, 1u);
   EXPECT_EQ(queue.stats().executed, 1u);
+}
+
+// A callback cancels an event due at its own time but scheduled after it,
+// and a later one: neither runs. The running event has left the queue, so
+// its own token is no longer pending.
+TEST(EventQueueTest, CallbackCancelsPendingEventsMidDrain) {
+  SimClock clock;
+  EventQueue queue(&clock);
+  std::vector<int> ran;
+  EventQueue::EventId self, same_time, later;
+  bool cancelled_same_time = false, cancelled_later = false, cancelled_self = true;
+  self = queue.schedule_at(SimTime::from_millis(1), [&] {
+    ran.push_back(0);
+    cancelled_same_time = queue.cancel(same_time);
+    cancelled_later = queue.cancel(later);
+    cancelled_self = queue.cancel(self);
+  });
+  same_time = queue.schedule_at(SimTime::from_millis(1), [&ran] { ran.push_back(1); });
+  later = queue.schedule_at(SimTime::from_millis(5), [&ran] { ran.push_back(2); });
+  EXPECT_EQ(queue.run_until(SimTime::from_millis(10)), 1u);
+  EXPECT_EQ(ran, std::vector<int>{0});
+  EXPECT_TRUE(cancelled_same_time);
+  EXPECT_TRUE(cancelled_later);
+  EXPECT_FALSE(cancelled_self);
+  EXPECT_EQ(queue.stats().cancelled, 2u);
+  EXPECT_TRUE(queue.empty());
+}
+
+// cancel() destroys the callback at once, so what it captured is released
+// at the cancel, not hours later when the event would have come due.
+TEST(EventQueueTest, CancelReleasesTheCallbackAtOnce) {
+  SimClock clock;
+  EventQueue queue(&clock);
+  auto captured = std::make_shared<int>(0);
+  const auto id = queue.schedule_after(SimTime::from_hours(5), [captured] { ++*captured; });
+  EXPECT_EQ(captured.use_count(), 2);
+  EXPECT_TRUE(queue.cancel(id));
+  EXPECT_EQ(captured.use_count(), 1);
 }
 
 TEST(EventQueueTest, FarFutureEventsRunAfterNearCluster) {

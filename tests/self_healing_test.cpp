@@ -535,55 +535,4 @@ TEST(SelfHealingProperty, RemediationNeverBypassesGatesAcross50Seeds) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Discrete-event supervision: the reconcile/health-probe tick as an event.
-
-// start_periodic() puts the supervision tick on the platform event queue:
-// a bare advance_time() drives it at the configured cadence, and
-// stop_periodic() cancels cleanly.
-TEST(SelfHealingPlatform, PeriodicTicksRideThePlatformEventQueue) {
-  Site site(11);
-  site.shs.start_periodic(at_s(30));
-  EXPECT_EQ(site.shs.periodic_ticks(), 0u);
-  site.platform.advance_time(at_s(300));
-  EXPECT_EQ(site.shs.periodic_ticks(), 10u);
-
-  site.shs.stop_periodic();
-  site.platform.advance_time(at_s(300));
-  EXPECT_EQ(site.shs.periodic_ticks(), 10u) << "stopped loop must not tick";
-
-  site.shs.start_periodic(at_s(60));
-  site.platform.advance_time(at_s(300));
-  EXPECT_EQ(site.shs.periodic_ticks(), 15u) << "restart at a new cadence";
-}
-
-// End to end on the queue: chaos fault edges and the periodic
-// supervision tick interleave on the same event queue, so one
-// advance_time() call takes the platform through inject -> detect ->
-// remediate -> resolve with no manual tick loop at all.
-TEST(SelfHealingPlatform, PeriodicSupervisionHealsAChaosFaultUnattended) {
-  Site site(13);
-  site.platform.chaos().schedule({.kind = gr::FaultKind::kNodeCrash,
-                                  .target = "olt-node-1",
-                                  .at = at_s(60),
-                                  .duration = at_s(120)});
-  // A workload for the crash to knock over — pod failure is the signal the
-  // supervisor detects.
-  const auto report = site.pipeline.deploy(
-      {.tenant = "tenant-a",
-       .image_reference = "registry.genio.io/tenant-a/clean-app:1.0.0",
-       .app_name = "victim",
-       .limits = gm::ResourceQuantity{0.1, 64}});
-  ASSERT_TRUE(report.deployed);
-  site.shs.start_periodic(at_s(30));
-
-  site.platform.advance_time(at_s(1200));  // 20 min, zero manual ticks
-
-  EXPECT_GE(site.shs.periodic_ticks(), 40u);
-  EXPECT_TRUE(site.shs.steady_state());
-  EXPECT_EQ(site.platform.cluster().failed_pod_count(), 0u);
-  EXPECT_GE(site.shs.ledger().resolved_count(), 1u);
-  EXPECT_EQ(site.shs.ledger().open_count(), 0u);
-}
-
 }  // namespace
