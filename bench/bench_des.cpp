@@ -52,7 +52,6 @@
 #include <map>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -92,48 +91,50 @@ constexpr std::uint64_t kSmokeTraceDigest = 0x75bbdd280a804ff8ull;
 constexpr std::uint64_t kFullTraceDigest = 0x1d38d61508a9e919ull;
 
 // EventQueue must drain the scheduler workload at least this many times as
-// fast as MultimapReference. On a 4-vCPU Xeon (GCC 12, -O2 -g) smoke runs
-// read 1.16-1.45x, and a copy whose EventQueue takes about 25 % longer per
-// event (an rdtsc spin after each callback) read 0.96-1.20x: it failed 37
-// of 40 runs, and the 3 it passed fell in a stretch where the tree read
-// 1.40-1.45x. The ratio moves with the host's state (E-DES2).
-constexpr double kQueueOverReference = 1.15;
+// fast as MultimapReference. On a 4-vCPU Xeon (GCC 12, -O2 -g) 95 smoke runs
+// read 0.800-0.869x in the host's fast and slow states alike, and a copy
+// whose EventQueue takes about 25 % longer per event (an rdtsc spin after
+// each callback) read 0.642-0.705x over 65 runs in three series and failed
+// every one (E-DES2).
+constexpr double kQueueOverReference = 0.75;
 
 // The compiled-in yardstick for EventQueue, with its schedule/cancel/drain
 // contract: a std::multimap on time (equal keys keep insertion order, so
-// ties run in schedule order) whose cancel() only forgets the seq; the
-// record is dropped when it reaches the front. Like EventQueue it keeps one
-// tree node per event, so host effects mostly cancel in the ratio. Its
-// token is the seq alone, in a type of its own: EventQueue's two-field
-// EventId would accept `{seq}` and read it as the time.
+// ties run in schedule order) whose cancel() finds the seq among its time's
+// entries and erases it at once. Like EventQueue it holds one tree node per
+// live event and nothing else, so host effects cancel in the ratio. Its
+// token is a type of its own, never EventQueue's EventId.
 class MultimapReference {
  public:
   struct EventId {
+    std::int64_t at = 0;
     std::uint64_t seq = 0;
   };
 
   explicit MultimapReference(gc::SimClock* clock) : clock_(clock) {}
 
   EventId schedule_after(gc::SimTime delay, std::function<void()> fn) {
-    const std::uint64_t seq = next_seq_++;
-    pending_.insert(seq);
-    events_.emplace((clock_->now() + std::max(delay, gc::SimTime{})).nanos(),
-                    Entry{seq, std::move(fn)});
-    return {seq};
+    const EventId id{(clock_->now() + std::max(delay, gc::SimTime{})).nanos(), next_seq_++};
+    events_.emplace(id.at, Entry{id.seq, std::move(fn)});
+    return id;
   }
 
-  bool cancel(EventId id) { return pending_.erase(id.seq) != 0; }
+  bool cancel(EventId id) {
+    auto [it, last] = events_.equal_range(id.at);
+    for (; it != last; ++it) {
+      if (it->second.seq == id.seq) {
+        events_.erase(it);
+        return true;
+      }
+    }
+    return false;
+  }
 
   std::size_t run_for(gc::SimTime dt) {
     const gc::SimTime until = clock_->now() + dt;
     std::size_t executed = 0;
-    while (!events_.empty()) {
-      const auto front = events_.begin();
-      const bool live = pending_.contains(front->second.seq);
-      if (live && front->first > until.nanos()) break;
-      auto node = events_.extract(front);
-      if (!live) continue;  // cancelled: swept at the front
-      pending_.erase(node.mapped().seq);
+    while (!events_.empty() && events_.begin()->first <= until.nanos()) {
+      auto node = events_.extract(events_.begin());
       clock_->advance_to(std::max(gc::SimTime(node.key()), clock_->now()));
       ++executed;
       node.mapped().fn();
@@ -149,7 +150,6 @@ class MultimapReference {
   };
   gc::SimClock* clock_;
   std::uint64_t next_seq_ = 1;
-  std::unordered_set<std::uint64_t> pending_;
   std::multimap<std::int64_t, Entry> events_;
 };
 

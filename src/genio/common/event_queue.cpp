@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace genio::common {
 
@@ -9,7 +10,7 @@ EventQueue::EventId EventQueue::schedule_at(SimTime at, Callback fn) {
   // The clock never moves backwards, so past times clamp to now: the event
   // fires on the next drain, exactly like a zero-delay schedule.
   const EventId id{std::max(at.nanos(), clock_->now().nanos()), next_seq_++};
-  events_.emplace(Key{id.at, id.seq}, std::move(fn));
+  events_.emplace(id, std::move(fn));
   ++stats_.scheduled;
   stats_.max_pending = std::max<std::uint64_t>(stats_.max_pending, events_.size());
   return id;
@@ -21,7 +22,7 @@ EventQueue::EventId EventQueue::schedule_after(SimTime delay, Callback fn) {
 
 bool EventQueue::cancel(EventId id) {
   // A running event has already left the map, so its own token misses too.
-  if (!id.valid() || events_.erase(Key{id.at, id.seq}) == 0) return false;
+  if (!id.valid() || events_.erase(id) == 0) return false;
   ++stats_.cancelled;
   return true;
 }
@@ -31,11 +32,11 @@ std::size_t EventQueue::run_until(SimTime t) {
     throw std::invalid_argument("EventQueue::run_until: target time is in the past");
   }
   std::size_t executed = 0;
-  while (!events_.empty() && events_.begin()->first.first <= t.nanos()) {
+  while (!events_.empty() && events_.begin()->first.at <= t.nanos()) {
     // The node leaves the map before its callback runs, so the callback
     // may schedule and cancel freely.
     auto node = events_.extract(events_.begin());
-    const SimTime at(node.key().first);
+    const SimTime at(node.key().at);
     if (at > clock_->now()) clock_->advance_to(at);
     ++stats_.executed;
     ++executed;
@@ -47,7 +48,7 @@ std::size_t EventQueue::run_until(SimTime t) {
 
 std::optional<SimTime> EventQueue::next_event_time() const {
   if (events_.empty()) return std::nullopt;
-  return SimTime(events_.begin()->first.first);
+  return SimTime(events_.begin()->first.at);
 }
 
 }  // namespace genio::common

@@ -12,11 +12,11 @@
 // domains across the pool for parallel fabrics.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
-#include <utility>
 
 #include "genio/common/sim_clock.hpp"
 
@@ -26,12 +26,13 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// Cancellation token: the event's (time, seq) key. Default-constructed
-  /// tokens are invalid.
+  /// Cancellation token and map key: the event's (time, seq), ordered by
+  /// time, then seq. Default-constructed tokens are invalid.
   struct EventId {
     std::int64_t at = 0;
     std::uint64_t seq = 0;
     bool valid() const { return seq != 0; }
+    auto operator<=>(const EventId&) const = default;
   };
 
   struct Stats {
@@ -73,12 +74,10 @@ class EventQueue {
   const Stats& stats() const { return stats_; }
 
  private:
-  using Key = std::pair<std::int64_t, std::uint64_t>;  // (time, seq)
-
   SimClock* clock_;
   std::uint64_t next_seq_ = 1;
   Stats stats_;
-  std::map<Key, Callback> events_;
+  std::map<EventId, Callback> events_;
 };
 
 }  // namespace genio::common

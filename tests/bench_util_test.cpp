@@ -27,8 +27,8 @@ double number(const gb::Baseline& baseline, const std::string& key) {
 TEST(BenchBaseline, ReadsTheNumbersOfTheCommittedDesBaseline) {
   const auto baseline = gb::Baseline::load(committed("BENCH_des.json"));
   ASSERT_TRUE(baseline.ok()) << baseline.error().to_string();
-  EXPECT_DOUBLE_EQ(number(*baseline, "scheduler.queue_eps"), 2302041.5);
-  EXPECT_DOUBLE_EQ(number(*baseline, "carrier.carrier_eps"), 232657.2);
+  EXPECT_DOUBLE_EQ(number(*baseline, "scheduler.queue_eps"), 1981588.9);
+  EXPECT_DOUBLE_EQ(number(*baseline, "carrier.carrier_eps"), 171467.6);
   EXPECT_DOUBLE_EQ(number(*baseline, "sharded.modeled[3].workers"), 8);
 }
 

@@ -1,4 +1,4 @@
-// Tests for the admission-scan fabric: the work-stealing thread pool and
+// Tests for the admission-scan fabric: the shared-queue thread pool and
 // its deterministic ordered merge, digest memoization, the pointer-indexed
 // CVE database, the content-addressed scan cache, and — the correctness
 // bar for the whole feature — the property that parallel pipeline reports
