@@ -1,20 +1,22 @@
-// Admission-scan fabric throughput sweep. One seeded image corpus (all
-// images admit cleanly, so every arm performs the full five-gate scan) is
-// pushed through the deployment pipeline in three postures:
-//   serial        scan_workers=1, scan_cache_capacity=0 — the
-//                 pre-fabric baseline (a size-1 pool runs inline);
+// Admission-scan throughput sweep. One seeded image corpus (all images
+// admit cleanly, so every arm performs the full five-gate scan) is pushed
+// through the deployment pipeline in three postures:
+//   serial        scan_workers=1, scan_cache_capacity=0 — a size-1 pool
+//                 runs everything inline;
 //   parallel-wK   thread pool sized K in {2,4,8}, cache off;
 //   cached        pool of 4 with the content-addressed cache: a cold
 //                 round (every admit scans) then a warm round (every
 //                 admit replays its cached verdict span).
 // For every admission the wall-clock latency is recorded (p50/p99,
-// admissions/sec). Because CI hosts may expose a single core — where real
-// wall-clock parallel speedup is physically impossible — the bench also
-// measures each leaf scan task in isolation (per-file SAST, per-package
-// CVE matching, signature / secrets / YARA gates) and computes an
-// LPT-greedy modeled makespan at each pool size: the schedule the fabric
-// actually builds, costed from real measured task durations. Both numbers
-// are reported, clearly labeled.
+// admissions/sec). The pipeline runs its five gates in order on the
+// caller, and the SAST gate shards the image's source files on the pool.
+// Because CI hosts may expose a single core — where real wall-clock
+// parallel speedup is physically impossible — the bench also times each
+// piece of that schedule in isolation (per-file SAST; the signature, SCA,
+// secrets and YARA gates) and prices an admission at each pool size as
+// (signature + SCA + secrets + YARA) + LPT(SAST files, K), where LPT is
+// the greedy longest-first makespan. Both numbers are reported, clearly
+// labeled.
 // Invariants (exit nonzero if any breaks):
 //   * serial and parallel reports render byte-identically for every image;
 //   * modeled speedup at 4 workers >= 2x over the serial task sum;
@@ -195,42 +197,44 @@ RoundResult run_round(Site& site, const std::vector<as::ContainerImage>& corpus,
 }
 
 // -- modeled makespan ---------------------------------------------------------
-// The fabric decomposes one admission into leaf tasks: one per source file
-// (SAST), one per manifest package (CVE matching), plus the signature,
-// secrets and YARA gates. Each leaf is timed in isolation (best of 3) and
-// an LPT-greedy schedule — longest task to the least-loaded worker, the
-// same greedy the thread pool approximates — prices the admission
-// at every pool size.
+// One admission is the four cheap gates in order on the caller, then the
+// SAST gate's files sharded on the pool. Each piece is timed in isolation
+// (best of 3), and an LPT-greedy schedule of the files — longest to the
+// least-loaded worker, the greedy the pool approximates — prices the SAST
+// gate at every pool size.
 
-std::vector<double> measure_leaf_tasks(const as::ContainerImage& image,
-                                       Site& site) {
+struct AdmissionCost {
+  std::vector<double> sast_files;  // ms per source file
+  double other_gates = 0.0;        // ms: signature + SCA + secrets + YARA
+
+  double makespan(std::size_t workers) const {
+    return other_gates + lpt_makespan(sast_files, workers);
+  }
+};
+
+AdmissionCost measure_admission(const as::ContainerImage& image, Site& site) {
   const auto best_of_3 = [](const std::function<void()>& fn) {
     return 1e3 * genio::bench::time_calls(0, 3, 1, fn).min;
   };
 
-  std::vector<double> tasks;
-  as::SastEngine engine = as::make_default_sast_engine();
-  engine.set_taint_enabled(true);
-  const auto files = as::extract_sources(image);
-  for (const auto& file : files) {
-    tasks.push_back(best_of_3([&] { (void)engine.analyze(file); }));
+  AdmissionCost cost;
+  const as::SastEngine engine = as::make_default_sast_engine();
+  for (const auto& file : as::extract_sources(image)) {
+    cost.sast_files.push_back(best_of_3([&] { (void)engine.analyze(file); }));
   }
-  const vl::CveDatabase& db = site.platform.cve_db();
-  for (const auto& package : image.manifest()) {
-    tasks.push_back(
-        best_of_3([&] { (void)db.matching(package.name, package.version); }));
-  }
+  const as::ScaScanner sca(&site.platform.cve_db());
+  cost.other_gates += best_of_3([&] { (void)sca.scan(image); });
   const auto entry = site.platform.registry().pull(image.reference());
   if (entry.ok()) {
-    tasks.push_back(best_of_3([&] {
+    cost.other_gates += best_of_3([&] {
       (void)as::verify_image(**entry, site.publisher.public_key());
-    }));
+    });
   }
-  as::SecretScanner secrets;
-  tasks.push_back(best_of_3([&] { (void)secrets.scan_image(image); }));
-  as::YaraScanner yara = as::make_default_malware_scanner();
-  tasks.push_back(best_of_3([&] { (void)yara.scan_image(image); }));
-  return tasks;
+  const as::SecretScanner secrets;
+  cost.other_gates += best_of_3([&] { (void)secrets.scan_image(image); });
+  const as::YaraScanner yara = as::make_default_malware_scanner();
+  cost.other_gates += best_of_3([&] { (void)yara.scan_image(image); });
+  return cost;
 }
 
 // -- wall speedup --------------------------------------------------------------
@@ -267,7 +271,7 @@ struct ArmSummary {
   std::string name;
   std::size_t workers = 1;
   RoundResult round;
-  double modeled_ms = 0.0;  // Σ per-image LPT makespan; 0 = not modeled
+  double modeled_ms = 0.0;  // Σ per-image modeled makespan; 0 = not modeled
 };
 
 void write_json(const genio::bench::Args& args, const CorpusSpec& spec, unsigned hw,
@@ -312,8 +316,8 @@ void write_json(const genio::bench::Args& args, const CorpusSpec& spec, unsigned
   json.field("wall_floor_enforced", hw >= 4 && !kSanitized);
   json.field("warm_cache_speedup", warm_speedup, 2);
   // Headline admissions/sec comparison. On hosts with >= 4 cores the wall
-  // numbers carry the claim; on smaller hosts the LPT model over measured
-  // leaf-task costs stands in, and the basis field says so.
+  // numbers carry the claim; on smaller hosts the model over measured gate
+  // and file costs stands in, and the basis field says so.
   const bool wall_basis = hw >= 4;
   const double serial = arms.empty() ? 0.0 : arms.front().round.admissions_per_sec();
   const double speedup = wall_basis ? wall.ratio() : modeled_speedup_4;
@@ -343,7 +347,7 @@ int main(int argc, char** argv) {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   const auto corpus = make_corpus(spec);
-  std::printf("=== admission-scan fabric sweep: %d images x %d files x %d "
+  std::printf("=== admission-scan sweep: %d images x %d files x %d "
               "packages, %d CVEs, %u hardware threads ===\n\n",
               spec.images, spec.files_per_image, spec.packages_per_image,
               spec.package_pool * spec.cves_per_package, hw);
@@ -374,15 +378,15 @@ int main(int argc, char** argv) {
   const RoundResult serial_round = run_round(serial_site, corpus, "serial");
   arms.push_back({"serial", 1, serial_round, 0.0});
 
-  // Leaf-task instrumentation against the serial site's database: the
-  // modeled serial cost is the task sum, the modeled parallel cost is the
-  // LPT makespan at each pool size.
+  // Per-admission costs against the serial site's database: the modeled
+  // serial cost is the sum of every piece, the modeled parallel cost adds
+  // the SAST files' LPT makespan at each pool size to the other gates.
   double modeled_serial_ms = 0.0;
-  std::vector<std::vector<double>> leaf_tasks;
-  leaf_tasks.reserve(corpus.size());
+  std::vector<AdmissionCost> costs;
+  costs.reserve(corpus.size());
   for (const auto& image : corpus) {
-    leaf_tasks.push_back(measure_leaf_tasks(image, serial_site));
-    for (const double t : leaf_tasks.back()) modeled_serial_ms += t;
+    costs.push_back(measure_admission(image, serial_site));
+    modeled_serial_ms += costs.back().makespan(1);
   }
 
   bool determinism_ok = serial_round.all_deployed;
@@ -397,9 +401,7 @@ int main(int argc, char** argv) {
     arm.workers = workers;
     arm.round = run_round(site, corpus, "serial");  // same app names: reports
                                                     // must render identically
-    for (const auto& tasks : leaf_tasks) {
-      arm.modeled_ms += lpt_makespan(tasks, workers);
-    }
+    for (const auto& cost : costs) arm.modeled_ms += cost.makespan(workers);
     for (std::size_t i = 0; i < corpus.size(); ++i) {
       if (arm.round.rendered[i] != serial_round.rendered[i]) {
         determinism_ok = false;
@@ -449,7 +451,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cache_stats.hits),
               static_cast<unsigned long long>(cache_stats.misses),
               warm_speedup);
-  std::printf("modeled speedup at 4 workers: %.2fx (LPT over measured leaf tasks)\n",
+  std::printf("modeled speedup at 4 workers: %.2fx (other gates + LPT over measured SAST "
+              "files)\n",
               modeled_speedup_4);
   std::printf("wall speedup at 4 workers: fastest serial round %.2f ms (median %.2f) vs "
               "4-worker %.2f ms (%.2f) over %zu alternating rounds each = %.2fx on %u "

@@ -11,8 +11,9 @@
 // Invariants (exit nonzero if any breaks):
 //   * legacy corpus: recall == 1.00 and FP rate == 0.00;
 //   * flow corpus:   recall == 1.00 and FP rate == 0.00;
-//   * sharding the per-function pass on a 4-worker pool renders
-//     byte-identically to the serial engine for every corpus file.
+//   * SastEngine::analyze_all on a 4-worker pool, given each corpus as one
+//     list so its files are sharded, renders byte-identically to an
+//     engine without a pool.
 // Writes a machine-readable summary to BENCH_sast.json (or --out PATH).
 // `--smoke` skips the timing loop (verdicts and gates always run).
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "bench_util.hpp"
 #include "sast_corpus.hpp"
 
+#include "genio/appsec/sast.hpp"
 #include "genio/appsec/sast/taint.hpp"
 #include "genio/common/strings.hpp"
 #include "genio/common/table.hpp"
@@ -35,19 +37,14 @@ namespace {
 
 using genio::bench::LabeledSource;
 
-/// Deterministic rendering of a full report, used both for the
-/// parallel-vs-serial identity check and (hashed by eye) in failures.
-std::string render_report(const sast::TaintReport& report) {
+/// Deterministic rendering of an engine's findings, for the sharded-vs-
+/// serial identity check.
+std::string render_findings(const std::vector<as::SastFinding>& findings) {
   std::string out;
-  for (const auto& flow : report.flows) {
-    out += flow.rule_id + " sink=L" + std::to_string(flow.sink_line) +
-           " src=L" + std::to_string(flow.source_line) + " fn=" + flow.function +
-           (flow.sanitized ? " sanitized[" + flow.sanitizer_note + "]" : "") +
-           (flow.parameter_dependent ? " param-dependent" : "") + " trace{" +
-           as::render_trace(flow.trace) + "}\n";
-  }
-  for (const int line : report.constant_sink_lines) {
-    out += "constant-sink L" + std::to_string(line) + "\n";
+  for (const auto& f : findings) {
+    out += f.rule_id + " " + f.severity + " " + f.path + ":L" + std::to_string(f.line) +
+           " " + as::to_string(f.confidence) + " trace{" + as::render_trace(f.trace) +
+           "} " + f.detail + "\n";
   }
   return out;
 }
@@ -139,21 +136,23 @@ int main(int argc, char** argv) {
   const Score flow_legacy = score_engine(flow, legacy);
   const Score flow_flow = score_engine(flow, flow_corpus);
 
-  // Parallel shard vs serial: every corpus file must render identically.
+  // Sharded vs serial: each corpus, as one list, must render identically.
   bool parallel_identical = true;
   std::string first_divergence;
   {
+    const as::SastEngine serial = as::make_default_sast_engine();
     gc::ThreadPool pool(4);
-    sast::TaintAnalyzer sharded;
+    as::SastEngine sharded = as::make_default_sast_engine();
     sharded.set_thread_pool(&pool);
-    for (const auto* corpus : {&legacy, &flow_corpus}) {
-      for (const auto& entry : *corpus) {
-        const std::string serial = render_report(flow.analyze(entry.file));
-        const std::string parallel = render_report(sharded.analyze(entry.file));
-        if (serial != parallel && parallel_identical) {
-          parallel_identical = false;
-          first_divergence = entry.name;
-        }
+    for (const auto& [name, corpus] : {std::pair{"legacy", &legacy},
+                                       std::pair{"flow", &flow_corpus}}) {
+      std::vector<as::SourceFile> files;
+      for (const auto& entry : *corpus) files.push_back(entry.file);
+      if (render_findings(serial.analyze_all(files)) !=
+              render_findings(sharded.analyze_all(files)) &&
+          parallel_identical) {
+        parallel_identical = false;
+        first_divergence = std::string(name) + " corpus";
       }
     }
   }

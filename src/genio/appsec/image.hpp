@@ -57,7 +57,6 @@ class ContainerImage {
   const std::string& entrypoint() const { return entrypoint_; }
 
   const std::vector<ImagePackage>& manifest() const { return manifest_; }
-  std::size_t layer_count() const { return layers_.size(); }
 
   /// Flattened filesystem (later layers shadow earlier ones) — what Crane
   /// extraction produces for the SAST/YARA scanners.

@@ -63,15 +63,11 @@ class SastEngine {
   void set_taint_enabled(bool enabled) { taint_enabled_ = enabled; }
   bool taint_enabled() const { return taint_enabled_; }
 
-  /// Attach the admission-scan fabric: analyze_all/analyze_image scan
-  /// files in parallel (lexer/parser/taint are per-file pure) and merge
-  /// findings in file order — byte-identical to the serial loop. Null or
-  /// size-1 pool keeps the serial path. Single-file analyze() calls shard
-  /// the taint engine's per-function pass on the same pool.
-  void set_thread_pool(common::ThreadPool* pool) {
-    pool_ = pool;
-    taint_.set_thread_pool(pool);
-  }
+  /// Attach the admission-scan pool: analyze_all/analyze_image analyze
+  /// files in parallel (lexer, parser and taint pass are per-file pure)
+  /// and merge findings in file order, byte-identical to the serial loop.
+  /// A null or size-1 pool keeps the serial loop; analyze() is serial.
+  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
   std::vector<SastFinding> analyze(const SourceFile& file) const;
   std::vector<SastFinding> analyze_all(const std::vector<SourceFile>& files) const;

@@ -3,10 +3,8 @@
 // worklist fixpoint over a per-variable untainted < sanitized < tainted
 // lattice with merge at control-flow joins, and computes bottom-up,
 // recursion-safe function summaries to a fixpoint so multi-hop
-// source->helper->helper->sink chains trace end to end. The final
-// per-function extraction pass is embarrassingly parallel and shards on
-// the common/ thread pool with a deterministic ordered merge
-// (byte-identical to the serial path).
+// source->helper->helper->sink chains trace end to end, then extracts
+// each function's flows in source order.
 #include <algorithm>
 #include <map>
 #include <optional>
@@ -18,7 +16,6 @@
 
 #include "genio/appsec/sast/cfg.hpp"
 #include "genio/appsec/sast/taint.hpp"
-#include "genio/common/thread_pool.hpp"
 
 namespace genio::appsec::sast {
 
@@ -642,27 +639,15 @@ TaintReport TaintAnalyzer::analyze(const SourceFile& file) const {
   FlowEngine engine(unit, rules_, file.language);
   engine.solve_summaries();
 
-  const std::size_t n = unit.functions.size();
   TaintReport report;
+  std::vector<TaintFlow> flows;
   for (const auto& fn : unit.functions) {
     for (const auto& stmt : fn.body) {
       if (stmt.truncated) report.unanalyzed_lines.insert(stmt.line);
     }
-  }
-  std::vector<TaintFlow> flows;
-  const auto merge = [&](FlowEngine::FnResult&& r) {
+    FlowEngine::FnResult r = engine.extract(fn);
     for (auto& f : r.flows) flows.push_back(std::move(f));
-    report.constant_sink_lines.insert(r.constant_sinks.begin(),
-                                      r.constant_sinks.end());
-  };
-  if (pool_ != nullptr && pool_->size() > 1) {
-    // Shard per-function extraction on the fabric. The ordered reduce
-    // makes the merged flow list identical to the serial loop below.
-    pool_->parallel_map_reduce<FlowEngine::FnResult>(
-        n, [&](std::size_t i) { return engine.extract(unit.functions[i]); },
-        [&](std::size_t, FlowEngine::FnResult&& r) { merge(std::move(r)); });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) merge(engine.extract(unit.functions[i]));
+    report.constant_sink_lines.insert(r.constant_sinks.begin(), r.constant_sinks.end());
   }
   report.flows = canonicalize_flows(std::move(flows));
   return report;

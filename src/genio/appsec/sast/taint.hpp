@@ -18,10 +18,6 @@
 #include "genio/appsec/sast/parser.hpp"
 #include "genio/appsec/sast/source.hpp"
 
-namespace genio::common {
-class ThreadPool;
-}  // namespace genio::common
-
 namespace genio::appsec::sast {
 
 enum class SinkCategory { kSql, kExec, kEval, kDeserialize, kWeakCrypto };
@@ -115,16 +111,10 @@ class TaintAnalyzer {
   /// Parse, solve function summaries to a fixpoint, then extract flows.
   TaintReport analyze(const SourceFile& file) const;
 
-  /// Shard the per-function extraction pass on the pool (deterministic
-  /// ordered merge; byte-identical to serial). Null or size-1 pool keeps
-  /// the serial path. Summary fixpoints are ordered and stay serial.
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
-
   const TaintRuleSet& rules() const { return rules_; }
 
  private:
   TaintRuleSet rules_;
-  common::ThreadPool* pool_ = nullptr;  // non-owning; optional
 };
 
 }  // namespace genio::appsec::sast

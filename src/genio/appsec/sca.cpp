@@ -1,7 +1,6 @@
 #include "genio/appsec/sca.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 namespace genio::appsec {
 
@@ -26,29 +25,11 @@ double ScaReport::noise_ratio() const {
 
 ScaReport ScaScanner::scan(const ContainerImage& image) const {
   ScaReport report;
-  const auto& manifest = image.manifest();
-  report.packages_scanned = manifest.size();
-  const auto scan_package = [this](const ImagePackage& pkg) {
-    std::vector<ScaFinding> out;
+  report.packages_scanned = image.manifest().size();
+  for (const auto& pkg : image.manifest()) {
     for (const vuln::CveRecord* record : db_->matching(pkg.name, pkg.version)) {
-      out.push_back({record->id, pkg.name, pkg.version, record->cvss.base_score(), true});
-    }
-    return out;
-  };
-  if (pool_ != nullptr && pool_->size() > 1 && manifest.size() > 1) {
-    // Shard packages across workers; the ordered-merge reducer restores
-    // manifest order before the stable sort, so ties sort identically.
-    pool_->parallel_map_reduce<std::vector<ScaFinding>>(
-        manifest.size(), [&](std::size_t i) { return scan_package(manifest[i]); },
-        [&report](std::size_t, std::vector<ScaFinding>&& findings) {
-          report.findings.insert(report.findings.end(),
-                                 std::make_move_iterator(findings.begin()),
-                                 std::make_move_iterator(findings.end()));
-        });
-  } else {
-    for (const auto& pkg : manifest) {
-      auto findings = scan_package(pkg);
-      report.findings.insert(report.findings.end(), findings.begin(), findings.end());
+      report.findings.push_back(
+          {record->id, pkg.name, pkg.version, record->cvss.base_score(), true});
     }
   }
   std::stable_sort(report.findings.begin(), report.findings.end(),

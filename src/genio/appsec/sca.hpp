@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "genio/appsec/image.hpp"
-#include "genio/common/thread_pool.hpp"
 #include "genio/vuln/cve.hpp"
 
 namespace genio::appsec {
@@ -39,11 +38,6 @@ class ScaScanner {
  public:
   explicit ScaScanner(const vuln::CveDatabase* db) : db_(db) {}
 
-  /// Attach the admission-scan fabric: scan() shards manifest packages
-  /// across workers and merges findings in manifest order — identical to
-  /// the serial scan. Null or size-1 pool keeps the serial path.
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
-
   /// Plain scan: every manifest package is checked; everything reachable.
   ScaReport scan(const ContainerImage& image) const;
 
@@ -54,7 +48,6 @@ class ScaScanner {
 
  private:
   const vuln::CveDatabase* db_;
-  common::ThreadPool* pool_ = nullptr;  // non-owning; optional
 };
 
 }  // namespace genio::appsec

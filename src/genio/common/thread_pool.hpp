@@ -1,13 +1,13 @@
-// Thread pool powering the admission-scan fabric: background workers take
-// tasks FIFO from one shared queue. Every task parallel_for submits is an
-// interchangeable index-grabbing runner, so there is no locality for
-// per-worker queues to exploit. The pool is built for deterministic
-// data-parallel scanning: parallel_map writes results by index and
-// parallel_map_reduce folds them on the calling thread in index order, so
-// the merged output is byte-identical to a serial loop no matter how the
-// work was scheduled. A pool of size 1 spawns no threads and runs
-// everything inline — the serial fallback the resilience invariants rely
-// on (PlatformConfig.scan_workers=1).
+// Thread pool behind the catalog runner (one scenario per index) and the
+// admission-scan pool, on which the SAST gate analyzes an image's source
+// files: background workers take tasks FIFO from one shared queue. Every
+// task parallel_for submits is an interchangeable index-grabbing runner,
+// so there is no locality for per-worker queues to exploit. The pool is
+// built for deterministic data-parallel work: parallel_map writes results
+// by index and parallel_map_reduce folds them on the calling thread in
+// index order, so the merged output is byte-identical to a serial loop no
+// matter how the work was scheduled. A pool of size 1 spawns no threads
+// and runs everything inline (PlatformConfig.scan_workers=1).
 //
 // Blocking discipline: parallel_for's caller is itself the final worker —
 // it grabs indices until the range is exhausted, then waits only for

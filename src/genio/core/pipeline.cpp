@@ -1,6 +1,5 @@
 #include "genio/core/pipeline.hpp"
 
-#include <array>
 #include <optional>
 #include <set>
 
@@ -114,6 +113,24 @@ std::string signature_scope(const appsec::RegistryEntry& entry, const Tenant& te
   return crypto::digest_hex(h.finish());
 }
 
+bool add_stage(PipelineReport& report, std::string name, bool ran, bool passed,
+               std::string detail) {
+  report.stages.push_back({std::move(name), ran, passed, std::move(detail)});
+  return !ran || passed;
+}
+
+// A disabled gate never examined the image: it must not block, but the
+// report shows it as skipped — not silently "passed".
+void add_skipped(PipelineReport& report, std::string name) {
+  PipelineStage stage;
+  stage.name = std::move(name);
+  stage.ran = false;
+  stage.passed = true;
+  stage.skipped = true;
+  stage.detail = "gate disabled (skipped, not passed)";
+  report.stages.push_back(std::move(stage));
+}
+
 }  // namespace
 
 bool DeploymentPipeline::run_scan_gates(PipelineReport& report,
@@ -121,9 +138,9 @@ bool DeploymentPipeline::run_scan_gates(PipelineReport& report,
                                         const Tenant& tenant) {
   const PlatformConfig& config = platform_->config();
 
-  // Resolve the SCA feed dependency serially, before any fan-out: outage
-  // handling is control flow (retry policy, degrade-to-snapshot), not scan
-  // compute, and it decides whether the admit is content-addressed at all.
+  // Resolve the SCA feed dependency before the gates: outage handling is
+  // control flow (retry policy, degrade-to-snapshot), not scan compute, and
+  // it decides whether the admit is content-addressed at all.
   const vuln::CveDatabase* sca_db = nullptr;
   bool sca_degraded = false;
   bool sca_fail_closed = false;
@@ -141,7 +158,7 @@ bool DeploymentPipeline::run_scan_gates(PipelineReport& report,
       } else if (policy.on_error == resilience::FailMode::kFailClosed) {
         sca_fail_closed = true;
       }
-      // else: legacy fail-open — the gate closure waves the image through.
+      // else: legacy fail-open — the SCA gate waves the image through.
     }
   }
 
@@ -180,137 +197,89 @@ bool DeploymentPipeline::run_scan_gates(PipelineReport& report,
     }
   }
 
-  // The five content-addressed gates. Each closure produces exactly the
-  // stage the legacy serial code appended — details, degraded flags, and
-  // fail-mode semantics included — so the ordered merge below reproduces
-  // the serial report byte for byte.
-  struct GateSlot {
-    const char* name;
-    bool enabled;
-    std::function<PipelineStage()> run;
-  };
-  const auto make_stage = [](const char* name, bool passed, std::string detail) {
-    PipelineStage stage;
+  // The five content-addressed gates run in order, and the first blocker
+  // ends the chain. A disabled gate is recorded as skipped.
+  const auto gate = [&report](const char* name, bool enabled, const auto& run) {
+    if (!enabled) {
+      add_skipped(report, name);
+      return true;
+    }
+    PipelineStage stage = run();
     stage.name = name;
     stage.ran = true;
-    stage.passed = passed;
-    stage.detail = std::move(detail);
-    return stage;
+    report.stages.push_back(std::move(stage));
+    return report.stages.back().passed;
   };
-  const std::array<GateSlot, 5> slots = {{
-      {"signature", config.require_image_signature,
-       [&] {
-         const auto st = appsec::verify_image(entry, tenant.publisher_key);
-         return make_stage("signature", st.ok(),
-                           st.ok() ? "publisher signature valid" : st.error().message());
-       }},
-      {"sca", config.sca_gate,
-       [&] {
-         if (sca_db == nullptr) {
-           if (sca_fail_closed) {
-             return make_stage("sca", false, sca_feed_error + " [fail-closed]");
-           }
-           PipelineStage stage =
-               make_stage("sca", true, sca_feed_error + " [fail-open: unscanned]");
-           stage.failed_open = true;
-           return stage;
-         }
-         appsec::ScaScanner sca(sca_db);
-         sca.set_thread_pool(&pool_);
-         const auto sca_report = sca.scan(entry.image);
-         const bool critical = !sca_report.findings.empty() &&
-                               sca_report.findings.front().score >= sca_block_score;
-         std::string detail =
-             std::to_string(sca_report.findings.size()) + " findings, max score " +
-             (sca_report.findings.empty()
-                  ? "0"
-                  : common::format_double(sca_report.findings.front().score, 1));
-         if (sca_degraded) {
-           const double age_hours =
-               platform_->feed_service().snapshot_age(platform_->clock().now()).hours();
-           detail += " [degraded: last-good snapshot, age " +
-                     common::format_double(age_hours, 1) + "h]";
-         }
-         PipelineStage stage = make_stage("sca", !critical, std::move(detail));
-         // Legacy quirk preserved: the degraded flag was set after the
-         // blocking check, so a blocking degraded scan reports plain fail.
-         stage.degraded = sca_degraded && stage.passed;
-         return stage;
-       }},
-      {"sast", config.sast_gate,
-       [&] {
-         const auto findings = sast_.analyze_image(entry.image);
-         bool critical = false;
-         for (const auto& f : findings) {
-           critical |= f.severity == "critical" && appsec::SastEngine::is_actionable(f);
-         }
-         const std::size_t confirmed = appsec::SastEngine::count_confirmed(findings);
-         std::string detail = std::to_string(findings.size()) + " findings";
-         if (confirmed > 0) {
-           detail += ", " + std::to_string(confirmed) + " confirmed taint flow" +
-                     (confirmed == 1 ? "" : "s");
-         }
-         if (critical) detail += " (critical present)";
-         return make_stage("sast", !critical, std::move(detail));
-       }},
-      {"secrets", config.secret_gate,
-       [&] {
-         const auto secrets = secret_scanner_.scan_image(entry.image);
-         return make_stage("secrets", secrets.empty(),
-                           secrets.empty()
-                               ? "no embedded credentials"
-                               : appsec::to_string(secrets.front().kind) + " in " +
-                                     secrets.front().path);
-       }},
-      {"malware", config.malware_gate,
-       [&] {
-         const auto matches = yara_.scan_image(entry.image);
-         return make_stage("malware", matches.empty(),
-                           matches.empty()
-                               ? "no signature matched"
-                               : "matched rule '" + matches.front().rule + "'");
-       }},
-  }};
-
-  std::array<std::optional<PipelineStage>, slots.size()> results;
-  std::vector<std::size_t> enabled;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].enabled) enabled.push_back(i);
-  }
-  if (pool_.size() > 1 && enabled.size() > 1) {
-    // Fan out: every enabled gate runs concurrently (speculatively past a
-    // blocker — the gates are side-effect free, so speculation is
-    // invisible). The merge below restores serial order and truncation.
-    pool_.parallel_for(enabled.size(), [&](std::size_t j) {
-      results[enabled[j]] = slots[enabled[j]].run();
-    });
-  } else {
-    // Serial fallback: identical to the legacy path, early exit included.
-    for (const std::size_t i : enabled) {
-      results[i] = slots[i].run();
-      if (!results[i]->passed) break;
+  const auto signature = [&] {
+    const auto st = appsec::verify_image(entry, tenant.publisher_key);
+    return PipelineStage{.passed = st.ok(),
+                         .detail = st.ok() ? "publisher signature valid"
+                                           : st.error().message()};
+  };
+  const auto sca = [&] {
+    if (sca_db == nullptr) {
+      if (sca_fail_closed) {
+        return PipelineStage{.passed = false, .detail = sca_feed_error + " [fail-closed]"};
+      }
+      return PipelineStage{.passed = true,
+                           .detail = sca_feed_error + " [fail-open: unscanned]",
+                           .failed_open = true};
     }
-  }
-
-  // Ordered merge: serial stage order, disabled gates recorded as skipped,
-  // and — exactly like the serial early return — nothing after a blocker.
+    const auto sca_report = appsec::ScaScanner(sca_db).scan(entry.image);
+    const bool critical = !sca_report.findings.empty() &&
+                          sca_report.findings.front().score >= sca_block_score;
+    std::string detail =
+        std::to_string(sca_report.findings.size()) + " findings, max score " +
+        (sca_report.findings.empty()
+             ? "0"
+             : common::format_double(sca_report.findings.front().score, 1));
+    if (sca_degraded) {
+      const double age_hours =
+          platform_->feed_service().snapshot_age(platform_->clock().now()).hours();
+      detail += " [degraded: last-good snapshot, age " +
+                common::format_double(age_hours, 1) + "h]";
+    }
+    // Legacy quirk preserved: the degraded flag was set after the blocking
+    // check, so a blocking degraded scan reports plain fail.
+    return PipelineStage{.passed = !critical,
+                         .detail = std::move(detail),
+                         .degraded = sca_degraded && !critical};
+  };
+  const auto sast = [&] {
+    const auto findings = sast_.analyze_image(entry.image);
+    bool critical = false;
+    for (const auto& f : findings) {
+      critical |= f.severity == "critical" && appsec::SastEngine::is_actionable(f);
+    }
+    const std::size_t confirmed = appsec::SastEngine::count_confirmed(findings);
+    std::string detail = std::to_string(findings.size()) + " findings";
+    if (confirmed > 0) {
+      detail += ", " + std::to_string(confirmed) + " confirmed taint flow" +
+                (confirmed == 1 ? "" : "s");
+    }
+    if (critical) detail += " (critical present)";
+    return PipelineStage{.passed = !critical, .detail = std::move(detail)};
+  };
+  const auto secrets = [&] {
+    const auto found = secret_scanner_.scan_image(entry.image);
+    return PipelineStage{.passed = found.empty(),
+                         .detail = found.empty() ? "no embedded credentials"
+                                                 : appsec::to_string(found.front().kind) +
+                                                       " in " + found.front().path};
+  };
+  const auto malware = [&] {
+    const auto matches = yara_.scan_image(entry.image);
+    return PipelineStage{.passed = matches.empty(),
+                         .detail = matches.empty()
+                                       ? "no signature matched"
+                                       : "matched rule '" + matches.front().rule + "'"};
+  };
   const std::size_t span_begin = report.stages.size();
-  bool blocked = false;
-  for (std::size_t i = 0; i < slots.size() && !blocked; ++i) {
-    if (!slots[i].enabled) {
-      PipelineStage stage;
-      stage.name = slots[i].name;
-      stage.ran = false;
-      stage.passed = true;
-      stage.skipped = true;
-      stage.detail = "gate disabled (skipped, not passed)";
-      report.stages.push_back(std::move(stage));
-      continue;
-    }
-    report.stages.push_back(std::move(*results[i]));
-    const PipelineStage& stage = report.stages.back();
-    blocked = stage.ran && !stage.passed;
-  }
+  const bool passed = gate("signature", config.require_image_signature, signature) &&
+                      gate("sca", config.sca_gate, sca) &&
+                      gate("sast", config.sast_gate, sast) &&
+                      gate("secrets", config.secret_gate, secrets) &&
+                      gate("malware", config.malware_gate, malware);
 
   if (cacheable) {
     std::vector<std::string> packages;
@@ -322,30 +291,8 @@ bool DeploymentPipeline::run_scan_gates(PipelineReport& report,
                         report.stages.end()},
                   std::move(packages));
   }
-  return !blocked;
+  return passed;
 }
-
-namespace {
-
-bool add_stage(PipelineReport& report, std::string name, bool ran, bool passed,
-               std::string detail) {
-  report.stages.push_back({std::move(name), ran, passed, std::move(detail)});
-  return !ran || passed;
-}
-
-// A disabled gate never examined the image: it must not block, but the
-// report shows it as skipped — not silently "passed".
-void add_skipped(PipelineReport& report, std::string name) {
-  PipelineStage stage;
-  stage.name = std::move(name);
-  stage.ran = false;
-  stage.passed = true;
-  stage.skipped = true;
-  stage.detail = "gate disabled (skipped, not passed)";
-  report.stages.push_back(std::move(stage));
-}
-
-}  // namespace
 
 bool DeploymentPipeline::admit_prefix(const DeploymentRequest& request,
                                       PipelineReport& report) {
@@ -385,10 +332,9 @@ bool DeploymentPipeline::admit_prefix(const DeploymentRequest& request,
   }
 
   // 1-5. The content-addressed gates — signature (supply-chain trust),
-  // SCA (M13), SAST (M14), secret scanning, malware (M16) — run on the
-  // admission-scan fabric (or serially when it is sized 1), behind the
-  // content-addressed cache. Stage order, details and fail-mode semantics
-  // are byte-identical to the legacy serial gate chain.
+  // SCA (M13), SAST (M14), secret scanning, malware (M16) — run in order
+  // behind the content-addressed cache; SAST shards its files on the
+  // admission-scan pool.
   return run_scan_gates(report, image_entry, *tenant);
 }
 

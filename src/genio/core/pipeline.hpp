@@ -89,7 +89,8 @@ class DeploymentPipeline {
 
   const resilience::GatePolicySet& policies() const { return policies_; }
 
-  /// The admission-scan fabric: size 1 when scan_workers is 1.
+  /// The pool SAST shards an image's source files on: size 1 (inline)
+  /// when scan_workers is 1.
   common::ThreadPool& scan_pool() { return pool_; }
   /// Content-addressed scan cache (capacity 0 = off).
   ScanCache& scan_cache() { return cache_; }
@@ -106,9 +107,8 @@ class DeploymentPipeline {
   bool admit_prefix(const DeploymentRequest& request, PipelineReport& report);
 
   /// Run the content-addressed post-pull gates (signature, SCA, SAST,
-  /// secrets, malware) — concurrently on the fabric when enabled, with an
-  /// ordered merge that reproduces the serial report byte for byte — and
-  /// append their stages to `report`. Returns false when a gate blocked.
+  /// secrets, malware) in order, stopping at the first blocker, and append
+  /// their stages to `report`. Returns false when a gate blocked.
   bool run_scan_gates(PipelineReport& report, const appsec::RegistryEntry& entry,
                       const Tenant& tenant);
 

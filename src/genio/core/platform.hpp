@@ -55,9 +55,9 @@ struct PlatformConfig {
   // Resilience layer: retries, circuit breakers and fail-closed gate
   // policies. Off = legacy behavior (faults fail open / deployments lost).
   bool resilience_policies = true;
-  // Admission-scan fabric: run the post-pull gates (and the per-file /
-  // per-package work inside SAST and SCA) on a thread pool. Reports
-  // are byte-identical to the serial path.
+  // Admission-scan pool: the SAST gate analyzes an image's source files
+  // on it and merges their findings in file order, so reports are
+  // byte-identical at every size. The other gates run on the caller.
   int scan_workers = 0;  // pool size incl. caller; 0 = min(hw cores, 8); 1 = serial
   // Content-addressed scan cache keyed by (image digest, signature scope,
   // feed revision, rulepack fingerprint); repeated admits of unchanged
@@ -134,7 +134,6 @@ class GenioPlatform {
   middleware::Cluster& cluster() { return *cluster_; }
   middleware::VmManager& vmm() { return *vmm_; }
   middleware::SdnController& onos() { return *onos_; }
-  middleware::SdnController& onos_standby() { return *onos_standby_; }
   middleware::SdnFailover& onos_failover() { return *onos_failover_; }
   middleware::SdnController& voltha() { return *voltha_; }
 

@@ -411,6 +411,7 @@ ScenarioResult run_t7_vulnerable_applications() {
   auto run = [](bool hardened) {
     ScenarioOutcome outcome;
     PlatformConfig config = hardened ? PlatformConfig{} : unmitigated_config();
+    config.scan_workers = 1;  // one scenario = one thread; the runner fans out
     GenioPlatform platform(config);
 
     auto publisher = crypto::SigningKey::generate(platform.rng().bytes(32), 4);
@@ -472,6 +473,7 @@ ScenarioResult run_t8_malicious_applications() {
   auto run = [](bool hardened) {
     ScenarioOutcome outcome;
     PlatformConfig config = hardened ? PlatformConfig{} : unmitigated_config();
+    config.scan_workers = 1;  // one scenario = one thread; the runner fans out
     GenioPlatform platform(config);
 
     auto publisher = crypto::SigningKey::generate(platform.rng().bytes(32), 4);

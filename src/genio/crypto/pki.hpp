@@ -41,7 +41,6 @@ struct Certificate {
   Bytes tbs_bytes() const;
 
   bool has_usage(KeyUsage usage) const;
-  bool is_self_signed() const { return subject == issuer; }
 };
 
 /// A certificate authority: wraps a signing key and issues certificates.
@@ -122,8 +121,6 @@ class TrustStore {
   /// certificate is a pinned root.
   common::Status verify_chain(std::span<const Certificate> chain, SimTime now,
                               KeyUsage required_usage) const;
-
-  std::size_t root_count() const { return roots_.size(); }
 
  private:
   std::vector<Certificate> roots_;

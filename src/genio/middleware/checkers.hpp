@@ -40,7 +40,6 @@ class CheckerTool {
       : name_(std::move(name)), checks_(std::move(checks)) {}
 
   const std::string& name() const { return name_; }
-  std::size_t check_count() const { return checks_.size(); }
   std::set<std::string> check_ids() const;
 
   CheckerReport run(const Cluster& cluster) const;

@@ -183,7 +183,6 @@ class Cluster {
   const RbacEngine& rbac() const { return rbac_; }
   RbacEngine& rbac_mutable() { return rbac_; }
   const AdmissionPolicy& admission() const { return admission_; }
-  AdmissionPolicy& admission_mutable() { return admission_; }
 
   /// Exact-version component inventory (KBOM input, M12).
   std::vector<ClusterComponent> components() const;

@@ -65,8 +65,6 @@ class RbacEngine {
                                   const std::set<std::string>& all_resources,
                                   const std::set<std::string>& namespaces) const;
 
-  std::size_t role_count() const { return roles_.size(); }
-
  private:
   std::map<std::string, Role> roles_;
   std::vector<RoleBinding> bindings_;

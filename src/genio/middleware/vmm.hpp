@@ -59,7 +59,6 @@ class VmManager {
                                                bool privileged,
                                                std::set<std::string> capabilities);
 
-  const std::map<std::string, Vm>& vms() const { return vms_; }
   const std::map<std::string, ContainerInstance>& containers() const {
     return containers_;
   }

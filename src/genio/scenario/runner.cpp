@@ -39,12 +39,13 @@ ScenarioVerdict run_scenario(const ScenarioDef& def, std::uint64_t run_seed,
       def.budget > common::SimTime{} ? def.budget : default_budget;
   const auto start = std::chrono::steady_clock::now();
   ScenarioVerdict verdict = run_in_context(def, run_seed, budget);
-#if defined(__GLIBC__)
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
   // The scenario's platform is gone, but glibc keeps its freed pages in
   // the worker thread's malloc arena. Without giving them back, each pool
   // worker's arena grows to its largest scenario's footprint (16-18 MB,
   // under 1 MB of it in use), and peak RSS climbs with how many scenarios
-  // run rather than with what any one of them holds.
+  // run rather than with what any one of them holds. Under ASan or TSan
+  // the sanitizer's allocator owns the heap, so there is nothing to trim.
   malloc_trim(0);
 #endif
   verdict.wall_ms = std::chrono::duration<double, std::milli>(

@@ -148,7 +148,6 @@ class FeedHealthService {
 
   /// Last-good snapshot (what the resilient path degrades to).
   const CveDatabase& snapshot() const { return snapshot_; }
-  SimTime last_refresh() const { return last_refresh_; }
   SimTime snapshot_age(SimTime now) const { return now - last_refresh_; }
 
  private:
@@ -172,7 +171,6 @@ class FeedAggregator {
     std::string feed;
     double hours;
   };
-  const std::vector<LatencySample>& latency_samples() const { return samples_; }
   double mean_latency_hours() const;
 
  private:

@@ -47,6 +47,16 @@ bool has_confirmed(const sast::TaintReport& report) {
   return false;
 }
 
+std::string render_findings(const std::vector<as::SastFinding>& findings) {
+  std::string out;
+  for (const auto& f : findings) {
+    out += f.rule_id + "@" + f.path + ":" + std::to_string(f.line) + "/" +
+           as::to_string(f.confidence) + "{" + as::render_trace(f.trace) + "}" +
+           f.detail + "\n";
+  }
+  return out;
+}
+
 std::string render_flows(const sast::TaintReport& report) {
   std::string out;
   for (const auto& f : report.flows) {
@@ -401,12 +411,14 @@ TEST(SastFlow, ParallelShardMatchesSerialByteForByte) {
          "    x = request.args.get(\"id\")\n"
          "    if mode:\n"
          "        x = db.escape(x)\n"
-         "    return db.execute(\"SELECT * FROM t WHERE id='\" + x + \"'\")\n"),
+         "    return db.execute(\"SELECT * FROM t WHERE id='\" + x + \"'\")\n",
+         "/app/find.py"),
       py("def store(v):\n"
          "    db.execute(\"INSERT INTO t VALUES ('\" + v + \"')\")\n"
          "def ingest():\n"
          "    raw = request.args.get(\"data\")\n"
-         "    store(raw)\n"),
+         "    store(raw)\n",
+         "/app/ingest.py"),
       java("class Repo {\n"
            "  void tail(HttpServletRequest req) {\n"
            "    String q = Encoder.encodeForSQL(req.getParameter(\"q\"));\n"
@@ -416,15 +428,14 @@ TEST(SastFlow, ParallelShardMatchesSerialByteForByte) {
            "  }\n"
            "}\n"),
   };
-  sast::TaintAnalyzer serial;
+  // One list, so analyze_all shards the three files across the pool.
+  const as::SastEngine serial = as::make_default_sast_engine();
   gc::ThreadPool pool(4);
-  sast::TaintAnalyzer sharded;
+  as::SastEngine sharded = as::make_default_sast_engine();
   sharded.set_thread_pool(&pool);
-  for (const auto& file : corpus) {
-    EXPECT_EQ(render_flows(serial.analyze(file)),
-              render_flows(sharded.analyze(file)))
-        << file.path;
-  }
+  const std::string expected = render_findings(serial.analyze_all(corpus));
+  EXPECT_NE(expected.find("/app/ingest.py"), std::string::npos) << expected;
+  EXPECT_EQ(expected, render_findings(sharded.analyze_all(corpus)));
 }
 
 // ------------------------------------------------------- adversarial input

@@ -38,7 +38,7 @@ if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
   echo "== self-healing bench smoke =="
   "${repo_root}/build/bench/bench_self_healing" --smoke \
     --out "${repo_root}/build/BENCH_selfheal.json"
-  echo "== pipeline-throughput bench smoke (serial/parallel divergence, or a 4-worker wall speedup < 2x the serial one between the fastest of rounds alternated for 0.5 s per side, fails CI) =="
+  echo "== pipeline-throughput bench smoke (serial/parallel divergence, a modeled 4-worker speedup < 2x (the other gates in order plus an LPT schedule of the SAST files), or a 4-worker wall speedup < 2x the serial one between the fastest of rounds alternated for 0.5 s per side, fails CI) =="
   "${repo_root}/build/bench/bench_pipeline_throughput" --smoke \
     --out "${repo_root}/build/BENCH_pipeline.json"
   echo "== data-plane crypto bench smoke (a backend, CRC fold or pool/serial divergence from the oracles, seal+open < 9x the bitwise oracle at 1 KB, a hardware backend's seal+open or CRC under its floor over portable at 64 B-9 KB, VAES/VPCLMULQDQ < 1.3x AES-NI/PCLMULQDQ seal+open or < 1.5x its CRC at 4 KB, or a fused seal+open under its floor against the composed CTR and GHASH pieces (GHASH on the same backend's one pass fold) at 64 B, 1,500 B, 4 KB or 9 KB fails CI; every floor is an in-process ratio of the fastest samples of its sides, timed alternately) =="
@@ -53,7 +53,7 @@ if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
   echo "== WOTS+ keygen/sign/verify bench smoke (a lane backend whose blocks, key root or signatures differ from the kScalar loop's, a verify() that rejects them, or dispatched lanes < 10x (AVX-512F) / < 3x (SHA-NI loop) the kScalar loop, or a default GenioPlatform build > 0.6x a build plus activate_pon(), fastest of each, alternated (a build that makes the PON keys reads about 0.85), fails CI) =="
   "${repo_root}/build/bench/bench_keygen" --smoke \
     --out "${repo_root}/build/BENCH_keygen.json"
-  echo "== SAST precision gate smoke (taint recall < 1.00 or FP rate > 0.00 on either labeled corpus, or a 4-worker sharded pass that differs from the serial one, fails CI) =="
+  echo "== SAST precision gate smoke (taint recall < 1.00 or FP rate > 0.00 on either labeled corpus, or a SastEngine::analyze_all over each corpus, sharded by file on a 4-worker pool, that differs from an engine without a pool, fails CI) =="
   "${repo_root}/build/bench/bench_sast_precision" --smoke \
     --out "${repo_root}/build/BENCH_sast.json"
   echo "== scenario fabric: full catalog + scorecard (any regression fails CI) =="
@@ -99,7 +99,7 @@ if [[ "${mode}" != "--plain-only" && "${mode}" != "--sanitize-only" ]]; then
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/bench_keygen" --smoke \
     --out "${repo_root}/build-tsan/BENCH_keygen.json"
-  echo "== SAST precision gate smoke (TSan; recall/FP floors and sharded/serial identity enforced) =="
+  echo "== SAST precision gate smoke (TSan; recall/FP floors and per-file sharded/serial identity enforced) =="
   TSAN_OPTIONS=halt_on_error=1 \
     "${repo_root}/build-tsan/bench/bench_sast_precision" --smoke \
     --out "${repo_root}/build-tsan/BENCH_sast.json"
